@@ -2,8 +2,9 @@
 and strategy-repair explanations.
 
 The polynomial pieces (attractor solving, safety regions, the Hausdorff-prefix
-cause check) are complemented by exact, budget-guarded searches for the
-problems the distance functions make NP- or coNP-hard.
+cause check) all run on the one attractor kernel `model.attractor`; they are
+complemented by exact, budget-guarded searches for the problems the distance
+functions make NP- or coNP-hard.
 """
 
 from dataclasses import dataclass
@@ -20,10 +21,13 @@ from .model import (
     REACH,
     SAFE,
     MDStrategy,
+    attractor,
     is_effectively_acyclic,
     maximal_avoiding_set,
+    opponent,
     reachable_set,
     strategy_adjacency,
+    trap_vertices,
     validate_strategy,
 )
 from . import distances
@@ -83,61 +87,37 @@ class Explanation:
 def solve(game):
     """Attractor solving: winning regions and MD strategies for both players.
 
-    Deterministic: vertices are processed in sorted order and Reach picks the
-    smallest attractor successor, so repeated runs extract the same
-    strategies.
+    Deterministic: Reach picks its first successor of lower attractor rank,
+    so repeated runs extract the same strategies.
     """
-    attr = set(game.effect)
-    reach_choice = {}
-    while True:
-        added = []
-        for v in sorted(game.reach_owned - attr):
-            targets = [u for u in game.successors(v) if u in attr]
-            if targets:
-                added.append((v, targets[0]))
-        for v in sorted(game.safe_owned - attr):
-            succ = game.successors(v)
-            if succ and all(u in attr for u in succ):
-                added.append((v, None))
-        if not added:
-            break
-        for v, t in added:
-            attr.add(v)
-            if t is not None:
-                reach_choice[v] = t
-    for v in sorted(game.reach_owned - set(reach_choice)):
-        reach_choice[v] = game.successors(v)[0]
-    safe_choice = {}
-    for v in sorted(game.safe_owned):
-        outside = [u for u in game.successors(v) if u not in attr]
-        safe_choice[v] = outside[0] if outside else game.successors(v)[0]
-    vertices = set(game.vertices)
+    adj = game.adjacency()
+    rank = attractor(adj, game.reach_owned, game.effect)
     return WinningAnalysis(
-        reach_region=frozenset(attr),
-        safe_region=frozenset(vertices - attr),
-        reach_strategy=MDStrategy(REACH, reach_choice),
-        safe_strategy=MDStrategy(SAFE, safe_choice),
+        reach_region=frozenset(rank),
+        safe_region=frozenset(v for v in game.vertices if v not in rank),
+        reach_strategy=MDStrategy(REACH, _attractor_choices(game, adj, rank, REACH)),
+        safe_strategy=MDStrategy(SAFE, _attractor_choices(game, adj, rank, SAFE)),
     )
 
 
-def attractor_ranks(game):
-    """Steps within which Reach can force the effect set, per vertex."""
-    rank = {v: 0 for v in game.effect}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted((game.reach_owned | game.safe_owned) - set(rank)):
-            ranks = [rank.get(u) for u in game.successors(v)]
-            if v in game.reach_owned:
-                known = [r for r in ranks if r is not None]
-                if known:
-                    rank[v] = 1 + min(known)
-                    changed = True
-            else:
-                if all(r is not None for r in ranks):
-                    rank[v] = 1 + max(ranks)
-                    changed = True
-    return rank
+def _attractor_choices(game, adjacency, rank, player):
+    """The player's MD choices from Reach's attractor ranks over `adjacency`.
+
+    Reach steps to its first successor of lower rank, Safe to its first
+    successor outside the attractor; failing that, the first edge of the
+    adjacency, or of the game where the adjacency leaves none.
+    """
+    choice = {}
+    for v in sorted(game.owned_by(player)):
+        opts = adjacency[v]
+        if player == SAFE:
+            keep = [u for u in opts if u not in rank]
+        elif v in rank:
+            keep = [u for u in opts if rank.get(u, rank[v]) < rank[v]]
+        else:
+            keep = []
+        choice[v] = (keep or opts or game.successors(v))[0]
+    return choice
 
 
 def avoid_region(game, player, cause):
@@ -146,76 +126,36 @@ def avoid_region(game, player, cause):
     for c in sorted(cause):
         if c in game.effect:
             raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
-    owned = game.owned_by(player)
-    region = {v for v in game.vertices if v not in cause}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(region):
-            if v in game.effect:
-                continue
-            succ = game.successors(v)
-            if v in owned:
-                ok = any(u in region for u in succ)
-            else:
-                ok = all(u in region for u in succ)
-            if not ok:
-                region.discard(v)
-                changed = True
+    region = _avoid_set(game, player, cause, {})
     allowed = {
         v: tuple(u for u in game.successors(v) if u in region)
-        for v in sorted(owned & region)
+        for v in sorted(game.owned_by(player) & region)
     }
     return frozenset(region), allowed
+
+
+def _avoid_set(game, player, cause, pins):
+    """Vertices outside the opponent's attractor of `cause`, with the owned
+    vertices in `pins` forced to their pinned successor."""
+    adj = game.adjacency()
+    adj.update((v, (u,)) for v, u in pins.items())
+    caught = attractor(adj, game.owned_by(opponent(player)), cause)
+    return {v for v in game.vertices if v not in caught}
 
 
 def _solve_for(game, player, allowed):
     """Solve the game for `player` when its vertices may only use the given
     edge subsets.  Returns (wins_from_initial, total choice dict).
 
-    Vertices missing from `allowed` keep their full edge set.  Dead ends the
-    restriction creates count against Reach: a stuck play never reaches the
-    effect set.
+    `allowed` is keyed by the player's vertices; those missing from it keep
+    their full edge set.  Dead ends the restriction creates count against
+    Reach: a stuck play never reaches the effect set.
     """
-
-    def edges(v):
-        return allowed.get(v, game.successors(v))
-
-    reach_edges = edges if player == REACH else game.successors
-    safe_edges = edges if player == SAFE else game.successors
-
-    attr = set(game.effect)
-    reach_choice = {}
-    while True:
-        added = []
-        for v in sorted(game.reach_owned - attr):
-            targets = [u for u in reach_edges(v) if u in attr]
-            if targets:
-                added.append((v, targets[0]))
-        for v in sorted(game.safe_owned - attr):
-            succ = safe_edges(v)
-            if succ and all(u in attr for u in succ):
-                added.append((v, None))
-        if not added:
-            break
-        for v, t in added:
-            attr.add(v)
-            if t is not None:
-                reach_choice[v] = t
-    if player == REACH:
-        wins = game.initial in attr
-        for v in sorted(game.reach_owned):
-            if v not in reach_choice:
-                opts = reach_edges(v)
-                reach_choice[v] = opts[0] if opts else game.successors(v)[0]
-        return wins, reach_choice
-    wins = game.initial not in attr
-    safe_choice = {}
-    for v in sorted(game.safe_owned):
-        opts = safe_edges(v)
-        outside = [u for u in opts if u not in attr]
-        safe_choice[v] = outside[0] if outside else (opts[0] if opts else game.successors(v)[0])
-    return wins, safe_choice
+    adj = game.adjacency()
+    adj.update(allowed)
+    rank = attractor(adj, game.reach_owned, game.effect)
+    wins = (game.initial in rank) == (player == REACH)
+    return wins, _attractor_choices(game, adj, rank, player)
 
 
 # ---------------------------------------------------------------------------
@@ -320,28 +260,6 @@ def check_cause_game(query, budget=None):
     return _check_dstar(query, region, allowed, budget)
 
 
-def _pinned_region(game, player, cause, pins):
-    """Safety region for avoiding `cause` when some owned vertices are forced
-    to fixed choices."""
-    owned = game.owned_by(player)
-    region = {v for v in game.vertices if v not in cause}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(region):
-            if v in game.effect:
-                continue
-            succ = game.successors(v)
-            if v in owned:
-                ok = pins[v] in region if v in pins else any(u in region for u in succ)
-            else:
-                ok = all(u in region for u in succ)
-            if not ok:
-                region.discard(v)
-                changed = True
-    return region
-
-
 def _check_pref_h(query, region, budget):
     """Hausdorff-prefix cause check.
 
@@ -378,7 +296,7 @@ def _check_pref_h(query, region, budget):
     limit = len(game.vertices) + 2
     for n in range(1, limit + 1):
         budget.charge()
-        candidate = _pinned_region(game, player, cause, pins_at(n))
+        candidate = _avoid_set(game, player, cause, pins_at(n))
         if game.initial in candidate:
             n_star = n
             pin_region = candidate
@@ -403,6 +321,7 @@ def _check_pref_h(query, region, budget):
         else:
             arena[v] = game.successors(v)
 
+    dodge = None
     if player == REACH:
         dodge = maximal_avoiding_set(arena, game.effect)
         defeated = game.initial in dodge
@@ -411,7 +330,7 @@ def _check_pref_h(query, region, budget):
 
     witnesses = []
     if defeated:
-        bad_choices = _defeat_choices(game, player, arena, owned)
+        bad_choices = _defeat_choices(game, player, arena, owned, dodge)
         tau = _assemble_strategy(game, sigma, owned, pins, allowed, bad_choices)
         witnesses.append(
             StrategyWitness(tau, distances.d_pref_hausdorff(game, sigma, tau), False)
@@ -426,10 +345,11 @@ def _check_pref_h(query, region, budget):
     )
 
 
-def _defeat_choices(game, player, arena, owned):
-    """MD choices (within the arena) realizing one defeating play."""
+def _defeat_choices(game, player, arena, owned, dodge):
+    """MD choices (within the arena) realizing one defeating play.
+
+    For Reach, `dodge` is the arena's maximal effect-avoiding set."""
     if player == REACH:
-        dodge = maximal_avoiding_set(arena, game.effect)
         sub = {v: tuple(u for u in arena[v] if u in dodge) for v in dodge}
         choices = {}
         v = game.initial
@@ -484,7 +404,7 @@ def _require_effectively_acyclic(game):
 def _tree_shaped(game):
     """Tree arenas (modulo trap self-loops): one way in per reachable vertex."""
     adj = game.adjacency()
-    traps = {v for v, succ in adj.items() if tuple(succ) == (v,)}
+    traps = trap_vertices(adj)
     preds = {}
     seen = reachable_set(adj, game.initial)
     for v in sorted(seen):
@@ -504,7 +424,7 @@ def tree_min_changes(game, sigma, cause):
     """
     owned = game.owned_by(sigma.player)
     adj = game.adjacency()
-    traps = {v for v, succ in adj.items() if tuple(succ) == (v,)}
+    traps = trap_vertices(adj)
     memo = {}
 
     def cost(v):
@@ -539,7 +459,7 @@ def _min_change_sets(game, sigma, cause, budget, start_size=0):
 
     def feasible(free):
         pins = {v: sigma.choice[v] for v in owned if v not in free}
-        return game.initial in _pinned_region(game, sigma.player, cause, pins)
+        return game.initial in _avoid_set(game, sigma.player, cause, pins)
 
     for k in range(start_size, len(candidates) + 1):
         hits = []
@@ -866,11 +786,10 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     budget = as_budget(budget)
     if not is_effectively_acyclic(strategy_adjacency(game, sigma)):
         raise NotAcyclic("the game restricted to sigma is not acyclic")
-    analysis = solve(game)
-    if game.initial not in analysis.reach_region:
+    ranks = attractor(game.adjacency(), game.reach_owned, game.effect)
+    if game.initial not in ranks:
         raise NoWinningStrategy("Reach does not win this game")
 
-    ranks = attractor_ranks(game)
     INF = distances.INF
     val = {v: (0 if v in game.effect else INF) for v in game.vertices}
     for _ in range(len(game.vertices) * (len(game.reach_owned) + 2)):

@@ -2,6 +2,10 @@
 
 Models are immutable after validation; every query in this module is a pure
 function of its inputs and safe to share across threads.
+
+`attractor` is the single fixpoint kernel over game and system vertices:
+winning regions, safety regions and "exists a maximal avoiding path" are all
+attractors or their complements.
 """
 
 import json
@@ -72,17 +76,16 @@ class ReachabilityGame:
     effect: frozenset
     initial: str
     edges: frozenset
+    vertices: tuple = field(init=False, repr=False, compare=False)
     _succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        succ = {v: [] for v in self.vertices}
+        vertices = tuple(sorted(self.reach_owned | self.safe_owned | self.effect))
+        object.__setattr__(self, "vertices", vertices)
+        succ = {v: [] for v in vertices}
         for src, dst in sorted(self.edges):
             succ[src].append(dst)
         object.__setattr__(self, "_succ", {v: tuple(t) for v, t in succ.items()})
-
-    @property
-    def vertices(self):
-        return tuple(sorted(self.reach_owned | self.safe_owned | self.effect))
 
     def owner(self, vertex):
         if vertex in self.reach_owned:
@@ -278,22 +281,47 @@ def reachable_set(adjacency, start):
     return seen
 
 
+def attractor(adjacency, existential, target):
+    """Attractor of `target` as {vertex: rank}, in O(|V| + |E|).
+
+    Target vertices have rank 0.  A vertex in `existential` joins with one
+    successor already inside, any other vertex once every successor is inside;
+    a vertex without successors never joins.  The rank is the round in which
+    the round-based fixpoint adds the vertex: one more than the least
+    (existential) or greatest (universal) rank among its successors.  Each
+    vertex counts its successors still outside, so every edge is looked at
+    once (Zielonka 1998; Grädel, Thomas and Wilke 2002, ch. 2).
+
+    `adjacency` maps every vertex to its successor tuple and must be closed:
+    each successor is itself a key.
+    """
+    preds = {v: [] for v in adjacency}
+    for v, succ in adjacency.items():
+        for u in succ:
+            preds[u].append(v)
+    outside = {v: len(succ) for v, succ in adjacency.items()}
+    rank = dict.fromkeys(target, 0)
+    queue = list(rank)  # breadth-first, so ranks are assigned in rank order
+    for u in queue:
+        for v in preds.get(u, ()):
+            if v in rank:
+                continue
+            outside[v] -= 1
+            if v in existential or not outside[v]:
+                rank[v] = rank[u] + 1
+                queue.append(v)
+    return rank
+
+
 def maximal_avoiding_set(adjacency, avoid):
     """States admitting a maximal path that never visits `avoid`.
 
-    Greatest fixpoint: a state qualifies iff it is outside `avoid` and is
-    either terminal or has a qualifying successor.  Maximal paths are the
-    finite ones ending in a terminal state together with the infinite ones.
+    The complement of the attractor of `avoid` in which every state is
+    universal.  Maximal paths are the finite ones ending in a terminal state
+    together with the infinite ones.
     """
-    good = {s for s in adjacency if s not in avoid}
-    changed = True
-    while changed:
-        changed = False
-        for s in list(good):
-            if adjacency[s] and not any(u in good for u in adjacency[s]):
-                good.discard(s)
-                changed = True
-    return good
+    doomed = attractor(adjacency, frozenset(), avoid)
+    return {s for s in adjacency if s not in doomed}
 
 
 def exists_maximal_path_avoiding(ts, from_state, avoid):

@@ -2,8 +2,8 @@
 
 The oracles here deliberately avoid the library's algorithmic shortcuts:
 Levenshtein by plain recursion, the Hausdorff strategy distance by explicit
-play-prefix enumeration, and the play-distance supremum by chains over
-disagreement subsets.
+play-prefix enumeration, the play-distance supremum by chains over
+disagreement subsets, and attractors by rescanning every vertex per round.
 """
 
 import random
@@ -34,6 +34,27 @@ def naive_lev(u, v):
         return min(sub, go(i + 1, j) + 1, go(i, j + 1) + 1)
 
     return go(0, 0)
+
+
+def naive_attractor(adjacency, existential, target):
+    """Reference attractor {vertex: rank}: each round tests every vertex
+    outside against the attractor of the previous round, and the rank is the
+    round that adds the vertex.  Vertices without successors never join."""
+    rank = {v: 0 for v in target}
+    for rnd in range(1, len(adjacency) + 1):
+        inside = set(rank)
+        added = [
+            v
+            for v, succ in adjacency.items()
+            if v not in inside
+            and succ
+            and (any if v in existential else all)(u in inside for u in succ)
+        ]
+        if not added:
+            break
+        for v in added:
+            rank[v] = rnd
+    return rank
 
 
 def prefix_sets(game, strategy, max_vertices):

@@ -1,0 +1,125 @@
+"""The linear-time attractor kernel against the round-based reference, and
+the game and system queries built on it."""
+
+import random
+
+from hypothesis import example, given, settings, strategies as st
+
+from causekit.game_causality import _avoid_set, _solve_for, solve
+from causekit.generators import acyclic_game, cyclic_game
+from causekit.model import (
+    REACH,
+    SAFE,
+    TransitionSystem,
+    attractor,
+    exists_maximal_path_avoiding,
+    opponent,
+)
+
+from helpers import naive_attractor
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def random_game(seed, cyclic):
+    rng = random.Random(seed)
+    return (cyclic_game if cyclic else acyclic_game)(rng, 12), rng
+
+
+def edge_subsets(game, rng, player):
+    """Random edge subsets at some of the player's vertices; an empty subset
+    turns the vertex into a dead end."""
+    return {
+        v: tuple(u for u in game.successors(v) if rng.random() < 0.6)
+        for v in sorted(game.owned_by(player))
+        if rng.random() < 0.5
+    }
+
+
+def random_pins(game, rng, player):
+    return {
+        v: rng.choice(game.successors(v))
+        for v in sorted(game.owned_by(player))
+        if rng.random() < 0.5
+    }
+
+
+def assert_attractor_choices(game, adjacency, rank, player, choice):
+    """Reach descends to its first successor of lower rank, Safe leaves the
+    attractor by its first edge out; otherwise the first edge."""
+    for v in sorted(game.owned_by(player)):
+        succ = adjacency[v]
+        if player == REACH and v in rank:
+            expected = next(u for u in succ if u in rank and rank[u] < rank[v])
+        elif player == SAFE and any(u not in rank for u in succ):
+            expected = next(u for u in succ if u not in rank)
+        else:
+            expected = (succ or game.successors(v))[0]
+        assert choice[v] == expected, (v, player)
+
+
+@FUZZ
+@given(SEEDS, st.booleans())
+@example(1099, True)  # a same-round read once overestimated ranks here
+def test_attractor_ranks_match_reference(seed, cyclic):
+    game, rng = random_game(seed, cyclic)
+    full = game.adjacency()
+    expected = naive_attractor(full, game.reach_owned, game.effect)
+    assert attractor(full, game.reach_owned, game.effect) == expected
+    pool = sorted(set(game.vertices) - game.effect)
+    for player in (REACH, SAFE):
+        existential = game.owned_by(player)
+        adj = {**full, **edge_subsets(game, rng, player)}
+        target = set(rng.sample(pool, rng.randint(1, len(pool)))) | game.effect
+        assert attractor(adj, existential, target) == naive_attractor(
+            adj, existential, target
+        )
+        cause = frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        pins = random_pins(game, rng, player)
+        pinned = {**full, **{v: (u,) for v, u in pins.items()}}
+        caught = naive_attractor(pinned, game.owned_by(opponent(player)), cause)
+        assert _avoid_set(game, player, cause, pins) == set(game.vertices) - set(caught)
+
+
+@FUZZ
+@given(SEEDS, st.booleans())
+@example(1099, True)
+def test_solved_strategies_descend_the_attractor(seed, cyclic):
+    game, rng = random_game(seed, cyclic)
+    full = game.adjacency()
+    rank = naive_attractor(full, game.reach_owned, game.effect)
+    analysis = solve(game)
+    assert analysis.reach_region == set(rank)
+    assert analysis.safe_region == set(game.vertices) - set(rank)
+    assert_attractor_choices(game, full, rank, REACH, analysis.reach_strategy.choice)
+    assert_attractor_choices(game, full, rank, SAFE, analysis.safe_strategy.choice)
+    for player in (REACH, SAFE):
+        allowed = edge_subsets(game, rng, player)
+        adj = {**full, **allowed}
+        rank = naive_attractor(adj, game.reach_owned, game.effect)
+        wins, choice = _solve_for(game, player, allowed)
+        assert wins == ((game.initial in rank) == (player == REACH))
+        assert_attractor_choices(game, adj, rank, player, choice)
+
+
+@FUZZ
+@given(SEEDS)
+def test_maximal_avoiding_set_matches_reference(seed):
+    rng = random.Random(seed)
+    states = tuple(f"s{i}" for i in range(rng.randint(1, 12)))
+    transitions = frozenset(
+        (s, t) for s in states for t in rng.sample(states, rng.randint(0, min(3, len(states))))
+    )
+    ts = TransitionSystem(
+        states=states,
+        initial=states[0],
+        transitions=transitions,
+        labeling={s: "a" for s in states},
+        alphabet=("a",),
+    )
+    avoid = set(rng.sample(states, rng.randint(0, len(states))))
+    adjacency = {s: ts.successors(s) for s in states}
+    doomed = naive_attractor(adjacency, frozenset(), avoid)
+    for s in states:
+        assert exists_maximal_path_avoiding(ts, s, avoid) == (s not in doomed)
