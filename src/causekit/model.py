@@ -507,10 +507,27 @@ def model_to_json(model):
     raise InvalidModel(f"not a model: {type(model).__name__}")
 
 
+def _expect_json(data, kind, what):
+    """Raise InvalidModel unless the decoded JSON value is a `kind`, dict or list."""
+    if not isinstance(data, kind):
+        name = "object" if kind is dict else "array"
+        raise InvalidModel(f"{what}: expected a JSON {name}, got {type(data).__name__}")
+
+
+def _unique_ids(items, what):
+    seen = set()
+    for item in items:
+        if item["id"] in seen:
+            raise InvalidModel(f"duplicate {what} id {item['id']!r}")
+        seen.add(item["id"])
+    return seen
+
+
 def model_from_json(data):
+    _expect_json(data, dict, "model")
     kind = data.get("kind")
     if kind == "ts":
-        states = tuple(sorted(s["id"] for s in data["states"]))
+        states = tuple(sorted(_unique_ids(data["states"], "state")))
         labeling = {s["id"]: s["label"] for s in data["states"]}
         ts = TransitionSystem(
             states=states,
@@ -522,6 +539,7 @@ def model_from_json(data):
         validate_model(ts)
         return ts
     if kind == "game":
+        _unique_ids(data["vertices"], "vertex")
         owners = {v["id"]: v["owner"] for v in data["vertices"]}
         for vid, owner in owners.items():
             if owner not in (REACH, SAFE, EFFECT):
@@ -546,12 +564,14 @@ def strategy_to_json(strategy):
 
 
 def strategy_from_json(data):
+    _expect_json(data, dict, "strategy")
     return MDStrategy(player=data["player"], choice=dict(data["choices"]))
 
 
 def path_from_json(data):
     if isinstance(data, dict):
         data = data["path"]
+    _expect_json(data, list, "path")
     return tuple(data)
 
 

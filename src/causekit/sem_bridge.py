@@ -221,8 +221,9 @@ def sem_to_json(sem):
 
 
 def sem_from_json(data):
-    if data.get("kind") != "sem":
-        raise PreconditionViolated(f"not a SEM document: kind={data.get('kind')!r}")
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind != "sem":
+        raise PreconditionViolated(f"not a SEM document: kind={kind!r}")
     return StructuralEquationModel(
         variables=tuple(data["variables"]),
         tables=tuple(tuple(bool(x) for x in t) for t in data["tables"]),

@@ -4,7 +4,9 @@ A state set C is a cause for an effect property (reaching E, or staying clear
 of E) on a given execution when every C-avoiding maximal path closest to the
 execution under the chosen distance fails the property.  Each distance gets a
 polynomial checker plus a shared brute-force oracle that applies the
-definition literally on enumerable systems.
+definition literally on enumerable systems.  The prefix distances run a
+layered fixpoint; hamm, ghamm and lev are shortest paths over a product of
+the system with the execution, expanded on demand by one kernel, `dijkstra`.
 """
 
 import heapq
@@ -14,8 +16,8 @@ from fractions import Fraction
 from .errors import NotLayered, PreconditionViolated
 from .model import (
     MaximalFinitePath,
+    attractor,
     exists_maximal_path_avoiding,
-    exists_path_reaching_avoiding,
     maximal_avoiding_set,
     maximal_paths,
     validate_maximal_path,
@@ -60,17 +62,6 @@ class CauseVerdict:
     min_distance: object
     witnesses: tuple = ()
     condition1: bool = True
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Non-negatively weighted digraph used by the shortest-path checkers."""
-
-    nodes: tuple
-    start: object
-    edges: dict  # node -> tuple of (target, weight, tag)
-    goals: dict  # name -> frozenset of nodes
-    start_weight: int = 0
 
 
 def path_satisfies_phi(ts, sequence, effect, phi):
@@ -184,21 +175,19 @@ def check_cause_pref_ap(query, allow_overlap=False):
 
     min_d = dyadic(i_max + 1)
     frontier = sorted(layers[i_max])
-    offenders = []
-    for t in frontier:
-        if phi == PHI_REACH:
-            if exists_path_reaching_avoiding(ts, t, effect, cause):
-                offenders.append(t)
-        else:
-            if exists_maximal_path_avoiding(ts, t, cause | effect):
-                offenders.append(t)
-    is_cause = not offenders
+    # States with a C-avoiding continuation that satisfies the property.
+    if phi == PHI_REACH:
+        blocked = {s: () if s in cause else t for s, t in ts._succ.items()}
+        offending = attractor(blocked, blocked, effect - cause)
+    else:
+        offending = maximal_avoiding_set(ts._succ, cause | effect)
+    is_cause = not any(t in offending for t in frontier)
 
     witness_paths = []
     for t in frontier[: query.witnesses]:
         prefix = _reconstruct_prefix(parents, i_max, t)
         cont = _finite_avoiding_continuation(
-            ts, t, cause, effect, phi, prefer_phi=(t in offenders)
+            ts, t, cause, effect, phi, prefer_phi=(t in offending)
         )
         if cont is not None:
             witness_paths.append(prefix[:-1] + cont)
@@ -303,7 +292,7 @@ def check_cause_hamm_layered(query, allow_overlap=False):
     systems: per-layer 0/1 state weights turn Hamming distance into
     accumulated path weight."""
     pi = validate_query(query, allow_overlap)
-    ts, cause, effect, phi = query.ts, query.cause, query.effect, query.phi
+    ts, cause, effect = query.ts, query.cause, query.effect
     depth = validate_layered(ts)
     seq = pi.sequence
     metric = query.label_metric or (lambda a, b: 0 if a == b else 1)
@@ -311,89 +300,56 @@ def check_cause_hamm_layered(query, allow_overlap=False):
     def node_weight(state):
         return Fraction(metric(ts.label(state), ts.label(seq[depth[state]])))
 
-    graph = _state_graph(ts, cause, depth, node_weight, effect)
-    return _shortest_path_verdict(query, graph, project=_project_state_route)
+    def successors(state):
+        for t in ts.successors(state):
+            if t not in cause:
+                yield t, node_weight(t), "step"
 
-
-def _state_graph(ts, cause, depth, node_weight, effect):
-    reachable = sorted(depth)
-    nodes = tuple(s for s in reachable if s not in cause)
-    node_set = set(nodes)
-    edges = {}
-    for s in nodes:
-        out = []
-        for t in ts.successors(s):
-            if t in node_set:
-                out.append((t, node_weight(t), "step"))
-        edges[s] = tuple(out)
-    terminals = {s for s in nodes if ts.is_terminal(s)}
-    goals = {
-        "effect": frozenset(terminals & effect),
-        "other": frozenset(terminals - effect),
-    }
-    start = ts.initial if ts.initial in node_set else None
-    start_weight = node_weight(ts.initial) if start else 0
-    return WeightedGraph(nodes, start, edges, goals, start_weight)
+    start = None if ts.initial in cause else ts.initial
+    search = (start, node_weight(ts.initial), successors,
+              lambda state: _terminal_class(ts, effect, state))
+    return _shortest_path_verdict(query, search, _project_state_route)
 
 
 # ---------------------------------------------------------------------------
 # generalized Hamming
 
 
-def build_ghamm_graph(ts, pi_sequence, cause=frozenset()):
-    """Copy construction for the generalized Hamming distance.
+def ghamm_product(ts, pi_sequence, cause, effect):
+    """Copy construction for the generalized Hamming distance, as the
+    (start, start_weight, successors, goal_class) arguments of `dijkstra`.
 
-    One copy of the C-free state space per execution position; mismatching
-    labels cost 1 per position, early termination jumps to the last copy at
-    the cost of the length difference, and overshoot steps inside the last
-    copy cost 1 each.
+    Node (s, i) reads state s against execution position i, for each C-free
+    state s; mismatching labels cost 1 per position, early termination jumps
+    to the last copy at the cost of the length difference, and overshoot
+    steps inside the last copy cost 1 each.  Goals are the terminal states of
+    the last copy.
     """
     seq = tuple(pi_sequence)
     n = len(seq)
-    alive = [s for s in ts.states if s not in cause]
-    alive_set = set(alive)
 
     def mismatch(state, copy):
         return 0 if ts.label(state) == ts.label(seq[copy - 1]) else 1
 
-    nodes = []
-    edges = {}
-    for i in range(1, n + 1):
-        for s in alive:
-            node = (s, i)
-            nodes.append(node)
-            out = []
-            if i < n:
-                for t in ts.successors(s):
-                    if t in alive_set:
-                        out.append(((t, i + 1), mismatch(t, i + 1), "step"))
-                if ts.is_terminal(s):
-                    out.append(((s, n), n - i, "jump"))
-            else:
-                for t in ts.successors(s):
-                    if t in alive_set:
-                        out.append(((t, n), 1, "step"))
-            edges[node] = tuple(out)
-    terminals = {(s, n) for s in alive if ts.is_terminal(s)}
-    start = (ts.initial, 1) if ts.initial in alive_set else None
-    start_weight = mismatch(ts.initial, 1) if start else 0
-    return WeightedGraph(tuple(nodes), start, edges, {"terminal": frozenset(terminals)}, start_weight)
+    def successors(node):
+        s, i = node
+        for t in ts.successors(s):
+            if t not in cause:
+                if i < n:
+                    yield (t, i + 1), mismatch(t, i + 1), "step"
+                else:
+                    yield (t, n), 1, "step"
+        if i < n and ts.is_terminal(s):
+            yield (s, n), n - i, "jump"
+
+    start = None if ts.initial in cause else (ts.initial, 1)
+    return start, mismatch(ts.initial, 1), successors, _last_copy_class(ts, effect, n)
 
 
 def check_cause_ghamm(query, allow_overlap=False):
     validate_query(query, allow_overlap)
-    graph = build_ghamm_graph(query.ts, query.pi.sequence, query.cause)
-    graph = _split_goals(graph, query.effect)
-    return _shortest_path_verdict(query, graph, project=_project_copy_route)
-
-
-def _split_goals(graph, effect):
-    terminals = graph.goals["terminal"]
-    goals = {
-        "effect": frozenset(node for node in terminals if node[0] in effect),
-        "other": frozenset(node for node in terminals if node[0] not in effect),
-    }
-    return WeightedGraph(graph.nodes, graph.start, graph.edges, goals, graph.start_weight)
+    search = ghamm_product(query.ts, query.pi.sequence, query.cause, query.effect)
+    return _shortest_path_verdict(query, search, _project_copy_route)
 
 
 def _project_copy_route(route):
@@ -415,72 +371,88 @@ def _project_state_route(route):
 # Levenshtein
 
 
-def build_lev_product(ts, pi_sequence, cause=frozenset()):
-    """Product of the system with the execution's positions, edit-labeled.
+def lev_product(ts, pi_sequence, cause, effect):
+    """Product of the system with the execution's positions, edit-labeled, as
+    the (start, start_weight, successors, goal_class) arguments of `dijkstra`.
 
     Advancing both sides costs 0 on a label match and 1 otherwise; staying in
     a copy inserts into the comparison path's trace; skipping a position
-    deletes from the execution's trace.
+    deletes from the execution's trace.  C-states are left out; goals are the
+    terminal states of the last copy.
     """
     seq = tuple(pi_sequence)
     n = len(seq)
-    alive = [s for s in ts.states if s not in cause]
-    alive_set = set(alive)
-    nodes = []
-    edges = {}
-    for i in range(1, n + 1):
-        for s in alive:
-            node = (s, i)
-            nodes.append(node)
-            out = []
-            for t in ts.successors(s):
-                if t not in alive_set:
-                    continue
-                if i < n:
-                    w = 0 if ts.label(seq[i]) == ts.label(t) else 1
-                    out.append(((t, i + 1), w, "step"))
-                out.append(((t, i), 1, "step"))
+
+    def successors(node):
+        s, i = node
+        for t in ts.successors(s):
+            if t in cause:
+                continue
             if i < n:
-                out.append(((s, i + 1), 1, "skip"))
-            edges[node] = tuple(out)
-    terminals = {(s, n) for s in alive if ts.is_terminal(s)}
-    start = (ts.initial, 1) if ts.initial in alive_set else None
-    return WeightedGraph(tuple(nodes), start, edges, {"terminal": frozenset(terminals)}, 0)
+                w = 0 if ts.label(seq[i]) == ts.label(t) else 1
+                yield (t, i + 1), w, "step"
+            yield (t, i), 1, "step"
+        if i < n:
+            yield (s, i + 1), 1, "skip"
+
+    start = None if ts.initial in cause else (ts.initial, 1)
+    return start, 0, successors, _last_copy_class(ts, effect, n)
 
 
 def check_cause_lev(query, allow_overlap=False):
     validate_query(query, allow_overlap)
-    graph = build_lev_product(query.ts, query.pi.sequence, query.cause)
-    graph = _split_goals(graph, query.effect)
-    return _shortest_path_verdict(query, graph, project=_project_copy_route)
+    search = lev_product(query.ts, query.pi.sequence, query.cause, query.effect)
+    return _shortest_path_verdict(query, search, _project_copy_route)
 
 
 # ---------------------------------------------------------------------------
 # shared shortest-path verdict logic
 
 
-def dijkstra(graph):
-    """Deterministic Dijkstra from the graph's start node.
+def _terminal_class(ts, effect, state):
+    if not ts.is_terminal(state):
+        return None
+    return "effect" if state in effect else "other"
 
-    Returns (dist, parent); parent maps a node to the (node, edge) pair that
-    finalized it.  Ties resolve by node order in the heap.
+
+def _last_copy_class(ts, effect, n):
+    return lambda node: _terminal_class(ts, effect, node[0]) if node[1] == n else None
+
+
+def dijkstra(start, start_weight, successors, goal_class):
+    """Deterministic Dijkstra from `start` that expands nodes as it pops them.
+
+    `successors(node)` yields (target, weight, tag) edges with non-negative
+    weights; `goal_class(node)` returns "effect", "other" or None.  Heap
+    entries are (distance, node, (prev, edge)), so ties resolve by node, then
+    by predecessor and edge.  The search stops once the popped distance
+    exceeds the first goal's, so every goal at the minimal distance is
+    settled; zero-weight edges may settle them out of node order.
+
+    Returns (best, parent): best maps each goal class met at the minimal
+    distance to its least (distance, node); parent maps every settled node to
+    the (node, edge) pair that settled it, None for the start.
     """
-    dist = {}
+    best = {}
     parent = {}
-    if graph.start is None:
-        return dist, parent
-    heap = [(graph.start_weight, graph.start, None)]
+    bound = INF
+    heap = [] if start is None else [(start_weight, start, None)]
     while heap:
         d, node, via = heapq.heappop(heap)
-        if node in dist:
+        if d > bound:
+            break
+        if node in parent:
             continue
-        dist[node] = d
         parent[node] = via
-        for edge in graph.edges.get(node, ()):
+        cls = goal_class(node)
+        if cls is not None:
+            bound = d
+            best[cls] = min(best.get(cls, (d, node)), (d, node))
+        for edge in successors(node):
             target, weight, _tag = edge
-            if target not in dist:
+            if target not in parent:
                 heapq.heappush(heap, (d + weight, target, (node, edge)))
-    return dist, parent
+    return best, parent
 
 
 def _route_to(parent, node):
@@ -495,18 +467,11 @@ def _route_to(parent, node):
     return cur, edges
 
 
-def _shortest_path_verdict(query, graph, project):
-    ts, effect, phi = query.ts, query.effect, query.phi
-    dist, parent = dijkstra(graph)
-    effect_goals = graph.goals["effect"]
-    other_goals = graph.goals["other"]
-
-    def best(goals):
-        reached = [(dist[g], g) for g in sorted(goals) if g in dist]
-        return min(reached) if reached else (INF, None)
-
-    zeta, zeta_node = best(effect_goals)
-    xi_other, xi_node = best(other_goals)
+def _shortest_path_verdict(query, search, project):
+    ts, phi = query.ts, query.phi
+    best, parent = dijkstra(*search)
+    zeta, zeta_node = best.get("effect", (INF, None))
+    xi_other, xi_node = best.get("other", (INF, None))
     min_d = min(zeta, xi_other)
 
     if min_d == INF:
@@ -517,6 +482,8 @@ def _shortest_path_verdict(query, graph, project):
         # (terminal) effect states, so they satisfy the safety property.
         return CauseVerdict(phi == PHI_REACH, INF, ())
 
+    # A class missing from `best` lies farther than min_d, which is all that
+    # the comparisons below need to know.
     if phi == PHI_REACH:
         is_cause = xi_other < zeta
     else:

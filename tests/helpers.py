@@ -13,6 +13,7 @@ from itertools import combinations
 
 from causekit.model import (
     MaximalFinitePath,
+    TransitionSystem,
     maximal_paths,
     reachable_set,
     strategy_adjacency,
@@ -168,6 +169,58 @@ def build_ts_query(ts, rng, metric, phi, witnesses=3):
         phi=phi,
         metric=metric,
         witnesses=witnesses,
+    )
+
+
+def cyclic_ts_query(rng, metric, max_states=7, max_steps=10):
+    """A random cyclic system with self-loops and a valid cause query over a
+    random finite maximal execution of it, or None if the dice give none.
+
+    Every non-terminal state has one to three successors, so maximal-path
+    enumeration up to `max_steps` states stays small.
+    """
+    n = rng.randint(2, max_states)
+    states = [f"s{i}" for i in range(n)]
+    terminals = set(rng.sample(states[1:], rng.randint(1, max(1, n // 3))))
+    transitions = set()
+    for s in states:
+        if s not in terminals:
+            for t in rng.sample(states, rng.randint(1, min(3, n))):
+                transitions.add((s, t))
+            if rng.random() < 0.4:
+                transitions.add((s, s))
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    ts = TransitionSystem(
+        states=tuple(states),
+        initial="s0",
+        transitions=frozenset(transitions),
+        labeling={s: rng.choice(alphabet) for s in states},
+        alphabet=alphabet,
+    )
+    pi = [ts.initial]
+    while not ts.is_terminal(pi[-1]) and len(pi) < max_steps:
+        pi.append(rng.choice(ts.successors(pi[-1])))
+    if not ts.is_terminal(pi[-1]):
+        return None
+    phi = rng.choice((PHI_REACH, PHI_SAFE))
+    others = sorted(terminals - {pi[-1]})
+    if phi == PHI_REACH:
+        effect = frozenset([pi[-1]] + [t for t in others if rng.random() < 0.4])
+    else:
+        effect = frozenset(t for t in others if rng.random() < 0.5)
+        if not effect:
+            return None
+    candidates = sorted(set(pi) - effect - {ts.initial})
+    if not candidates:
+        return None
+    cause = frozenset(rng.sample(candidates, rng.randint(1, min(2, len(candidates)))))
+    return CauseQuery(
+        ts=ts,
+        pi=MaximalFinitePath(tuple(pi)),
+        cause=cause,
+        effect=effect,
+        phi=phi,
+        metric=metric,
     )
 
 

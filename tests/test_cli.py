@@ -140,6 +140,72 @@ def test_malformed_model_exit_2(tmp_path):
     assert proc.stderr
 
 
+TS_DUP = {
+    "kind": "ts",
+    "alphabet": ["a"],
+    "states": [{"id": "s0", "label": "a"}, {"id": "s0", "label": "a"}],
+    "initial": "s0",
+    "transitions": [],
+}
+GAME_DUP = {
+    "kind": "game",
+    "vertices": [{"id": "v0", "owner": "reach"}, {"id": "v0", "owner": "safe"}],
+    "initial": "v0",
+    "edges": [["v0", "v0"]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (
+            ["ts-cause", "--model", "{bad}", "--path", str(FIXDIR / "branching_ts_run.json"),
+             "--cause", "s2", "--effect", "s8", "--phi", "reach", "--metric", "pref"],
+            {"bad": [1, 2]},
+            "model: expected a JSON object, got list",
+        ),
+        (
+            ["ts-cause", "--model", "{bad}", "--path", str(FIXDIR / "branching_ts_run.json"),
+             "--cause", "s2", "--effect", "s8", "--phi", "reach", "--metric", "pref"],
+            {"bad": TS_DUP},
+            "duplicate state id 's0'",
+        ),
+        (
+            ["ts-cause", "--model", str(FIXDIR / "branching_ts.json"), "--path", "{bad}",
+             "--cause", "s2", "--effect", "s8", "--phi", "reach", "--metric", "pref"],
+            {"bad": "s0"},
+            "path: expected a JSON array, got str",
+        ),
+        (
+            ["game-cause", "--model", str(FIXDIR / "tree_game.json"), "--player", "reach",
+             "--strategy", "{bad}", "--cause", "v3", "--metric", "dstar"],
+            {"bad": [["v0", "v1"]]},
+            "strategy: expected a JSON object, got list",
+        ),
+        (["solve", "--model", "{bad}"], {"bad": GAME_DUP}, "duplicate vertex id 'v0'"),
+        (
+            ["sem", "butfor", "--model", "{bad}", "--effect", "[[true]]", "--vars", "X1"],
+            {"bad": [1]},
+            "not a SEM document",
+        ),
+    ],
+    ids=[
+        "model-list", "duplicate-state", "path-string", "strategy-list",
+        "duplicate-vertex", "sem-list",
+    ],
+)
+def test_malformed_json_shapes_exit_2(tmp_path, argv, files, message):
+    names = {}
+    for key, value in files.items():
+        names[key] = tmp_path / f"{key}.json"
+        names[key].write_text(json.dumps(value))
+    proc = run_cli(*(a.format(**names) for a in argv))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("causekit: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_budget_exit_3():
     proc = run_cli(
         "game-cause",

@@ -7,7 +7,12 @@ from causekit.distances import INF
 from causekit.errors import NotLayered, PreconditionViolated
 from causekit.fixtures import branching_ts
 from causekit.generators import GeneratorSpec, generate
-from causekit.model import MaximalFinitePath, TransitionSystem, maximal_paths
+from causekit.model import (
+    MaximalFinitePath,
+    TransitionSystem,
+    maximal_paths,
+    validate_maximal_path,
+)
 from causekit.ts_causality import (
     CauseQuery,
     METRIC_GHAMM,
@@ -18,17 +23,18 @@ from causekit.ts_causality import (
     PHI_REACH,
     PHI_SAFE,
     brute_force_check,
-    build_lev_product,
     check_cause,
     check_cause_ghamm,
     check_cause_hamm_layered,
     check_cause_pref_ap,
+    dijkstra,
+    lev_product,
     metric_distance,
     path_satisfies_phi,
     validate_layered,
 )
 
-from helpers import build_ts_query
+from helpers import build_ts_query, cyclic_ts_query
 
 
 def branching_query(metric, **kw):
@@ -177,20 +183,51 @@ def test_lev_product_tiny():
         labeling={"s0": "a"},
         alphabet=("a",),
     )
-    graph = build_lev_product(ts, ("s0",))
-    assert graph.nodes == (("s0", 1),)
-    assert graph.edges[("s0", 1)] == ()
-    assert ("s0", 1) in graph.goals["terminal"]
+    start, start_weight, successors, goal_class = lev_product(
+        ts, ("s0",), frozenset(), frozenset()
+    )
+    assert (start, start_weight) == (("s0", 1), 0)
+    assert list(successors(start)) == []
+    assert goal_class(start) == "other"
+    assert lev_product(ts, ("s0",), frozenset(), {"s0"})[3](start) == "effect"
+    best, parent = dijkstra(start, start_weight, successors, goal_class)
+    assert best == {"other": (0, ("s0", 1))}
+    assert parent == {("s0", 1): None}
 
 
 def test_lev_product_zero_route_for_identical_traces():
-    ts, pi, _c, _e = branching_ts()
-    graph = build_lev_product(ts, pi)
-    from causekit.ts_causality import dijkstra
+    ts, pi, _c, effect = branching_ts()
+    best, _parent = dijkstra(*lev_product(ts, pi, frozenset(), effect))
+    assert best["effect"] == (0, ("s8", 4))  # the execution itself
+    assert best["other"] == (0, ("s5", 4))  # the identical-trace left branch
 
-    dist, _parent = dijkstra(graph)
-    assert dist[("s8", 4)] == 0  # the execution itself
-    assert dist[("s5", 4)] == 0  # the identical-trace left branch
+
+def test_dijkstra_keeps_least_goal_per_class_and_stops_past_it():
+    edges = {
+        "a": (("m", 0, "step"), ("z", 0, "step"), ("c", 1, "step")),
+        "z": (("b", 0, "step"),),
+    }
+    goals = {"m": "effect", "b": "effect", "c": "other"}
+    best, parent = dijkstra("a", 0, lambda v: edges.get(v, ()), goals.get)
+    # "b" is pushed only after "m" is settled, yet it is the least goal at 0
+    assert best == {"effect": (0, "b")}
+    assert "c" not in parent
+    assert parent["b"] == ("z", ("b", 0, "step"))
+
+
+def test_lev_self_loop_prefers_skip_over_step():
+    # (s0, 2) is reached from (s0, 1) by the mismatching self-loop step and by
+    # the skip, both at cost 1; the heap's edge order must pick the skip
+    ts = TransitionSystem(
+        states=("s0", "s1"),
+        initial="s0",
+        transitions=frozenset({("s0", "s0"), ("s0", "s1")}),
+        labeling={"s0": "a", "s1": "b"},
+        alphabet=("a", "b"),
+    )
+    start, weight, successors, _goal = lev_product(ts, ("s0", "s1"), frozenset(), frozenset())
+    _best, parent = dijkstra(start, weight, successors, lambda node: None)
+    assert parent[("s0", 2)] == (("s0", 1), (("s0", 2), 1, "skip"))
 
 
 def test_ghamm_mixed_lengths_against_direct_formula():
@@ -285,6 +322,29 @@ def test_cyclic_system_with_only_infinite_avoiders():
     )
     with pytest.raises(PreconditionViolated):
         check_cause(bad)  # pi itself reaches the effect
+
+
+def test_cyclic_systems_with_self_loops():
+    # witnesses are C-avoiding finite maximal paths at the reported distance;
+    # for ghamm and lev, the finite paths up to 10 states bound it from above
+    rng = random.Random(4711)
+    checked = {m: 0 for m in (METRIC_PREF, METRIC_PREF_AP, METRIC_GHAMM, METRIC_LEV)}
+    for _ in range(8000):
+        metric = rng.choice(sorted(checked))
+        query = cyclic_ts_query(rng, metric)
+        if query is None:
+            continue
+        verdict = check_cause(query)
+        for w in verdict.witnesses:
+            validate_maximal_path(query.ts, w.path)
+            assert not query.cause & set(w.path)
+            assert w.distance == metric_distance(query, w.path) == verdict.min_distance
+        if metric in (METRIC_GHAMM, METRIC_LEV):
+            oracle = brute_force_check(query, max_len=10)
+            if oracle.condition1:
+                assert verdict.min_distance <= oracle.min_distance
+        checked[metric] += 1
+    assert all(n >= 300 for n in checked.values()), checked
 
 
 def test_effect_enlargement_monotonicity_sanity():
