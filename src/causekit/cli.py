@@ -1,5 +1,12 @@
 """Command-line interface: machine-readable verdict documents, stable bytes.
 
+`COMMANDS` is the command table: one row per subcommand with its help text,
+its handler and its arguments, each declared once.  `oracle ts-cause` and
+`oracle game-cause` reuse the rows' argument sets of `ts-cause` and
+`game-cause`.  The argparse tree is built from the table once per process
+(`PARSER`); each handler is bound as its subcommand's `run` default, so
+`main` parses, runs the handler and emits its document.
+
 Exit codes: 0 positive verdict, 1 negative verdict, 2 usage or model error,
 3 budget exhausted.  Documents serialize with sorted keys so a fixed seed and
 budget reproduce identical bytes.
@@ -8,6 +15,7 @@ budget reproduce identical bytes.
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import distances, game_causality, generators, sem_bridge, ts_causality
 from .errors import Budget, BudgetExceeded, CausekitError, NoWinningStrategy
@@ -18,14 +26,27 @@ from .model import (
     load_path,
     load_strategy,
     model_to_json,
+    read_json,
     strategy_to_json,
     validate_model,
 )
 
-WORD_METRICS = ("pref-ap", "hamm", "ghamm", "lev")
 PATH_METRICS = ("pref",)
 STRATEGY_METRICS = ("pref-h", "hamm-s", "dstar")
-STRATEGY_DISTANCES = STRATEGY_METRICS + ("dstrat",)
+
+WORD_DISTANCES = {
+    "pref-ap": distances.d_pref_ap,
+    "hamm": distances.d_hamm,
+    "ghamm": distances.d_ghamm,
+    "lev": distances.d_lev,
+}
+# Each takes (game, sigma, tau, budget); dstrat is measured from tau to sigma.
+STRATEGY_DISTANCES = {
+    "pref-h": lambda game, sigma, tau, budget: distances.d_pref_hausdorff(game, sigma, tau),
+    "hamm-s": lambda game, sigma, tau, budget: distances.d_hamm_s(game, sigma, tau),
+    "dstar": lambda game, sigma, tau, budget: distances.dstar(game, sigma, tau, budget),
+    "dstrat": lambda game, sigma, tau, budget: distances.dstrat(game, tau, sigma, budget),
+}
 
 
 def _split(text):
@@ -34,10 +55,6 @@ def _split(text):
 
 def _word(text):
     return tuple((text or "").split(",")) if text else ()
-
-
-def _edit_json(seq):
-    return [[a, b] for a, b in seq.symbols]
 
 
 def _ts_witnesses(verdict):
@@ -68,17 +85,25 @@ def _diag(budget):
 
 def _emit(args, doc):
     sys.stdout.write(dumps_canonical(doc))
-    if getattr(args, "pretty", False):
+    if args.pretty:
         width = max((len(k) for k in doc), default=0)
         for key in sorted(doc):
             sys.stdout.write(f"{key.ljust(width)}  {json.dumps(doc[key], sort_keys=True)}\n")
 
 
-def _add_common(parser):
-    parser.add_argument("--budget", type=int, default=Budget.DEFAULT_LIMIT)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--witnesses", type=int, default=3)
-    parser.add_argument("--pretty", action="store_true")
+def _given(args, flag):
+    """The value of an option that the chosen distance metric needs."""
+    value = getattr(args, flag)
+    if value is None:
+        raise CausekitError(f"distance {args.metric} needs --{flag}")
+    return value
+
+
+def _count(text):
+    """argparse type of --witnesses: a non-negative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 # ---------------------------------------------------------------------------
@@ -179,98 +204,69 @@ def cmd_explain(args):
     budget = Budget(args.budget)
     inputs = {"model": args.model, "player": sigma.player}
     if args.check is not None:
+        inputs["set"] = sorted(_split(args.check))
         ok, tau = game_causality.is_explanation(game, sigma, _split(args.check))
         doc = {
             "command": "explain check",
-            "inputs": {**inputs, "set": sorted(_split(args.check))},
             "verdict": ok,
             "witness": strategy_to_json(tau) if tau else None,
-            "diagnostics": _diag(budget),
         }
-        return doc, 0 if ok else 1
-    if args.check_minimal is not None:
+    elif args.check_minimal is not None:
+        inputs["set"] = sorted(_split(args.check_minimal))
+        inputs["metric"] = args.metric
         ok = game_causality.is_minimal_explanation(
             game, sigma, _split(args.check_minimal), args.metric, budget=budget
         )
-        doc = {
-            "command": "explain check-minimal",
-            "inputs": {
-                **inputs,
-                "set": sorted(_split(args.check_minimal)),
-                "metric": args.metric,
-            },
-            "verdict": ok,
-            "diagnostics": _diag(budget),
-        }
-        return doc, 0 if ok else 1
-    try:
-        explanation = game_causality.extract_explanation(
-            game, sigma, _split(args.cause)
-        )
-    except NoWinningStrategy as exc:
-        doc = {
-            "command": "explain",
-            "inputs": {**inputs, "cause": sorted(_split(args.cause))},
-            "verdict": False,
-            "reason": str(exc),
-            "diagnostics": _diag(budget),
-        }
-        return doc, 1
-    doc = {
-        "command": "explain",
-        "inputs": {**inputs, "cause": sorted(_split(args.cause))},
-        "verdict": True,
-        "explanation": sorted(explanation.vertex_set),
-        "witness": strategy_to_json(explanation.witness),
-        "diagnostics": _diag(budget),
-    }
-    return doc, 0
+        doc = {"command": "explain check-minimal", "verdict": ok}
+    else:
+        inputs["cause"] = sorted(_split(args.cause))
+        try:
+            explanation = game_causality.extract_explanation(
+                game, sigma, _split(args.cause)
+            )
+        except NoWinningStrategy as exc:
+            doc = {"command": "explain", "verdict": False, "reason": str(exc)}
+        else:
+            doc = {
+                "command": "explain",
+                "verdict": True,
+                "explanation": sorted(explanation.vertex_set),
+                "witness": strategy_to_json(explanation.witness),
+            }
+    doc["inputs"] = inputs
+    doc["diagnostics"] = _diag(budget)
+    return doc, 0 if doc["verdict"] else 1
 
 
 def cmd_distance(args):
     budget = Budget(args.budget)
     metric = args.metric
     doc = {"command": "distance", "inputs": {"metric": metric}}
-    if metric in WORD_METRICS:
+    if metric in WORD_DISTANCES:
         u, v = _word(args.u), _word(args.v)
-        doc["inputs"]["u"] = list(u)
-        doc["inputs"]["v"] = list(v)
-        if metric == "pref-ap":
-            value = distances.d_pref_ap(u, v)
-        elif metric == "hamm":
-            value = distances.d_hamm(u, v)
-        elif metric == "ghamm":
-            value = distances.d_ghamm(u, v)
-        else:
-            value, witness = distances.d_lev(u, v)
-            doc["editSequence"] = _edit_json(witness)
+        doc["inputs"].update(u=list(u), v=list(v))
+        value = WORD_DISTANCES[metric](u, v)
+        if metric == "lev":
+            value, witness = value
+            doc["editSequence"] = [[a, b] for a, b in witness.symbols]
     elif metric in PATH_METRICS:
-        load_model(args.model)
-        p, q = load_path(args.p), load_path(args.q)
-        doc["inputs"]["p"], doc["inputs"]["q"] = list(p), list(q)
+        load_model(_given(args, "model"))
+        p, q = load_path(_given(args, "p")), load_path(_given(args, "q"))
+        doc["inputs"].update(p=list(p), q=list(q))
         value = distances.d_pref(p, q)
-    elif metric in STRATEGY_DISTANCES:
-        game = load_model(args.model)
-        sigma = load_strategy(args.sigma)
-        tau = load_strategy(args.tau)
-        doc["inputs"]["model"] = args.model
-        if metric == "pref-h":
-            value = distances.d_pref_hausdorff(game, sigma, tau)
-        elif metric == "hamm-s":
-            value = distances.d_hamm_s(game, sigma, tau)
-        elif metric == "dstrat":
-            value = distances.dstrat(game, tau, sigma, budget)
-        else:
-            value = distances.dstar(game, sigma, tau, budget)
     else:
-        raise CausekitError(f"unknown metric {metric!r}")
+        game = load_model(_given(args, "model"))
+        sigma = load_strategy(_given(args, "sigma"))
+        tau = load_strategy(_given(args, "tau"))
+        doc["inputs"]["model"] = args.model
+        value = STRATEGY_DISTANCES[metric](game, sigma, tau, budget)
     doc["verdict"] = distances.format_distance(value)
     doc["diagnostics"] = _diag(budget)
     return doc, 0
 
 
 def cmd_sem(args):
-    sem = sem_bridge.sem_from_json(_load_json(args.model))
+    sem = sem_bridge.sem_from_json(read_json(args.model))
     effect = sem_bridge.effect_from_json(sem, json.loads(args.effect))
     variables = sorted(_split(args.vars))
     inputs = {
@@ -278,11 +274,10 @@ def cmd_sem(args):
         "vars": variables,
         "effect": sorted(list(v) for v in effect),
     }
-    if args.action == "butfor":
-        ok = sem_bridge.is_but_for_cause(sem, effect, variables)
-        doc = {"command": "sem butfor", "inputs": inputs, "verdict": ok}
-        return doc, 0 if ok else 1
     butfor = sem_bridge.is_but_for_cause(sem, effect, variables)
+    if args.action == "butfor":
+        doc = {"command": "sem butfor", "inputs": inputs, "verdict": butfor}
+        return doc, 0 if butfor else 1
     verdict = sem_bridge.bridge_check(sem, effect, variables, witnesses=args.witnesses)
     doc = {
         "command": "sem bridge",
@@ -330,13 +325,102 @@ def generate_json(spec):
     return model_to_json(instance)
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # ---------------------------------------------------------------------------
-# argument wiring
+# command table
+
+
+def _arg(*flags, **options):
+    return flags, options
+
+
+MODEL = _arg("--model", required=True)
+STRATEGY = _arg("--strategy", required=True)
+CAUSE = _arg("--cause", required=True)
+TS_CAUSE = (
+    MODEL,
+    _arg("--path", required=True),
+    CAUSE,
+    _arg("--effect", required=True),
+    _arg("--phi", choices=("reach", "safe"), required=True),
+    _arg("--metric", choices=(*PATH_METRICS, *WORD_DISTANCES), required=True),
+)
+GAME_CAUSE = (
+    MODEL,
+    _arg("--player", choices=("reach", "safe"), required=True),
+    STRATEGY,
+    CAUSE,
+    _arg("--metric", choices=STRATEGY_METRICS, required=True),
+)
+EXPLAIN = (
+    MODEL,
+    STRATEGY,
+    _arg("--cause", default=""),
+    _arg("--check"),
+    _arg("--check-minimal"),
+    _arg("--metric", choices=("hamm-s", "dstar"), default="hamm-s"),
+)
+DISTANCE = (
+    _arg("metric", choices=(*WORD_DISTANCES, *PATH_METRICS, *STRATEGY_DISTANCES)),
+    _arg("--u", default=""),
+    _arg("--v", default=""),
+    _arg("--model"),
+    _arg("--p"),
+    _arg("--q"),
+    _arg("--sigma"),
+    _arg("--tau"),
+)
+SEM = (
+    _arg("action", choices=("butfor", "bridge")),
+    MODEL,
+    _arg("--effect", required=True, help="JSON valuation list or predicate"),
+    _arg("--vars", required=True),
+)
+GEN = (
+    _arg("--family", choices=generators.FAMILIES, required=True),
+    _arg("--states", type=int, default=8),
+    _arg("--layers", type=int, default=4),
+    _arg("--width", type=int, default=3),
+    _arg("--alphabet", type=int, default=2),
+    _arg("--vars", type=int, default=3),
+    _arg("--out"),
+)
+MAX_LEN = _arg("--max-len", type=int)
+# Every leaf subcommand takes these after its own arguments.
+COMMON = (
+    _arg("--budget", type=int, default=Budget.DEFAULT_LIMIT),
+    _arg("--seed", type=int, default=0),
+    _arg("--witnesses", type=_count, default=3),
+    _arg("--pretty", action="store_true"),
+)
+
+# Rows are (name, help, handler, arguments).  A row whose handler is itself a
+# table is a command group; its subcommand lands in `<name>_command`.
+ORACLE = (
+    ("ts-cause", None, partial(cmd_ts_cause, oracle=True), (*TS_CAUSE, MAX_LEN)),
+    ("game-cause", None, partial(cmd_game_cause, oracle=True), GAME_CAUSE),
+)
+COMMANDS = (
+    ("ts-cause", "check a cause on an execution", cmd_ts_cause, TS_CAUSE),
+    ("game-cause", "check a cause for a losing strategy", cmd_game_cause, GAME_CAUSE),
+    ("solve", "winning regions and strategies", cmd_solve, (MODEL,)),
+    ("explain", "extract or check strategy explanations", cmd_explain, EXPLAIN),
+    ("distance", "evaluate one distance function", cmd_distance, DISTANCE),
+    ("sem", "but-for causes and the Hamming bridge", cmd_sem, SEM),
+    ("oracle", "brute-force definitional checks", ORACLE, ()),
+    ("gen", "seeded random instance generators", cmd_gen, GEN),
+)
+
+
+def _add_commands(parser, dest, table):
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, help_text, run, arguments in table:
+        p = sub.add_parser(name, help=help_text) if help_text else sub.add_parser(name)
+        if isinstance(run, tuple):
+            _add_commands(p, f"{name}_command", run)
+            continue
+        for flags, options in arguments + COMMON:
+            p.add_argument(*flags, **options)
+        p.set_defaults(run=run)
 
 
 def build_parser():
@@ -345,115 +429,17 @@ def build_parser():
         description="Distance-based counterfactual causality for transition "
         "systems and reachability games.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ts-cause", help="check a cause on an execution")
-    p.add_argument("--model", required=True)
-    p.add_argument("--path", required=True)
-    p.add_argument("--cause", required=True)
-    p.add_argument("--effect", required=True)
-    p.add_argument("--phi", choices=("reach", "safe"), required=True)
-    p.add_argument(
-        "--metric", choices=PATH_METRICS + WORD_METRICS, required=True
-    )
-    _add_common(p)
-
-    p = sub.add_parser("game-cause", help="check a cause for a losing strategy")
-    p.add_argument("--model", required=True)
-    p.add_argument("--player", choices=("reach", "safe"), required=True)
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--cause", required=True)
-    p.add_argument("--metric", choices=STRATEGY_METRICS, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("solve", help="winning regions and strategies")
-    p.add_argument("--model", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("explain", help="extract or check strategy explanations")
-    p.add_argument("--model", required=True)
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--cause", default="")
-    p.add_argument("--check", default=None)
-    p.add_argument("--check-minimal", dest="check_minimal", default=None)
-    p.add_argument("--metric", choices=("hamm-s", "dstar"), default="hamm-s")
-    _add_common(p)
-
-    p = sub.add_parser("distance", help="evaluate one distance function")
-    p.add_argument("metric", choices=WORD_METRICS + PATH_METRICS + STRATEGY_DISTANCES)
-    p.add_argument("--u", default="")
-    p.add_argument("--v", default="")
-    p.add_argument("--model", default=None)
-    p.add_argument("--p", default=None)
-    p.add_argument("--q", default=None)
-    p.add_argument("--sigma", default=None)
-    p.add_argument("--tau", default=None)
-    _add_common(p)
-
-    p = sub.add_parser("sem", help="but-for causes and the Hamming bridge")
-    p.add_argument("action", choices=("butfor", "bridge"))
-    p.add_argument("--model", required=True)
-    p.add_argument("--effect", required=True, help="JSON valuation list or predicate")
-    p.add_argument("--vars", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("oracle", help="brute-force definitional checks")
-    orc = p.add_subparsers(dest="oracle_command", required=True)
-    o = orc.add_parser("ts-cause")
-    o.add_argument("--model", required=True)
-    o.add_argument("--path", required=True)
-    o.add_argument("--cause", required=True)
-    o.add_argument("--effect", required=True)
-    o.add_argument("--phi", choices=("reach", "safe"), required=True)
-    o.add_argument("--metric", choices=PATH_METRICS + WORD_METRICS, required=True)
-    o.add_argument("--max-len", dest="max_len", type=int, default=None)
-    _add_common(o)
-    o = orc.add_parser("game-cause")
-    o.add_argument("--model", required=True)
-    o.add_argument("--player", choices=("reach", "safe"), required=True)
-    o.add_argument("--strategy", required=True)
-    o.add_argument("--cause", required=True)
-    o.add_argument("--metric", choices=STRATEGY_METRICS, required=True)
-    _add_common(o)
-
-    p = sub.add_parser("gen", help="seeded random instance generators")
-    p.add_argument("--family", choices=generators.FAMILIES, required=True)
-    p.add_argument("--states", type=int, default=8)
-    p.add_argument("--layers", type=int, default=4)
-    p.add_argument("--width", type=int, default=3)
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--vars", type=int, default=3)
-    p.add_argument("--out", default=None)
-    _add_common(p)
-
+    _add_commands(parser, "command", COMMANDS)
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
-        if args.command == "ts-cause":
-            doc, code = cmd_ts_cause(args)
-        elif args.command == "game-cause":
-            doc, code = cmd_game_cause(args)
-        elif args.command == "solve":
-            doc, code = cmd_solve(args)
-        elif args.command == "explain":
-            doc, code = cmd_explain(args)
-        elif args.command == "distance":
-            doc, code = cmd_distance(args)
-        elif args.command == "sem":
-            doc, code = cmd_sem(args)
-        elif args.command == "oracle":
-            if args.oracle_command == "ts-cause":
-                doc, code = cmd_ts_cause(args, oracle=True)
-            else:
-                doc, code = cmd_game_cause(args, oracle=True)
-        elif args.command == "gen":
-            doc, code = cmd_gen(args)
-        else:
-            parser.error(f"unknown command {args.command!r}")
+        doc, code = args.run(args)
     except BudgetExceeded as exc:
         sys.stderr.write(f"causekit: {exc}\n")
         return 3

@@ -331,28 +331,6 @@ def exists_maximal_path_avoiding(ts, from_state, avoid):
     return from_state in maximal_avoiding_set(ts._succ, set(avoid))
 
 
-def exists_path_reaching_avoiding(ts, from_state, target, avoid):
-    """True iff some path from `from_state` reaches `target` within states
-    outside `avoid` (the target state itself included)."""
-    if from_state not in set(ts.states):
-        raise PreconditionViolated(f"{from_state!r} is not a state")
-    avoid = set(avoid)
-    target = set(target)
-    if from_state in avoid:
-        return False
-    seen = {from_state}
-    stack = [from_state]
-    while stack:
-        v = stack.pop()
-        if v in target:
-            return True
-        for u in ts.successors(v):
-            if u not in avoid and u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return False
-
-
 # ---------------------------------------------------------------------------
 # paths and plays
 
@@ -508,39 +486,67 @@ def model_to_json(model):
 
 
 def _expect_json(data, kind, what):
-    """Raise InvalidModel unless the decoded JSON value is a `kind`, dict or list."""
+    """Return `data` if it is a JSON `kind` (dict, list or str), else raise InvalidModel."""
     if not isinstance(data, kind):
-        name = "object" if kind is dict else "array"
+        name = {dict: "object", list: "array", str: "string"}[kind]
         raise InvalidModel(f"{what}: expected a JSON {name}, got {type(data).__name__}")
+    return data
 
 
-def _unique_ids(items, what):
-    seen = set()
+def _all_json(values, kind, what):
+    """Return `values` if every one is a JSON `kind`; `what(i)` names value i."""
+    if {type(value) for value in values} - {kind}:
+        for i, value in enumerate(values):
+            _expect_json(value, kind, what(i))
+    return values
+
+
+def _array_of(data, key, kind):
+    """`data[key]` if it is a JSON array of `kind` values."""
+    return _all_json(_expect_json(data[key], list, key), kind, lambda i: f"{key}[{i}]")
+
+
+def _records(data, key, what, fields):
+    """Map each unique id of the array `data[key]` to its object; `fields` are strings."""
+    items = _array_of(data, key, dict)
+    for name in fields:
+        _all_json([item[name] for item in items], str, lambda i: f"{key}[{i}].{name}")
+    records = {}
     for item in items:
-        if item["id"] in seen:
+        if item["id"] in records:
             raise InvalidModel(f"duplicate {what} id {item['id']!r}")
-        seen.add(item["id"])
-    return seen
+        records[item["id"]] = item
+    return records
+
+
+def _pairs(data, key):
+    """The JSON array `data[key]` of string pairs, as a frozenset of tuples."""
+    items = _array_of(data, key, list)
+    for i, pair in enumerate(items):
+        if len(pair) != 2:
+            raise InvalidModel(f"{key}[{i}]: expected a pair, got {len(pair)} items")
+    ends = [end for pair in items for end in pair]
+    _all_json(ends, str, lambda j: f"{key}[{j // 2}][{j % 2}]")
+    return frozenset((a, b) for a, b in items)
 
 
 def model_from_json(data):
     _expect_json(data, dict, "model")
     kind = data.get("kind")
     if kind == "ts":
-        states = tuple(sorted(_unique_ids(data["states"], "state")))
-        labeling = {s["id"]: s["label"] for s in data["states"]}
+        states = _records(data, "states", "state", ("id", "label"))
         ts = TransitionSystem(
-            states=states,
-            initial=data["initial"],
-            transitions=frozenset((a, b) for a, b in data["transitions"]),
-            labeling=labeling,
-            alphabet=tuple(sorted(data["alphabet"])),
+            states=tuple(sorted(states)),
+            initial=_expect_json(data["initial"], str, "initial"),
+            transitions=_pairs(data, "transitions"),
+            labeling={s: record["label"] for s, record in states.items()},
+            alphabet=tuple(sorted(_array_of(data, "alphabet", str))),
         )
         validate_model(ts)
         return ts
     if kind == "game":
-        _unique_ids(data["vertices"], "vertex")
-        owners = {v["id"]: v["owner"] for v in data["vertices"]}
+        vertices = _records(data, "vertices", "vertex", ("id",))
+        owners = {v: record["owner"] for v, record in vertices.items()}
         for vid, owner in owners.items():
             if owner not in (REACH, SAFE, EFFECT):
                 raise InvalidModel(f"vertex {vid!r} has unknown owner {owner!r}")
@@ -548,8 +554,8 @@ def model_from_json(data):
             reach_owned=frozenset(v for v, o in owners.items() if o == REACH),
             safe_owned=frozenset(v for v, o in owners.items() if o == SAFE),
             effect=frozenset(v for v, o in owners.items() if o == EFFECT),
-            initial=data["initial"],
-            edges=frozenset((a, b) for a, b in data["edges"]),
+            initial=_expect_json(data["initial"], str, "initial"),
+            edges=_pairs(data, "edges"),
         )
         validate_model(game)
         return game
@@ -565,14 +571,15 @@ def strategy_to_json(strategy):
 
 def strategy_from_json(data):
     _expect_json(data, dict, "strategy")
-    return MDStrategy(player=data["player"], choice=dict(data["choices"]))
+    choices = _expect_json(data["choices"], dict, "choices")
+    _all_json(list(choices.values()), str, lambda i: f"choices.{list(choices)[i]}")
+    return MDStrategy(player=data["player"], choice=dict(choices))
 
 
 def path_from_json(data):
     if isinstance(data, dict):
         data = data["path"]
-    _expect_json(data, list, "path")
-    return tuple(data)
+    return tuple(_all_json(_expect_json(data, list, "path"), str, lambda i: f"path[{i}]"))
 
 
 def dumps_canonical(obj):
@@ -580,16 +587,19 @@ def dumps_canonical(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def load_model(path):
+def read_json(path):
+    """Decode a model, strategy, path or SEM file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        return json.load(fh)
+
+
+def load_model(path):
+    return model_from_json(read_json(path))
 
 
 def load_strategy(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return strategy_from_json(json.load(fh))
+    return strategy_from_json(read_json(path))
 
 
 def load_path(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return path_from_json(json.load(fh))
+    return path_from_json(read_json(path))

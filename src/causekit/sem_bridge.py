@@ -8,7 +8,7 @@ by the flip, and intervention-entered states carry a distinguishing label.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 from .errors import BudgetExceeded, PreconditionViolated
 from .model import TransitionSystem, validate_maximal_path
@@ -94,26 +94,19 @@ def is_but_for_cause(sem, effect, variables):
     if intervened_valuation(sem, xs) in effect:
         return False
     for r in range(len(xs)):
-        for subset in _subsets(xs, r):
+        for subset in combinations(xs, r):
             if intervened_valuation(sem, subset) not in effect:
                 return False
     return True
 
 
-def _subsets(items, size):
-    from itertools import combinations
-
-    return combinations(items, size)
-
-
 def but_for_causes(sem, effect):
     """All but-for causes of the effect, as sorted variable tuples."""
+    effect_set = frozenset(tuple(v) for v in effect)
     out = []
     for r in range(1, sem.n + 1):
-        for xs in _subsets(sem.variables, r):
-            if intervened_valuation(sem, xs) not in frozenset(
-                tuple(v) for v in effect
-            ):
+        for xs in combinations(sem.variables, r):
+            if intervened_valuation(sem, xs) not in effect_set:
                 if is_but_for_cause(sem, effect, xs):
                     out.append(xs)
     return out
@@ -234,10 +227,13 @@ def effect_from_json(sem, data):
     """Effect sets arrive as explicit valuation lists or as a predicate on the
     last k variables ({"last": k, "values": [...]}), expanded extensionally."""
     if isinstance(data, dict):
-        k = int(data["last"])
+        try:
+            k = int(data["last"])
+        except TypeError:
+            raise PreconditionViolated("predicate arity must be a number") from None
         if not 1 <= k <= sem.n:
             raise PreconditionViolated(f"predicate arity {k} out of range")
-        accepted = {tuple(bool(b) for b in v) for v in data["values"]}
+        accepted = set(_rows(data["values"], "predicate values"))
         for v in accepted:
             if len(v) != k:
                 raise PreconditionViolated("predicate rows must have length k")
@@ -247,9 +243,15 @@ def effect_from_json(sem, data):
             if full[-k:] in accepted
         )
     out = set()
-    for v in data:
-        v = tuple(bool(b) for b in v)
+    for v in _rows(data, "effect"):
         if len(v) != sem.n:
             raise PreconditionViolated("effect valuations must be total")
         out.add(v)
     return frozenset(out)
+
+
+def _rows(data, what):
+    """A JSON array of arrays, each row as a tuple of Booleans."""
+    if not isinstance(data, list) or not all(isinstance(v, list) for v in data):
+        raise PreconditionViolated(f"{what} must be an array of arrays")
+    return [tuple(bool(b) for b in v) for v in data]

@@ -153,6 +153,39 @@ GAME_DUP = {
     "initial": "v0",
     "edges": [["v0", "v0"]],
 }
+TS_OK = {
+    "kind": "ts",
+    "alphabet": ["a"],
+    "states": [{"id": "s0", "label": "a"}, {"id": "s1", "label": "a"}],
+    "initial": "s0",
+    "transitions": [["s0", "s1"]],
+}
+GAME_OK = {
+    "kind": "game",
+    "vertices": [{"id": "v0", "owner": "reach"}, {"id": "v1", "owner": "effect"}],
+    "initial": "v0",
+    "edges": [["v0", "v1"]],
+}
+SEM_OK = {"kind": "sem", "variables": ["X1", "X2"], "tables": [[True], [False, True]]}
+TS_ARGS = ["--path", str(FIXDIR / "branching_ts_run.json"),
+           "--cause", "s2", "--effect", "s8", "--phi", "reach", "--metric", "pref"]
+
+
+def ts_case(message, **fields):
+    return ["ts-cause", "--model", "{bad}", *TS_ARGS], {"bad": {**TS_OK, **fields}}, message
+
+
+def game_case(message, **fields):
+    return ["solve", "--model", "{bad}"], {"bad": {**GAME_OK, **fields}}, message
+
+
+def effect_case(effect, message):
+    effect = effect.replace("{", "{{").replace("}", "}}")
+    return (
+        ["sem", "bridge", "--model", "{sem}", "--effect", effect, "--vars", "X1"],
+        {"sem": SEM_OK},
+        message,
+    )
 
 
 @pytest.mark.parametrize(
@@ -188,10 +221,46 @@ GAME_DUP = {
             {"bad": [1]},
             "not a SEM document",
         ),
+        ts_case(
+            "states[1].id: expected a JSON string, got int",
+            states=[{"id": "s0", "label": "a"}, {"id": 1, "label": "a"}],
+        ),
+        ts_case(
+            "states[0].label: expected a JSON string, got list",
+            states=[{"id": "s0", "label": ["a"]}, {"id": "s1", "label": "a"}],
+        ),
+        ts_case("alphabet[1]: expected a JSON string, got int", alphabet=["a", 2]),
+        ts_case("transitions[0][1]: expected a JSON string, got int", transitions=[["s0", 1]]),
+        ts_case("transitions[0]: expected a pair, got 3 items", transitions=[["s0", "s1", "s1"]]),
+        ts_case("initial: expected a JSON string, got list", initial=["s0"]),
+        game_case(
+            "vertices[1].id: expected a JSON string, got int",
+            vertices=[{"id": "v0", "owner": "reach"}, {"id": 1, "owner": "effect"}],
+        ),
+        game_case("edges[0][0]: expected a JSON string, got int", edges=[[0, "v1"]]),
+        game_case("edges[0]: expected a JSON array, got str", edges=["v0"]),
+        (
+            ["ts-cause", "--model", str(FIXDIR / "branching_ts.json"), "--path", "{bad}",
+             "--cause", "s2", "--effect", "s8", "--phi", "reach", "--metric", "pref"],
+            {"bad": ["s0", ["s2"]]},
+            "path[1]: expected a JSON string, got list",
+        ),
+        (
+            ["game-cause", "--model", str(FIXDIR / "tree_game.json"), "--player", "reach",
+             "--strategy", "{bad}", "--cause", "v3", "--metric", "dstar"],
+            {"bad": {"player": "reach", "choices": {"v0": ["s00"], "v1": "v3"}}},
+            "choices.v0: expected a JSON string, got list",
+        ),
+        effect_case("5", "effect must be an array of arrays"),
+        effect_case("[5]", "effect must be an array of arrays"),
+        effect_case('{"last": 1, "values": 5}', "predicate values must be an array of arrays"),
     ],
     ids=[
         "model-list", "duplicate-state", "path-string", "strategy-list",
-        "duplicate-vertex", "sem-list",
+        "duplicate-vertex", "sem-list", "int-state-id", "list-label", "int-letter",
+        "int-endpoint", "triple-transition", "list-initial", "int-vertex-id",
+        "int-edge-endpoint", "string-edge", "list-path-step", "list-choice", "effect-int", "effect-int-row",
+        "effect-values-int",
     ],
 )
 def test_malformed_json_shapes_exit_2(tmp_path, argv, files, message):
@@ -204,6 +273,48 @@ def test_malformed_json_shapes_exit_2(tmp_path, argv, files, message):
     assert proc.stderr.startswith("causekit: ")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+LOOP_GAME = ["--model", str(FIXDIR / "loop_game.json")]
+LOOP_SIGMA = str(FIXDIR / "loop_game_sigma.json")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["distance", "pref", "--p", LOOP_SIGMA, "--q", LOOP_SIGMA], "distance pref needs --model"),
+        (["distance", "dstar", *LOOP_GAME, "--tau", LOOP_SIGMA], "distance dstar needs --sigma"),
+        (["distance", "dstrat", *LOOP_GAME, "--sigma", LOOP_SIGMA], "distance dstrat needs --tau"),
+        (["distance", "hamm-s", "--sigma", LOOP_SIGMA, "--tau", LOOP_SIGMA], "distance hamm-s needs --model"),
+    ],
+    ids=["pref-model", "dstar-sigma", "dstrat-tau", "hamm-s-model"],
+)
+def test_distance_missing_operand_exit_2(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == f"causekit: {message}\n"
+
+
+@pytest.mark.parametrize("count", ["-1", "x"])
+def test_negative_witness_count_exit_2(count):
+    proc = run_cli(*branching_args("ghamm"), "--witnesses", count)
+    assert proc.returncode == 2
+    assert "argument --witnesses: expected a non-negative integer" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_does_not_rebuild_the_parser(monkeypatch, capsys):
+    from causekit import cli
+
+    def build_parser():
+        raise AssertionError("the parser is built once per process")
+
+    solve = ["solve", "--model", str(FIXDIR / "tree_game.json")]
+    expected = [run_cli(*argv) for argv in (branching_args("ghamm"), solve)]
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    for argv, proc in zip((branching_args("ghamm"), solve), expected):
+        assert cli.main(argv) == proc.returncode == 0
+        assert capsys.readouterr().out == proc.stdout
 
 
 def test_budget_exit_3():

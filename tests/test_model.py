@@ -10,7 +10,6 @@ from causekit.model import (
     ReachabilityGame,
     TransitionSystem,
     exists_maximal_path_avoiding,
-    exists_path_reaching_avoiding,
     is_effectively_acyclic,
     maximal_paths,
     model_from_json,
@@ -104,28 +103,6 @@ def test_exists_maximal_path_avoiding_empty_avoid_everywhere():
     ts = small_ts()
     for s in ts.states:
         assert exists_maximal_path_avoiding(ts, s, frozenset())
-
-
-def test_exists_path_reaching_avoiding():
-    ts, _pi, cause, effect = branching_ts()
-    assert exists_path_reaching_avoiding(ts, "s0", effect, cause)
-    assert exists_path_reaching_avoiding(ts, "s0", {"s0"}, frozenset())
-    assert not exists_path_reaching_avoiding(ts, "s0", {"s5"}, {"s5"})
-
-
-def test_exists_path_reaching_avoiding_monotone():
-    rng = random.Random(11)
-    for seed in range(30):
-        ts = generate(GeneratorSpec("acyclic-ts", seed=seed, states=8))
-        states = list(ts.states)
-        target = set(rng.sample(states, rng.randint(1, min(3, len(states)))))
-        avoid = set(rng.sample(states, rng.randint(0, min(3, len(states)))))
-        base = exists_path_reaching_avoiding(ts, ts.initial, target, avoid)
-        bigger = target | set(rng.sample(states, min(2, len(states))))
-        smaller_avoid = avoid - {rng.choice(states)}
-        if base:
-            assert exists_path_reaching_avoiding(ts, ts.initial, bigger, avoid)
-            assert exists_path_reaching_avoiding(ts, ts.initial, target, smaller_avoid)
 
 
 def test_fixpoint_agrees_with_enumeration_acyclic():
