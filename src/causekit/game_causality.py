@@ -4,7 +4,12 @@ and strategy-repair explanations.
 The polynomial pieces (attractor solving, safety regions, the Hausdorff-prefix
 cause check) all run on the one attractor kernel `model.attractor`; they are
 complemented by exact, budget-guarded searches for the problems the distance
-functions make NP- or coNP-hard.
+functions make NP- or coNP-hard.  Those searches share one enumeration
+kernel: `_free_sets` walks the least sets of sigma's vertices whose freeing
+solves a feasibility test, `_variants` re-points sigma over a product of
+edge choices, and `_distinct_matched` sigma-matches and deduplicates.  Each
+charges one budget unit per candidate.  The acyclic d* repair skips the
+exact search when its min-max sweep certifies the proposed strategy.
 """
 
 from dataclasses import dataclass
@@ -134,11 +139,11 @@ def avoid_region(game, player, cause):
     return frozenset(region), allowed
 
 
-def _avoid_set(game, player, cause, pins):
-    """Vertices outside the opponent's attractor of `cause`, with the owned
-    vertices in `pins` forced to their pinned successor."""
+def _avoid_set(game, player, cause, allowed):
+    """Vertices outside the opponent's attractor of `cause` when the vertices
+    in `allowed` may only use the given edge tuples."""
     adj = game.adjacency()
-    adj.update((v, (u,)) for v, u in pins.items())
+    adj.update(allowed)
     caught = attractor(adj, game.owned_by(opponent(player)), cause)
     return {v for v in game.vertices if v not in caught}
 
@@ -217,6 +222,72 @@ def _sigma_matched(game, strategy, sigma):
 
 
 # ---------------------------------------------------------------------------
+# exact search kernel
+
+
+def _free_sets(game, sigma, solved, budget, start=0, stop=None):
+    """The least sets of sigma's branching vertices that pass `solved` freed.
+
+    Sizes k run from `start` up to but excluding `stop`.  Each k-set S is
+    tried in `combinations` order at one budget unit: `solved(allowed)` gets
+    every owned vertex outside S pinned to sigma's choice and S free.  The
+    accepted sets are yielded lazily, and the search ends with the first
+    size that has any.
+    """
+    owned = game.owned_by(sigma.player)
+    branching = sorted(v for v in owned if len(game.successors(v)) >= 2)
+    top = len(branching) + 1 if stop is None else min(stop, len(branching) + 1)
+    for k in range(start, top):
+        found = False
+        for free in combinations(branching, k):
+            budget.charge()
+            if solved({v: (sigma.choice[v],) for v in owned if v not in free}):
+                found = True
+                yield free
+        if found:
+            return
+
+
+def _variants(sigma, options, budget):
+    """Sigma re-pointed at every vertex of `options`, once per combination of
+    their edge tuples in `product` order, at one budget unit each."""
+    vertices = sorted(options)
+    for picks in product(*(options[v] for v in vertices)):
+        budget.charge()
+        choice = dict(sigma.choice)
+        choice.update(zip(vertices, picks))
+        yield MDStrategy(sigma.player, choice)
+
+
+def _distinct_matched(game, sigma, strategies):
+    """Each strategy sigma-matched, with its sorted choice items as key, the
+    first time its key appears."""
+    seen = set()
+    for tau in strategies:
+        tau = _sigma_matched(game, tau, sigma)
+        key = tuple(sorted(tau.choice.items()))
+        if key not in seen:
+            seen.add(key)
+            yield key, tau
+
+
+def _alternatives(game, sigma, vertices):
+    """The edges other than sigma's choice at each of the vertices."""
+    return {
+        v: tuple(u for u in game.successors(v) if u != sigma.choice[v])
+        for v in sorted(vertices)
+    }
+
+
+def _verdict(query, k, loser, winner):
+    """Both conditions hold; the cause verdict at distance k, with the first
+    losing and the first winning minimal strategy as witnesses."""
+    pairs = ((loser, False), (winner, True))
+    witnesses = tuple(StrategyWitness(t, k, w) for t, w in pairs if t is not None)
+    return GameCauseVerdict(loser is None, k, True, True, witnesses[: query.witnesses])
+
+
+# ---------------------------------------------------------------------------
 # cause checking
 
 
@@ -256,8 +327,8 @@ def check_cause_game(query, budget=None):
     if query.metric == METRIC_PREF_H:
         return _check_pref_h(query, region, budget)
     if query.metric == METRIC_HAMM_S:
-        return _check_hamm_s(query, region, budget)
-    return _check_dstar(query, region, allowed, budget)
+        return _check_hamm_s(query, budget)
+    return _check_dstar(query, allowed, budget)
 
 
 def _check_pref_h(query, region, budget):
@@ -286,7 +357,7 @@ def _check_pref_h(query, region, budget):
 
     def pins_at(n):
         return {
-            v: sigma.choice[v]
+            v: (sigma.choice[v],)
             for v in sorted(owned)
             if v in depth and depth[v] <= n - 1
         }
@@ -311,7 +382,7 @@ def _check_pref_h(query, region, budget):
     allowed = {}
     for v in sorted(owned & pin_region):
         if v in pins:
-            allowed[v] = (pins[v],)
+            allowed[v] = pins[v]
         else:
             allowed[v] = tuple(u for u in game.successors(v) if u in pin_region)
     arena = {}
@@ -328,20 +399,13 @@ def _check_pref_h(query, region, budget):
     else:
         defeated = bool(set(game.effect) & reachable_set(arena, game.initial))
 
-    witnesses = []
-    if defeated:
-        bad_choices = _defeat_choices(game, player, arena, owned, dodge)
-        tau = _assemble_strategy(game, sigma, owned, pins, allowed, bad_choices)
-        witnesses.append(
-            StrategyWitness(tau, distances.d_pref_hausdorff(game, sigma, tau), False)
-        )
-    else:
-        tau = _assemble_strategy(game, sigma, owned, pins, allowed, {})
-        witnesses.append(
-            StrategyWitness(tau, distances.d_pref_hausdorff(game, sigma, tau), True)
-        )
+    overrides = _defeat_choices(game, player, arena, owned, dodge) if defeated else {}
+    tau = _assemble_strategy(sigma, owned, allowed, overrides)
+    witness = StrategyWitness(
+        tau, distances.d_pref_hausdorff(game, sigma, tau), not defeated
+    )
     return GameCauseVerdict(
-        not defeated, min_d, True, True, tuple(witnesses[: query.witnesses])
+        not defeated, min_d, True, True, (witness,)[: query.witnesses]
     )
 
 
@@ -379,13 +443,13 @@ def _defeat_choices(game, player, arena, owned, dodge):
     return {v: u for v, u in choices.items() if v in owned}
 
 
-def _assemble_strategy(game, sigma, owned, pins, allowed, overrides):
+def _assemble_strategy(sigma, owned, allowed, overrides):
+    """Overrides first, then sigma's choice where `allowed` keeps it (pinned
+    vertices always do), then the first allowed edge."""
     choice = {}
     for v in sorted(owned):
         if v in overrides:
             choice[v] = overrides[v]
-        elif v in pins:
-            choice[v] = pins[v]
         elif v in allowed:
             opts = allowed[v]
             choice[v] = sigma.choice[v] if sigma.choice[v] in opts else opts[0]
@@ -451,122 +515,66 @@ def tree_min_changes(game, sigma, cause):
     return cost(game.initial)
 
 
-def _min_change_sets(game, sigma, cause, budget, start_size=0):
-    """All minimum-size change sets S such that freeing exactly the vertices
-    in S (sigma elsewhere) leaves the cause avoidable."""
-    owned = game.owned_by(sigma.player)
-    candidates = sorted(v for v in owned if len(game.successors(v)) >= 2)
-
-    def feasible(free):
-        pins = {v: sigma.choice[v] for v in owned if v not in free}
-        return game.initial in _avoid_set(game, sigma.player, cause, pins)
-
-    for k in range(start_size, len(candidates) + 1):
-        hits = []
-        for combo in combinations(candidates, k):
-            budget.charge()
-            if feasible(set(combo)):
-                hits.append(combo)
-        if hits:
-            return k, hits
-    return None, []
-
-
-def _check_hamm_s(query, region, budget):
+def _check_hamm_s(query, budget):
     """Hamming strategy-distance cause check on (effectively) acyclic games:
     find the minimum number of changed choices that avoids the cause, then
-    verify every avoiding strategy with exactly that many changes wins."""
-    game, sigma, cause = query.game, query.sigma, query.cause
+    verify every avoiding strategy with exactly that many changes wins.
+
+    Change sets are walked in order.  The set in which the first losing
+    strategy turns up is walked to its end before the walk stops, so a
+    winning strategy later in that set still becomes a witness.
+    """
+    game, sigma, cause, player = query.game, query.sigma, query.cause, query.player
     start = 0
     if _tree_shaped(game):
         k_tree = tree_min_changes(game, sigma, cause)
         if k_tree is not distances.INF:
             start = int(k_tree)
-    k_star, sets = _min_change_sets(game, sigma, cause, budget, start_size=start)
-    if k_star is None:
+
+    def avoidable(allowed):
+        return game.initial in _avoid_set(game, player, cause, allowed)
+
+    sets = list(_free_sets(game, sigma, avoidable, budget, start))
+    if not sets:
         return GameCauseVerdict(False, distances.INF, True, False)
-    owned = game.owned_by(query.player)
-    loser = None
-    winner = None
-    for combo in sets:
-        alt_lists = [
-            [u for u in game.successors(v) if u != sigma.choice[v]] for v in combo
-        ]
-        for picks in product(*alt_lists):
-            budget.charge()
-            choice = dict(sigma.choice)
-            choice.update(dict(zip(combo, picks)))
-            tau = MDStrategy(query.player, choice)
+    loser = winner = None
+    for free in sets:
+        for tau in _variants(sigma, _alternatives(game, sigma, free), budget):
             if not strategy_avoids(game, tau, cause):
                 continue
             if strategy_is_winning(game, tau):
-                if winner is None:
-                    winner = tau
-            elif loser is None:
-                loser = tau
+                winner = winner or tau
+            else:
+                loser = loser or tau
         if loser is not None:
             break
-    witnesses = []
-    if loser is not None:
-        witnesses.append(StrategyWitness(loser, k_star, False))
-    if winner is not None:
-        witnesses.append(StrategyWitness(winner, k_star, True))
-    return GameCauseVerdict(
-        loser is None, k_star, True, True, tuple(witnesses[: query.witnesses])
-    )
+    return _verdict(query, len(sets[0]), loser, winner)
 
 
-def _avoiding_candidates(game, sigma, region, allowed, budget):
-    """Sigma-matched cause-avoiding strategies, deduplicated.
-
-    Region-preserving choices inside the avoid region, sigma off it, and
-    sigma again at owned vertices the strategy never reaches; every
-    cause-avoiding strategy is represented this way up to off-path choices
-    that can only increase play-based distances.
-    """
-    owned = game.owned_by(sigma.player)
-    inside = sorted(set(allowed))
-    seen = set()
-    for picks in product(*[allowed[v] for v in inside]):
-        budget.charge()
-        choice = dict(sigma.choice)
-        choice.update(dict(zip(inside, picks)))
-        tau = _sigma_matched(game, MDStrategy(sigma.player, choice), sigma)
-        key = tuple(sorted(tau.choice.items()))
-        if key not in seen:
-            seen.add(key)
-            yield tau
-
-
-def _check_dstar(query, region, allowed, budget):
+def _check_dstar(query, allowed, budget):
     """Exact search for the Hausdorff-inspired vertex-counting distance: no
     polynomial algorithm is claimed for it, so candidates are enumerated and
-    measured exactly."""
+    measured exactly.
+
+    The candidates take region-preserving choices inside the avoid region
+    and sigma's off it, sigma-matched; every cause-avoiding strategy is one
+    of them up to off-path choices, which can only increase the distance.
+    """
     game, sigma = query.game, query.sigma
-    scored = []
-    for tau in _avoiding_candidates(game, sigma, region, allowed, budget):
-        d = distances.dstar(game, tau, sigma, budget)
-        scored.append((d, tuple(sorted(tau.choice.items())), tau))
-    scored.sort(key=lambda item: item[:2])
+    scored = sorted(
+        (distances.dstar(game, tau, sigma, budget), key, tau)
+        for key, tau in _distinct_matched(game, sigma, _variants(sigma, allowed, budget))
+    )
     k_star = scored[0][0]
-    loser = None
-    winner = None
+    loser = winner = None
     for d, _key, tau in scored:
         if d != k_star:
             break
         if strategy_is_winning(game, tau):
-            if winner is None:
-                winner = tau
-        elif loser is None:
-            loser = tau
-    witnesses = []
-    if loser is not None:
-        witnesses.append(StrategyWitness(loser, k_star, False))
-    if winner is not None:
-        witnesses.append(StrategyWitness(winner, k_star, True))
-    return GameCauseVerdict(
-        loser is None, k_star, True, True, tuple(witnesses[: query.witnesses])
-    )
+            winner = winner or tau
+        else:
+            loser = loser or tau
+    return _verdict(query, k_star, loser, winner)
 
 
 def brute_force_check_cause(query, budget=None, distance_fn=None):
@@ -652,20 +660,12 @@ def is_explanation(game, sigma, vertex_set):
             raise PreconditionViolated(f"{v!r} is not owned by {player}")
         if len(game.successors(v)) < 2:
             raise EmptyChoice(f"{v!r} has no edge other than sigma's choice")
-    allowed = {}
-    for v in sorted(owned):
-        if v in vertex_set:
-            allowed[v] = tuple(u for u in game.successors(v) if u != sigma.choice[v])
-        else:
-            allowed[v] = (sigma.choice[v],)
+    allowed = {v: (sigma.choice[v],) for v in owned}
+    allowed.update(_alternatives(game, sigma, vertex_set))
     wins, choices = _solve_for(game, player, allowed)
     if not wins:
         return False, None
-    choice = {v: choices[v] for v in sorted(owned)}
-    for v in sorted(vertex_set):
-        if choice[v] == sigma.choice[v]:
-            choice[v] = allowed[v][0]
-    return True, MDStrategy(player, choice)
+    return True, MDStrategy(player, choices)
 
 
 def min_winning_distance(game, sigma, metric, threshold=None, budget=None):
@@ -683,50 +683,40 @@ def min_winning_distance(game, sigma, metric, threshold=None, budget=None):
 
 
 def _min_winning(game, sigma, metric, threshold, budget):
+    """(least distance from sigma to a winning strategy, a strategy there).
+
+    The hamm-s search only asks whether the player wins, so its strategy is
+    None.  With a threshold, the first strategy within it is returned, or
+    (threshold + 1, None) when there is none.
+    """
     player = sigma.player
-    owned = game.owned_by(player)
     if metric == METRIC_HAMM_S:
-        candidates = sorted(v for v in owned if len(game.successors(v)) >= 2)
-        top = len(candidates) if threshold is None else min(threshold, len(candidates))
-        for k in range(0, top + 1):
-            for combo in combinations(candidates, k):
-                budget.charge()
-                free = set(combo)
-                allowed = {
-                    v: (game.successors(v) if v in free else (sigma.choice[v],))
-                    for v in owned
-                }
-                wins, choices = _solve_for(game, player, allowed)
-                if wins:
-                    tau = MDStrategy(player, {v: choices[v] for v in sorted(owned)})
-                    return k, _sigma_matched(game, tau, sigma)
-        if threshold is not None:
-            return threshold + 1, None
-        raise NoWinningStrategy(f"player {player} has no winning strategy")
-    if metric == METRIC_DSTAR:
+        stop = None if threshold is None else threshold + 1
+
+        def wins(allowed):  # Safe wins exactly where it avoids the effect set
+            safe_wins = game.initial in _avoid_set(game, SAFE, game.effect, allowed)
+            return safe_wins == (player == SAFE)
+
+        for free in _free_sets(game, sigma, wins, budget, stop=stop):
+            return len(free), None
+    elif metric == METRIC_DSTAR:
         best = None
-        best_tau = None
-        seen = set()
-        for tau in enumerate_strategies(game, player, budget):
-            tau = _sigma_matched(game, tau, sigma)
-            key = tuple(sorted(tau.choice.items()))
-            if key in seen:
-                continue
-            seen.add(key)
+        strategies = enumerate_strategies(game, player, budget)
+        for key, tau in _distinct_matched(game, sigma, strategies):
             if not strategy_is_winning(game, tau):
                 continue
             d = distances.dstar(game, tau, sigma, budget)
-            if best is None or (d, key) < best:
-                best = (d, key)
-                best_tau = tau
+            if best is None or (d, key) < best[:2]:
+                best = (d, key, tau)
                 if threshold is not None and d <= threshold:
-                    return d, tau
-        if best is None:
-            if threshold is not None:
-                return threshold + 1, None
-            raise NoWinningStrategy(f"player {player} has no winning strategy")
-        return best[0], best_tau
-    raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
+                    break
+        if best is not None:
+            return best[0], best[2]
+    else:
+        raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
+    if threshold is not None:
+        return threshold + 1, None
+    raise NoWinningStrategy(f"player {player} has no winning strategy")
 
 
 def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
@@ -748,23 +738,13 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
         )
     if metric == METRIC_DSTAR:
         overall = min_winning_distance(game, sigma, METRIC_DSTAR, budget=budget)
-        best = None
-        owned = game.owned_by(sigma.player)
-        alt_lists = [
-            [u for u in game.successors(v) if u != sigma.choice[v]]
-            for v in sorted(vertex_set)
+        options = _alternatives(game, sigma, vertex_set)
+        found = [
+            distances.dstar(game, tau, sigma, budget)
+            for tau in _variants(sigma, options, budget)
+            if strategy_is_winning(game, tau)
         ]
-        for picks in product(*alt_lists):
-            budget.charge()
-            choice = dict(sigma.choice)
-            choice.update(dict(zip(sorted(vertex_set), picks)))
-            tau = MDStrategy(sigma.player, choice)
-            if not strategy_is_winning(game, tau):
-                continue
-            d = distances.dstar(game, tau, sigma, budget)
-            if best is None or d < best:
-                best = d
-        return best == overall
+        return min(found, default=None) == overall
     raise PreconditionViolated(f"unsupported metric {metric!r} for minimality")
 
 
@@ -774,11 +754,20 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
 
 def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     """Winning Reach strategy minimizing the vertex-counting distance to a
-    losing sigma whose restriction graph is acyclic.
+    losing sigma whose restriction graph is acyclic, with that distance.
 
-    A weighted min-max shortest-path sweep (deviating edges cost 1) proposes
-    a strategy; its exact distance is certified against the exact search and
-    the exact optimum is returned whenever the fast path misses it.
+    A weighted min-max sweep (deviating edges cost 1, Safe maximizing)
+    proposes a strategy tau_fast and a lower bound val[initial].  The bound
+    holds because a winning MD strategy's plays are simple and finite: Safe
+    could repeat any loop forever.  So the play on which Safe always moves
+    to a successor of largest value deviates from sigma at no fewer distinct
+    vertices than val[initial], and d* is at least that play's count.  The
+    sweep does reach its fixpoint within its cap: values only fall, and a
+    finite one never exceeds the number of Reach vertices.
+
+    A winning tau_fast whose d* equals val[initial] is certified optimal and
+    returned without the exact search.  Otherwise the exact search decides,
+    and tau_fast is still returned when it ties the exact optimum.
     """
     validate_strategy(game, sigma)
     if sigma.player != REACH:
@@ -822,9 +811,10 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
         choice[v] = options[0][2]
     tau_fast = _sigma_matched(game, MDStrategy(REACH, choice), sigma)
 
-    exact, tau_exact = _min_winning(game, sigma, METRIC_DSTAR, None, budget)
+    fast = None
     if strategy_is_winning(game, tau_fast):
         fast = distances.dstar(game, tau_fast, sigma, budget)
-        if fast == exact:
-            return tau_fast, exact
-    return tau_exact, exact
+        if fast == val[game.initial]:
+            return tau_fast, fast
+    exact, tau_exact = _min_winning(game, sigma, METRIC_DSTAR, None, budget)
+    return (tau_fast if fast == exact else tau_exact), exact

@@ -10,11 +10,12 @@ from itertools import product
 
 from .errors import InvalidSpec
 from .model import (
+    EFFECT,
     REACH,
     SAFE,
     MDStrategy,
-    ReachabilityGame,
     TransitionSystem,
+    game_from_owners,
     validate_model,
 )
 from .sem_bridge import StructuralEquationModel
@@ -137,15 +138,7 @@ def acyclic_game(rng, max_states):
         if v not in effect:
             edges.add((v, v))
     owners = _owners(rng, (v for v in names if v not in effect))
-    game = ReachabilityGame(
-        reach_owned=frozenset(v for v, o in owners.items() if o == REACH),
-        safe_owned=frozenset(v for v, o in owners.items() if o == SAFE),
-        effect=frozenset(effect),
-        initial="v0",
-        edges=frozenset(edges),
-    )
-    validate_model(game)
-    return game
+    return game_from_owners({**owners, **dict.fromkeys(effect, EFFECT)}, "v0", edges)
 
 
 def cyclic_game(rng, max_states):
@@ -164,15 +157,7 @@ def cyclic_game(rng, max_states):
         if not any(e[0] == v for e in edges):
             edges.add((v, rng.choice([u for u in names if u != v])))
     owners = _owners(rng, live)
-    game = ReachabilityGame(
-        reach_owned=frozenset(v for v, o in owners.items() if o == REACH),
-        safe_owned=frozenset(v for v, o in owners.items() if o == SAFE),
-        effect=frozenset(effect),
-        initial="v0",
-        edges=frozenset(edges),
-    )
-    validate_model(game)
-    return game
+    return game_from_owners({**owners, **dict.fromkeys(effect, EFFECT)}, "v0", edges)
 
 
 def boolean_sem(rng, max_variables):

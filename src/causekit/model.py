@@ -109,6 +109,23 @@ class ReachabilityGame:
         return dict(self._succ)
 
 
+def game_from_owners(owners, initial, edges):
+    """The validated game whose vertex partition is read off `owners`, a map
+    from each vertex to REACH, SAFE or EFFECT."""
+    parts = {REACH: set(), SAFE: set(), EFFECT: set()}
+    for vertex, owner in owners.items():
+        parts[owner].add(vertex)
+    game = ReachabilityGame(
+        reach_owned=frozenset(parts[REACH]),
+        safe_owned=frozenset(parts[SAFE]),
+        effect=frozenset(parts[EFFECT]),
+        initial=initial,
+        edges=frozenset(edges),
+    )
+    validate_model(game)
+    return game
+
+
 @dataclass(frozen=True)
 class MDStrategy:
     """Memoryless deterministic strategy: one fixed edge per owned vertex."""
@@ -550,15 +567,8 @@ def model_from_json(data):
         for vid, owner in owners.items():
             if owner not in (REACH, SAFE, EFFECT):
                 raise InvalidModel(f"vertex {vid!r} has unknown owner {owner!r}")
-        game = ReachabilityGame(
-            reach_owned=frozenset(v for v, o in owners.items() if o == REACH),
-            safe_owned=frozenset(v for v, o in owners.items() if o == SAFE),
-            effect=frozenset(v for v, o in owners.items() if o == EFFECT),
-            initial=_expect_json(data["initial"], str, "initial"),
-            edges=_pairs(data, "edges"),
-        )
-        validate_model(game)
-        return game
+        initial = _expect_json(data["initial"], str, "initial")
+        return game_from_owners(owners, initial, _pairs(data, "edges"))
     raise InvalidModel(f"unknown model kind {kind!r}")
 
 

@@ -217,9 +217,11 @@ def sem_from_json(data):
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind != "sem":
         raise PreconditionViolated(f"not a SEM document: kind={kind!r}")
+    variables = data["variables"]
+    if not isinstance(variables, list) or not all(isinstance(x, str) for x in variables):
+        raise PreconditionViolated("variables must be an array of strings")
     return StructuralEquationModel(
-        variables=tuple(data["variables"]),
-        tables=tuple(tuple(bool(x) for x in t) for t in data["tables"]),
+        variables=tuple(variables), tables=tuple(_rows(data["tables"], "tables"))
     )
 
 

@@ -77,9 +77,9 @@ def test_attractor_ranks_match_reference(seed, cyclic):
         )
         cause = frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
         pins = random_pins(game, rng, player)
-        pinned = {**full, **{v: (u,) for v, u in pins.items()}}
-        caught = naive_attractor(pinned, game.owned_by(opponent(player)), cause)
-        assert _avoid_set(game, player, cause, pins) == set(game.vertices) - set(caught)
+        allowed = {v: (u,) for v, u in pins.items()}
+        caught = naive_attractor({**full, **allowed}, game.owned_by(opponent(player)), cause)
+        assert _avoid_set(game, player, cause, allowed) == set(game.vertices) - set(caught)
 
 
 @FUZZ

@@ -179,6 +179,11 @@ def game_case(message, **fields):
     return ["solve", "--model", "{bad}"], {"bad": {**GAME_OK, **fields}}, message
 
 
+def sem_case(message, **fields):
+    argv = ["sem", "butfor", "--model", "{bad}", "--effect", "[[true, true]]", "--vars", "X1"]
+    return argv, {"bad": {**SEM_OK, **fields}}, message
+
+
 def effect_case(effect, message):
     effect = effect.replace("{", "{{").replace("}", "}}")
     return (
@@ -254,13 +259,16 @@ def effect_case(effect, message):
         effect_case("5", "effect must be an array of arrays"),
         effect_case("[5]", "effect must be an array of arrays"),
         effect_case('{"last": 1, "values": 5}', "predicate values must be an array of arrays"),
+        sem_case("tables must be an array of arrays", tables=5),
+        sem_case("variables must be an array of strings", variables=5),
+        sem_case("tables must be an array of arrays", tables=[True]),
     ],
     ids=[
         "model-list", "duplicate-state", "path-string", "strategy-list",
         "duplicate-vertex", "sem-list", "int-state-id", "list-label", "int-letter",
         "int-endpoint", "triple-transition", "list-initial", "int-vertex-id",
         "int-edge-endpoint", "string-edge", "list-path-step", "list-choice", "effect-int", "effect-int-row",
-        "effect-values-int",
+        "effect-values-int", "sem-tables-int", "sem-variables-int", "sem-tables-bool-row",
     ],
 )
 def test_malformed_json_shapes_exit_2(tmp_path, argv, files, message):

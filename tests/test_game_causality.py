@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from causekit.distances import INF, d_hamm_s, d_pref_hausdorff, dstar
-from causekit.errors import EmptyChoice, NoWinningStrategy, NotAcyclic
+from causekit.errors import Budget, EmptyChoice, NoWinningStrategy, NotAcyclic
 from causekit.fixtures import tree_game, loop_game
 from causekit.game_causality import (
     GameCauseQuery,
@@ -360,6 +360,19 @@ def test_min_dstar_acyclic_requires_acyclic_restriction():
     # G^sigma has v1 trap: still effectively acyclic, so this must work
     tau, value = min_dstar_winning_strategy_acyclic(game, sigma)
     assert value == 1 and strategy_is_winning(game, tau)
+
+
+def test_min_dstar_certified_repair_skips_the_exact_search():
+    # The sweep's strategy meets its lower bound here, so the repair must
+    # answer within a budget one unit short of what the exact search needs.
+    game, sigma = tree_game()
+    exact = Budget()
+    optimum = min_winning_distance(game, sigma, METRIC_DSTAR, budget=exact)
+    tau, value = min_dstar_winning_strategy_acyclic(
+        game, sigma, budget=Budget(exact.used - 1)
+    )
+    assert value == optimum == dstar(game, tau, sigma)
+    assert strategy_is_winning(game, tau)
 
 
 def test_min_dstar_acyclic_matches_enumeration():

@@ -1,0 +1,93 @@
+"""Pinned results of the exact game searches, budget use included.
+
+`search_pins.json` holds what `check_cause_game` (hamm-s and d*),
+`min_winning_distance` and `is_minimal_explanation` return on a small seeded
+sweep of acyclic and cyclic games: verdicts, every witness strategy and the
+`budget.used` of each call.  The other tests compare verdicts and distances
+only, so a change to the search order or to the budget charging shows here.
+
+Regenerate the file only for an intended change of those results:
+`PYTHONPATH=src python tests/test_search_pins.py`.
+"""
+
+import json
+import random
+from pathlib import Path
+
+from causekit.errors import Budget, CausekitError
+from causekit.game_causality import (
+    METRIC_DSTAR,
+    METRIC_HAMM_S,
+    GameCauseQuery,
+    GameCauseVerdict,
+    check_cause_game,
+    extract_explanation,
+    is_minimal_explanation,
+    min_winning_distance,
+)
+from causekit.generators import acyclic_game, cyclic_game, random_strategy
+from causekit.model import reachable_set, strategy_adjacency
+
+PINS = Path(__file__).with_name("search_pins.json")
+GAMES = 80
+
+
+def outcome(fn, *args, **kwargs):
+    """[result, budget used], the result as JSON and an error as its type name."""
+    budget = Budget(20_000)
+    try:
+        result = fn(*args, budget=budget, **kwargs)
+    except CausekitError as exc:
+        return [type(exc).__name__, budget.used]
+    if isinstance(result, GameCauseVerdict):
+        result = [
+            result.is_cause,
+            str(result.min_distance),
+            [[sorted(w.strategy.choice.items()), w.winning] for w in result.witnesses],
+        ]
+    return [result, budget.used]
+
+
+def sweep():
+    records = []
+    for seed in range(GAMES):
+        rng = random.Random(seed)
+        cyclic = seed % 2 == 1
+        game = cyclic_game(rng, 10) if cyclic else acyclic_game(rng, 12)
+        for player in ("reach", "safe"):
+            if not game.owned_by(player):
+                continue
+            sigma = random_strategy(rng, game, player)
+            seen = reachable_set(strategy_adjacency(game, sigma), game.initial)
+            pool = sorted(seen - game.effect - {game.initial})
+            for _ in range(2 if pool else 0):
+                cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
+                for metric in (METRIC_HAMM_S, METRIC_DSTAR):
+                    query = GameCauseQuery(game, player, sigma, cause, metric)
+                    records.append(outcome(check_cause_game, query))
+            try:
+                explanation = extract_explanation(game, sigma).vertex_set
+            except CausekitError:
+                explanation = None
+            for metric in (METRIC_HAMM_S, METRIC_DSTAR):
+                records.append(outcome(min_winning_distance, game, sigma, metric))
+                records.append(
+                    outcome(min_winning_distance, game, sigma, metric, threshold=1)
+                )
+                if explanation is not None:
+                    records.append(
+                        outcome(is_minimal_explanation, game, sigma, explanation, metric)
+                    )
+    return records
+
+
+def test_search_results_and_budget_use_are_pinned():
+    pinned = json.loads(PINS.read_text())
+    records = json.loads(json.dumps(sweep()))
+    assert len(records) == len(pinned)
+    for i, (got, want) in enumerate(zip(records, pinned)):
+        assert got == want, i
+
+
+if __name__ == "__main__":
+    PINS.write_text(json.dumps(sweep(), separators=(",", ":")) + "\n")
