@@ -23,7 +23,6 @@ from .model import (
     TransitionSystem,
     restrict_game,
     validate_maximal_path,
-    validate_model,
     validate_play,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "TransitionSystem",
     "restrict_game",
     "validate_maximal_path",
-    "validate_model",
     "validate_play",
 ]
 

@@ -28,7 +28,7 @@ from .model import (
     model_to_json,
     read_json,
     strategy_to_json,
-    validate_model,
+    validate_strategy,
 )
 
 PATH_METRICS = ("pref",)
@@ -258,6 +258,8 @@ def cmd_distance(args):
         game = load_model(_given(args, "model"))
         sigma = load_strategy(_given(args, "sigma"))
         tau = load_strategy(_given(args, "tau"))
+        validate_strategy(game, sigma)
+        validate_strategy(game, tau)
         doc["inputs"]["model"] = args.model
         value = STRATEGY_DISTANCES[metric](game, sigma, tau, budget)
     doc["verdict"] = distances.format_distance(value)
@@ -321,7 +323,6 @@ def generate_json(spec):
     instance = generators.generate(spec)
     if isinstance(instance, sem_bridge.StructuralEquationModel):
         return sem_bridge.sem_to_json(instance)
-    validate_model(instance)
     return model_to_json(instance)
 
 

@@ -299,9 +299,8 @@ def validate_game_query(query):
     if query.sigma.player != query.player:
         raise PreconditionViolated("the strategy belongs to the other player")
     validate_strategy(query.game, query.sigma)
-    vertices = set(query.game.vertices)
     for c in sorted(query.cause):
-        if c not in vertices:
+        if c not in query.game._succ:
             raise PreconditionViolated(f"{c!r} is not a vertex")
         if c in query.game.effect:
             raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")

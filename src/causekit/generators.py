@@ -16,7 +16,6 @@ from .model import (
     MDStrategy,
     TransitionSystem,
     game_from_owners,
-    validate_model,
 )
 from .sem_bridge import StructuralEquationModel
 
@@ -78,15 +77,13 @@ def layered_ts(rng, max_layers, max_width, alphabet_size):
                 transitions.add((rng.choice(layers[i]), dst))
     states = [s for layer in layers for s in layer]
     labeling = {s: rng.choice(alphabet) for s in states}
-    ts = TransitionSystem(
+    return TransitionSystem(
         states=tuple(sorted(states)),
         initial="s0_0",
         transitions=frozenset(transitions),
         labeling=labeling,
         alphabet=alphabet,
     )
-    validate_model(ts)
-    return ts
 
 
 def acyclic_ts(rng, max_states, alphabet_size):
@@ -104,15 +101,13 @@ def acyclic_ts(rng, max_states, alphabet_size):
             j = rng.randint(i + 1, n - 1)
             transitions.add((states[i], states[j]))
     labeling = {s: rng.choice(alphabet) for s in states}
-    ts = TransitionSystem(
+    return TransitionSystem(
         states=tuple(sorted(states)),
         initial="s0",
         transitions=frozenset(transitions),
         labeling=labeling,
         alphabet=alphabet,
     )
-    validate_model(ts)
-    return ts
 
 
 def _owners(rng, names):

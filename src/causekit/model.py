@@ -1,7 +1,10 @@
 """Labeled transition systems, reachability games, paths, plays and strategies.
 
-Models are immutable after validation; every query in this module is a pure
-function of its inputs and safe to share across threads.
+Models are validated when they are constructed: `__post_init__` checks every
+structural invariant in the pass that builds the successor map and raises
+InvalidModel on the first violation, so no invalid model exists.  Models are
+immutable; every query in this module is a pure function of its inputs and
+safe to share across threads.
 
 `attractor` is the single fixpoint kernel over game and system vertices:
 winning regions, safety regions and "exists a maximal avoiding path" are all
@@ -29,7 +32,9 @@ class TransitionSystem:
     """Finite labeled transition system with a single initial state.
 
     A state with no outgoing transition is terminal.  Maximal paths are the
-    paths that are infinite or end in a terminal state.
+    paths that are infinite or end in a terminal state.  Construction checks
+    the initial state, every transition endpoint (in sorted order) and every
+    label.
     """
 
     states: tuple
@@ -41,8 +46,22 @@ class TransitionSystem:
 
     def __post_init__(self):
         succ = {s: [] for s in self.states}
+        if not succ:
+            raise InvalidModel("transition system has no states")
+        if self.initial not in succ:
+            raise InvalidModel(f"initial state {self.initial!r} is not a state")
         for src, dst in sorted(self.transitions):
+            if src not in succ or dst not in succ:
+                raise InvalidModel(f"transition ({src!r}, {dst!r}) leaves the state set")
             succ[src].append(dst)
+        alphabet = set(self.alphabet)
+        for s in self.states:
+            if s not in self.labeling:
+                raise InvalidModel(f"state {s!r} has no label")
+            if self.labeling[s] not in alphabet:
+                raise InvalidModel(
+                    f"state {s!r} carries label {self.labeling[s]!r} outside the alphabet"
+                )
         object.__setattr__(self, "_succ", {s: tuple(t) for s, t in succ.items()})
 
     def successors(self, state):
@@ -69,6 +88,8 @@ class ReachabilityGame:
     Vertices are partitioned into Reach-owned, Safe-owned and effect (target)
     vertices.  Effect vertices are terminal; every other vertex has at least
     one outgoing edge, so plays are infinite or end in an effect vertex.
+    Construction checks the partition, the initial vertex, every edge endpoint
+    (in sorted order), and then the effect and the non-effect vertices.
     """
 
     reach_owned: frozenset
@@ -80,11 +101,29 @@ class ReachabilityGame:
     _succ: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vertices = tuple(sorted(self.reach_owned | self.safe_owned | self.effect))
-        object.__setattr__(self, "vertices", vertices)
+        reach, safe, eff = self.reach_owned, self.safe_owned, self.effect
+        overlap = (reach & safe) | (reach & eff) | (safe & eff)
+        if overlap:
+            raise InvalidModel(f"vertex partition overlaps at {sorted(overlap)}")
+        vertices = tuple(sorted(reach | safe | eff))
         succ = {v: [] for v in vertices}
+        if not succ:
+            raise InvalidModel("game has no vertices")
+        if self.initial not in succ:
+            raise InvalidModel(f"initial vertex {self.initial!r} is not a vertex")
+        if self.initial in eff:
+            raise InvalidModel("initial vertex lies in the effect set")
         for src, dst in sorted(self.edges):
+            if src not in succ or dst not in succ:
+                raise InvalidModel(f"edge ({src!r}, {dst!r}) leaves the vertex set")
             succ[src].append(dst)
+        for v in sorted(eff):
+            if succ[v]:
+                raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
+        for v in vertices:
+            if not succ[v] and v not in eff:
+                raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_succ", {v: tuple(t) for v, t in succ.items()})
 
     def owner(self, vertex):
@@ -110,20 +149,18 @@ class ReachabilityGame:
 
 
 def game_from_owners(owners, initial, edges):
-    """The validated game whose vertex partition is read off `owners`, a map
-    from each vertex to REACH, SAFE or EFFECT."""
+    """The game whose vertex partition is read off `owners`, a map from each
+    vertex to REACH, SAFE or EFFECT; construction validates it."""
     parts = {REACH: set(), SAFE: set(), EFFECT: set()}
     for vertex, owner in owners.items():
         parts[owner].add(vertex)
-    game = ReachabilityGame(
+    return ReachabilityGame(
         reach_owned=frozenset(parts[REACH]),
         safe_owned=frozenset(parts[SAFE]),
         effect=frozenset(parts[EFFECT]),
         initial=initial,
         edges=frozenset(edges),
     )
-    validate_model(game)
-    return game
 
 
 @dataclass(frozen=True)
@@ -179,58 +216,6 @@ class Play:
 
 # ---------------------------------------------------------------------------
 # validation
-
-
-def validate_model(model):
-    """Check every structural invariant; raise InvalidModel on the first hit."""
-    if isinstance(model, TransitionSystem):
-        _validate_ts(model)
-    elif isinstance(model, ReachabilityGame):
-        _validate_game(model)
-    else:
-        raise InvalidModel(f"not a model: {type(model).__name__}")
-
-
-def _validate_ts(ts):
-    states = set(ts.states)
-    if not states:
-        raise InvalidModel("transition system has no states")
-    if ts.initial not in states:
-        raise InvalidModel(f"initial state {ts.initial!r} is not a state")
-    for src, dst in sorted(ts.transitions):
-        if src not in states or dst not in states:
-            raise InvalidModel(f"transition ({src!r}, {dst!r}) leaves the state set")
-    alphabet = set(ts.alphabet)
-    for s in ts.states:
-        if s not in ts.labeling:
-            raise InvalidModel(f"state {s!r} has no label")
-        if ts.labeling[s] not in alphabet:
-            raise InvalidModel(
-                f"state {s!r} carries label {ts.labeling[s]!r} outside the alphabet"
-            )
-
-
-def _validate_game(game):
-    reach, safe, eff = game.reach_owned, game.safe_owned, game.effect
-    if reach & safe or reach & eff or safe & eff:
-        overlap = (reach & safe) | (reach & eff) | (safe & eff)
-        raise InvalidModel(f"vertex partition overlaps at {sorted(overlap)}")
-    vertices = reach | safe | eff
-    if not vertices:
-        raise InvalidModel("game has no vertices")
-    if game.initial not in vertices:
-        raise InvalidModel(f"initial vertex {game.initial!r} is not a vertex")
-    if game.initial in eff:
-        raise InvalidModel("initial vertex lies in the effect set")
-    for src, dst in sorted(game.edges):
-        if src not in vertices or dst not in vertices:
-            raise InvalidModel(f"edge ({src!r}, {dst!r}) leaves the vertex set")
-    for v in sorted(eff):
-        if game.successors(v):
-            raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
-    for v in sorted(reach | safe):
-        if not game.successors(v):
-            raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
 
 
 def validate_strategy(game, strategy):
@@ -343,7 +328,7 @@ def maximal_avoiding_set(adjacency, avoid):
 
 def exists_maximal_path_avoiding(ts, from_state, avoid):
     """True iff some maximal path from `from_state` never visits `avoid`."""
-    if from_state not in set(ts.states):
+    if from_state not in ts._succ:
         raise PreconditionViolated(f"{from_state!r} is not a state")
     return from_state in maximal_avoiding_set(ts._succ, set(avoid))
 
@@ -357,9 +342,8 @@ def validate_maximal_path(ts, sequence):
     sequence = tuple(sequence)
     if not sequence:
         raise NotAPath("empty sequence")
-    states = set(ts.states)
     for s in sequence:
-        if s not in states:
+        if s not in ts._succ:
             raise NotAPath(f"{s!r} is not a state")
     if sequence[0] != ts.initial:
         raise NotAPath(
@@ -552,15 +536,13 @@ def model_from_json(data):
     kind = data.get("kind")
     if kind == "ts":
         states = _records(data, "states", "state", ("id", "label"))
-        ts = TransitionSystem(
+        return TransitionSystem(
             states=tuple(sorted(states)),
             initial=_expect_json(data["initial"], str, "initial"),
             transitions=_pairs(data, "transitions"),
             labeling={s: record["label"] for s, record in states.items()},
             alphabet=tuple(sorted(_array_of(data, "alphabet", str))),
         )
-        validate_model(ts)
-        return ts
     if kind == "game":
         vertices = _records(data, "vertices", "vertex", ("id",))
         owners = {v: record["owner"] for v, record in vertices.items()}

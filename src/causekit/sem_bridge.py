@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import BudgetExceeded, PreconditionViolated
-from .model import TransitionSystem, validate_maximal_path
+from .model import MaximalFinitePath, TransitionSystem
 from .ts_causality import (
     METRIC_HAMM,
     PHI_REACH,
@@ -187,11 +187,9 @@ def bridge_check(sem, effect, variables, witnesses=3):
             raise PreconditionViolated("effect valuations must be total")
     if not variables:
         raise PreconditionViolated("an empty variable set induces no cause states")
-    ts = unroll_to_ts(sem)
-    pi = validate_maximal_path(ts, default_path_states(sem))
     query = CauseQuery(
-        ts=ts,
-        pi=pi,
+        ts=unroll_to_ts(sem),
+        pi=MaximalFinitePath(default_path_states(sem)),  # validate_query checks it
         cause=butfor_to_cause_set(sem, variables),
         effect=effect_leaves(sem, effect),
         phi=PHI_REACH,

@@ -71,9 +71,8 @@ def path_satisfies_phi(ts, sequence, effect, phi):
 
 def validate_query(query, allow_overlap=False):
     ts = query.ts
-    states = set(ts.states)
     for s in sorted(query.cause | query.effect):
-        if s not in states:
+        if s not in ts._succ:
             raise PreconditionViolated(f"{s!r} is not a state")
     for e in sorted(query.effect):
         if not ts.is_terminal(e):

@@ -262,6 +262,33 @@ def effect_case(effect, message):
         sem_case("tables must be an array of arrays", tables=5),
         sem_case("variables must be an array of strings", variables=5),
         sem_case("tables must be an array of arrays", tables=[True]),
+        ts_case("transition system has no states", states=[], transitions=[]),
+        ts_case("initial state 'zz' is not a state", initial="zz"),
+        ts_case("transition ('s0', 'zz') leaves the state set", transitions=[["s0", "zz"]]),
+        ts_case("transition ('zz', 's1') leaves the state set", transitions=[["zz", "s1"]]),
+        ts_case(
+            "state 's1' carries label 'b' outside the alphabet",
+            states=[{"id": "s0", "label": "a"}, {"id": "s1", "label": "b"}],
+        ),
+        ts_case(
+            "transition ('s0', 'yy') leaves the state set",
+            transitions=[["s1", "zz"], ["s0", "yy"]],
+        ),
+        game_case("game has no vertices", vertices=[], edges=[]),
+        game_case("initial vertex 'zz' is not a vertex", initial="zz"),
+        game_case("initial vertex lies in the effect set", initial="v1"),
+        game_case("edge ('zz', 'v1') leaves the vertex set", edges=[["v0", "v1"], ["zz", "v1"]]),
+        game_case("edge ('v0', 'zz') leaves the vertex set", edges=[["v0", "v1"], ["v0", "zz"]]),
+        game_case("effect vertex 'v1' has an outgoing edge", edges=[["v0", "v1"], ["v1", "v0"]]),
+        game_case(
+            "non-effect vertex 'v2' is a dead end",
+            vertices=[*GAME_OK["vertices"], {"id": "v2", "owner": "safe"}],
+        ),
+        game_case(
+            "vertex 'v1' has unknown owner 'boss'",
+            vertices=[{"id": "v0", "owner": "reach"}, {"id": "v1", "owner": "boss"}],
+        ),
+        game_case("unknown model kind 'dag'", kind="dag"),
     ],
     ids=[
         "model-list", "duplicate-state", "path-string", "strategy-list",
@@ -269,6 +296,11 @@ def effect_case(effect, message):
         "int-endpoint", "triple-transition", "list-initial", "int-vertex-id",
         "int-edge-endpoint", "string-edge", "list-path-step", "list-choice", "effect-int", "effect-int-row",
         "effect-values-int", "sem-tables-int", "sem-variables-int", "sem-tables-bool-row",
+        "ts-no-states", "ts-unknown-initial", "ts-unknown-target", "ts-unknown-source",
+        "ts-label-outside-alphabet", "ts-first-bad-transition-sorted", "game-no-vertices",
+        "game-unknown-initial", "game-initial-in-effect", "game-unknown-source",
+        "game-unknown-target", "game-effect-with-edge", "game-dead-end", "unknown-owner",
+        "unknown-kind",
     ],
 )
 def test_malformed_json_shapes_exit_2(tmp_path, argv, files, message):
@@ -301,6 +333,28 @@ def test_distance_missing_operand_exit_2(argv, message):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stderr == f"causekit: {message}\n"
+
+
+TREE_GAME = ["--model", str(FIXDIR / "tree_game.json")]
+TREE_SIGMA = str(FIXDIR / "tree_game_sigma.json")
+BAD_TAUS = [
+    ({"v0": "t101", "v1": "v3"}, "strategy choice 't101' is not a successor of 'v0'"),
+    ({"v0": "s00"}, "strategy undefined at owned vertex 'v1'"),
+    ({"v0": "s00", "v1": "v3", "start": "v0"}, "strategy defined at non-owned vertex 'start'"),
+]
+
+
+@pytest.mark.parametrize("metric", ["pref-h", "hamm-s", "dstar", "dstrat"])
+@pytest.mark.parametrize("choices, message", BAD_TAUS, ids=["off-edge", "undefined", "non-owned"])
+def test_distance_rejects_invalid_strategies(tmp_path, capsys, metric, choices, message):
+    from causekit import cli
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"player": "reach", "choices": choices}))
+    for sigma, tau in ((TREE_SIGMA, bad), (bad, TREE_SIGMA)):
+        argv = ["distance", metric, *TREE_GAME, "--sigma", str(sigma), "--tau", str(tau)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"causekit: {message}\n")
 
 
 @pytest.mark.parametrize("count", ["-1", "x"])

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,6 @@ from causekit.model import (
     restrict_game,
     strategy_adjacency,
     validate_maximal_path,
-    validate_model,
 )
 
 
@@ -33,31 +33,49 @@ def small_ts():
 
 
 def test_validate_wellformed_ts():
-    validate_model(small_ts())
+    assert small_ts().successors("s0") == ("s1", "s2")
+    labels = {"s0": "a", "s1": "b", "s2": "b"}
+    with pytest.raises(InvalidModel, match="^state 's3' has no label$"):
+        replace(small_ts(), labeling=labels)
 
 
 def test_validate_rejects_effect_with_edge():
-    game = ReachabilityGame(
-        reach_owned=frozenset({"v0"}),
-        safe_owned=frozenset(),
-        effect=frozenset({"e"}),
-        initial="v0",
-        edges=frozenset({("v0", "e"), ("e", "v0")}),
-    )
     with pytest.raises(InvalidModel, match="effect vertex"):
-        validate_model(game)
+        ReachabilityGame(
+            reach_owned=frozenset({"v0"}),
+            safe_owned=frozenset(),
+            effect=frozenset({"e"}),
+            initial="v0",
+            edges=frozenset({("v0", "e"), ("e", "v0")}),
+        )
+    with pytest.raises(InvalidModel, match=r"^vertex partition overlaps at \['e'\]$"):
+        ReachabilityGame(
+            reach_owned=frozenset({"v0", "e"}),
+            safe_owned=frozenset(),
+            effect=frozenset({"e"}),
+            initial="v0",
+            edges=frozenset({("v0", "e")}),
+        )
 
 
 def test_validate_rejects_dead_end():
-    game = ReachabilityGame(
-        reach_owned=frozenset({"v0", "v1"}),
-        safe_owned=frozenset(),
-        effect=frozenset({"e"}),
-        initial="v0",
-        edges=frozenset({("v0", "e"), ("v0", "v1")}),
-    )
     with pytest.raises(InvalidModel, match="dead end"):
-        validate_model(game)
+        ReachabilityGame(
+            reach_owned=frozenset({"v0", "v1"}),
+            safe_owned=frozenset(),
+            effect=frozenset({"e"}),
+            initial="v0",
+            edges=frozenset({("v0", "e"), ("v0", "v1")}),
+        )
+
+
+def test_unknown_source_raises_invalid_model():
+    ts = small_ts()
+    with pytest.raises(InvalidModel, match=r"^transition \('zz', 's0'\) leaves the state set$"):
+        replace(ts, transitions=ts.transitions | {("zz", "s0")})
+    game, _ = tree_game()
+    with pytest.raises(InvalidModel, match=r"^edge \('zz', 'v0'\) leaves the vertex set$"):
+        replace(game, edges=game.edges | {("zz", "v0")})
 
 
 def test_restrict_tree_game():
