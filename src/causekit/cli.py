@@ -21,6 +21,7 @@ from . import distances, game_causality, generators, sem_bridge, ts_causality
 from .errors import Budget, BudgetExceeded, CausekitError, NoWinningStrategy
 from .model import (
     MaximalFinitePath,
+    TransitionSystem,
     dumps_canonical,
     load_model,
     load_path,
@@ -28,6 +29,7 @@ from .model import (
     model_to_json,
     read_json,
     strategy_to_json,
+    validate_maximal_path,
     validate_strategy,
 )
 
@@ -99,6 +101,15 @@ def _given(args, flag):
     return value
 
 
+def _load(path, kind):
+    """Load a model file that must be of the given kind, "ts" or "game"."""
+    model = load_model(path)
+    found = "ts" if isinstance(model, TransitionSystem) else "game"
+    if found != kind:
+        raise CausekitError(f"model: expected kind {kind!r}, got {found!r}")
+    return model
+
+
 def _count(text):
     """argparse type of --witnesses: a non-negative integer."""
     if not text.isdecimal():
@@ -111,7 +122,7 @@ def _count(text):
 
 
 def cmd_ts_cause(args, oracle=False):
-    ts = load_model(args.model)
+    ts = _load(args.model, "ts")
     pi = MaximalFinitePath(load_path(args.path))
     query = ts_causality.CauseQuery(
         ts=ts,
@@ -149,7 +160,7 @@ def cmd_ts_cause(args, oracle=False):
 
 
 def cmd_game_cause(args, oracle=False):
-    game = load_model(args.model)
+    game = _load(args.model, "game")
     sigma = load_strategy(args.strategy)
     query = game_causality.GameCauseQuery(
         game=game,
@@ -183,7 +194,7 @@ def cmd_game_cause(args, oracle=False):
 
 
 def cmd_solve(args):
-    game = load_model(args.model)
+    game = _load(args.model, "game")
     analysis = game_causality.solve(game)
     winner = "reach" if game.initial in analysis.reach_region else "safe"
     doc = {
@@ -199,7 +210,7 @@ def cmd_solve(args):
 
 
 def cmd_explain(args):
-    game = load_model(args.model)
+    game = _load(args.model, "game")
     sigma = load_strategy(args.strategy)
     budget = Budget(args.budget)
     inputs = {"model": args.model, "player": sigma.player}
@@ -250,12 +261,14 @@ def cmd_distance(args):
             value, witness = value
             doc["editSequence"] = [[a, b] for a, b in witness.symbols]
     elif metric in PATH_METRICS:
-        load_model(_given(args, "model"))
+        ts = _load(_given(args, "model"), "ts")
         p, q = load_path(_given(args, "p")), load_path(_given(args, "q"))
+        validate_maximal_path(ts, p)
+        validate_maximal_path(ts, q)
         doc["inputs"].update(p=list(p), q=list(q))
         value = distances.d_pref(p, q)
     else:
-        game = load_model(_given(args, "model"))
+        game = _load(_given(args, "model"), "game")
         sigma = load_strategy(_given(args, "sigma"))
         tau = load_strategy(_given(args, "tau"))
         validate_strategy(game, sigma)

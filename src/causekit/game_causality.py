@@ -630,8 +630,12 @@ def extract_explanation(game, sigma, cause=frozenset()):
     witness wins in the full game.  On actual causes the two coincide.
     """
     validate_strategy(game, sigma)
+    cause = frozenset(cause)
+    for c in sorted(cause):
+        if c not in game._succ:
+            raise PreconditionViolated(f"{c!r} is not a vertex")
     player = sigma.player
-    region, allowed = avoid_region(game, player, frozenset(cause))
+    region, allowed = avoid_region(game, player, cause)
     if game.initial not in region:
         raise NoWinningStrategy(
             "the player cannot even avoid the cause set from the initial vertex"

@@ -5,18 +5,22 @@ Each variable is governed by a truth table over the lower-indexed variables.
 Unrolling yields a full binary tree whose states are partial valuations: the
 default child extends a node by the equation's value, the intervention child
 by the flip, and intervention-entered states carry a distinguishing label.
+`bridge_check` searches that tree implicitly, expanding only the valuations
+it settles; `unroll_to_ts` builds it in full and is the reference the bridge
+is tested against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 from .errors import BudgetExceeded, PreconditionViolated
-from .model import MaximalFinitePath, TransitionSystem
+from .model import TransitionSystem
 from .ts_causality import (
     METRIC_HAMM,
     PHI_REACH,
     CauseQuery,
-    check_cause_hamm_layered,
+    _project_state_route,
+    _shortest_path_verdict,
 )
 
 LABEL_PLAIN = ""
@@ -122,10 +126,7 @@ def state_id(bits):
 
 def unroll_to_ts(sem):
     """Unroll a SEM into its intervention-labeled valuation tree."""
-    if sem.n > MAX_UNROLL_VARIABLES:
-        raise BudgetExceeded(
-            f"unrolling {sem.n} variables needs {2 ** (sem.n + 1) - 1} states"
-        )
+    _check_unroll_size(sem)
     states = []
     labeling = {}
     transitions = set()
@@ -152,6 +153,14 @@ def unroll_to_ts(sem):
     )
 
 
+def _check_unroll_size(sem):
+    """The tree has 2**(n+1)-1 states; refuse SEMs past the cap."""
+    if sem.n > MAX_UNROLL_VARIABLES:
+        raise BudgetExceeded(
+            f"unrolling {sem.n} variables needs {2 ** (sem.n + 1) - 1} states"
+        )
+
+
 def default_path_states(sem):
     values = evaluate_default(sem)
     return tuple(state_id(values[:i]) for i in range(sem.n + 1))
@@ -176,6 +185,19 @@ def bridge_check(sem, effect, variables, witnesses=3):
     """Hamming cause check for the default execution against the cause states
     induced by a variable set.
 
+    The answer is that of `check_cause_hamm_layered` on `unroll_to_ts(sem)`
+    with the default path, `butfor_to_cause_set` and `effect_leaves`, which
+    the tests use as its reference.  The search runs on the tree without
+    building it: a node is a bit tuple, its successors are its two one-bit
+    extensions (False first), entering it by an intervention costs 1, and a
+    default step for one of the variables enters a cause state and is left
+    out.  Bit tuples order like their state ids, so `dijkstra` breaks ties
+    and picks witnesses as on the unrolled tree; state ids are built for the
+    witness paths only.  The tree is layered and its default path maximal by
+    construction, so neither is validated.  `MAX_UNROLL_VARIABLES` still
+    applies: the bridge's document lists cause states and effect valuations
+    extensionally.
+
     The induced cause set may include effect leaves (a default step for the
     last variable ends in a leaf), so the usual cause/effect disjointness is
     deliberately not enforced here; avoiding the cause set excludes those
@@ -187,16 +209,48 @@ def bridge_check(sem, effect, variables, witnesses=3):
             raise PreconditionViolated("effect valuations must be total")
     if not variables:
         raise PreconditionViolated("an empty variable set induces no cause states")
+    _check_unroll_size(sem)
+    chosen = {sem.index_of(x) for x in variables}
+    if evaluate_default(sem) not in effect:
+        raise PreconditionViolated(
+            "the given execution does not satisfy the effect property"
+        )
+
+    def successors(bits):
+        depth = len(bits)
+        if depth < sem.n:
+            default = sem.equation(depth, bits)
+            for bit in (False, True):
+                if bit != default:
+                    yield bits + (bit,), 1, "step"
+                elif depth not in chosen:
+                    yield bits + (bit,), 0, "step"
+
+    def goal_class(bits):
+        if len(bits) < sem.n:
+            return None
+        return "effect" if bits in effect else "other"
+
+    # Every inner node keeps its intervention child, so a leaf is always
+    # reached and the verdict never consults the (absent) system.
     query = CauseQuery(
-        ts=unroll_to_ts(sem),
-        pi=MaximalFinitePath(default_path_states(sem)),  # validate_query checks it
-        cause=butfor_to_cause_set(sem, variables),
-        effect=effect_leaves(sem, effect),
+        ts=None,
+        pi=None,
+        cause=frozenset(),
+        effect=effect,
         phi=PHI_REACH,
         metric=METRIC_HAMM,
         witnesses=witnesses,
     )
-    return check_cause_hamm_layered(query, allow_overlap=True)
+    verdict = _shortest_path_verdict(
+        query, ((), 0, successors, goal_class), _project_state_route
+    )
+    return replace(
+        verdict,
+        witnesses=tuple(
+            replace(w, path=tuple(map(state_id, w.path))) for w in verdict.witnesses
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------

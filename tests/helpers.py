@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's algorithmic shortcuts:
 Levenshtein by plain recursion, the Hausdorff strategy distance by explicit
 play-prefix enumeration, the play-distance supremum by chains over
-disagreement subsets, and attractors by rescanning every vertex per round.
+disagreement subsets, attractors by rescanning every vertex per round, and
+the SEM bridge by a layered Hamming check on the fully unrolled tree.
 """
 
 import random
@@ -18,7 +19,20 @@ from causekit.model import (
     reachable_set,
     strategy_adjacency,
 )
-from causekit.ts_causality import CauseQuery, METRIC_HAMM, PHI_REACH, PHI_SAFE
+from causekit.errors import PreconditionViolated
+from causekit.sem_bridge import (
+    butfor_to_cause_set,
+    default_path_states,
+    effect_leaves,
+    unroll_to_ts,
+)
+from causekit.ts_causality import (
+    CauseQuery,
+    METRIC_HAMM,
+    PHI_REACH,
+    PHI_SAFE,
+    check_cause_hamm_layered,
+)
 
 
 def naive_lev(u, v):
@@ -123,6 +137,29 @@ def dstrat_oracle(game, tau, sigma):
 
 def dstar_oracle(game, tau, sigma):
     return max(dstrat_oracle(game, tau, sigma), dstrat_oracle(game, sigma, tau))
+
+
+def unrolled_bridge_check(sem, effect, variables, witnesses=3, ts=None):
+    """`bridge_check` spelled out on `unroll_to_ts(sem)`: the same input checks
+    in the same order, then `check_cause_hamm_layered` with the default path,
+    the induced cause states and the effect leaves.  Pass `ts` to reuse one
+    unrolled tree across queries on the same SEM."""
+    effect = frozenset(tuple(v) for v in effect)
+    for v in effect:
+        if len(v) != sem.n:
+            raise PreconditionViolated("effect valuations must be total")
+    if not variables:
+        raise PreconditionViolated("an empty variable set induces no cause states")
+    query = CauseQuery(
+        ts=ts or unroll_to_ts(sem),
+        pi=MaximalFinitePath(default_path_states(sem)),
+        cause=butfor_to_cause_set(sem, variables),
+        effect=effect_leaves(sem, effect),
+        phi=PHI_REACH,
+        metric=METRIC_HAMM,
+        witnesses=witnesses,
+    )
+    return check_cause_hamm_layered(query, allow_overlap=True)
 
 
 # ---------------------------------------------------------------------------

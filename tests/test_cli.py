@@ -335,6 +335,65 @@ def test_distance_missing_operand_exit_2(argv, message):
     assert proc.stderr == f"causekit: {message}\n"
 
 
+BRANCHING_TS = ["--model", str(FIXDIR / "branching_ts.json")]
+BRANCHING_RUN = str(FIXDIR / "branching_ts_run.json")
+
+
+@pytest.mark.parametrize(
+    "argv, files, message",
+    [
+        (["distance", "pref", *BRANCHING_TS, "--p", "{zz}", "--q", "{zz}"],
+         {"zz": ["zz", "qq"]}, "'zz' is not a state"),
+        (["distance", "pref", *BRANCHING_TS, "--p", BRANCHING_RUN, "--q", "{short}"],
+         {"short": ["s0", "s2"]}, "path ends at non-terminal state 's2'"),
+        (["distance", "pref", *BRANCHING_TS, "--p", "{hop}", "--q", BRANCHING_RUN],
+         {"hop": ["s0", "s8"]}, "('s0', 's8') is not a transition"),
+        (["explain", *LOOP_GAME, "--strategy", LOOP_SIGMA, "--cause", "zz"], {},
+         "'zz' is not a vertex"),
+        (["distance", "pref", *LOOP_GAME, "--p", BRANCHING_RUN, "--q", BRANCHING_RUN], {},
+         "model: expected kind 'ts', got 'game'"),
+        (["ts-cause", *LOOP_GAME, *TS_ARGS], {}, "model: expected kind 'ts', got 'game'"),
+        (["solve", *BRANCHING_TS], {}, "model: expected kind 'game', got 'ts'"),
+        (["explain", *BRANCHING_TS, "--strategy", LOOP_SIGMA], {},
+         "model: expected kind 'game', got 'ts'"),
+        (["game-cause", *BRANCHING_TS, "--player", "reach", "--strategy", LOOP_SIGMA,
+          "--cause", "s2", "--metric", "dstar"], {}, "model: expected kind 'game', got 'ts'"),
+        (["distance", "dstar", *BRANCHING_TS, "--sigma", LOOP_SIGMA, "--tau", LOOP_SIGMA], {},
+         "model: expected kind 'game', got 'ts'"),
+    ],
+    ids=[
+        "pref-unknown-states", "pref-not-maximal", "pref-not-a-transition",
+        "explain-unknown-cause", "pref-game-model", "ts-cause-game-model",
+        "solve-ts-model", "explain-ts-model", "game-cause-ts-model", "dstar-ts-model",
+    ],
+)
+def test_operands_checked_against_the_model_exit_2(tmp_path, capsys, argv, files, message):
+    from causekit import cli
+
+    names = {}
+    for key, value in files.items():
+        names[key] = tmp_path / f"{key}.json"
+        names[key].write_text(json.dumps(value))
+    assert cli.main([a.format(**names) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"causekit: {message}\n")
+
+
+def test_sem_bridge_over_the_unroll_cap_exit_3(tmp_path, capsys):
+    from causekit import cli
+
+    n = 17
+    sem = tmp_path / "sem.json"
+    sem.write_text(json.dumps({
+        "kind": "sem",
+        "variables": [f"X{i + 1}" for i in range(n)],
+        "tables": [[False] * 2 ** i for i in range(n)],
+    }))
+    argv = ["sem", "bridge", "--model", str(sem), "--effect", json.dumps([[False] * n]),
+            "--vars", "X1"]
+    assert cli.main(argv) == 3
+    assert capsys.readouterr() == ("", "causekit: unrolling 17 variables needs 262143 states\n")
+
+
 TREE_GAME = ["--model", str(FIXDIR / "tree_game.json")]
 TREE_SIGMA = str(FIXDIR / "tree_game_sigma.json")
 BAD_TAUS = [

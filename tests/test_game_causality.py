@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 
 from causekit.distances import INF, d_hamm_s, d_pref_hausdorff, dstar
-from causekit.errors import Budget, EmptyChoice, NoWinningStrategy, NotAcyclic
+from causekit.errors import (
+    Budget,
+    EmptyChoice,
+    NoWinningStrategy,
+    NotAcyclic,
+    PreconditionViolated,
+)
 from causekit.fixtures import tree_game, loop_game
 from causekit.game_causality import (
     GameCauseQuery,
@@ -259,6 +265,14 @@ def test_extract_explanation_failure():
     # removing both branch roots disconnects everything
     with pytest.raises(NoWinningStrategy):
         extract_explanation(game, sigma, frozenset({"v0", "v1"}))
+
+
+@pytest.mark.parametrize("cause", [{"zz"}, {"v1", "zz"}, {"aa", "zz"}])
+def test_extract_explanation_rejects_unknown_cause_vertices(cause):
+    game, sigma = loop_game()
+    first = min(c for c in cause if c not in game.vertices)
+    with pytest.raises(PreconditionViolated, match=f"^'{first}' is not a vertex$"):
+        extract_explanation(game, sigma, frozenset(cause))
 
 
 def test_extract_explanation_of_winning_sigma_is_empty():

@@ -1,14 +1,15 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from causekit.errors import PreconditionViolated
+from causekit.errors import BudgetExceeded, PreconditionViolated
 from causekit.generators import GeneratorSpec, all_boolean_sems, generate
 from causekit.model import maximal_paths
 from causekit.sem_bridge import (
     LABEL_INTERVENTION,
     LABEL_PLAIN,
+    MAX_UNROLL_VARIABLES,
     StructuralEquationModel,
     bridge_check,
     but_for_causes,
@@ -23,6 +24,7 @@ from causekit.sem_bridge import (
     unroll_to_ts,
 )
 from causekit.ts_causality import validate_layered
+from helpers import unrolled_bridge_check
 
 
 def chain_sem():
@@ -117,6 +119,77 @@ def test_bridge_exhaustive_small():
                     assert verdict.is_cause, (sem, sorted(effect), xs)
 
 
+def outcome(check, *args):
+    """A check's verdict, or the type and text of what it raised."""
+    try:
+        return check(*args)
+    except (BudgetExceeded, PreconditionViolated) as exc:
+        return type(exc), str(exc)
+
+
+def assert_bridge_matches_unrolled(sem, effects, variable_sets):
+    ts = unroll_to_ts(sem)
+    for effect in effects:
+        for xs in variable_sets:
+            for witnesses in (1, 3, 10):
+                implicit = outcome(bridge_check, sem, effect, xs, witnesses)
+                unrolled = outcome(unrolled_bridge_check, sem, effect, xs, witnesses, ts)
+                assert implicit == unrolled, (sem, sorted(effect), xs, witnesses)
+
+
+def random_sem(rng, n):
+    return StructuralEquationModel(
+        tuple(f"X{i + 1}" for i in range(n)),
+        tuple(tuple(rng.random() < 0.5 for _ in range(2 ** i)) for i in range(n)),
+    )
+
+
+def test_bridge_matches_unrolled_tree_exhaustive():
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        space = list(product((False, True), repeat=n))
+        names = tuple(f"X{i + 1}" for i in range(n))
+        variable_sets = [xs for r in range(n + 1) for xs in combinations(names, r)]
+        variable_sets.append(("X1", "Z", "Y"))  # unknown variables: the first is named
+        for sem in all_boolean_sems(n):
+            default = evaluate_default(sem)
+            effects = [
+                {default},
+                set(space),
+                set(space) - {default},  # the default misses the effect
+                {default} | {v for v in space if rng.random() < 0.5},
+                {default, default[:-1]},  # a partial valuation
+            ]
+            assert_bridge_matches_unrolled(sem, effects, variable_sets)
+
+
+def test_bridge_matches_unrolled_tree_random():
+    rng = random.Random(41)
+    for n in range(4, 9):
+        space = list(product((False, True), repeat=n))
+        for _ in range(12):
+            sem = random_sem(rng, n)
+            default = evaluate_default(sem)
+            effects = [
+                {default} | {v for v in space if rng.random() < p} for p in (0.1, 0.5, 0.9)
+            ]
+            variable_sets = [
+                rng.sample(sem.variables, rng.randint(1, min(n, 3))) for _ in range(4)
+            ]
+            assert_bridge_matches_unrolled(sem, effects, variable_sets)
+
+
+def test_bridge_unroll_cap():
+    rng = random.Random(3)
+    at_cap = random_sem(rng, MAX_UNROLL_VARIABLES)
+    default = evaluate_default(at_cap)
+    assert bridge_check(at_cap, {default}, {"X1"}).is_cause
+    over = random_sem(rng, MAX_UNROLL_VARIABLES + 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        bridge_check(over, {evaluate_default(over)}, {"X1"})
+    assert str(exc.value) == "unrolling 17 variables needs 262143 states"
+
+
 def test_minimality_by_subset_enumeration_random():
     rng = random.Random(12)
     for seed in range(60):
@@ -128,8 +201,6 @@ def test_minimality_by_subset_enumeration_random():
         )
         for xs in but_for_causes(sem, effect):
             for r in range(1, len(xs)):
-                from itertools import combinations
-
                 for sub in combinations(xs, r):
                     assert not is_but_for_cause(sem, effect, sub) or set(
                         sub
