@@ -111,9 +111,16 @@ def _load(path, kind):
 
 
 def _count(text):
-    """argparse type of --witnesses: a non-negative integer."""
+    """argparse type of --witnesses and --budget: a non-negative integer."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+def _positive(text):
+    """argparse type of --max-len: a positive integer."""
+    if not text.isdecimal() or not int(text):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return int(text)
 
 
@@ -398,10 +405,10 @@ GEN = (
     _arg("--vars", type=int, default=3),
     _arg("--out"),
 )
-MAX_LEN = _arg("--max-len", type=int)
+MAX_LEN = _arg("--max-len", type=_positive)
 # Every leaf subcommand takes these after its own arguments.
 COMMON = (
-    _arg("--budget", type=int, default=Budget.DEFAULT_LIMIT),
+    _arg("--budget", type=_count, default=Budget.DEFAULT_LIMIT),
     _arg("--seed", type=int, default=0),
     _arg("--witnesses", type=_count, default=3),
     _arg("--pretty", action="store_true"),

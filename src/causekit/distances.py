@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LengthMismatch, PreconditionViolated, as_budget
-from .model import strategy_adjacency
+from .model import play_graph
 
 INF = math.inf
 
@@ -213,13 +213,14 @@ def play_dist(game, play, strategy):
 def dstrat(game, tau, sigma, budget=None):
     """Supremum of play_dist(rho, sigma) over all tau-plays.
 
-    Exhaustive walk of the (vertex, counted-set) graph; the counted set only
-    grows along edges, so the reachable values are exactly the achievable
-    play distances.  Worst case exponential; guarded by the budget.
+    Exhaustive walk of the (vertex, counted-set) graph over tau's play graph;
+    the counted set only grows along edges, so the reachable values are
+    exactly the achievable play distances.  Worst case exponential; guarded
+    by the budget.
     """
     _require_same_player(sigma, tau)
     budget = as_budget(budget)
-    adj = strategy_adjacency(game, tau)
+    adj = play_graph(game, tau)
     owned = game.owned_by(sigma.player)
     start = (game.initial, frozenset())
     seen = {start}

@@ -2,18 +2,21 @@
 and strategy-repair explanations.
 
 The polynomial pieces (attractor solving, safety regions, the Hausdorff-prefix
-cause check) all run on the one attractor kernel `model.attractor`; they are
-complemented by exact, budget-guarded searches for the problems the distance
-functions make NP- or coNP-hard.  Those searches share one enumeration
-kernel: `_free_sets` walks the least sets of sigma's vertices whose freeing
-solves a feasibility test, `_variants` re-points sigma over a product of
-edge choices, and `_distinct_matched` sigma-matches and deduplicates.  Each
-charges one budget unit per candidate.  The acyclic d* repair skips the
-exact search when its min-max sweep certifies the proposed strategy.
+cause check) all run on the one attractor kernel `model.attractor`; the
+Hausdorff-prefix check resumes one `model.Attractor` across all its pin
+radii.  They are complemented by exact, budget-guarded searches for the
+problems the distance functions make NP- or coNP-hard.  Those searches share
+one enumeration kernel: `_free_sets` walks the least sets of sigma's vertices
+whose freeing solves a feasibility test, `_variants` re-points sigma over a
+product of edge choices, and `_distinct_matched` sigma-matches and
+deduplicates.  Each charges one budget unit per candidate.  A candidate is
+matched, tested and measured on its play graph (`model.play_graph`), the part
+of the game its plays can visit.  The acyclic d* repair skips the exact
+search when its min-max sweep certifies the proposed strategy.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .errors import (
     EmptyChoice,
@@ -25,11 +28,13 @@ from .errors import (
 from .model import (
     REACH,
     SAFE,
+    Attractor,
     MDStrategy,
     attractor,
     is_effectively_acyclic,
     maximal_avoiding_set,
     opponent,
+    play_graph,
     reachable_set,
     strategy_adjacency,
     trap_vertices,
@@ -168,15 +173,14 @@ def _solve_for(game, player, allowed):
 
 
 def strategy_is_winning(game, strategy):
-    adj = strategy_adjacency(game, strategy)
+    graph = play_graph(game, strategy)
     if strategy.player == REACH:
-        return game.initial not in maximal_avoiding_set(adj, game.effect)
-    return not (game.effect & reachable_set(adj, game.initial))
+        return game.initial not in maximal_avoiding_set(graph, game.effect)
+    return game.effect.isdisjoint(graph)
 
 
 def strategy_avoids(game, strategy, cause):
-    adj = strategy_adjacency(game, strategy)
-    return not (set(cause) & reachable_set(adj, game.initial))
+    return set(cause).isdisjoint(play_graph(game, strategy))
 
 
 def losing_play_reaches_cause(game, sigma, cause):
@@ -185,14 +189,13 @@ def losing_play_reaches_cause(game, sigma, cause):
     Losing means reaching the effect set for Safe, and avoiding it forever
     for Reach (a reachable cycle or trap past the cause visit).
     """
-    adj = strategy_adjacency(game, sigma)
-    seen = reachable_set(adj, game.initial)
-    hits = sorted(set(cause) & seen)
+    graph = play_graph(game, sigma)
+    hits = sorted(c for c in cause if c in graph)
     if not hits:
         return False
     if sigma.player == SAFE:
-        return any(game.effect & reachable_set(adj, c) for c in hits)
-    dodging = maximal_avoiding_set(adj, game.effect)
+        return any(game.effect & reachable_set(graph, c) for c in hits)
+    dodging = maximal_avoiding_set(graph, game.effect)
     return any(c in dodging for c in hits)
 
 
@@ -212,11 +215,9 @@ def _sigma_matched(game, strategy, sigma):
     Harmless for winning and cause-avoidance (the reachable part is
     untouched) and never increases any play-based distance to sigma.
     """
-    adj = strategy_adjacency(game, strategy)
-    seen = reachable_set(adj, game.initial)
+    seen = play_graph(game, strategy)
     choice = {
-        v: (strategy.choice[v] if v in seen else sigma.choice[v])
-        for v in strategy.choice
+        v: (u if v in seen else sigma.choice[v]) for v, u in strategy.choice.items()
     }
     return MDStrategy(strategy.player, choice)
 
@@ -261,14 +262,24 @@ def _variants(sigma, options, budget):
 
 def _distinct_matched(game, sigma, strategies):
     """Each strategy sigma-matched, with its sorted choice items as key, the
-    first time its key appears."""
+    first time its key appears.
+
+    A strategy that agrees with the last walked one at every owned vertex
+    that one's plays visit has the same plays, hence the same key, and is
+    skipped without a walk.
+    """
+    owned = game.owned_by(sigma.player)
     seen = set()
+    plays = None  # the last walked strategy's choices on its play graph
     for tau in strategies:
-        tau = _sigma_matched(game, tau, sigma)
-        key = tuple(sorted(tau.choice.items()))
+        if plays is not None and all(tau.choice[v] == u for v, u in plays.items()):
+            continue
+        plays = {v: tau.choice[v] for v in play_graph(game, tau) if v in owned}
+        choice = {v: plays.get(v, sigma.choice[v]) for v in tau.choice}
+        key = tuple(sorted(choice.items()))
         if key not in seen:
             seen.add(key)
-            yield key, tau
+            yield key, MDStrategy(tau.player, choice)
 
 
 def _alternatives(game, sigma, vertices):
@@ -319,63 +330,73 @@ def check_cause_game(query, budget=None):
     if query.metric == METRIC_HAMM_S:
         _require_effectively_acyclic(game)
     c1 = losing_play_reaches_cause(game, sigma, cause)
+    if query.metric == METRIC_PREF_H:
+        return _check_pref_h(query, c1, budget)
     region, allowed = avoid_region(game, query.player, cause)
     c2 = game.initial in region
     if not (c1 and c2):
         return GameCauseVerdict(False, distances.INF, c1, c2)
-    if query.metric == METRIC_PREF_H:
-        return _check_pref_h(query, region, budget)
     if query.metric == METRIC_HAMM_S:
         return _check_hamm_s(query, budget)
     return _check_dstar(query, allowed, budget)
 
 
-def _check_pref_h(query, region, budget):
-    """Hausdorff-prefix cause check.
+def _pin_layers(game, sigma):
+    """The owned vertices of sigma's play graph by breadth-first depth from
+    the initial vertex: entry d lists those at depth d."""
+    owned = game.owned_by(sigma.player)
+    seen = {game.initial}
+    frontier = [game.initial]
+    layers = []
+    while frontier:
+        layers.append([v for v in frontier if v in owned])
+        nxt = []
+        for v in frontier:
+            for u in (sigma.choice[v],) if v in owned else game.successors(v):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return layers
+
+
+def _check_pref_h(query, c1, budget):
+    """Hausdorff-prefix cause check, conditions 2 and 3 (condition 1 is `c1`).
 
     The distance-minimal cause-avoiding strategies are exactly those that
-    copy sigma on every owned vertex within the deepest pin radius that still
-    leaves the cause avoidable.  They all win iff the opponent cannot defeat
-    the player even when also steering the player's remaining freedom inside
-    the region-preserving edges.
+    copy sigma on every owned vertex within the deepest pin radius n_star
+    that still leaves the cause avoidable.  They all win iff the opponent
+    cannot defeat the player even when also steering the player's remaining
+    freedom inside the region-preserving edges.
+
+    One `Attractor` of the cause, for the opponent, answers every radius:
+    unpinned it gives condition 2, and radius n pins the owned vertices of
+    depth n - 1 in sigma's play graph to sigma's choice, one layer per budget
+    unit, until the initial vertex is caught.  The region at n_star is what
+    had not joined before that last layer.
     """
     game, sigma, cause, player = query.game, query.sigma, query.cause, query.player
     owned = game.owned_by(player)
+    caught = Attractor(game.adjacency(), game.owned_by(opponent(player)), cause)
+    c2 = game.initial not in caught.rank
+    if not (c1 and c2):
+        return GameCauseVerdict(False, distances.INF, c1, c2)
 
-    depth = {game.initial: 0}
-    frontier = [game.initial]
-    adj_sigma = strategy_adjacency(game, sigma)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in adj_sigma[v]:
-                if u not in depth:
-                    depth[u] = depth[v] + 1
-                    nxt.append(u)
-        frontier = sorted(nxt)
-
-    def pins_at(n):
-        return {
-            v: (sigma.choice[v],)
-            for v in sorted(owned)
-            if v in depth and depth[v] <= n - 1
-        }
-
+    layers = _pin_layers(game, sigma)
     n_star = 0
-    pin_region = region
-    limit = len(game.vertices) + 2
-    for n in range(1, limit + 1):
+    for layer in layers:
         budget.charge()
-        candidate = _avoid_set(game, player, cause, pins_at(n))
-        if game.initial in candidate:
-            n_star = n
-            pin_region = candidate
-        else:
+        joined = len(caught.rank)
+        caught.pin({v: sigma.choice[v] for v in layer})
+        if game.initial in caught.rank:
             break
+        n_star += 1
     else:
         raise AssertionError("pinning every reachable vertex must block avoidance")
+    lost = set(islice(caught.rank, joined))
+    pin_region = {v for v in game.vertices if v not in lost}
 
-    pins = pins_at(n_star)
+    pins = {v: (sigma.choice[v],) for layer in layers[:n_star] for v in layer}
     min_d = dyadic(n_star + 1)
 
     allowed = {}

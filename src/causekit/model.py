@@ -8,7 +8,8 @@ safe to share across threads.
 
 `attractor` is the single fixpoint kernel over game and system vertices:
 winning regions, safety regions and "exists a maximal avoiding path" are all
-attractors or their complements.
+attractors or their complements.  `Attractor` is the same kernel as an object
+that resumes after universal vertices are pinned to one successor.
 """
 
 import json
@@ -219,18 +220,27 @@ class Play:
 
 
 def validate_strategy(game, strategy):
-    """Check that a strategy is total on its player's vertices and on-edge."""
+    """Check that a strategy is total on its player's vertices and on-edge.
+
+    A valid strategy passes in one unsorted pass; only a failing one is walked
+    in sorted order, so the error names the sorted-first offender.
+    """
     if strategy.player not in PLAYERS:
         raise InvalidModel(f"unknown player {strategy.player!r}")
     owned = game.owned_by(strategy.player)
+    choice, succ = strategy.choice, game._succ
+    if len(choice) == len(owned) and all(
+        v in choice and choice[v] in succ[v] for v in owned
+    ):
+        return
     for v in sorted(owned):
-        if v not in strategy.choice:
+        if v not in choice:
             raise InvalidModel(f"strategy undefined at owned vertex {v!r}")
-        if strategy.choice[v] not in game.successors(v):
+        if choice[v] not in succ[v]:
             raise InvalidModel(
-                f"strategy choice {strategy.choice[v]!r} is not a successor of {v!r}"
+                f"strategy choice {choice[v]!r} is not a successor of {v!r}"
             )
-    for v in sorted(strategy.choice):
+    for v in sorted(choice):
         if v not in owned:
             raise InvalidModel(f"strategy defined at non-owned vertex {v!r}")
 
@@ -266,6 +276,28 @@ def strategy_adjacency(game, strategy):
     }
 
 
+def play_graph(game, strategy):
+    """The part of `strategy_adjacency` reachable from the initial vertex.
+
+    Built by one walk that reads the strategy's choices and the game's
+    successor tuples directly, so its cost is that of the plays, not of the
+    game.  It is closed under successors, so `reachable_set`, `attractor` and
+    `maximal_avoiding_set` answer on it as on the whole adjacency for every
+    vertex it has; its keys are the vertices some play visits.
+    """
+    owned = game.owned_by(strategy.player)
+    choice, succ = strategy.choice, game._succ
+    v = game.initial
+    graph = {v: (choice[v],) if v in owned else succ[v]}
+    stack = [v]
+    while stack:
+        for u in graph[stack.pop()]:
+            if u not in graph:
+                graph[u] = (choice[u],) if u in owned else succ[u]
+                stack.append(u)
+    return graph
+
+
 # ---------------------------------------------------------------------------
 # graph primitives (shared by transition systems and games)
 
@@ -295,15 +327,26 @@ def attractor(adjacency, existential, target):
     once (Zielonka 1998; Grädel, Thomas and Wilke 2002, ch. 2).
 
     `adjacency` maps every vertex to its successor tuple and must be closed:
-    each successor is itself a key.
+    each successor is itself a key.  It is read, never changed.  `Attractor`
+    runs the same counters and can resume them after pins.
     """
+    preds, outside = _counters(adjacency)
+    rank = dict.fromkeys(target, 0)
+    return _absorb(list(rank), rank, preds, outside, existential)
+
+
+def _counters(adjacency):
+    """The predecessor lists and the per-vertex count of outside successors."""
     preds = {v: [] for v in adjacency}
     for v, succ in adjacency.items():
         for u in succ:
             preds[u].append(v)
-    outside = {v: len(succ) for v, succ in adjacency.items()}
-    rank = dict.fromkeys(target, 0)
-    queue = list(rank)  # breadth-first, so ranks are assigned in rank order
+    return preds, {v: len(succ) for v, succ in adjacency.items()}
+
+
+def _absorb(queue, rank, preds, outside, existential):
+    """Let the predecessors of every queued member join, breadth-first, so
+    ranks are assigned in rank order; return `rank`."""
     for u in queue:
         for v in preds.get(u, ()):
             if v in rank:
@@ -313,6 +356,58 @@ def attractor(adjacency, existential, target):
                 rank[v] = rank[u] + 1
                 queue.append(v)
     return rank
+
+
+class Attractor:
+    """`attractor(adjacency, existential, target)` as `rank`, with its
+    counters kept so that the run can resume after pins.
+
+    `pin` removes edges from universal vertices and resumes the same counters,
+    so a growing sequence of pins costs one run over the graph in all, plus
+    one predecessor-list removal per dropped edge.  This is the monotone case
+    of dynamic attractor maintenance (Chatterjee and Henzinger, J. ACM 61(3),
+    2014): fewer edges at a universal vertex only let more vertices join, so
+    no member ever has to leave.
+    """
+
+    __slots__ = ("adjacency", "existential", "preds", "outside", "rank")
+
+    def __init__(self, adjacency, existential, target):
+        self.adjacency = adjacency
+        self.existential = existential
+        self.preds, self.outside = _counters(adjacency)
+        self.rank = dict.fromkeys(target, 0)
+        _absorb(list(self.rank), self.rank, self.preds, self.outside, existential)
+
+    def pin(self, pins):
+        """Restrict each universal vertex v of `pins` to the one successor
+        pins[v] and resume.  Afterwards `rank` has the members of a fresh
+        attractor over the pinned adjacency, in the order they joined; the
+        ranks of vertices that joined after a pin count rounds of the resumed
+        run.  Each vertex may be pinned once.
+
+        Every member has had its predecessors scanned when `pin` starts, so
+        a vertex still outside counts exactly its successors outside.  A
+        pinned vertex whose successor is outside therefore counts 1 and is
+        dropped from the predecessor lists of its other outside successors,
+        which no scan has reached yet; no vertex joins until all pins are
+        applied, so that scan state holds throughout the loop.
+        """
+        rank, preds = self.rank, self.preds
+        joining = []
+        for v, u in pins.items():
+            if v in rank:
+                continue
+            if u in rank:
+                joining.append(v)
+                continue
+            self.outside[v] = 1
+            for w in self.adjacency[v]:
+                if w != u and w not in rank:
+                    preds[w].remove(v)
+        for v in joining:
+            rank[v] = rank[pins[v]] + 1
+        _absorb(joining, rank, preds, self.outside, self.existential)
 
 
 def maximal_avoiding_set(adjacency, avoid):

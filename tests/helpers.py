@@ -3,8 +3,10 @@
 The oracles here deliberately avoid the library's algorithmic shortcuts:
 Levenshtein by plain recursion, the Hausdorff strategy distance by explicit
 play-prefix enumeration, the play-distance supremum by chains over
-disagreement subsets, attractors by rescanning every vertex per round, and
-the SEM bridge by a layered Hamming check on the fully unrolled tree.
+disagreement subsets, attractors by rescanning every vertex per round, the
+pref-h pin search by one fresh attractor per radius, the strategy predicates
+on the whole strategy-induced adjacency, and the SEM bridge by a layered
+Hamming check on the fully unrolled tree.
 """
 
 import random
@@ -12,14 +14,32 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from causekit import distances
+from causekit.distances import dyadic
+from causekit.errors import Budget, CausekitError, PreconditionViolated, as_budget
+from causekit.game_causality import (
+    GameCauseVerdict,
+    StrategyWitness,
+    _assemble_strategy,
+    _avoid_set,
+    _defeat_choices,
+    avoid_region,
+    validate_game_query,
+)
 from causekit.model import (
+    EFFECT,
+    REACH,
+    SAFE,
     MaximalFinitePath,
+    MDStrategy,
+    ReachabilityGame,
     TransitionSystem,
+    game_from_owners,
+    maximal_avoiding_set,
     maximal_paths,
     reachable_set,
     strategy_adjacency,
 )
-from causekit.errors import PreconditionViolated
 from causekit.sem_bridge import (
     butfor_to_cause_set,
     default_path_states,
@@ -70,6 +90,233 @@ def naive_attractor(adjacency, existential, target):
         for v in added:
             rank[v] = rnd
     return rank
+
+
+def budgeted(fn, *args, limit=None):
+    """(fn(*args, budget), budget.used) under a fresh budget of `limit`
+    units; a CausekitError stands as its type name."""
+    budget = Budget(limit)
+    try:
+        return fn(*args, budget), budget.used
+    except CausekitError as exc:
+        return type(exc).__name__, budget.used
+
+
+# ---------------------------------------------------------------------------
+# strategy predicates on the whole strategy-induced adjacency
+
+
+def naive_strategy_is_winning(game, strategy):
+    adj = strategy_adjacency(game, strategy)
+    if strategy.player == REACH:
+        return game.initial not in maximal_avoiding_set(adj, game.effect)
+    return not (game.effect & reachable_set(adj, game.initial))
+
+
+def naive_strategy_avoids(game, strategy, cause):
+    adj = strategy_adjacency(game, strategy)
+    return not (set(cause) & reachable_set(adj, game.initial))
+
+
+def naive_losing_play_reaches_cause(game, sigma, cause):
+    adj = strategy_adjacency(game, sigma)
+    seen = reachable_set(adj, game.initial)
+    hits = sorted(set(cause) & seen)
+    if not hits:
+        return False
+    if sigma.player == SAFE:
+        return any(game.effect & reachable_set(adj, c) for c in hits)
+    dodging = maximal_avoiding_set(adj, game.effect)
+    return any(c in dodging for c in hits)
+
+
+def naive_sigma_matched(game, strategy, sigma):
+    adj = strategy_adjacency(game, strategy)
+    seen = reachable_set(adj, game.initial)
+    choice = {
+        v: (strategy.choice[v] if v in seen else sigma.choice[v])
+        for v in strategy.choice
+    }
+    return MDStrategy(strategy.player, choice)
+
+
+def naive_distinct_matched(game, sigma, strategies):
+    """[(key, choice)] for each strategy sigma-matched on the whole adjacency,
+    the first time its sorted choice items appear."""
+    out, seen = [], set()
+    for tau in strategies:
+        tau = naive_sigma_matched(game, tau, sigma)
+        key = tuple(sorted(tau.choice.items()))
+        if key not in seen:
+            seen.add(key)
+            out.append((key, tau.choice))
+    return out
+
+
+def naive_dstrat(game, tau, sigma, budget=None):
+    """The (vertex, counted-set) walk of `distances.dstrat` over the whole
+    `strategy_adjacency`, charging the budget once per state."""
+    budget = as_budget(budget)
+    adj = strategy_adjacency(game, tau)
+    owned = game.owned_by(sigma.player)
+    start = (game.initial, frozenset())
+    seen = {start}
+    stack = [start]
+    best = 0
+    while stack:
+        v, counted = stack.pop()
+        budget.charge()
+        if len(counted) > best:
+            best = len(counted)
+        for u in adj[v]:
+            nxt = counted
+            if v in owned and sigma.choice[v] != u:
+                nxt = counted | {v}
+            state = (u, nxt)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return best
+
+
+def with_unreachable_copy(game, rng):
+    """The game plus a renamed copy of itself ("u" + id) that the initial
+    vertex cannot reach; some copy vertices also get an edge into the
+    original, so unreachable plays can run into reachable vertices."""
+    ren = {v: f"u{v}" for v in game.vertices}
+    edges = set(game.edges) | {(ren[a], ren[b]) for a, b in game.edges}
+    for v in game.vertices:
+        if v not in game.effect and rng.random() < 0.3:
+            edges.add((ren[v], rng.choice(game.vertices)))
+    return ReachabilityGame(
+        reach_owned=game.reach_owned | {ren[v] for v in game.reach_owned},
+        safe_owned=game.safe_owned | {ren[v] for v in game.safe_owned},
+        effect=game.effect | {ren[v] for v in game.effect},
+        initial=game.initial,
+        edges=frozenset(edges),
+    )
+
+
+# ---------------------------------------------------------------------------
+# pref-h with one attractor per pin radius
+
+
+def naive_check_pref_h(query, budget=None):
+    """`check_cause_game` for pref-h with the per-radius pin loop: conditions 1
+    and 2 on the whole adjacency, then one `_avoid_set` per radius."""
+    validate_game_query(query)
+    budget = as_budget(budget)
+    c1 = naive_losing_play_reaches_cause(query.game, query.sigma, query.cause)
+    region, _allowed = avoid_region(query.game, query.player, query.cause)
+    c2 = query.game.initial in region
+    if not (c1 and c2):
+        return GameCauseVerdict(False, distances.INF, c1, c2)
+    return _naive_pref_h(query, region, budget)
+
+
+def _naive_pref_h(query, region, budget):
+    game, sigma, cause, player = query.game, query.sigma, query.cause, query.player
+    owned = game.owned_by(player)
+
+    depth = {game.initial: 0}
+    frontier = [game.initial]
+    adj_sigma = strategy_adjacency(game, sigma)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in adj_sigma[v]:
+                if u not in depth:
+                    depth[u] = depth[v] + 1
+                    nxt.append(u)
+        frontier = sorted(nxt)
+
+    def pins_at(n):
+        return {
+            v: (sigma.choice[v],)
+            for v in sorted(owned)
+            if v in depth and depth[v] <= n - 1
+        }
+
+    n_star = 0
+    pin_region = region
+    limit = len(game.vertices) + 2
+    for n in range(1, limit + 1):
+        budget.charge()
+        candidate = _avoid_set(game, player, cause, pins_at(n))
+        if game.initial in candidate:
+            n_star = n
+            pin_region = candidate
+        else:
+            break
+    else:
+        raise AssertionError("pinning every reachable vertex must block avoidance")
+
+    pins = pins_at(n_star)
+    min_d = dyadic(n_star + 1)
+
+    allowed = {}
+    for v in sorted(owned & pin_region):
+        if v in pins:
+            allowed[v] = pins[v]
+        else:
+            allowed[v] = tuple(u for u in game.successors(v) if u in pin_region)
+    arena = {}
+    for v in sorted(pin_region):
+        if v in owned:
+            arena[v] = allowed[v]
+        else:
+            arena[v] = game.successors(v)
+
+    dodge = None
+    if player == REACH:
+        dodge = maximal_avoiding_set(arena, game.effect)
+        defeated = game.initial in dodge
+    else:
+        defeated = bool(set(game.effect) & reachable_set(arena, game.initial))
+
+    overrides = _defeat_choices(game, player, arena, owned, dodge) if defeated else {}
+    tau = _assemble_strategy(sigma, owned, allowed, overrides)
+    witness = StrategyWitness(
+        tau, distances.d_pref_hausdorff(game, sigma, tau), not defeated
+    )
+    return GameCauseVerdict(
+        not defeated, min_d, True, True, (witness,)[: query.witnesses]
+    )
+
+
+def pref_h_chain(rng, n):
+    """(game, sigma, cause): an alternating Reach/Safe chain c000 -> c001 ->
+    ... -> goal of n vertices for a losing Reach sigma.
+
+    Reach owns the even positions; each may get a back edge a few steps up
+    and a skip over the next Safe vertex.  Sigma walks the chain but turns
+    back near its end, so it never reaches the goal.  The cause is a Safe
+    vertex past position 42 behind a skip, so the pref-h radius n_star is
+    the cause's position minus one.
+    """
+    names = [f"c{i:03d}" for i in range(n)]
+    owners = {v: REACH if i % 2 == 0 else SAFE for i, v in enumerate(names)}
+    owners["goal"] = EFFECT
+    turn = 2 * (n // 2 - 2)
+    edges = set()
+    for i, v in enumerate(names):
+        edges.add((v, names[i + 1] if i + 1 < n else "goal"))
+        if i % 2 == 0:
+            if i == turn or (i >= 2 and rng.random() < 0.5):
+                edges.add((v, names[i - 1 - rng.randrange(min(i, 6))]))
+            if i + 2 < n and (i == 44 or rng.random() < 0.5):
+                edges.add((v, names[i + 2]))
+    game = game_from_owners(owners, names[0], edges)
+    choice = {v: game.successors(v)[0] for v in game.reach_owned}
+    for i, v in enumerate(names):
+        if owners[v] == REACH and i != turn:
+            choice[v] = names[i + 1] if i + 1 < n else "goal"
+    choice[names[turn]] = min(u for u in game.successors(names[turn]) if u < names[turn])
+    behind_skip = [
+        i for i in range(43, turn, 2) if (names[i - 1], names[i + 1]) in edges
+    ]
+    cause = frozenset({names[rng.choice(behind_skip)]})
+    return game, MDStrategy(REACH, choice), cause
 
 
 def prefix_sets(game, strategy, max_vertices):

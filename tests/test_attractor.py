@@ -1,22 +1,38 @@
-"""The linear-time attractor kernel against the round-based reference, and
-the game and system queries built on it."""
+"""The linear-time attractor kernel against the round-based reference, its
+resumption after pins, and the game and system queries built on it."""
 
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from causekit.game_causality import _avoid_set, _solve_for, solve
-from causekit.generators import acyclic_game, cyclic_game
+from causekit.distances import dyadic
+from causekit.game_causality import (
+    METRIC_PREF_H,
+    GameCauseQuery,
+    _avoid_set,
+    _solve_for,
+    check_cause_game,
+    solve,
+)
+from causekit.generators import acyclic_game, cyclic_game, random_strategy
 from causekit.model import (
     REACH,
     SAFE,
+    Attractor,
     TransitionSystem,
     attractor,
     exists_maximal_path_avoiding,
     opponent,
+    play_graph,
 )
 
-from helpers import naive_attractor
+from helpers import (
+    budgeted,
+    naive_attractor,
+    naive_check_pref_h,
+    pref_h_chain,
+    with_unreachable_copy,
+)
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -123,3 +139,59 @@ def test_maximal_avoiding_set_matches_reference(seed):
     doomed = naive_attractor(adjacency, frozenset(), avoid)
     for s in states:
         assert exists_maximal_path_avoiding(ts, s, avoid) == (s not in doomed)
+
+
+@FUZZ
+@given(SEEDS, st.booleans())
+def test_pinned_attractor_resumes_to_a_fresh_one(seed, cyclic):
+    game, rng = random_game(seed, cyclic)
+    pool = sorted(set(game.vertices) - game.effect)
+    for player in (REACH, SAFE):
+        existential = game.owned_by(opponent(player))
+        target = set(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
+        adj = game.adjacency()
+        caught = Attractor(game.adjacency(), existential, target)
+        unpinned = [v for v in game.vertices if v not in existential and adj[v]]
+        rng.shuffle(unpinned)
+        while unpinned:
+            k = rng.randint(1, 4)
+            layer, unpinned = unpinned[:k], unpinned[k:]
+            pins = {v: rng.choice(game.successors(v)) for v in layer}
+            caught.pin(pins)
+            adj.update((v, (u,)) for v, u in pins.items())
+            assert set(caught.rank) == set(naive_attractor(adj, existential, target))
+
+
+@FUZZ
+@given(SEEDS, st.booleans(), st.booleans())
+def test_pref_h_matches_the_per_radius_loop(seed, cyclic, island):
+    game, rng = random_game(seed, cyclic)
+    if island:
+        game = with_unreachable_copy(game, rng)
+    pool = sorted(set(game.vertices) - game.effect)
+    for player in (REACH, SAFE):
+        if not game.owned_by(player):
+            continue
+        sigma = random_strategy(rng, game, player)
+        plays = sorted(set(play_graph(game, sigma)) - game.effect)
+        cause = frozenset(rng.sample(plays if rng.random() < 0.7 else pool, 1))
+        if rng.random() < 0.3:
+            cause |= {rng.choice(pool)}
+        query = GameCauseQuery(game, player, sigma, cause, METRIC_PREF_H, rng.randint(0, 2))
+        limit = rng.choice((None, rng.randint(0, 6)))
+        assert budgeted(check_cause_game, query, limit=limit) == (
+            budgeted(naive_check_pref_h, query, limit=limit)
+        )
+
+
+def test_pref_h_deep_chain_matches_the_per_radius_loop():
+    for seed in range(6):
+        game, sigma, cause = pref_h_chain(random.Random(seed), 60 + 4 * seed)
+        query = GameCauseQuery(game, REACH, sigma, cause, METRIC_PREF_H)
+        verdict, used = budgeted(check_cause_game, query)
+        assert (verdict, used) == budgeted(naive_check_pref_h, query)
+        assert verdict.condition1 and verdict.condition2
+        assert verdict.min_distance <= dyadic(22) and used > 21
+        assert budgeted(check_cause_game, query, limit=used - 1) == (
+            "BudgetExceeded", used,
+        )

@@ -424,6 +424,59 @@ def test_negative_witness_count_exit_2(count):
     assert "Traceback" not in proc.stderr
 
 
+def oracle_hamm_args(*extra):
+    return [
+        "oracle", "ts-cause",
+        "--model", str(FIXDIR / "branching_ts.json"),
+        "--path", str(FIXDIR / "branching_ts_run.json"),
+        "--cause", "s2", "--effect", "s8", "--phi", "reach", "--metric", "hamm",
+        *extra,
+    ]
+
+
+DSTAR_TREE = [
+    "game-cause", *TREE_GAME, "--player", "reach", "--strategy", TREE_SIGMA,
+    "--cause", "v3", "--metric", "dstar",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (DSTAR_TREE + ["--budget", "-1"], "--budget: expected a non-negative integer, got '-1'"),
+        (branching_args("ghamm") + ["--budget", "-5"], "--budget: expected a non-negative integer, got '-5'"),
+        (branching_args("ghamm") + ["--budget", "1e3"], "--budget: expected a non-negative integer, got '1e3'"),
+        (oracle_hamm_args("--max-len", "-1"), "--max-len: expected a positive integer, got '-1'"),
+        (oracle_hamm_args("--max-len", "0"), "--max-len: expected a positive integer, got '0'"),
+    ],
+    ids=["dstar-budget-negative", "ts-budget-negative", "budget-float", "max-len-negative", "max-len-zero"],
+)
+def test_malformed_budget_and_max_len_exit_2(capsys, argv, message):
+    from causekit import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"error: argument {message}\n" in err
+
+
+def test_zero_budget_and_positive_max_len_are_accepted(capsys):
+    from causekit import cli
+
+    assert cli.main(branching_args("ghamm") + ["--budget", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["diagnostics"] == {
+        "budgetLimit": 0, "budgetUsed": 0,
+    }
+    assert cli.main(DSTAR_TREE + ["--budget", "0"]) == 3
+    assert capsys.readouterr().err == "causekit: search budget of 0 node expansions exhausted\n"
+    assert cli.main(oracle_hamm_args()) == 0
+    uncapped = capsys.readouterr().out
+    assert cli.main(oracle_hamm_args("--max-len", "9")) == 0
+    assert capsys.readouterr().out == uncapped
+
+
 def test_main_does_not_rebuild_the_parser(monkeypatch, capsys):
     from causekit import cli
 

@@ -19,6 +19,7 @@ from causekit.model import (
     restrict_game,
     strategy_adjacency,
     validate_maximal_path,
+    validate_strategy,
 )
 
 
@@ -84,6 +85,31 @@ def test_restrict_tree_game():
     assert restricted.successors("v0") == ("s00",)
     assert restricted.successors("v1") == ("v3",)
     assert restricted.successors("start") == ("v0", "v1")
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"v3": "e000", "s11": None}, "strategy undefined at owned vertex 's11'"),
+        ({"v2": "e000", "t100": "v3"}, "strategy choice 'v3' is not a successor of 't100'"),
+        ({"v1": "v3", "e000": "e001"}, "strategy defined at non-owned vertex 'e000'"),
+        ({"e000": "e001", "v3": "s11"}, "strategy choice 's11' is not a successor of 'v3'"),
+    ],
+    ids=["undefined-first", "off-edge-first", "non-owned-first", "owned-before-non-owned"],
+)
+def test_validate_strategy_names_the_sorted_first_offender(changes, message):
+    game, _ = tree_game()
+    choice = {v: game.successors(v)[0] for v in game.safe_owned}
+    for v, u in changes.items():
+        if u is None:
+            del choice[v]
+        else:
+            choice[v] = u
+    for order in (sorted(choice), sorted(choice, reverse=True)):
+        strategy = MDStrategy("safe", {v: choice[v] for v in order})
+        with pytest.raises(InvalidModel) as exc:
+            validate_strategy(game, strategy)
+        assert str(exc.value) == message
 
 
 def test_restrict_opponent_only_is_identity():

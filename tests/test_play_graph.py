@@ -1,0 +1,102 @@
+"""Strategy predicates and distances on the play graph against their
+whole-adjacency references, on games with parts no play reaches."""
+
+import random
+from itertools import islice
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from causekit.distances import dstrat
+from causekit.errors import NotAcyclic
+from causekit.game_causality import (
+    _distinct_matched,
+    _sigma_matched,
+    enumerate_strategies,
+    losing_play_reaches_cause,
+    min_dstar_winning_strategy_acyclic,
+    strategy_avoids,
+    strategy_is_winning,
+)
+from causekit.generators import acyclic_game, cyclic_game, random_strategy
+from causekit.model import (
+    REACH,
+    SAFE,
+    MDStrategy,
+    game_from_owners,
+    play_graph,
+    reachable_set,
+    strategy_adjacency,
+)
+
+from helpers import (
+    budgeted,
+    naive_distinct_matched,
+    naive_dstrat,
+    naive_losing_play_reaches_cause,
+    naive_sigma_matched,
+    naive_strategy_avoids,
+    naive_strategy_is_winning,
+    with_unreachable_copy,
+)
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_play_graph_helpers_match_the_whole_adjacency(seed, cyclic):
+    rng = random.Random(seed)
+    game = with_unreachable_copy((cyclic_game if cyclic else acyclic_game)(rng, 10), rng)
+    pool = sorted(set(game.vertices) - game.effect)
+    for player in (REACH, SAFE):
+        if not game.owned_by(player):
+            continue
+        sigma, tau = (random_strategy(rng, game, player) for _ in range(2))
+        adj = strategy_adjacency(game, tau)
+        seen = reachable_set(adj, game.initial)
+        assert play_graph(game, tau) == {v: adj[v] for v in seen}
+        assert strategy_is_winning(game, tau) == naive_strategy_is_winning(game, tau)
+        cause = frozenset(rng.sample(pool, rng.randint(1, 3)))
+        assert strategy_avoids(game, tau, cause) == naive_strategy_avoids(game, tau, cause)
+        assert losing_play_reaches_cause(game, sigma, cause) == (
+            naive_losing_play_reaches_cause(game, sigma, cause)
+        )
+        assert _sigma_matched(game, tau, sigma).choice == (
+            naive_sigma_matched(game, tau, sigma).choice
+        )
+        limit = rng.choice((None, rng.randint(0, 40)))
+        for a, b in ((tau, sigma), (sigma, tau)):
+            assert budgeted(dstrat, game, a, b, limit=limit) == (
+                budgeted(naive_dstrat, game, a, b, limit=limit)
+            )
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_distinct_matched_matches_matching_every_candidate(seed, cyclic, shuffled):
+    rng = random.Random(seed)
+    game = with_unreachable_copy((cyclic_game if cyclic else acyclic_game)(rng, 5), rng)
+    for player in (REACH, SAFE):
+        if not game.owned_by(player):
+            continue
+        sigma = random_strategy(rng, game, player)
+        candidates = list(islice(enumerate_strategies(game, player), 3000))
+        if shuffled:
+            rng.shuffle(candidates)
+        got = [(key, tau.choice) for key, tau in _distinct_matched(game, sigma, candidates)]
+        assert got == naive_distinct_matched(game, sigma, candidates)
+
+
+def test_repair_rejects_a_sigma_cycle_no_play_reaches():
+    # v1 <-> v2 is a cycle of sigma's graph that no play from v0 enters.
+    game = game_from_owners(
+        {"v0": REACH, "v1": REACH, "v2": SAFE, "t": SAFE, "g": "effect"},
+        "v0",
+        {("v0", "g"), ("v0", "t"), ("t", "t"), ("v1", "v2"), ("v2", "v1"),
+         ("v1", "g"), ("v2", "g")},
+    )
+    sigma = MDStrategy(REACH, {"v0": "t", "v1": "v2"})
+    assert set(play_graph(game, sigma)) == {"v0", "t"}
+    with pytest.raises(NotAcyclic):
+        min_dstar_winning_strategy_acyclic(game, sigma)
