@@ -127,7 +127,8 @@ def acyclic_game(rng, max_states):
     for i in range(n - 1):
         if rng.random() < 0.35:
             edges.add((names[i], names[rng.randint(i + 1, n - 1)]))
-    sinks = [v for v in names if not any(e[0] == v for e in edges)]
+    sources = {src for src, _ in edges}
+    sinks = [v for v in names if v not in sources]
     effect = set(rng.sample(sinks, rng.randint(1, len(sinks)))) if sinks else set()
     for v in sinks:
         if v not in effect:
@@ -137,20 +138,18 @@ def acyclic_game(rng, max_states):
 
 
 def cyclic_game(rng, max_states):
-    """Random digraph game: terminal effect vertices, totality elsewhere."""
+    """Random digraph game: terminal effect vertices, and one to three
+    out-edges to other vertices everywhere else."""
     n = rng.randint(3, max_states)
     names = [f"v{i}" for i in range(n)]
     effect = set(rng.sample(names[1:], rng.randint(1, max(1, n // 3))))
     live = [v for v in names if v not in effect]
     edges = set()
-    for v in live:
-        fanout = rng.randint(1, min(3, n - 1))
-        targets = rng.sample([u for u in names if u != v], fanout)
-        for u in targets:
-            edges.add((v, u))
-    for v in live:
-        if not any(e[0] == v for e in edges):
-            edges.add((v, rng.choice([u for u in names if u != v])))
+    for i, v in enumerate(names):
+        if v not in effect:
+            fanout = rng.randint(1, min(3, n - 1))
+            for u in rng.sample(names[:i] + names[i + 1:], fanout):
+                edges.add((v, u))
     owners = _owners(rng, live)
     return game_from_owners({**owners, **dict.fromkeys(effect, EFFECT)}, "v0", edges)
 

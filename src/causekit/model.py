@@ -14,6 +14,8 @@ that resumes after universal vertices are pinned to one successor.
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import itemgetter
 
 from .errors import InvalidModel, NotAPath, NotMaximal, PreconditionViolated, as_budget
 
@@ -22,6 +24,7 @@ SAFE = "safe"
 EFFECT = "effect"
 
 PLAYERS = (REACH, SAFE)
+OWNERS = (REACH, SAFE, EFFECT)
 
 
 def opponent(player):
@@ -34,8 +37,9 @@ class TransitionSystem:
 
     A state with no outgoing transition is terminal.  Maximal paths are the
     paths that are infinite or end in a terminal state.  Construction checks
-    the initial state, every transition endpoint (in sorted order) and every
-    label.
+    the initial state, every transition endpoint and every label, each with
+    one set test; a failing check names the least offending transition, or
+    the first state of `states` without a label from the alphabet.
     """
 
     states: tuple
@@ -51,19 +55,23 @@ class TransitionSystem:
             raise InvalidModel("transition system has no states")
         if self.initial not in succ:
             raise InvalidModel(f"initial state {self.initial!r} is not a state")
-        for src, dst in sorted(self.transitions):
-            if src not in succ or dst not in succ:
-                raise InvalidModel(f"transition ({src!r}, {dst!r}) leaves the state set")
-            succ[src].append(dst)
-        alphabet = set(self.alphabet)
-        for s in self.states:
-            if s not in self.labeling:
-                raise InvalidModel(f"state {s!r} has no label")
-            if self.labeling[s] not in alphabet:
-                raise InvalidModel(
-                    f"state {s!r} carries label {self.labeling[s]!r} outside the alphabet"
-                )
-        object.__setattr__(self, "_succ", {s: tuple(t) for s, t in succ.items()})
+        if not _fill(succ, self.transitions):
+            src, dst = _first_dangling(succ, self.transitions)
+            raise InvalidModel(f"transition ({src!r}, {dst!r}) leaves the state set")
+        labeling, alphabet = self.labeling, set(self.alphabet)
+        try:
+            labeled = alphabet.issuperset(map(labeling.__getitem__, self.states))
+        except (KeyError, TypeError):  # a missing or an unhashable label
+            labeled = False
+        if not labeled:
+            for s in self.states:
+                if s not in labeling:
+                    raise InvalidModel(f"state {s!r} has no label")
+                if labeling[s] not in alphabet:
+                    raise InvalidModel(
+                        f"state {s!r} carries label {labeling[s]!r} outside the alphabet"
+                    )
+        object.__setattr__(self, "_succ", _sorted_successors(succ))
 
     def successors(self, state):
         return self._succ[state]
@@ -89,8 +97,9 @@ class ReachabilityGame:
     Vertices are partitioned into Reach-owned, Safe-owned and effect (target)
     vertices.  Effect vertices are terminal; every other vertex has at least
     one outgoing edge, so plays are infinite or end in an effect vertex.
-    Construction checks the partition, the initial vertex, every edge endpoint
-    (in sorted order), and then the effect and the non-effect vertices.
+    Construction checks the partition, the initial vertex, every edge
+    endpoint, and then the effect and the non-effect vertices, each with one
+    set test; a failing check names the least offending edge or vertex.
     """
 
     reach_owned: frozenset
@@ -114,18 +123,17 @@ class ReachabilityGame:
             raise InvalidModel(f"initial vertex {self.initial!r} is not a vertex")
         if self.initial in eff:
             raise InvalidModel("initial vertex lies in the effect set")
-        for src, dst in sorted(self.edges):
-            if src not in succ or dst not in succ:
-                raise InvalidModel(f"edge ({src!r}, {dst!r}) leaves the vertex set")
-            succ[src].append(dst)
-        for v in sorted(eff):
-            if succ[v]:
-                raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
-        for v in vertices:
-            if not succ[v] and v not in eff:
-                raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
+        if not _fill(succ, self.edges):
+            src, dst = _first_dangling(succ, self.edges)
+            raise InvalidModel(f"edge ({src!r}, {dst!r}) leaves the vertex set")
+        if any(map(succ.__getitem__, eff)):
+            v = min(v for v in eff if succ[v])
+            raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
+        if not all(map(succ.__getitem__, chain(reach, safe))):
+            v = min(v for v in chain(reach, safe) if not succ[v])
+            raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "_succ", {v: tuple(t) for v, t in succ.items()})
+        object.__setattr__(self, "_succ", _sorted_successors(succ))
 
     def owner(self, vertex):
         if vertex in self.reach_owned:
@@ -149,18 +157,55 @@ class ReachabilityGame:
         return dict(self._succ)
 
 
+def _fill(succ, pairs):
+    """Append every pair's target to its source's list in `succ`, in any
+    order; False if some endpoint is not a key."""
+    try:
+        for src, dst in pairs:
+            succ[src].append(dst)
+    except KeyError:
+        return False
+    return succ.keys() >= set(chain.from_iterable(succ.values()))
+
+
+def _first_dangling(succ, pairs):
+    """The least pair with an endpoint outside `succ`."""
+    return min((a, b) for a, b in pairs if a not in succ or b not in succ)
+
+
+def _sorted_successors(succ):
+    """The successor lists filled in any order, as sorted tuples."""
+    any(map(list.sort, succ.values()))  # sorts each list in place
+    return dict(zip(succ, map(tuple, succ.values())))
+
+
 def game_from_owners(owners, initial, edges):
     """The game whose vertex partition is read off `owners`, a map from each
     vertex to REACH, SAFE or EFFECT; construction validates it."""
-    parts = {REACH: set(), SAFE: set(), EFFECT: set()}
-    for vertex, owner in owners.items():
-        parts[owner].add(vertex)
+    reach, safe, eff = _partition(owners, owners.values())
     return ReachabilityGame(
-        reach_owned=frozenset(parts[REACH]),
-        safe_owned=frozenset(parts[SAFE]),
-        effect=frozenset(parts[EFFECT]),
+        reach_owned=reach,
+        safe_owned=safe,
+        effect=eff,
         initial=initial,
         edges=frozenset(edges),
+    )
+
+
+def _partition(vertices, owners):
+    """The Reach, Safe and effect vertex sets, from the parallel sequences of
+    distinct vertices and of their owners; InvalidModel names the first
+    vertex with an owner outside OWNERS."""
+    try:
+        known = set(owners) <= set(OWNERS)
+    except TypeError:  # an unhashable owner
+        known = False
+    if not known:
+        for v, owner in zip(vertices, owners):
+            if owner not in OWNERS:
+                raise InvalidModel(f"vertex {v!r} has unknown owner {owner!r}")
+    return tuple(
+        frozenset(compress(vertices, map(player.__eq__, owners))) for player in OWNERS
     )
 
 
@@ -589,9 +634,17 @@ def _expect_json(data, kind, what):
     return data
 
 
+def required_field(data, name, what):
+    """`data[name]` of the JSON object `what`, or InvalidModel naming the missing field."""
+    try:
+        return data[name]
+    except KeyError:
+        raise InvalidModel(f"{what}: missing field {name!r}") from None
+
+
 def _all_json(values, kind, what):
     """Return `values` if every one is a JSON `kind`; `what(i)` names value i."""
-    if {type(value) for value in values} - {kind}:
+    if not set(map(type, values)) <= {kind}:
         for i, value in enumerate(values):
             _expect_json(value, kind, what(i))
     return values
@@ -599,53 +652,71 @@ def _all_json(values, kind, what):
 
 def _array_of(data, key, kind):
     """`data[key]` if it is a JSON array of `kind` values."""
-    return _all_json(_expect_json(data[key], list, key), kind, lambda i: f"{key}[{i}]")
+    return _all_json(
+        _expect_json(required_field(data, key, "model"), list, key), kind, lambda i: f"{key}[{i}]"
+    )
+
+
+def _column(items, key, name):
+    """The field `name` of every object in the array `key`, as a list."""
+    try:
+        return list(map(itemgetter(name), items))
+    except KeyError:
+        i = next(i for i, item in enumerate(items) if name not in item)
+        raise InvalidModel(f"{key}[{i}]: missing field {name!r}") from None
 
 
 def _records(data, key, what, fields):
-    """Map each unique id of the array `data[key]` to its object; `fields` are strings."""
+    """The array `data[key]` of objects and its columns `fields`, which are
+    strings; the first column holds unique ids."""
     items = _array_of(data, key, dict)
-    for name in fields:
-        _all_json([item[name] for item in items], str, lambda i: f"{key}[{i}].{name}")
-    records = {}
-    for item in items:
-        if item["id"] in records:
-            raise InvalidModel(f"duplicate {what} id {item['id']!r}")
-        records[item["id"]] = item
-    return records
+    columns = [
+        _all_json(_column(items, key, name), str, lambda i: f"{key}[{i}].{name}")
+        for name in fields
+    ]
+    ids = columns[0]
+    if len(set(ids)) != len(ids):
+        seen = set()
+        for vid in ids:
+            if vid in seen:
+                raise InvalidModel(f"duplicate {what} id {vid!r}")
+            seen.add(vid)
+    return items, columns
 
 
 def _pairs(data, key):
     """The JSON array `data[key]` of string pairs, as a frozenset of tuples."""
     items = _array_of(data, key, list)
-    for i, pair in enumerate(items):
-        if len(pair) != 2:
-            raise InvalidModel(f"{key}[{i}]: expected a pair, got {len(pair)} items")
-    ends = [end for pair in items for end in pair]
-    _all_json(ends, str, lambda j: f"{key}[{j // 2}][{j % 2}]")
-    return frozenset((a, b) for a, b in items)
+    if not set(map(len, items)) <= {2}:
+        for i, pair in enumerate(items):
+            if len(pair) != 2:
+                raise InvalidModel(f"{key}[{i}]: expected a pair, got {len(pair)} items")
+    _all_json(list(chain.from_iterable(items)), str, lambda j: f"{key}[{j // 2}][{j % 2}]")
+    return frozenset(map(tuple, items))
 
 
 def model_from_json(data):
     _expect_json(data, dict, "model")
     kind = data.get("kind")
     if kind == "ts":
-        states = _records(data, "states", "state", ("id", "label"))
+        _, (ids, labels) = _records(data, "states", "state", ("id", "label"))
         return TransitionSystem(
-            states=tuple(sorted(states)),
-            initial=_expect_json(data["initial"], str, "initial"),
+            states=tuple(sorted(ids)),
+            initial=_expect_json(required_field(data, "initial", "model"), str, "initial"),
             transitions=_pairs(data, "transitions"),
-            labeling={s: record["label"] for s, record in states.items()},
+            labeling=dict(zip(ids, labels)),
             alphabet=tuple(sorted(_array_of(data, "alphabet", str))),
         )
     if kind == "game":
-        vertices = _records(data, "vertices", "vertex", ("id",))
-        owners = {v: record["owner"] for v, record in vertices.items()}
-        for vid, owner in owners.items():
-            if owner not in (REACH, SAFE, EFFECT):
-                raise InvalidModel(f"vertex {vid!r} has unknown owner {owner!r}")
-        initial = _expect_json(data["initial"], str, "initial")
-        return game_from_owners(owners, initial, _pairs(data, "edges"))
+        items, (ids,) = _records(data, "vertices", "vertex", ("id",))
+        reach, safe, eff = _partition(ids, _column(items, "vertices", "owner"))
+        return ReachabilityGame(
+            reach_owned=reach,
+            safe_owned=safe,
+            effect=eff,
+            initial=_expect_json(required_field(data, "initial", "model"), str, "initial"),
+            edges=_pairs(data, "edges"),
+        )
     raise InvalidModel(f"unknown model kind {kind!r}")
 
 
@@ -658,14 +729,14 @@ def strategy_to_json(strategy):
 
 def strategy_from_json(data):
     _expect_json(data, dict, "strategy")
-    choices = _expect_json(data["choices"], dict, "choices")
+    choices = _expect_json(required_field(data, "choices", "strategy"), dict, "choices")
     _all_json(list(choices.values()), str, lambda i: f"choices.{list(choices)[i]}")
-    return MDStrategy(player=data["player"], choice=dict(choices))
+    return MDStrategy(player=required_field(data, "player", "strategy"), choice=dict(choices))
 
 
 def path_from_json(data):
     if isinstance(data, dict):
-        data = data["path"]
+        data = required_field(data, "path", "path")
     return tuple(_all_json(_expect_json(data, list, "path"), str, lambda i: f"path[{i}]"))
 
 

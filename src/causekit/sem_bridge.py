@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 from .errors import BudgetExceeded, PreconditionViolated
-from .model import TransitionSystem
+from .model import TransitionSystem, required_field
 from .ts_causality import (
     METRIC_HAMM,
     PHI_REACH,
@@ -269,12 +269,11 @@ def sem_from_json(data):
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind != "sem":
         raise PreconditionViolated(f"not a SEM document: kind={kind!r}")
-    variables = data["variables"]
+    variables = required_field(data, "variables", "model")
     if not isinstance(variables, list) or not all(isinstance(x, str) for x in variables):
         raise PreconditionViolated("variables must be an array of strings")
-    return StructuralEquationModel(
-        variables=tuple(variables), tables=tuple(_rows(data["tables"], "tables"))
-    )
+    tables = _rows(required_field(data, "tables", "model"), "tables")
+    return StructuralEquationModel(variables=tuple(variables), tables=tuple(tables))
 
 
 def effect_from_json(sem, data):
@@ -282,12 +281,12 @@ def effect_from_json(sem, data):
     last k variables ({"last": k, "values": [...]}), expanded extensionally."""
     if isinstance(data, dict):
         try:
-            k = int(data["last"])
+            k = int(required_field(data, "last", "effect"))
         except TypeError:
             raise PreconditionViolated("predicate arity must be a number") from None
         if not 1 <= k <= sem.n:
             raise PreconditionViolated(f"predicate arity {k} out of range")
-        accepted = set(_rows(data["values"], "predicate values"))
+        accepted = set(_rows(required_field(data, "values", "effect"), "predicate values"))
         for v in accepted:
             if len(v) != k:
                 raise PreconditionViolated("predicate rows must have length k")

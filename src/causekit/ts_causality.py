@@ -289,15 +289,24 @@ def validate_layered(ts):
 def check_cause_hamm_layered(query, allow_overlap=False):
     """Shortest-path checker for the plain Hamming distance on layered
     systems: per-layer 0/1 state weights turn Hamming distance into
-    accumulated path weight."""
+    accumulated path weight.
+
+    The weights are integers under the default 0/1 label metric and
+    Fractions of `label_metric` otherwise, as in `metric_distance`.
+    """
     pi = validate_query(query, allow_overlap)
     ts, cause, effect = query.ts, query.cause, query.effect
     depth = validate_layered(ts)
-    seq = pi.sequence
-    metric = query.label_metric or (lambda a, b: 0 if a == b else 1)
+    labeling = ts.labeling
+    target = [labeling[s] for s in pi.sequence]
+    metric = query.label_metric
 
-    def node_weight(state):
-        return Fraction(metric(ts.label(state), ts.label(seq[depth[state]])))
+    if metric is None:
+        def node_weight(state):
+            return 0 if labeling[state] == target[depth[state]] else 1
+    else:
+        def node_weight(state):
+            return Fraction(metric(labeling[state], target[depth[state]]))
 
     def successors(state):
         for t in ts.successors(state):

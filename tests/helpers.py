@@ -5,8 +5,9 @@ Levenshtein by plain recursion, the Hausdorff strategy distance by explicit
 play-prefix enumeration, the play-distance supremum by chains over
 disagreement subsets, attractors by rescanning every vertex per round, the
 pref-h pin search by one fresh attractor per radius, the strategy predicates
-on the whole strategy-induced adjacency, and the SEM bridge by a layered
-Hamming check on the fully unrolled tree.
+on the whole strategy-induced adjacency, the SEM bridge by a layered
+Hamming check on the fully unrolled tree, and model loading by per-item
+checks over sorted transitions and edges.
 """
 
 import random
@@ -16,7 +17,13 @@ from itertools import combinations
 
 from causekit import distances
 from causekit.distances import dyadic
-from causekit.errors import Budget, CausekitError, PreconditionViolated, as_budget
+from causekit.errors import (
+    Budget,
+    CausekitError,
+    InvalidModel,
+    PreconditionViolated,
+    as_budget,
+)
 from causekit.game_causality import (
     GameCauseVerdict,
     StrategyWitness,
@@ -90,6 +97,153 @@ def naive_attractor(adjacency, existential, target):
         for v in added:
             rank[v] = rnd
     return rank
+
+
+# ---------------------------------------------------------------------------
+# model loading with per-item checks
+
+
+def _naive_build(cls, post_init, **fields):
+    """A `cls` model whose checks and successor map come from `post_init`."""
+    model = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(model, name, value)
+    post_init(model)
+    return model
+
+
+def _naive_ts_post_init(self):
+    succ = {s: [] for s in self.states}
+    if not succ:
+        raise InvalidModel("transition system has no states")
+    if self.initial not in succ:
+        raise InvalidModel(f"initial state {self.initial!r} is not a state")
+    for src, dst in sorted(self.transitions):
+        if src not in succ or dst not in succ:
+            raise InvalidModel(f"transition ({src!r}, {dst!r}) leaves the state set")
+        succ[src].append(dst)
+    alphabet = set(self.alphabet)
+    for s in self.states:
+        if s not in self.labeling:
+            raise InvalidModel(f"state {s!r} has no label")
+        if self.labeling[s] not in alphabet:
+            raise InvalidModel(
+                f"state {s!r} carries label {self.labeling[s]!r} outside the alphabet"
+            )
+    object.__setattr__(self, "_succ", {s: tuple(t) for s, t in succ.items()})
+
+
+def _naive_game_post_init(self):
+    reach, safe, eff = self.reach_owned, self.safe_owned, self.effect
+    overlap = (reach & safe) | (reach & eff) | (safe & eff)
+    if overlap:
+        raise InvalidModel(f"vertex partition overlaps at {sorted(overlap)}")
+    vertices = tuple(sorted(reach | safe | eff))
+    succ = {v: [] for v in vertices}
+    if not succ:
+        raise InvalidModel("game has no vertices")
+    if self.initial not in succ:
+        raise InvalidModel(f"initial vertex {self.initial!r} is not a vertex")
+    if self.initial in eff:
+        raise InvalidModel("initial vertex lies in the effect set")
+    for src, dst in sorted(self.edges):
+        if src not in succ or dst not in succ:
+            raise InvalidModel(f"edge ({src!r}, {dst!r}) leaves the vertex set")
+        succ[src].append(dst)
+    for v in sorted(eff):
+        if succ[v]:
+            raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
+    for v in vertices:
+        if not succ[v] and v not in eff:
+            raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
+    object.__setattr__(self, "vertices", vertices)
+    object.__setattr__(self, "_succ", {v: tuple(t) for v, t in succ.items()})
+
+
+def naive_ts(**fields):
+    """`TransitionSystem(**fields)` checked and filled over sorted transitions."""
+    return _naive_build(TransitionSystem, _naive_ts_post_init, **fields)
+
+
+def naive_game(**fields):
+    """`ReachabilityGame(**fields)` checked and filled over sorted edges."""
+    return _naive_build(ReachabilityGame, _naive_game_post_init, **fields)
+
+
+def _naive_expect_json(data, kind, what):
+    if not isinstance(data, kind):
+        name = {dict: "object", list: "array", str: "string"}[kind]
+        raise InvalidModel(f"{what}: expected a JSON {name}, got {type(data).__name__}")
+    return data
+
+
+def _naive_all_json(values, kind, what):
+    for i, value in enumerate(values):
+        _naive_expect_json(value, kind, what(i))
+    return values
+
+
+def _naive_array_of(data, key, kind):
+    return _naive_all_json(
+        _naive_expect_json(data[key], list, key), kind, lambda i: f"{key}[{i}]"
+    )
+
+
+def _naive_records(data, key, what, fields):
+    items = _naive_array_of(data, key, dict)
+    for name in fields:
+        _naive_all_json([item[name] for item in items], str, lambda i: f"{key}[{i}].{name}")
+    records = {}
+    for item in items:
+        if item["id"] in records:
+            raise InvalidModel(f"duplicate {what} id {item['id']!r}")
+        records[item["id"]] = item
+    return records
+
+
+def _naive_pairs(data, key):
+    items = _naive_array_of(data, key, list)
+    for i, pair in enumerate(items):
+        if len(pair) != 2:
+            raise InvalidModel(f"{key}[{i}]: expected a pair, got {len(pair)} items")
+    ends = [end for pair in items for end in pair]
+    _naive_all_json(ends, str, lambda j: f"{key}[{j // 2}][{j % 2}]")
+    return frozenset((a, b) for a, b in items)
+
+
+def naive_model_from_json(data):
+    """Reference loader: every check walks the items one by one, and the
+    constructors fill the successor map over sorted transitions and edges."""
+    _naive_expect_json(data, dict, "model")
+    kind = data.get("kind")
+    if kind == "ts":
+        states = _naive_records(data, "states", "state", ("id", "label"))
+        return naive_ts(
+            states=tuple(sorted(states)),
+            initial=_naive_expect_json(data["initial"], str, "initial"),
+            transitions=_naive_pairs(data, "transitions"),
+            labeling={s: record["label"] for s, record in states.items()},
+            alphabet=tuple(sorted(_naive_array_of(data, "alphabet", str))),
+        )
+    if kind == "game":
+        vertices = _naive_records(data, "vertices", "vertex", ("id",))
+        owners = {v: record["owner"] for v, record in vertices.items()}
+        for vid, owner in owners.items():
+            if owner not in (REACH, SAFE, EFFECT):
+                raise InvalidModel(f"vertex {vid!r} has unknown owner {owner!r}")
+        initial = _naive_expect_json(data["initial"], str, "initial")
+        edges = _naive_pairs(data, "edges")
+        parts = {REACH: set(), SAFE: set(), EFFECT: set()}
+        for vertex, owner in owners.items():
+            parts[owner].add(vertex)
+        return naive_game(
+            reach_owned=frozenset(parts[REACH]),
+            safe_owned=frozenset(parts[SAFE]),
+            effect=frozenset(parts[EFFECT]),
+            initial=initial,
+            edges=edges,
+        )
+    raise InvalidModel(f"unknown model kind {kind!r}")
 
 
 def budgeted(fn, *args, limit=None):

@@ -179,6 +179,10 @@ def game_case(message, **fields):
     return ["solve", "--model", "{bad}"], {"bad": {**GAME_OK, **fields}}, message
 
 
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
 def sem_case(message, **fields):
     argv = ["sem", "butfor", "--model", "{bad}", "--effect", "[[true, true]]", "--vars", "X1"]
     return argv, {"bad": {**SEM_OK, **fields}}, message
@@ -191,6 +195,46 @@ def effect_case(effect, message):
         {"sem": SEM_OK},
         message,
     )
+
+
+TREE_CAUSE = ["game-cause", "--model", str(FIXDIR / "tree_game.json"), "--player", "reach",
+              "--strategy", "{bad}", "--cause", "v3", "--metric", "dstar"]
+TS_PATH = ["ts-cause", "--model", str(FIXDIR / "branching_ts.json"), "--path", "{bad}",
+           "--cause", "s2", "--effect", "s8", "--phi", "reach", "--metric", "pref"]
+MISSING_FIELD_CASES = [
+    *(
+        (["ts-cause", "--model", "{bad}", *TS_ARGS], {"bad": without(TS_OK, key)},
+         f"model: missing field {key!r}")
+        for key in ("states", "initial", "transitions", "alphabet")
+    ),
+    ts_case("states[0]: missing field 'id'", states=[{"label": "a"}, {"id": "s1", "label": "a"}]),
+    ts_case("states[1]: missing field 'label'", states=[{"id": "s0", "label": "a"}, {"id": "s1"}]),
+    *(
+        (["solve", "--model", "{bad}"], {"bad": without(GAME_OK, key)},
+         f"model: missing field {key!r}")
+        for key in ("vertices", "initial", "edges")
+    ),
+    game_case("vertices[1]: missing field 'id'", vertices=[{"id": "v0", "owner": "reach"}, {}]),
+    game_case("vertices[0]: missing field 'owner'",
+              vertices=[{"id": "v0"}, {"id": "v1", "owner": "effect"}]),
+    (TREE_CAUSE, {"bad": {"player": "reach"}}, "strategy: missing field 'choices'"),
+    (TREE_CAUSE, {"bad": {"choices": {}}}, "strategy: missing field 'player'"),
+    (TS_PATH, {"bad": {"states": ["s0"]}}, "path: missing field 'path'"),
+    *(
+        (["sem", "butfor", "--model", "{bad}", "--effect", "[[true, true]]", "--vars", "X1"],
+         {"bad": without(SEM_OK, key)}, f"model: missing field {key!r}")
+        for key in ("variables", "tables")
+    ),
+    effect_case('{"values": [[true]]}', "effect: missing field 'last'"),
+    effect_case('{"last": 1}', "effect: missing field 'values'"),
+]
+MISSING_FIELD_IDS = [
+    "ts-no-states-field", "ts-no-initial", "ts-no-transitions", "ts-no-alphabet",
+    "state-no-id", "state-no-label", "game-no-vertices-field", "game-no-initial",
+    "game-no-edges", "vertex-no-id", "vertex-no-owner", "strategy-no-choices",
+    "strategy-no-player", "path-no-path", "sem-no-variables", "sem-no-tables",
+    "effect-no-last", "effect-no-values",
+]
 
 
 @pytest.mark.parametrize(
@@ -289,6 +333,7 @@ def effect_case(effect, message):
             vertices=[{"id": "v0", "owner": "reach"}, {"id": "v1", "owner": "boss"}],
         ),
         game_case("unknown model kind 'dag'", kind="dag"),
+        *MISSING_FIELD_CASES,
     ],
     ids=[
         "model-list", "duplicate-state", "path-string", "strategy-list",
@@ -300,7 +345,7 @@ def effect_case(effect, message):
         "ts-label-outside-alphabet", "ts-first-bad-transition-sorted", "game-no-vertices",
         "game-unknown-initial", "game-initial-in-effect", "game-unknown-source",
         "game-unknown-target", "game-effect-with-edge", "game-dead-end", "unknown-owner",
-        "unknown-kind",
+        "unknown-kind", *MISSING_FIELD_IDS,
     ],
 )
 def test_malformed_json_shapes_exit_2(tmp_path, argv, files, message):

@@ -1,9 +1,10 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from causekit.distances import INF
+from causekit.distances import INF, format_distance
 from causekit.errors import NotLayered, PreconditionViolated
 from causekit.fixtures import branching_ts
 from causekit.generators import GeneratorSpec, generate
@@ -173,6 +174,32 @@ def test_weighted_hamming_layered():
     oracle = brute_force_check(query)
     assert verdict.is_cause == oracle.is_cause
     assert verdict.min_distance == oracle.min_distance == 0
+
+
+def test_hamm_integer_weights_match_fraction_weights():
+    """The default 0/1 metric runs on ints; the same metric as Fractions must
+    give the same verdict, witnesses and rendered distances."""
+    fraction_metric = lambda a, b: Fraction(0 if a == b else 1)
+    rng = random.Random(9)
+    checked = finite = 0
+    for seed in range(400):
+        spec = GeneratorSpec("layered-ts", seed=seed, layers=6, width=4, alphabet=rng.randint(1, 3))
+        query = build_ts_query(generate(spec), rng, METRIC_HAMM, rng.choice((PHI_REACH, PHI_SAFE)))
+        if query is None:
+            continue
+        plain = check_cause_hamm_layered(query)
+        weighted = check_cause_hamm_layered(replace(query, label_metric=fraction_metric))
+        assert plain == weighted
+        assert format_distance(plain.min_distance) == format_distance(weighted.min_distance)
+        assert [format_distance(w.distance) for w in plain.witnesses] == [
+            format_distance(w.distance) for w in weighted.witnesses
+        ]
+        if plain.min_distance != INF:
+            assert type(plain.min_distance) is int
+            assert all(type(w.distance) is int for w in plain.witnesses)
+            finite += 1
+        checked += 1
+    assert checked >= 150 and finite >= 90
 
 
 def test_lev_product_tiny():
