@@ -2,7 +2,8 @@
 and strategy-repair explanations.
 
 The polynomial pieces (attractor solving, safety regions, the Hausdorff-prefix
-cause check) all run on the one attractor kernel `model.attractor`; the
+cause check, the tree DP of the Hamming check and the d* repair's
+deviation costs) all run on the one attractor kernel `model.attractor`; the
 Hausdorff-prefix check resumes one `model.Attractor` across all its pin
 radii.  They are complemented by exact, budget-guarded searches for the
 problems the distance functions make NP- or coNP-hard.  Those searches share
@@ -12,7 +13,7 @@ product of edge choices, and `_distinct_matched` sigma-matches and
 deduplicates.  Each charges one budget unit per candidate.  A candidate is
 matched, tested and measured on its play graph (`model.play_graph`), the part
 of the game its plays can visit.  The acyclic d* repair skips the exact
-search when its min-max sweep certifies the proposed strategy.
+search when its deviation costs certify the proposed strategy.
 """
 
 from dataclasses import dataclass
@@ -504,35 +505,33 @@ def tree_min_changes(game, sigma, cause):
 
     Subtree vertex sets are disjoint on a tree, so costs add across opponent
     branches; on general DAGs this sum may double-count shared descendants,
-    which is why the exact subset search is used there.
+    which is why the exact subset search is used there.  Costs are filled
+    bottom-up in the join order of the all-universal attractor of the cause,
+    effect and trap vertices, so every successor is costed first; NotAcyclic
+    if the initial vertex never joins, that is, if a play from it can cycle
+    before reaching one of them.
     """
     owned = game.owned_by(sigma.player)
     adj = game.adjacency()
-    traps = trap_vertices(adj)
-    memo = {}
-
-    def cost(v):
-        if v in memo:
-            return memo[v]
+    ends = trap_vertices(adj).union(game.effect, cause)
+    cost = {}
+    for v in attractor(adj, (), ends):
         if v in cause:
-            memo[v] = distances.INF
-            return memo[v]
-        if v in game.effect or v in traps:
-            memo[v] = 0
-            return memo[v]
-        succ = adj[v]
-        if v in owned:
-            keep = cost(sigma.choice[v])
+            cost[v] = distances.INF
+        elif v in ends:
+            cost[v] = 0
+        elif v in owned:
+            keep = cost[sigma.choice[v]]
             change = min(
-                (1 + cost(u) for u in succ if u != sigma.choice[v]),
+                (1 + cost[u] for u in adj[v] if u != sigma.choice[v]),
                 default=distances.INF,
             )
-            memo[v] = min(keep, change)
+            cost[v] = min(keep, change)
         else:
-            memo[v] = sum(cost(u) for u in succ)
-        return memo[v]
-
-    return cost(game.initial)
+            cost[v] = sum(cost[u] for u in adj[v])
+    if game.initial not in cost:
+        raise NotAcyclic("a play from the initial vertex can cycle")
+    return cost[game.initial]
 
 
 def _check_hamm_s(query, budget):
@@ -548,7 +547,7 @@ def _check_hamm_s(query, budget):
     start = 0
     if _tree_shaped(game):
         k_tree = tree_min_changes(game, sigma, cause)
-        if k_tree is not distances.INF:
+        if k_tree != distances.INF:
             start = int(k_tree)
 
     def avoidable(allowed):
@@ -780,14 +779,13 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     """Winning Reach strategy minimizing the vertex-counting distance to a
     losing sigma whose restriction graph is acyclic, with that distance.
 
-    A weighted min-max sweep (deviating edges cost 1, Safe maximizing)
-    proposes a strategy tau_fast and a lower bound val[initial].  The bound
-    holds because a winning MD strategy's plays are simple and finite: Safe
-    could repeat any loop forever.  So the play on which Safe always moves
-    to a successor of largest value deviates from sigma at no fewer distinct
-    vertices than val[initial], and d* is at least that play's count.  The
-    sweep does reach its fixpoint within its cap: values only fall, and a
-    finite one never exceeds the number of Reach vertices.
+    The min-max costs of `_deviation_costs` (deviating edges cost 1, Safe
+    maximizing) propose a strategy tau_fast and a lower bound val[initial].
+    The bound holds because a winning MD strategy's plays are simple and
+    finite: Safe could repeat any loop forever.  So the play on which Safe
+    always moves to a successor of largest value deviates from sigma at no
+    fewer distinct vertices than val[initial], and d* is at least that play's
+    count.
 
     A winning tau_fast whose d* equals val[initial] is certified optimal and
     returned without the exact search.  Otherwise the exact search decides,
@@ -797,39 +795,19 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     if sigma.player != REACH:
         raise PreconditionViolated("the acyclic repair is defined for Reach")
     budget = as_budget(budget)
-    if not is_effectively_acyclic(strategy_adjacency(game, sigma)):
+    adj = strategy_adjacency(game, sigma)
+    if not is_effectively_acyclic(adj):
         raise NotAcyclic("the game restricted to sigma is not acyclic")
     ranks = attractor(game.adjacency(), game.reach_owned, game.effect)
     if game.initial not in ranks:
         raise NoWinningStrategy("Reach does not win this game")
 
-    INF = distances.INF
-    val = {v: (0 if v in game.effect else INF) for v in game.vertices}
-    for _ in range(len(game.vertices) * (len(game.reach_owned) + 2)):
-        changed = False
-        for v in game.vertices:
-            if v in game.effect:
-                continue
-            succ = game.successors(v)
-            if v in game.reach_owned:
-                new = min(
-                    (0 if u == sigma.choice[v] else 1) + val[u] for u in succ
-                )
-            elif v in game.safe_owned:
-                new = max(val[u] for u in succ)
-            else:
-                continue
-            if new != val[v]:
-                val[v] = new
-                changed = True
-        if not changed:
-            break
-
+    val = _deviation_costs(game, sigma, adj)
     choice = {}
     for v in sorted(game.reach_owned):
         options = []
         for u in game.successors(v):
-            cost = (0 if u == sigma.choice[v] else 1) + val[u]
+            cost = (0 if u == sigma.choice[v] else 1) + val.get(u, distances.INF)
             options.append((cost, ranks.get(u, float("inf")), u))
         options.sort()
         choice[v] = options[0][2]
@@ -842,3 +820,27 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
             return tau_fast, fast
     exact, tau_exact = _min_winning(game, sigma, METRIC_DSTAR, None, budget)
     return (tau_fast if fast == exact else tau_exact), exact
+
+
+def _deviation_costs(game, sigma, adjacency):
+    """{vertex: cost} of forcing the effect when each step off sigma's choice
+    costs 1 and Safe maximizes; vertices where Reach cannot force it (cost
+    INF) are left out.  These are the 0/1 case of min-cost reachability game
+    values (Khachiyan et al., "On short paths interdiction problems", 2008):
+    a vertex costs at most k iff it joins the all-universal attractor, over
+    sigma's graph `adjacency`, of the effect plus every Reach vertex with an
+    edge into level k - 1.  One attractor runs per level until no Reach
+    vertex is added.  Attractors are least fixpoints, so the costs are the
+    greatest fixpoint of the min-max equations: the values a Bellman-style
+    sweep reaches from INF.
+    """
+    cost, level, target = {}, 0, game.effect
+    while True:
+        for v in attractor(adjacency, (), target):
+            cost.setdefault(v, level)
+        grown = game.effect.union(
+            v for v in game.reach_owned if any(u in cost for u in game.successors(v))
+        )
+        if len(grown) == len(target):
+            return cost
+        target, level = grown, level + 1

@@ -7,9 +7,10 @@ immutable; every query in this module is a pure function of its inputs and
 safe to share across threads.
 
 `attractor` is the single fixpoint kernel over game and system vertices:
-winning regions, safety regions and "exists a maximal avoiding path" are all
-attractors or their complements.  `Attractor` is the same kernel as an object
-that resumes after universal vertices are pinned to one successor.
+winning regions, safety regions, "exists a maximal avoiding path" and
+acyclicity are all attractors or their complements.  `Attractor` is the same
+kernel as an object that resumes after universal vertices are pinned to one
+successor.
 """
 
 import json
@@ -503,7 +504,8 @@ def maximal_paths(ts, max_len=None, budget=None):
     On acyclic systems this enumeration is exhaustive.  On cyclic systems a
     `max_len` cap (number of states per path) must be supplied and the result
     only covers maximal paths up to that length; infinite maximal paths are
-    never produced.
+    never produced.  The depth-first walk keeps one successor iterator per
+    state of the current path and charges one budget unit per visited state.
     """
     budget = as_budget(budget)
     acyclic = is_acyclic(ts._succ)
@@ -512,47 +514,30 @@ def maximal_paths(ts, max_len=None, budget=None):
             "cyclic system: maximal-path enumeration needs a max_len cap"
         )
     out = []
-    path = [ts.initial]
-
-    def walk(state):
-        budget.charge()
-        if ts.is_terminal(state):
-            out.append(tuple(path))
-            return
-        if max_len is not None and len(path) >= max_len:
-            return
-        for nxt in ts.successors(state):
-            path.append(nxt)
-            walk(nxt)
+    path = []
+    stack = [iter((ts.initial,))]  # stack[i + 1] iterates path[i]'s successors
+    while stack:
+        for state in stack[-1]:
+            budget.charge()
+            path.append(state)
+            if ts.is_terminal(state):
+                out.append(tuple(path))
+            elif max_len is None or len(path) < max_len:
+                stack.append(iter(ts.successors(state)))
+                break
             path.pop()
-
-    walk(ts.initial)
+        else:
+            stack.pop()
+            if path:
+                path.pop()
     return out
 
 
 def is_acyclic(adjacency):
-    """True iff the directed graph has no cycle (self-loops included)."""
-    color = {v: 0 for v in adjacency}
-    for root in sorted(adjacency):
-        if color[root]:
-            continue
-        stack = [(root, iter(adjacency[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if color[u] == 1:
-                    return False
-                if color[u] == 0:
-                    color[u] = 1
-                    stack.append((u, iter(adjacency[u])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return True
+    """True iff the directed graph has no cycle (self-loops included): every
+    vertex joins the all-universal attractor of the sinks."""
+    sinks = [v for v, succ in adjacency.items() if not succ]
+    return len(attractor(adjacency, (), sinks)) == len(adjacency)
 
 
 def trap_vertices(adjacency):
@@ -565,18 +550,15 @@ def trap_vertices(adjacency):
 
 
 def is_effectively_acyclic(adjacency):
-    """Acyclic once self-loops at trap vertices are disregarded.
+    """Acyclic once self-loops at trap vertices are disregarded: every vertex
+    joins the all-universal attractor of the sinks and the traps.
 
     This is the acyclicity notion used for games: play-totality forces a
     self-loop wherever a drawing would show a non-target sink, and those
     loops are the only cycles an "acyclic" game may contain.
     """
-    traps = trap_vertices(adjacency)
-    stripped = {
-        v: tuple(u for u in succ if not (u == v and v in traps))
-        for v, succ in adjacency.items()
-    }
-    return is_acyclic(stripped)
+    ends = trap_vertices(adjacency).union(v for v, succ in adjacency.items() if not succ)
+    return len(attractor(adjacency, (), ends)) == len(adjacency)
 
 
 def validate_play(game, play):

@@ -333,11 +333,12 @@ def ghamm_product(ts, pi_sequence, cause, effect):
     steps inside the last copy cost 1 each.  Goals are the terminal states of
     the last copy.
     """
-    seq = tuple(pi_sequence)
-    n = len(seq)
+    labeling = ts.labeling
+    target = [labeling[s] for s in pi_sequence]
+    n = len(target)
 
     def mismatch(state, copy):
-        return 0 if ts.label(state) == ts.label(seq[copy - 1]) else 1
+        return 0 if labeling[state] == target[copy - 1] else 1
 
     def successors(node):
         s, i = node
@@ -388,8 +389,9 @@ def lev_product(ts, pi_sequence, cause, effect):
     deletes from the execution's trace.  C-states are left out; goals are the
     terminal states of the last copy.
     """
-    seq = tuple(pi_sequence)
-    n = len(seq)
+    labeling = ts.labeling
+    target = [labeling[s] for s in pi_sequence]
+    n = len(target)
 
     def successors(node):
         s, i = node
@@ -397,7 +399,7 @@ def lev_product(ts, pi_sequence, cause, effect):
             if t in cause:
                 continue
             if i < n:
-                w = 0 if ts.label(seq[i]) == ts.label(t) else 1
+                w = 0 if target[i] == labeling[t] else 1
                 yield (t, i + 1), w, "step"
             yield (t, i), 1, "step"
         if i < n:

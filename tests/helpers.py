@@ -6,8 +6,10 @@ play-prefix enumeration, the play-distance supremum by chains over
 disagreement subsets, attractors by rescanning every vertex per round, the
 pref-h pin search by one fresh attractor per radius, the strategy predicates
 on the whole strategy-induced adjacency, the SEM bridge by a layered
-Hamming check on the fully unrolled tree, and model loading by per-item
-checks over sorted transitions and edges.
+Hamming check on the fully unrolled tree, model loading by per-item
+checks over sorted transitions and edges, acyclicity by a colored
+depth-first search, the d* repair's costs by a Bellman-style min-max sweep,
+and the tree change count and maximal-path enumeration by recursion.
 """
 
 import random
@@ -21,16 +23,22 @@ from causekit.errors import (
     Budget,
     CausekitError,
     InvalidModel,
+    NotAcyclic,
+    NoWinningStrategy,
     PreconditionViolated,
     as_budget,
 )
 from causekit.game_causality import (
+    METRIC_DSTAR,
     GameCauseVerdict,
     StrategyWitness,
     _assemble_strategy,
     _avoid_set,
     _defeat_choices,
+    _min_winning,
+    _sigma_matched,
     avoid_region,
+    strategy_is_winning,
     validate_game_query,
 )
 from causekit.model import (
@@ -41,11 +49,14 @@ from causekit.model import (
     MDStrategy,
     ReachabilityGame,
     TransitionSystem,
+    attractor,
     game_from_owners,
     maximal_avoiding_set,
     maximal_paths,
     reachable_set,
     strategy_adjacency,
+    trap_vertices,
+    validate_strategy,
 )
 from causekit.sem_bridge import (
     butfor_to_cause_set,
@@ -349,6 +360,152 @@ def with_unreachable_copy(game, rng):
         initial=game.initial,
         edges=frozenset(edges),
     )
+
+
+# ---------------------------------------------------------------------------
+# acyclicity, the d* repair and the tree change count without the attractor
+
+
+def naive_is_acyclic(adjacency):
+    """Colored depth-first search: False on meeting a vertex still open."""
+    color = {v: 0 for v in adjacency}
+    for root in sorted(adjacency):
+        if color[root]:
+            continue
+        stack = [(root, iter(adjacency[root]))]
+        color[root] = 1
+        while stack:
+            v, it = stack[-1]
+            advanced = False
+            for u in it:
+                if color[u] == 1:
+                    return False
+                if color[u] == 0:
+                    color[u] = 1
+                    stack.append((u, iter(adjacency[u])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[v] = 2
+                stack.pop()
+    return True
+
+
+def naive_is_effectively_acyclic(adjacency):
+    """`naive_is_acyclic` on a copy without the trap vertices' self-loops."""
+    traps = trap_vertices(adjacency)
+    stripped = {
+        v: tuple(u for u in succ if not (u == v and v in traps))
+        for v, succ in adjacency.items()
+    }
+    return naive_is_acyclic(stripped)
+
+
+def naive_repair_costs(game, sigma):
+    """The repair's min-max costs by in-place sweeps from INF (deviating
+    edges cost 1, Safe maximizing), capped at |V| * (|R| + 2) sweeps."""
+    INF = distances.INF
+    val = {v: (0 if v in game.effect else INF) for v in game.vertices}
+    for _ in range(len(game.vertices) * (len(game.reach_owned) + 2)):
+        changed = False
+        for v in game.vertices:
+            if v in game.effect:
+                continue
+            succ = game.successors(v)
+            if v in game.reach_owned:
+                new = min(
+                    (0 if u == sigma.choice[v] else 1) + val[u] for u in succ
+                )
+            else:
+                new = max(val[u] for u in succ)
+            if new != val[v]:
+                val[v] = new
+                changed = True
+        if not changed:
+            break
+    return val
+
+
+def naive_min_dstar_repair(game, sigma, budget=None):
+    """`min_dstar_winning_strategy_acyclic` with the colored-DFS acyclicity
+    test and the swept costs."""
+    validate_strategy(game, sigma)
+    if sigma.player != REACH:
+        raise PreconditionViolated("the acyclic repair is defined for Reach")
+    budget = as_budget(budget)
+    if not naive_is_effectively_acyclic(strategy_adjacency(game, sigma)):
+        raise NotAcyclic("the game restricted to sigma is not acyclic")
+    ranks = attractor(game.adjacency(), game.reach_owned, game.effect)
+    if game.initial not in ranks:
+        raise NoWinningStrategy("Reach does not win this game")
+    val = naive_repair_costs(game, sigma)
+    choice = {}
+    for v in sorted(game.reach_owned):
+        options = []
+        for u in game.successors(v):
+            cost = (0 if u == sigma.choice[v] else 1) + val[u]
+            options.append((cost, ranks.get(u, float("inf")), u))
+        options.sort()
+        choice[v] = options[0][2]
+    tau_fast = _sigma_matched(game, MDStrategy(REACH, choice), sigma)
+    fast = None
+    if strategy_is_winning(game, tau_fast):
+        fast = distances.dstar(game, tau_fast, sigma, budget)
+        if fast == val[game.initial]:
+            return tau_fast, fast
+    exact, tau_exact = _min_winning(game, sigma, METRIC_DSTAR, None, budget)
+    return (tau_fast if fast == exact else tau_exact), exact
+
+
+def naive_maximal_paths(ts, max_len=None, budget=None):
+    """`maximal_paths` by a recursive walk, one budget unit per call; the
+    acyclicity check is left to the caller."""
+    budget = as_budget(budget)
+    out = []
+    path = [ts.initial]
+
+    def walk(state):
+        budget.charge()
+        if ts.is_terminal(state):
+            out.append(tuple(path))
+            return
+        if max_len is not None and len(path) >= max_len:
+            return
+        for nxt in ts.successors(state):
+            path.append(nxt)
+            walk(nxt)
+            path.pop()
+
+    walk(ts.initial)
+    return out
+
+
+def naive_tree_min_changes(game, sigma, cause):
+    """`tree_min_changes` by memoized recursion from the initial vertex; a
+    cycle on the way ends in RecursionError."""
+    owned = game.owned_by(sigma.player)
+    adj = game.adjacency()
+    traps = trap_vertices(adj)
+    memo = {}
+
+    def cost(v):
+        if v not in memo:
+            if v in cause:
+                memo[v] = distances.INF
+            elif v in game.effect or v in traps:
+                memo[v] = 0
+            elif v in owned:
+                keep = cost(sigma.choice[v])
+                change = min(
+                    (1 + cost(u) for u in adj[v] if u != sigma.choice[v]),
+                    default=distances.INF,
+                )
+                memo[v] = min(keep, change)
+            else:
+                memo[v] = sum(cost(u) for u in adj[v])
+        return memo[v]
+
+    return cost(game.initial)
 
 
 # ---------------------------------------------------------------------------

@@ -1,35 +1,50 @@
 """The linear-time attractor kernel against the round-based reference, its
-resumption after pins, and the game and system queries built on it."""
+resumption after pins, and the game and system queries built on it:
+acyclicity, the d* repair's costs and the tree change count included."""
 
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from causekit.distances import dyadic
+from causekit.distances import INF, dyadic
+from causekit.errors import NotAcyclic
 from causekit.game_causality import (
     METRIC_PREF_H,
     GameCauseQuery,
     _avoid_set,
+    _deviation_costs,
     _solve_for,
     check_cause_game,
+    min_dstar_winning_strategy_acyclic,
     solve,
+    tree_min_changes,
 )
 from causekit.generators import acyclic_game, cyclic_game, random_strategy
 from causekit.model import (
+    EFFECT,
     REACH,
     SAFE,
     Attractor,
     TransitionSystem,
     attractor,
     exists_maximal_path_avoiding,
+    game_from_owners,
+    is_acyclic,
+    is_effectively_acyclic,
     opponent,
     play_graph,
+    strategy_adjacency,
 )
 
 from helpers import (
     budgeted,
     naive_attractor,
     naive_check_pref_h,
+    naive_is_acyclic,
+    naive_is_effectively_acyclic,
+    naive_min_dstar_repair,
+    naive_repair_costs,
+    naive_tree_min_changes,
     pref_h_chain,
     with_unreachable_copy,
 )
@@ -195,3 +210,108 @@ def test_pref_h_deep_chain_matches_the_per_radius_loop():
         assert budgeted(check_cause_game, query, limit=used - 1) == (
             "BudgetExceeded", used,
         )
+
+
+def random_digraph(rng):
+    """Forward edges only, plus a few self-loops and back edges, so about
+    half the graphs are acyclic."""
+    n = rng.randint(1, 12)
+    adjacency = {v: sorted(rng.sample(range(v + 1, n), rng.randint(0, min(3, n - v - 1))))
+                 for v in range(n)}
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        v = rng.randrange(n)
+        adjacency[v].append(rng.randint(0, v))
+        if rng.random() < 0.5:
+            adjacency[v] = [v]  # now a trap
+    return {v: tuple(succ) for v, succ in adjacency.items()}
+
+
+@FUZZ
+@given(SEEDS, st.booleans(), st.booleans())
+def test_acyclicity_matches_the_colored_search(seed, cyclic, island):
+    game, rng = random_game(seed, cyclic)
+    if island:
+        game = with_unreachable_copy(game, rng)
+    graphs = [random_digraph(rng), game.adjacency()]
+    graphs += [
+        strategy_adjacency(game, random_strategy(rng, game, player))
+        for player in (REACH, SAFE)
+    ]
+    for adj in graphs:
+        assert is_acyclic(adj) == naive_is_acyclic(adj)
+        assert is_effectively_acyclic(adj) == naive_is_effectively_acyclic(adj)
+
+
+@FUZZ
+@given(SEEDS, st.booleans(), st.booleans())
+def test_repair_costs_match_the_sweep(seed, cyclic, island):
+    game, rng = random_game(seed, cyclic)
+    if island:
+        game = with_unreachable_copy(game, rng)
+    sigma = random_strategy(rng, game, REACH)
+    swept = naive_repair_costs(game, sigma)
+    costs = _deviation_costs(game, sigma, strategy_adjacency(game, sigma))
+    assert costs == {v: c for v, c in swept.items() if c != INF}
+
+
+@FUZZ
+@given(SEEDS, st.booleans(), st.booleans())
+def test_repair_matches_the_swept_repair(seed, cyclic, island):
+    rng = random.Random(seed)
+    game = (cyclic_game if cyclic else acyclic_game)(rng, 7)
+    if island:
+        game = with_unreachable_copy(game, rng)
+    sigma = random_strategy(rng, game, REACH)
+    limit = rng.choice((None, rng.randint(0, 300)))
+    assert budgeted(min_dstar_winning_strategy_acyclic, game, sigma, limit=limit) == (
+        budgeted(naive_min_dstar_repair, game, sigma, limit=limit)
+    )
+
+
+def random_tree_game(rng, n):
+    """A random tree of n inner vertices under v0, each with up to two more
+    children that are effect vertices or traps."""
+    owners, edges = {}, set()
+    for i in range(n):
+        owners[f"v{i}"] = rng.choice((REACH, SAFE))
+        if i:
+            edges.add((f"v{rng.randrange(i)}", f"v{i}"))
+    parents = {a for a, _ in edges}
+    for i in range(n):
+        v = f"v{i}"
+        for j in range(rng.randint(v not in parents, 2)):
+            leaf = f"{v}.{j}"
+            owners[leaf] = rng.choice((EFFECT, SAFE))
+            edges.add((v, leaf))
+            if owners[leaf] == SAFE:
+                edges.add((leaf, leaf))
+    return game_from_owners(owners, "v0", edges)
+
+
+@FUZZ
+@given(SEEDS, st.sampled_from(("tree", "acyclic", "cyclic")), st.booleans())
+def test_tree_min_changes_matches_the_recursion(seed, shape, island):
+    if shape == "tree":
+        rng = random.Random(seed)
+        game = random_tree_game(rng, rng.randint(1, 12))
+    else:
+        game, rng = random_game(seed, shape == "cyclic")
+    if island:
+        game = with_unreachable_copy(game, rng)
+    pool = sorted(set(game.vertices) - game.effect)
+    for player in (REACH, SAFE):
+        sigma = random_strategy(rng, game, player)
+        # sigma's choices in the cause make changes pay off on several branches
+        cause = frozenset(rng.sample(pool, rng.randint(0, min(2, len(pool))))) | {
+            u for _v, u in sorted(sigma.choice.items())
+            if u not in game.effect and rng.random() < 0.6
+        }
+        try:
+            expected = naive_tree_min_changes(game, sigma, cause)
+        except RecursionError:
+            expected = "NotAcyclic"
+        try:
+            got = tree_min_changes(game, sigma, cause)
+        except NotAcyclic:
+            got = "NotAcyclic"
+        assert got == expected

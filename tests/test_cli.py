@@ -439,6 +439,54 @@ def test_sem_bridge_over_the_unroll_cap_exit_3(tmp_path, capsys):
     assert capsys.readouterr() == ("", "causekit: unrolling 17 variables needs 262143 states\n")
 
 
+DEEP = 1100  # deeper than the interpreter's default recursion limit
+
+
+def test_hamm_s_on_a_deep_tree_game(tmp_path, capsys):
+    # A chain of single-successor Safe vertices ends at the one Reach choice,
+    # between the effect and a trap that sigma takes.
+    from causekit import cli
+
+    chain = [f"c{i:04d}" for i in range(DEEP)]
+    game, sigma = tmp_path / "game.json", tmp_path / "sigma.json"
+    game.write_text(json.dumps({
+        "kind": "game",
+        "initial": chain[0],
+        "vertices": [{"id": v, "owner": "safe"} for v in chain + ["t"]]
+        + [{"id": "r", "owner": "reach"}, {"id": "g", "owner": "effect"}],
+        "edges": [[a, b] for a, b in zip(chain, chain[1:] + ["r"])]
+        + [["r", "g"], ["r", "t"], ["t", "t"]],
+    }))
+    sigma.write_text(json.dumps({"player": "reach", "choices": {"r": "t"}}))
+    argv = ["game-cause", "--model", str(game), "--player", "reach",
+            "--strategy", str(sigma), "--cause", "t", "--metric", "hamm-s"]
+    assert cli.main(argv) in (0, 1)
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["minDistance"], err) == (True, "1", "")
+
+
+def test_oracle_on_a_long_chain(tmp_path, capsys):
+    from causekit import cli
+
+    chain = [f"s{i:04d}" for i in range(DEEP)]
+    ts, path = tmp_path / "ts.json", tmp_path / "path.json"
+    ts.write_text(json.dumps({
+        "kind": "ts",
+        "alphabet": ["a", "b"],
+        "initial": chain[0],
+        "states": [{"id": s, "label": "a"} for s in chain] + [{"id": "x", "label": "b"}],
+        "transitions": [[a, b] for a, b in zip(chain, chain[1:])] + [[chain[0], "x"]],
+    }))
+    path.write_text(json.dumps(chain))
+    argv = ["oracle", "ts-cause", "--model", str(ts), "--path", str(path),
+            "--cause", chain[1], "--effect", chain[-1], "--phi", "reach", "--metric", "ghamm"]
+    assert cli.main(argv) in (0, 1)
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert (doc["verdict"], doc["diagnostics"]["budgetUsed"], err) == (True, DEEP + 1, "")
+
+
 TREE_GAME = ["--model", str(FIXDIR / "tree_game.json")]
 TREE_SIGMA = str(FIXDIR / "tree_game_sigma.json")
 BAD_TAUS = [

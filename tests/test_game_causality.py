@@ -158,6 +158,12 @@ def test_tree_min_changes_matches_search():
     assert tree_min_changes(game, sigma, frozenset({"s11", "v3"})) == INF
 
 
+def test_tree_min_changes_rejects_a_cyclic_game():
+    game, sigma = loop_game()  # v1 has a non-trap self-loop
+    with pytest.raises(NotAcyclic):
+        tree_min_changes(game, sigma, frozenset())
+
+
 # ---------------------------------------------------------------------------
 # oracle equivalence on random games
 

@@ -2,15 +2,17 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causekit.errors import InvalidModel, NotAPath, NotMaximal
 from causekit.fixtures import branching_ts, tree_game
-from causekit.generators import GeneratorSpec, generate, random_strategy
+from causekit.generators import GeneratorSpec, acyclic_ts, generate, random_strategy
 from causekit.model import (
     MDStrategy,
     ReachabilityGame,
     TransitionSystem,
     exists_maximal_path_avoiding,
+    is_acyclic,
     is_effectively_acyclic,
     maximal_paths,
     model_from_json,
@@ -21,6 +23,8 @@ from causekit.model import (
     validate_maximal_path,
     validate_strategy,
 )
+
+from helpers import budgeted, naive_maximal_paths
 
 
 def small_ts():
@@ -225,3 +229,18 @@ def test_maximal_paths_enumeration():
     with pytest.raises(PreconditionViolated):
         maximal_paths(cyclic)
     assert maximal_paths(cyclic, max_len=5) == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_maximal_paths_match_the_recursive_walk(seed, cyclic):
+    rng = random.Random(seed)
+    ts = acyclic_ts(rng, 9, 2)
+    if cyclic:
+        back = [(s, rng.choice(ts.states)) for s in rng.sample(ts.states, 2)]
+        ts = replace(ts, transitions=ts.transitions | set(back))
+    max_len = rng.choice((None, rng.randint(1, 7))) if is_acyclic(ts._succ) else rng.randint(1, 7)
+    limit = rng.choice((None, rng.randint(0, 30)))
+    assert budgeted(maximal_paths, ts, max_len, limit=limit) == (
+        budgeted(naive_maximal_paths, ts, max_len, limit=limit)
+    )
