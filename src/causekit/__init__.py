@@ -18,12 +18,9 @@ from .errors import (
 from .model import (
     MaximalFinitePath,
     MDStrategy,
-    Play,
     ReachabilityGame,
     TransitionSystem,
-    restrict_game,
     validate_maximal_path,
-    validate_play,
 )
 
 __all__ = [
@@ -40,13 +37,10 @@ __all__ = [
     "NotAcyclic",
     "NotAPath",
     "NotLayered",
-    "Play",
     "PreconditionViolated",
     "ReachabilityGame",
     "TransitionSystem",
-    "restrict_game",
     "validate_maximal_path",
-    "validate_play",
 ]
 
 __version__ = "0.1.0"

@@ -177,13 +177,7 @@ def d_pref_hausdorff(game, sigma, tau):
     diff = disagreement_vertices(game, sigma, tau)
     if not diff:
         return Fraction(0)
-    owned = game.owned_by(sigma.player)
-    common = {}
-    for v in game.vertices:
-        if v in owned:
-            common[v] = (sigma.choice[v],) if v not in diff else ()
-        else:
-            common[v] = game.successors(v)
+    owned, succ = game.owned_by(sigma.player), game._succ
     depth = {game.initial: 0}
     frontier = [game.initial]
     while frontier:
@@ -191,7 +185,7 @@ def d_pref_hausdorff(game, sigma, tau):
         for v in frontier:
             if v in diff:
                 return dyadic(depth[v] + 1)
-            for u in common[v]:
+            for u in (sigma.choice[v],) if v in owned else succ[v]:
                 if u not in depth:
                     depth[u] = depth[v] + 1
                     nxt.append(u)
@@ -199,28 +193,18 @@ def d_pref_hausdorff(game, sigma, tau):
     return Fraction(0)
 
 
-def play_dist(game, play, strategy):
-    """Distinct owned vertices on the play where its move contradicts the
-    strategy.  Lassos are evaluated over the stem plus one cycle unrolling."""
-    owned = game.owned_by(strategy.player)
-    hit = set()
-    for v, w in play.steps():
-        if v in owned and strategy.choice[v] != w:
-            hit.add(v)
-    return len(hit)
+def dstrat(game, tau, sigma, budget=None, graph=None):
+    """Supremum, over all tau-plays, of the number of distinct owned vertices
+    on the play where its move contradicts sigma.
 
-
-def dstrat(game, tau, sigma, budget=None):
-    """Supremum of play_dist(rho, sigma) over all tau-plays.
-
-    Exhaustive walk of the (vertex, counted-set) graph over tau's play graph;
-    the counted set only grows along edges, so the reachable values are
-    exactly the achievable play distances.  Worst case exponential; guarded
-    by the budget.
+    Exhaustive walk of the (vertex, counted-set) graph over tau's play graph,
+    `graph` when the caller has built it; the counted set only grows along
+    edges, so the reachable values are exactly the achievable play
+    distances.  Worst case exponential; guarded by the budget.
     """
     _require_same_player(sigma, tau)
     budget = as_budget(budget)
-    adj = play_graph(game, tau)
+    adj = play_graph(game, tau) if graph is None else graph
     owned = game.owned_by(sigma.player)
     start = (game.initial, frozenset())
     seen = {start}
@@ -242,10 +226,14 @@ def dstrat(game, tau, sigma, budget=None):
     return best
 
 
-def dstar(game, tau, sigma, budget=None):
-    """Max of the two directed play-distance suprema between two strategies."""
+def dstar(game, tau, sigma, budget=None, sigma_graph=None):
+    """Max of the two directed play-distance suprema between two strategies.
+
+    A search that measures many tau against one sigma builds sigma's play
+    graph once and passes it as `sigma_graph`.
+    """
     budget = as_budget(budget)
-    return max(dstrat(game, tau, sigma, budget), dstrat(game, sigma, tau, budget))
+    return max(dstrat(game, tau, sigma, budget), dstrat(game, sigma, tau, budget, sigma_graph))
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 and strategy-repair explanations.
 
 The polynomial pieces (attractor solving, safety regions, the Hausdorff-prefix
-cause check, the tree DP of the Hamming check and the d* repair's
-deviation costs) all run on the one attractor kernel `model.attractor`; the
-Hausdorff-prefix check resumes one `model.Attractor` across all its pin
-radii.  They are complemented by exact, budget-guarded searches for the
+cause check, the tree DP of the Hamming check and the d* repair's deviation
+costs) all run on the one attractor kernel `model.attractor`, on the game's
+own predecessor lists where it can; the Hausdorff-prefix check resumes one
+`model.Attractor` across all its pin radii.  They are complemented by exact, budget-guarded searches for the
 problems the distance functions make NP- or coNP-hard.  Those searches share
 one enumeration kernel: `_free_sets` walks the least sets of sigma's vertices
 whose freeing solves a feasibility test, `_variants` re-points sigma over a
@@ -101,33 +101,34 @@ def solve(game):
     Deterministic: Reach picks its first successor of lower attractor rank,
     so repeated runs extract the same strategies.
     """
-    adj = game.adjacency()
-    rank = attractor(adj, game.reach_owned, game.effect)
+    rank = attractor(game._succ, game.reach_owned, game.effect, game._pred)
     return WinningAnalysis(
         reach_region=frozenset(rank),
-        safe_region=frozenset(v for v in game.vertices if v not in rank),
-        reach_strategy=MDStrategy(REACH, _attractor_choices(game, adj, rank, REACH)),
-        safe_strategy=MDStrategy(SAFE, _attractor_choices(game, adj, rank, SAFE)),
+        safe_region=frozenset(v for v in game._succ if v not in rank),
+        reach_strategy=MDStrategy(REACH, _attractor_choices(game, {}, rank, REACH)),
+        safe_strategy=MDStrategy(SAFE, _attractor_choices(game, {}, rank, SAFE)),
     )
 
 
-def _attractor_choices(game, adjacency, rank, player):
-    """The player's MD choices from Reach's attractor ranks over `adjacency`.
+def _attractor_choices(game, allowed, rank, player):
+    """The player's MD choices from Reach's attractor ranks over the game
+    with the edge tuples of `allowed` in place of its own.
 
     Reach steps to its first successor of lower rank, Safe to its first
-    successor outside the attractor; failing that, the first edge of the
-    adjacency, or of the game where the adjacency leaves none.
+    successor outside the attractor; failing that, the first allowed edge,
+    or the first edge of the game where `allowed` leaves none.
     """
     choice = {}
+    succ = game._succ
     for v in sorted(game.owned_by(player)):
-        opts = adjacency[v]
+        opts = allowed.get(v, succ[v])
         if player == SAFE:
             keep = [u for u in opts if u not in rank]
         elif v in rank:
             keep = [u for u in opts if rank.get(u, rank[v]) < rank[v]]
         else:
             keep = []
-        choice[v] = (keep or opts or game.successors(v))[0]
+        choice[v] = (keep or opts or succ[v])[0]
     return choice
 
 
@@ -139,8 +140,8 @@ def avoid_region(game, player, cause):
             raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
     region = _avoid_set(game, player, cause, {})
     allowed = {
-        v: tuple(u for u in game.successors(v) if u in region)
-        for v in sorted(game.owned_by(player) & region)
+        v: tuple(u for u in game._succ[v] if u in region)
+        for v in game.owned_by(player) & region
     }
     return frozenset(region), allowed
 
@@ -148,10 +149,10 @@ def avoid_region(game, player, cause):
 def _avoid_set(game, player, cause, allowed):
     """Vertices outside the opponent's attractor of `cause` when the vertices
     in `allowed` may only use the given edge tuples."""
-    adj = game.adjacency()
-    adj.update(allowed)
-    caught = attractor(adj, game.owned_by(opponent(player)), cause)
-    return {v for v in game.vertices if v not in caught}
+    caught = attractor(
+        game._succ, game.owned_by(opponent(player)), cause, game._pred, allowed
+    )
+    return {v for v in game._succ if v not in caught}
 
 
 def _solve_for(game, player, allowed):
@@ -162,11 +163,9 @@ def _solve_for(game, player, allowed):
     their full edge set.  Dead ends the restriction creates count against
     Reach: a stuck play never reaches the effect set.
     """
-    adj = game.adjacency()
-    adj.update(allowed)
-    rank = attractor(adj, game.reach_owned, game.effect)
+    rank = attractor(game._succ, game.reach_owned, game.effect, game._pred, allowed)
     wins = (game.initial in rank) == (player == REACH)
-    return wins, _attractor_choices(game, adj, rank, player)
+    return wins, _attractor_choices(game, allowed, rank, player)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ def _check_pref_h(query, c1, budget):
     """
     game, sigma, cause, player = query.game, query.sigma, query.cause, query.player
     owned = game.owned_by(player)
-    caught = Attractor(game.adjacency(), game.owned_by(opponent(player)), cause)
+    caught = Attractor(game._succ, game.owned_by(opponent(player)), cause, game._pred)
     c2 = game.initial not in caught.rank
     if not (c1 and c2):
         return GameCauseVerdict(False, distances.INF, c1, c2)
@@ -395,27 +394,24 @@ def _check_pref_h(query, c1, budget):
     else:
         raise AssertionError("pinning every reachable vertex must block avoidance")
     lost = set(islice(caught.rank, joined))
-    pin_region = {v for v in game.vertices if v not in lost}
+    pin_region = {v for v in game._succ if v not in lost}
 
     pins = {v: (sigma.choice[v],) for layer in layers[:n_star] for v in layer}
     min_d = dyadic(n_star + 1)
 
-    allowed = {}
-    for v in sorted(owned & pin_region):
-        if v in pins:
-            allowed[v] = pins[v]
-        else:
-            allowed[v] = tuple(u for u in game.successors(v) if u in pin_region)
-    arena = {}
-    for v in sorted(pin_region):
-        if v in owned:
-            arena[v] = allowed[v]
-        else:
-            arena[v] = game.successors(v)
+    succ = game._succ
+    allowed = {
+        v: pins[v] if v in pins else tuple(u for u in succ[v] if u in pin_region)
+        for v in owned & pin_region
+    }
+    # No opponent or allowed edge leaves the region, so the plays from the
+    # initial vertex stay inside it: the arena is the game with `allowed`.
+    arena = {**succ, **allowed}
 
     dodge = None
     if player == REACH:
-        dodge = maximal_avoiding_set(arena, game.effect)
+        doomed = attractor(succ, (), game.effect, game._pred, allowed)
+        dodge = {v for v in pin_region if v not in doomed}
         defeated = game.initial in dodge
     else:
         defeated = bool(set(game.effect) & reachable_set(arena, game.initial))
@@ -435,12 +431,14 @@ def _defeat_choices(game, player, arena, owned, dodge):
 
     For Reach, `dodge` is the arena's maximal effect-avoiding set."""
     if player == REACH:
-        sub = {v: tuple(u for u in arena[v] if u in dodge) for v in dodge}
         choices = {}
         v = game.initial
-        while v not in choices and sub[v]:
-            choices[v] = sub[v][0]
-            v = sub[v][0]
+        while v not in choices:
+            stay = [u for u in arena[v] if u in dodge]
+            if not stay:
+                break
+            choices[v] = stay[0]
+            v = stay[0]
         return {v: u for v, u in choices.items() if v in owned}
     parent = {game.initial: None}
     queue = [game.initial]
@@ -480,7 +478,7 @@ def _assemble_strategy(sigma, owned, allowed, overrides):
 
 
 def _require_effectively_acyclic(game):
-    if not is_effectively_acyclic(game.adjacency()):
+    if not is_effectively_acyclic(game._succ):
         raise NotAcyclic(
             "this check needs an acyclic game (self-loop traps aside)"
         )
@@ -488,16 +486,14 @@ def _require_effectively_acyclic(game):
 
 def _tree_shaped(game):
     """Tree arenas (modulo trap self-loops): one way in per reachable vertex."""
-    adj = game.adjacency()
-    traps = trap_vertices(adj)
-    preds = {}
-    seen = reachable_set(adj, game.initial)
-    for v in sorted(seen):
-        for u in adj[v]:
-            if u == v and v in traps:
-                continue
-            preds[u] = preds.get(u, 0) + 1
-    return all(preds.get(v, 0) <= 1 for v in seen if v != game.initial)
+    succ, pred = game._succ, game._pred
+    traps = trap_vertices(succ)
+    seen = reachable_set(succ, game.initial)
+    return all(
+        sum(p in seen and not (p == v and v in traps) for p in pred[v]) <= 1
+        for v in seen
+        if v != game.initial
+    )
 
 
 def tree_min_changes(game, sigma, cause):
@@ -512,10 +508,10 @@ def tree_min_changes(game, sigma, cause):
     before reaching one of them.
     """
     owned = game.owned_by(sigma.player)
-    adj = game.adjacency()
+    adj = game._succ
     ends = trap_vertices(adj).union(game.effect, cause)
     cost = {}
-    for v in attractor(adj, (), ends):
+    for v in attractor(adj, (), ends, game._pred):
         if v in cause:
             cost[v] = distances.INF
         elif v in ends:
@@ -580,8 +576,9 @@ def _check_dstar(query, allowed, budget):
     of them up to off-path choices, which can only increase the distance.
     """
     game, sigma = query.game, query.sigma
+    graph = play_graph(game, sigma)
     scored = sorted(
-        (distances.dstar(game, tau, sigma, budget), key, tau)
+        (distances.dstar(game, tau, sigma, budget, graph), key, tau)
         for key, tau in _distinct_matched(game, sigma, _variants(sigma, allowed, budget))
     )
     k_star = scored[0][0]
@@ -724,11 +721,12 @@ def _min_winning(game, sigma, metric, threshold, budget):
             return len(free), None
     elif metric == METRIC_DSTAR:
         best = None
+        graph = play_graph(game, sigma)
         strategies = enumerate_strategies(game, player, budget)
         for key, tau in _distinct_matched(game, sigma, strategies):
             if not strategy_is_winning(game, tau):
                 continue
-            d = distances.dstar(game, tau, sigma, budget)
+            d = distances.dstar(game, tau, sigma, budget, graph)
             if best is None or (d, key) < best[:2]:
                 best = (d, key, tau)
                 if threshold is not None and d <= threshold:
@@ -762,8 +760,9 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
     if metric == METRIC_DSTAR:
         overall = min_winning_distance(game, sigma, METRIC_DSTAR, budget=budget)
         options = _alternatives(game, sigma, vertex_set)
+        graph = play_graph(game, sigma)
         found = [
-            distances.dstar(game, tau, sigma, budget)
+            distances.dstar(game, tau, sigma, budget, graph)
             for tau in _variants(sigma, options, budget)
             if strategy_is_winning(game, tau)
         ]
@@ -798,7 +797,7 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     adj = strategy_adjacency(game, sigma)
     if not is_effectively_acyclic(adj):
         raise NotAcyclic("the game restricted to sigma is not acyclic")
-    ranks = attractor(game.adjacency(), game.reach_owned, game.effect)
+    ranks = attractor(game._succ, game.reach_owned, game.effect, game._pred)
     if game.initial not in ranks:
         raise NoWinningStrategy("Reach does not win this game")
 

@@ -1,21 +1,28 @@
-"""Labeled transition systems, reachability games, paths, plays and strategies.
+"""Labeled transition systems, reachability games, paths and strategies.
 
 Models are validated when they are constructed: `__post_init__` checks every
-structural invariant in the pass that builds the successor map and raises
-InvalidModel on the first violation, so no invalid model exists.  Models are
-immutable; every query in this module is a pure function of its inputs and
-safe to share across threads.
+structural invariant in the pass that builds the graph and raises
+InvalidModel on the first violation, so no invalid model exists.  A model
+holds successor lists (`_succ`) and predecessor lists (`_pred`), sorted and
+without duplicates, filled in one loop over the given pairs.  Unless given
+as a frozenset, the pairs are not kept: `transitions` and `edges` (and a
+game's sorted `vertices`) are derived from `_succ` on first read.  Models
+are immutable; every query in this module is a pure function of its inputs
+and safe to share across threads.
 
 `attractor` is the single fixpoint kernel over game and system vertices:
 winning regions, safety regions, "exists a maximal avoiding path" and
-acyclicity are all attractors or their complements.  `Attractor` is the same
-kernel as an object that resumes after universal vertices are pinned to one
-successor.
+acyclicity are all attractors or their complements.  On a model's own graph
+it reads the model's predecessor lists, with `allowed` edge tuples as
+overrides.  `Attractor` is the same kernel as an object that resumes after
+universal vertices are pinned to one successor.
 """
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 
 from .errors import InvalidModel, NotAPath, NotMaximal, PreconditionViolated, as_budget
@@ -32,15 +39,37 @@ def opponent(player):
     return SAFE if player == REACH else REACH
 
 
+class _Derived:
+    """Attributes named in the class's `_DERIVED` are computed from `_succ`
+    on first read and cached on the model."""
+
+    _DERIVED = {}
+
+    def __getattr__(self, name):
+        derive = type(self)._DERIVED.get(name)
+        if derive is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = derive(self._succ)
+        object.__setattr__(self, name, value)
+        return value
+
+
+def _pair_set(succ):
+    """The (source, target) pairs of the successor lists, as a frozenset."""
+    return frozenset((v, u) for v, ends in succ.items() for u in ends)
+
+
 @dataclass(frozen=True)
-class TransitionSystem:
+class TransitionSystem(_Derived):
     """Finite labeled transition system with a single initial state.
 
     A state with no outgoing transition is terminal.  Maximal paths are the
-    paths that are infinite or end in a terminal state.  Construction checks
-    the initial state, every transition endpoint and every label, each with
-    one set test; a failing check names the least offending transition, or
-    the first state of `states` without a label from the alphabet.
+    paths that are infinite or end in a terminal state.  `transitions` may be
+    any collection of (source, target) pairs; duplicates are dropped.
+    Construction checks the initial state, every transition endpoint and
+    every label, each with one set test or one loop; a failing check names
+    the least offending transition, or the first state of `states` without a
+    label from the alphabet.
     """
 
     states: tuple
@@ -49,6 +78,8 @@ class TransitionSystem:
     labeling: dict
     alphabet: tuple
     _succ: dict = field(init=False, repr=False, compare=False)
+    _pred: dict = field(init=False, repr=False, compare=False)
+    _DERIVED = {"transitions": _pair_set}
 
     def __post_init__(self):
         succ = {s: [] for s in self.states}
@@ -56,9 +87,7 @@ class TransitionSystem:
             raise InvalidModel("transition system has no states")
         if self.initial not in succ:
             raise InvalidModel(f"initial state {self.initial!r} is not a state")
-        if not _fill(succ, self.transitions):
-            src, dst = _first_dangling(succ, self.transitions)
-            raise InvalidModel(f"transition ({src!r}, {dst!r}) leaves the state set")
+        _link(self, "transitions", succ, "transition ({!r}, {!r}) leaves the state set")
         labeling, alphabet = self.labeling, set(self.alphabet)
         try:
             labeled = alphabet.issuperset(map(labeling.__getitem__, self.states))
@@ -72,7 +101,6 @@ class TransitionSystem:
                     raise InvalidModel(
                         f"state {s!r} carries label {labeling[s]!r} outside the alphabet"
                     )
-        object.__setattr__(self, "_succ", _sorted_successors(succ))
 
     def successors(self, state):
         return self._succ[state]
@@ -86,21 +114,19 @@ class TransitionSystem:
     def trace(self, sequence):
         return tuple(self.labeling[s] for s in sequence)
 
-    @property
-    def terminal_states(self):
-        return tuple(s for s in self.states if self.is_terminal(s))
-
 
 @dataclass(frozen=True)
-class ReachabilityGame:
+class ReachabilityGame(_Derived):
     """Two-player reachability game.
 
     Vertices are partitioned into Reach-owned, Safe-owned and effect (target)
     vertices.  Effect vertices are terminal; every other vertex has at least
     one outgoing edge, so plays are infinite or end in an effect vertex.
-    Construction checks the partition, the initial vertex, every edge
-    endpoint, and then the effect and the non-effect vertices, each with one
-    set test; a failing check names the least offending edge or vertex.
+    `edges` may be any collection of (source, target) pairs; duplicates are
+    dropped.  Construction checks the partition, the initial vertex, every
+    edge endpoint, and then the effect and the non-effect vertices, each with
+    one set test or one loop; a failing check names the least offending edge
+    or vertex.  `vertices`, the sorted vertex tuple, is derived on first read.
     """
 
     reach_owned: frozenset
@@ -108,33 +134,29 @@ class ReachabilityGame:
     effect: frozenset
     initial: str
     edges: frozenset
-    vertices: tuple = field(init=False, repr=False, compare=False)
     _succ: dict = field(init=False, repr=False, compare=False)
+    _pred: dict = field(init=False, repr=False, compare=False)
+    _DERIVED = {"edges": _pair_set, "vertices": lambda succ: tuple(sorted(succ))}
 
     def __post_init__(self):
         reach, safe, eff = self.reach_owned, self.safe_owned, self.effect
         overlap = (reach & safe) | (reach & eff) | (safe & eff)
         if overlap:
             raise InvalidModel(f"vertex partition overlaps at {sorted(overlap)}")
-        vertices = tuple(sorted(reach | safe | eff))
-        succ = {v: [] for v in vertices}
+        succ = {v: [] for v in chain(reach, safe, eff)}
         if not succ:
             raise InvalidModel("game has no vertices")
         if self.initial not in succ:
             raise InvalidModel(f"initial vertex {self.initial!r} is not a vertex")
         if self.initial in eff:
             raise InvalidModel("initial vertex lies in the effect set")
-        if not _fill(succ, self.edges):
-            src, dst = _first_dangling(succ, self.edges)
-            raise InvalidModel(f"edge ({src!r}, {dst!r}) leaves the vertex set")
+        _link(self, "edges", succ, "edge ({!r}, {!r}) leaves the vertex set")
         if any(map(succ.__getitem__, eff)):
             v = min(v for v in eff if succ[v])
             raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
         if not all(map(succ.__getitem__, chain(reach, safe))):
             v = min(v for v in chain(reach, safe) if not succ[v])
             raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "_succ", _sorted_successors(succ))
 
     def owner(self, vertex):
         if vertex in self.reach_owned:
@@ -158,26 +180,30 @@ class ReachabilityGame:
         return dict(self._succ)
 
 
-def _fill(succ, pairs):
-    """Append every pair's target to its source's list in `succ`, in any
-    order; False if some endpoint is not a key."""
+def _link(model, name, succ, message):
+    """Fill `succ`, which maps every vertex to an empty list, and the
+    predecessor lists from the pairs of the init field `name` in one loop;
+    keep them as `_succ` (tuples) and `_pred` (lists, shared: never change
+    them).  A KeyError in the loop is the endpoint check: InvalidModel
+    (`message`) names the least pair with an outside endpoint.  Lists are
+    sorted in place and deduplicated if some successor list has a repeat;
+    the field is dropped, to be derived again, unless it is a frozenset."""
+    pairs = getattr(model, name)
+    pred = {v: [] for v in succ}
     try:
         for src, dst in pairs:
             succ[src].append(dst)
+            pred[dst].append(src)
     except KeyError:
-        return False
-    return succ.keys() >= set(chain.from_iterable(succ.values()))
-
-
-def _first_dangling(succ, pairs):
-    """The least pair with an endpoint outside `succ`."""
-    return min((a, b) for a, b in pairs if a not in succ or b not in succ)
-
-
-def _sorted_successors(succ):
-    """The successor lists filled in any order, as sorted tuples."""
-    any(map(list.sort, succ.values()))  # sorts each list in place
-    return dict(zip(succ, map(tuple, succ.values())))
+        src, dst = min((a, b) for a, b in pairs if a not in succ or b not in succ)
+        raise InvalidModel(message.format(src, dst)) from None
+    if not isinstance(pairs, frozenset):  # a frozenset has no repeats: it stays the view
+        if sum(map(len, succ.values())) != sum(map(len, map(set, succ.values()))):
+            succ, pred = ({v: list(set(ends)) for v, ends in m.items()} for m in (succ, pred))
+        object.__delattr__(model, name)
+    any(map(list.sort, chain(succ.values(), pred.values())))  # sorts in place
+    object.__setattr__(model, "_succ", dict(zip(succ, map(tuple, succ.values()))))
+    object.__setattr__(model, "_pred", pred)
 
 
 def game_from_owners(owners, initial, edges):
@@ -234,33 +260,6 @@ class MaximalFinitePath:
         return len(self.sequence)
 
 
-@dataclass(frozen=True)
-class Play:
-    """A play: finite (ending in effect, empty cycle) or a stem+cycle lasso."""
-
-    stem: tuple
-    cycle: tuple = ()
-
-    @property
-    def is_finite(self):
-        return not self.cycle
-
-    def visited(self):
-        return tuple(self.stem) + tuple(self.cycle)
-
-    def steps(self):
-        """Edges along the stem plus one full cycle unrolling.
-
-        Counting over this finite unrolling is exhaustive for per-vertex
-        notions: further unrollings repeat the same (vertex, edge) pairs.
-        """
-        seq = list(self.stem) + list(self.cycle)
-        steps = [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-        if self.cycle:
-            steps.append((seq[-1], self.cycle[0]))
-        return steps
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -292,25 +291,7 @@ def validate_strategy(game, strategy):
 
 
 # ---------------------------------------------------------------------------
-# game restriction and strategy-induced graphs
-
-
-def restrict_game(game, strategy):
-    """The game under a strategy: drop edges not chosen at owned vertices."""
-    validate_strategy(game, strategy)
-    owned = game.owned_by(strategy.player)
-    kept = frozenset(
-        (src, dst)
-        for src, dst in game.edges
-        if src not in owned or strategy.choice[src] == dst
-    )
-    return ReachabilityGame(
-        reach_owned=game.reach_owned,
-        safe_owned=game.safe_owned,
-        effect=game.effect,
-        initial=game.initial,
-        edges=kept,
-    )
+# strategy-induced graphs
 
 
 def strategy_adjacency(game, strategy):
@@ -361,7 +342,7 @@ def reachable_set(adjacency, start):
     return seen
 
 
-def attractor(adjacency, existential, target):
+def attractor(adjacency, existential, target, preds=None, allowed=None):
     """Attractor of `target` as {vertex: rank}, in O(|V| + |E|).
 
     Target vertices have rank 0.  A vertex in `existential` joins with one
@@ -373,73 +354,74 @@ def attractor(adjacency, existential, target):
     once (Zielonka 1998; Grädel, Thomas and Wilke 2002, ch. 2).
 
     `adjacency` maps every vertex to its successor tuple and must be closed:
-    each successor is itself a key.  It is read, never changed.  `Attractor`
-    runs the same counters and can resume them after pins.
+    each successor is itself a key.  `preds` are its predecessor lists, built
+    here if not given (a model passes its `_pred`); their order decides only
+    the join order of equal ranks.  `allowed` maps some vertices to a subset
+    of their successors: the result is that over `adjacency` updated with
+    it.  Nothing passed in is changed.
     """
-    preds, outside = _counters(adjacency)
-    rank = dict.fromkeys(target, 0)
-    return _absorb(list(rank), rank, preds, outside, existential)
-
-
-def _counters(adjacency):
-    """The predecessor lists and the per-vertex count of outside successors."""
-    preds = {v: [] for v in adjacency}
-    for v, succ in adjacency.items():
-        for u in succ:
-            preds[u].append(v)
-    return preds, {v: len(succ) for v, succ in adjacency.items()}
-
-
-def _absorb(queue, rank, preds, outside, existential):
-    """Let the predecessors of every queued member join, breadth-first, so
-    ranks are assigned in rank order; return `rank`."""
-    for u in queue:
-        for v in preds.get(u, ()):
-            if v in rank:
-                continue
-            outside[v] -= 1
-            if v in existential or not outside[v]:
-                rank[v] = rank[u] + 1
-                queue.append(v)
-    return rank
+    return Attractor(adjacency, existential, target, preds, allowed).rank
 
 
 class Attractor:
-    """`attractor(adjacency, existential, target)` as `rank`, with its
-    counters kept so that the run can resume after pins.
+    """`attractor(adjacency, existential, target, preds, allowed)` as `rank`,
+    with its counters kept so that the run can resume after pins.
 
-    `pin` removes edges from universal vertices and resumes the same counters,
-    so a growing sequence of pins costs one run over the graph in all, plus
-    one predecessor-list removal per dropped edge.  This is the monotone case
-    of dynamic attractor maintenance (Chatterjee and Henzinger, J. ACM 61(3),
-    2014): fewer edges at a universal vertex only let more vertices join, so
-    no member ever has to leave.
+    The predecessor lists are only read: the scan skips an edge from a vertex
+    of `allowed` to a successor it does not keep.  `pin` adds such overrides
+    at universal vertices and resumes the same counters, so a growing
+    sequence of pins costs one run over the graph in all.  This is the
+    monotone case of dynamic attractor maintenance (Chatterjee and
+    Henzinger, J. ACM 61(3), 2014): fewer edges at a universal vertex only
+    let more vertices join, so no member ever has to leave.
     """
 
-    __slots__ = ("adjacency", "existential", "preds", "outside", "rank")
+    __slots__ = ("existential", "preds", "allowed", "outside", "rank")
 
-    def __init__(self, adjacency, existential, target):
-        self.adjacency = adjacency
-        self.existential = existential
-        self.preds, self.outside = _counters(adjacency)
+    def __init__(self, adjacency, existential, target, preds=None, allowed=None):
+        if preds is None:  # in the key order of `adjacency`
+            preds = {v: [] for v in adjacency}
+            for v, succ in adjacency.items():
+                for u in succ:
+                    preds[u].append(v)
+        self.existential, self.preds = existential, preds
+        self.allowed = dict(allowed) if allowed else {}
+        self.outside = dict(zip(adjacency, map(len, adjacency.values())))
+        self.outside.update(zip(self.allowed, map(len, self.allowed.values())))
         self.rank = dict.fromkeys(target, 0)
-        _absorb(list(self.rank), self.rank, self.preds, self.outside, existential)
+        self._absorb(list(self.rank))
+
+    def _absorb(self, queue):
+        """Let the predecessors of every queued member join, breadth-first,
+        so ranks are assigned in rank order."""
+        rank, preds, outside = self.rank, self.preds, self.outside
+        existential, allowed = self.existential, self.allowed
+        for u in queue:
+            joined = rank[u] + 1
+            for v in preds.get(u, ()):
+                if v in rank or (v in allowed and u not in allowed[v]):
+                    continue
+                outside[v] -= 1
+                if v in existential or not outside[v]:
+                    rank[v] = joined
+                    queue.append(v)
 
     def pin(self, pins):
         """Restrict each universal vertex v of `pins` to the one successor
         pins[v] and resume.  Afterwards `rank` has the members of a fresh
         attractor over the pinned adjacency, in the order they joined; the
         ranks of vertices that joined after a pin count rounds of the resumed
-        run.  Each vertex may be pinned once.
+        run.  Each vertex may be pinned once, to one of its successors (an
+        allowed one, where `allowed` restricts it).
 
         Every member has had its predecessors scanned when `pin` starts, so
         a vertex still outside counts exactly its successors outside.  A
-        pinned vertex whose successor is outside therefore counts 1 and is
-        dropped from the predecessor lists of its other outside successors,
-        which no scan has reached yet; no vertex joins until all pins are
+        pinned vertex whose successor is outside therefore counts 1, and its
+        edges to its other outside successors, which no scan has reached
+        yet, are skipped from now on; no vertex joins until all pins are
         applied, so that scan state holds throughout the loop.
         """
-        rank, preds = self.rank, self.preds
+        rank = self.rank
         joining = []
         for v, u in pins.items():
             if v in rank:
@@ -447,23 +429,21 @@ class Attractor:
             if u in rank:
                 joining.append(v)
                 continue
+            self.allowed[v] = (u,)
             self.outside[v] = 1
-            for w in self.adjacency[v]:
-                if w != u and w not in rank:
-                    preds[w].remove(v)
         for v in joining:
             rank[v] = rank[pins[v]] + 1
-        _absorb(joining, rank, preds, self.outside, self.existential)
+        self._absorb(joining)
 
 
-def maximal_avoiding_set(adjacency, avoid):
+def maximal_avoiding_set(adjacency, avoid, preds=None):
     """States admitting a maximal path that never visits `avoid`.
 
     The complement of the attractor of `avoid` in which every state is
     universal.  Maximal paths are the finite ones ending in a terminal state
-    together with the infinite ones.
+    together with the infinite ones.  `preds` as in `attractor`.
     """
-    doomed = attractor(adjacency, frozenset(), avoid)
+    doomed = attractor(adjacency, (), avoid, preds)
     return {s for s in adjacency if s not in doomed}
 
 
@@ -471,7 +451,7 @@ def exists_maximal_path_avoiding(ts, from_state, avoid):
     """True iff some maximal path from `from_state` never visits `avoid`."""
     if from_state not in ts._succ:
         raise PreconditionViolated(f"{from_state!r} is not a state")
-    return from_state in maximal_avoiding_set(ts._succ, set(avoid))
+    return from_state in maximal_avoiding_set(ts._succ, set(avoid), ts._pred)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +471,7 @@ def validate_maximal_path(ts, sequence):
             f"path starts at {sequence[0]!r}, not the initial state {ts.initial!r}"
         )
     for a, b in zip(sequence, sequence[1:]):
-        if (a, b) not in ts.transitions:
+        if b not in ts._succ[a]:
             raise NotAPath(f"({a!r}, {b!r}) is not a transition")
     if not ts.is_terminal(sequence[-1]):
         raise NotMaximal(f"path ends at non-terminal state {sequence[-1]!r}")
@@ -559,26 +539,6 @@ def is_effectively_acyclic(adjacency):
     """
     ends = trap_vertices(adjacency).union(v for v, succ in adjacency.items() if not succ)
     return len(attractor(adjacency, (), ends)) == len(adjacency)
-
-
-def validate_play(game, play):
-    """Check a play against the game: adjacency, initiality, termination."""
-    stem, cycle = tuple(play.stem), tuple(play.cycle)
-    if not stem:
-        raise NotAPath("empty play")
-    if stem[0] != game.initial:
-        raise NotAPath(f"play starts at {stem[0]!r}, not {game.initial!r}")
-    seq = stem + cycle
-    for a, b in zip(seq, seq[1:]):
-        if (a, b) not in game.edges:
-            raise NotAPath(f"({a!r}, {b!r}) is not an edge")
-    if cycle:
-        if (seq[-1], cycle[0]) not in game.edges:
-            raise NotAPath(f"cycle does not close: ({seq[-1]!r}, {cycle[0]!r})")
-    else:
-        if stem[-1] not in game.effect:
-            raise NotMaximal(f"finite play ends outside the effect set: {stem[-1]!r}")
-    return play
 
 
 # ---------------------------------------------------------------------------
@@ -666,15 +626,21 @@ def _records(data, key, what, fields):
     return items, columns
 
 
-def _pairs(data, key):
-    """The JSON array `data[key]` of string pairs, as a frozenset of tuples."""
+@contextmanager
+def _pairs_named_first(data, key):
+    """Yield the JSON array `data[key]` of arrays for a constructor, whose
+    loop checks each pair as it links it.  On an error inside, a malformed
+    pair (not a pair, or an end not a string) is named first, as if every
+    pair had been checked before."""
     items = _array_of(data, key, list)
-    if not set(map(len, items)) <= {2}:
+    try:
+        yield items
+    except (InvalidModel, TypeError, ValueError):
         for i, pair in enumerate(items):
             if len(pair) != 2:
                 raise InvalidModel(f"{key}[{i}]: expected a pair, got {len(pair)} items")
-    _all_json(list(chain.from_iterable(items)), str, lambda j: f"{key}[{j // 2}][{j % 2}]")
-    return frozenset(map(tuple, items))
+        _all_json(list(chain.from_iterable(items)), str, lambda j: f"{key}[{j // 2}][{j % 2}]")
+        raise
 
 
 def model_from_json(data):
@@ -682,23 +648,23 @@ def model_from_json(data):
     kind = data.get("kind")
     if kind == "ts":
         _, (ids, labels) = _records(data, "states", "state", ("id", "label"))
-        return TransitionSystem(
-            states=tuple(sorted(ids)),
-            initial=_expect_json(required_field(data, "initial", "model"), str, "initial"),
-            transitions=_pairs(data, "transitions"),
-            labeling=dict(zip(ids, labels)),
-            alphabet=tuple(sorted(_array_of(data, "alphabet", str))),
-        )
+        initial = _expect_json(required_field(data, "initial", "model"), str, "initial")
+        with _pairs_named_first(data, "transitions") as pairs:
+            return TransitionSystem(
+                states=tuple(sorted(ids)),
+                initial=initial,
+                transitions=pairs,
+                labeling=dict(zip(ids, labels)),
+                alphabet=tuple(sorted(_array_of(data, "alphabet", str))),
+            )
     if kind == "game":
         items, (ids,) = _records(data, "vertices", "vertex", ("id",))
         reach, safe, eff = _partition(ids, _column(items, "vertices", "owner"))
-        return ReachabilityGame(
-            reach_owned=reach,
-            safe_owned=safe,
-            effect=eff,
-            initial=_expect_json(required_field(data, "initial", "model"), str, "initial"),
-            edges=_pairs(data, "edges"),
-        )
+        initial = _expect_json(required_field(data, "initial", "model"), str, "initial")
+        with _pairs_named_first(data, "edges") as pairs:
+            return ReachabilityGame(
+                reach_owned=reach, safe_owned=safe, effect=eff, initial=initial, edges=pairs
+            )
     raise InvalidModel(f"unknown model kind {kind!r}")
 
 
@@ -723,8 +689,55 @@ def path_from_json(data):
 
 
 def dumps_canonical(obj):
-    """Deterministic JSON rendering: sorted keys, two-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON rendering: sorted keys, two-space indent, ASCII.
+
+    The same text as `json.dumps(obj, sort_keys=True, indent=2) + "\n"`,
+    whose `indent` makes `json` fall back to its pure-Python encoder.  This
+    writer covers what documents hold: dicts with str keys, lists, tuples,
+    str, int, bool and None.  On anything else it raises TypeError, and the
+    whole document goes to `json.dumps`.
+    """
+    try:
+        return _render(obj, "\n") + "\n"
+    except TypeError:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+_BOOLS = {True: "true", False: "false"}
+
+
+def _render(obj, newline):
+    """`obj` as JSON text at the depth whose line break and indent is
+    `newline`.  A list of only str or only bool is mapped at once."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return _BOOLS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        if all(map(isinstance, obj, repeat(str))):
+            texts = map(_encode_str, obj)
+        elif all(map(isinstance, obj, repeat(bool))):
+            texts = map(_BOOLS.__getitem__, obj)
+        else:
+            texts = map(_render, obj, repeat(inner))
+        return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        fields = []
+        for key, value in sorted(obj.items()):  # a key not a str raises TypeError
+            text = _encode_str(value) if isinstance(value, str) else _render(value, inner)
+            fields.append(_encode_str(key) + ": " + text)
+        return "{" + inner + ("," + inner).join(fields) + newline + "}"
+    raise TypeError(obj)
 
 
 def read_json(path):

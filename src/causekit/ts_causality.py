@@ -132,7 +132,7 @@ def check_cause_pref_ap(query, allow_overlap=False):
         return state if by_states else ts.label(state)
 
     target_symbols = [symbol(s) for s in seq]
-    can_avoid = maximal_avoiding_set(ts._succ, cause)
+    can_avoid = maximal_avoiding_set(ts._succ, cause, ts._pred)
 
     layers = []
     parents = []
@@ -176,10 +176,10 @@ def check_cause_pref_ap(query, allow_overlap=False):
     frontier = sorted(layers[i_max])
     # States with a C-avoiding continuation that satisfies the property.
     if phi == PHI_REACH:
-        blocked = {s: () if s in cause else t for s, t in ts._succ.items()}
-        offending = attractor(blocked, blocked, effect - cause)
+        blocked = dict.fromkeys(cause, ())  # no edge leaves a cause state
+        offending = attractor(ts._succ, ts._succ, effect - cause, ts._pred, blocked)
     else:
-        offending = maximal_avoiding_set(ts._succ, cause | effect)
+        offending = maximal_avoiding_set(ts._succ, cause | effect, ts._pred)
     is_cause = not any(t in offending for t in frontier)
 
     witness_paths = []
@@ -537,10 +537,14 @@ def brute_force_check(query, max_len=None, budget=None, allow_overlap=False):
 
     Exact on acyclic systems.  On cyclic systems a `max_len` cap must be
     supplied and the oracle only sees finite maximal paths up to that length,
-    so its verdict is sound only relative to that enumeration window.
+    so its verdict is sound only relative to that enumeration window.  The
+    Hamming distance is checked on layered systems only, as in
+    `check_cause_hamm_layered`.
     """
     validate_query(query, allow_overlap)
     ts = query.ts
+    if query.metric == METRIC_HAMM:
+        validate_layered(ts)
     paths = maximal_paths(ts, max_len=max_len, budget=budget)
     avoiders = [p for p in paths if not any(s in query.cause for s in p)]
     if not avoiders:

@@ -3,16 +3,18 @@
 The oracles here deliberately avoid the library's algorithmic shortcuts:
 Levenshtein by plain recursion, the Hausdorff strategy distance by explicit
 play-prefix enumeration, the play-distance supremum by chains over
-disagreement subsets, attractors by rescanning every vertex per round, the
-pref-h pin search by one fresh attractor per radius, the strategy predicates
-on the whole strategy-induced adjacency, the SEM bridge by a layered
-Hamming check on the fully unrolled tree, model loading by per-item
-checks over sorted transitions and edges, acyclicity by a colored
-depth-first search, the d* repair's costs by a Bellman-style min-max sweep,
-and the tree change count and maximal-path enumeration by recursion.
+disagreement subsets (and a play's distance by `play_dist`), attractors by
+rescanning every vertex per round or over a copied adjacency with fresh
+predecessor lists, the pref-h pin search by one fresh attractor per radius,
+the strategy predicates on the whole strategy-induced adjacency, the SEM
+bridge by a layered Hamming check on the fully unrolled tree, model loading
+by per-item checks over sorted transitions and edges, acyclicity by a
+colored depth-first search, the d* repair's costs by a Bellman-style min-max
+sweep, and the tree change count and maximal-path enumeration by recursion.
 """
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -111,6 +113,69 @@ def naive_attractor(adjacency, existential, target):
 
 
 # ---------------------------------------------------------------------------
+# the attractor kernel over a copied and updated adjacency
+
+
+def _copied_counters(adjacency):
+    preds = {v: [] for v in adjacency}
+    for v, succ in adjacency.items():
+        for u in succ:
+            preds[u].append(v)
+    return preds, {v: len(succ) for v, succ in adjacency.items()}
+
+
+def _copied_absorb(queue, rank, preds, outside, existential):
+    for u in queue:
+        for v in preds.get(u, ()):
+            if v in rank:
+                continue
+            outside[v] -= 1
+            if v in existential or not outside[v]:
+                rank[v] = rank[u] + 1
+                queue.append(v)
+    return rank
+
+
+class CopiedAttractor:
+    """The attractor kernel that builds its own predecessor lists and
+    counters from `adjacency`, and whose `pin` removes the dropped edges from
+    those lists."""
+
+    def __init__(self, adjacency, existential, target):
+        self.adjacency = adjacency
+        self.existential = existential
+        self.preds, self.outside = _copied_counters(adjacency)
+        self.rank = dict.fromkeys(target, 0)
+        _copied_absorb(list(self.rank), self.rank, self.preds, self.outside, existential)
+
+    def pin(self, pins):
+        rank, preds = self.rank, self.preds
+        joining = []
+        for v, u in pins.items():
+            if v in rank:
+                continue
+            if u in rank:
+                joining.append(v)
+                continue
+            self.outside[v] = 1
+            for w in self.adjacency[v]:
+                if w != u and w not in rank:
+                    preds[w].remove(v)
+        for v in joining:
+            rank[v] = rank[pins[v]] + 1
+        _copied_absorb(joining, rank, preds, self.outside, self.existential)
+
+
+def copied_adjacency(model, allowed=()):
+    """The model's successor tuples in sorted vertex order, updated with the
+    `allowed` edge tuples: the graph the attractors ran on before models
+    kept predecessor lists."""
+    adj = {v: model._succ[v] for v in sorted(model._succ)}
+    adj.update(allowed)
+    return adj
+
+
+# ---------------------------------------------------------------------------
 # model loading with per-item checks
 
 
@@ -129,10 +194,12 @@ def _naive_ts_post_init(self):
         raise InvalidModel("transition system has no states")
     if self.initial not in succ:
         raise InvalidModel(f"initial state {self.initial!r} is not a state")
-    for src, dst in sorted(self.transitions):
+    pred = {s: [] for s in self.states}
+    for src, dst in sorted(set(self.transitions)):
         if src not in succ or dst not in succ:
             raise InvalidModel(f"transition ({src!r}, {dst!r}) leaves the state set")
         succ[src].append(dst)
+        pred[dst].append(src)
     alphabet = set(self.alphabet)
     for s in self.states:
         if s not in self.labeling:
@@ -142,6 +209,7 @@ def _naive_ts_post_init(self):
                 f"state {s!r} carries label {self.labeling[s]!r} outside the alphabet"
             )
     object.__setattr__(self, "_succ", {s: tuple(t) for s, t in succ.items()})
+    object.__setattr__(self, "_pred", pred)
 
 
 def _naive_game_post_init(self):
@@ -157,10 +225,12 @@ def _naive_game_post_init(self):
         raise InvalidModel(f"initial vertex {self.initial!r} is not a vertex")
     if self.initial in eff:
         raise InvalidModel("initial vertex lies in the effect set")
-    for src, dst in sorted(self.edges):
+    pred = {v: [] for v in vertices}
+    for src, dst in sorted(set(self.edges)):
         if src not in succ or dst not in succ:
             raise InvalidModel(f"edge ({src!r}, {dst!r}) leaves the vertex set")
         succ[src].append(dst)
+        pred[dst].append(src)
     for v in sorted(eff):
         if succ[v]:
             raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
@@ -169,15 +239,18 @@ def _naive_game_post_init(self):
             raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
     object.__setattr__(self, "vertices", vertices)
     object.__setattr__(self, "_succ", {v: tuple(t) for v, t in succ.items()})
+    object.__setattr__(self, "_pred", pred)
 
 
 def naive_ts(**fields):
-    """`TransitionSystem(**fields)` checked and filled over sorted transitions."""
+    """`TransitionSystem(**fields)` checked and filled over sorted transitions,
+    its predecessor lists included."""
     return _naive_build(TransitionSystem, _naive_ts_post_init, **fields)
 
 
 def naive_game(**fields):
-    """`ReachabilityGame(**fields)` checked and filled over sorted edges."""
+    """`ReachabilityGame(**fields)` checked and filled over sorted edges, its
+    predecessor lists included."""
     return _naive_build(ReachabilityGame, _naive_game_post_init, **fields)
 
 
@@ -316,6 +389,38 @@ def naive_distinct_matched(game, sigma, strategies):
             seen.add(key)
             out.append((key, tau.choice))
     return out
+
+
+@dataclass(frozen=True)
+class Play:
+    """A play: finite (ending in effect, empty cycle) or a stem+cycle lasso."""
+
+    stem: tuple
+    cycle: tuple = ()
+
+    def steps(self):
+        """Edges along the stem plus one full cycle unrolling.
+
+        Counting over this finite unrolling is exhaustive for per-vertex
+        notions: further unrollings repeat the same (vertex, edge) pairs.
+        """
+        seq = list(self.stem) + list(self.cycle)
+        steps = [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
+        if self.cycle:
+            steps.append((seq[-1], self.cycle[0]))
+        return steps
+
+
+def play_dist(game, play, strategy):
+    """Distinct owned vertices on the play where its move contradicts the
+    strategy; `dstrat` is its supremum over a strategy's plays.  Lassos are
+    evaluated over the stem plus one cycle unrolling."""
+    owned = game.owned_by(strategy.player)
+    hit = set()
+    for v, w in play.steps():
+        if v in owned and strategy.choice[v] != w:
+            hit.add(v)
+    return len(hit)
 
 
 def naive_dstrat(game, tau, sigma, budget=None):

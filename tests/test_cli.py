@@ -487,6 +487,27 @@ def test_oracle_on_a_long_chain(tmp_path, capsys):
     assert (doc["verdict"], doc["diagnostics"]["budgetUsed"], err) == (True, DEEP + 1, "")
 
 
+def test_oracle_hamm_rejects_a_non_layered_system_like_ts_cause(tmp_path, capsys):
+    from causekit import cli
+
+    chain = [f"s{i:04d}" for i in range(DEEP)]
+    ts, path = tmp_path / "ts.json", tmp_path / "path.json"
+    ts.write_text(json.dumps({
+        "kind": "ts",
+        "alphabet": ["a", "b"],
+        "initial": chain[0],
+        "states": [{"id": s, "label": "a"} for s in chain] + [{"id": "x", "label": "b"}],
+        "transitions": [[a, b] for a, b in zip(chain, chain[1:])] + [[chain[0], "x"]],
+    }))
+    path.write_text(json.dumps(chain))
+    argv = ["ts-cause", "--model", str(ts), "--path", str(path),
+            "--cause", chain[1], "--effect", chain[-1], "--phi", "reach", "--metric", "hamm"]
+    message = f"causekit: terminal state 'x' sits at depth 1, not the last layer {DEEP - 1}\n"
+    for command in (argv, ["oracle", *argv]):
+        assert cli.main(command) == 2
+        assert capsys.readouterr() == ("", message)
+
+
 TREE_GAME = ["--model", str(FIXDIR / "tree_game.json")]
 TREE_SIGMA = str(FIXDIR / "tree_game_sigma.json")
 BAD_TAUS = [

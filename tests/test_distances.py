@@ -15,14 +15,21 @@ from causekit.distances import (
     d_pref_hausdorff,
     dstar,
     dstrat,
-    play_dist,
 )
 from causekit.errors import LengthMismatch
 from causekit.fixtures import tree_game, loop_game
 from causekit.generators import GeneratorSpec, generate, random_strategy
-from causekit.model import MDStrategy, Play
+from causekit.model import MDStrategy
 
-from helpers import dstar_oracle, dstrat_oracle, hausdorff_oracle, naive_lev, random_words
+from helpers import (
+    Play,
+    dstar_oracle,
+    dstrat_oracle,
+    hausdorff_oracle,
+    naive_lev,
+    play_dist,
+    random_words,
+)
 
 
 def test_pref_ap_examples():

@@ -585,9 +585,7 @@ def test_opponent_owns_everything():
     verdict = check_cause_game(query(game, sigma, {"v1"}, METRIC_PREF_H))
     assert not verdict.is_cause and verdict.condition1 and not verdict.condition2
     # restriction with an empty strategy keeps the arena unchanged
-    from causekit.model import restrict_game
-
-    assert restrict_game(game, sigma).edges == game.edges
+    assert strategy_adjacency(game, sigma) == game.adjacency()
 
 
 def test_sigma_already_avoiding_fails_condition1():

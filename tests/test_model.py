@@ -18,7 +18,6 @@ from causekit.model import (
     model_from_json,
     model_to_json,
     reachable_set,
-    restrict_game,
     strategy_adjacency,
     validate_maximal_path,
     validate_strategy,
@@ -85,10 +84,10 @@ def test_unknown_source_raises_invalid_model():
 
 def test_restrict_tree_game():
     game, sigma = tree_game()
-    restricted = restrict_game(game, sigma)
-    assert restricted.successors("v0") == ("s00",)
-    assert restricted.successors("v1") == ("v3",)
-    assert restricted.successors("start") == ("v0", "v1")
+    restricted = strategy_adjacency(game, sigma)
+    assert restricted["v0"] == ("s00",)
+    assert restricted["v1"] == ("v3",)
+    assert restricted["start"] == ("v0", "v1")
 
 
 @pytest.mark.parametrize(
@@ -119,11 +118,11 @@ def test_validate_strategy_names_the_sorted_first_offender(changes, message):
 def test_restrict_opponent_only_is_identity():
     game, _ = tree_game()
     sigma = MDStrategy("safe", {v: game.successors(v)[0] for v in game.safe_owned})
-    restricted = restrict_game(game, MDStrategy("reach", {"v0": "s00", "v1": "v3"}))
-    assert restricted.edges <= game.edges
-    safe_only = restrict_game(game, sigma)
+    restricted = strategy_adjacency(game, MDStrategy("reach", {"v0": "s00", "v1": "v3"}))
+    assert {(v, u) for v, succ in restricted.items() for u in succ} <= game.edges
+    safe_only = strategy_adjacency(game, sigma)
     for v in game.safe_owned:
-        assert len(safe_only.successors(v)) == 1
+        assert len(safe_only[v]) == 1
 
 
 def test_restricted_owned_outdegree_one():
@@ -132,12 +131,14 @@ def test_restricted_owned_outdegree_one():
         game = generate(GeneratorSpec("cyclic-game", seed=seed, states=7))
         for player in ("reach", "safe"):
             tau = random_strategy(rng, game, player)
-            restricted = restrict_game(game, tau)
             adj = strategy_adjacency(game, tau)
-            assert restricted.adjacency() == adj
+            assert adj.keys() == game._succ.keys()
             for v in reachable_set(adj, game.initial):
                 if v in game.owned_by(player):
-                    assert len(restricted.successors(v)) == 1
+                    assert adj[v] == (tau.choice[v],)
+                    assert tau.choice[v] in game.successors(v)
+                else:
+                    assert adj[v] == game.successors(v)
 
 
 def test_exists_maximal_path_avoiding_branching():
@@ -191,21 +192,6 @@ def test_model_json_roundtrip():
     for model in (small_ts(), tree_game()[0]):
         again = model_from_json(model_to_json(model))
         assert model_to_json(again) == model_to_json(model)
-
-
-def test_play_validation():
-    from causekit.model import Play, validate_play
-    from causekit.fixtures import loop_game
-
-    game, _ = loop_game()
-    validate_play(game, Play(stem=("v0", "v1", "eff")))
-    validate_play(game, Play(stem=("v0", "v2"), cycle=("v1",)))
-    with pytest.raises(NotMaximal):
-        validate_play(game, Play(stem=("v0", "v1")))
-    with pytest.raises(NotAPath):
-        validate_play(game, Play(stem=("v1", "eff")))
-    with pytest.raises(NotAPath):
-        validate_play(game, Play(stem=("v0",), cycle=("v2", "eff")))
 
 
 def test_maximal_paths_enumeration():

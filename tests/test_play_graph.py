@@ -7,10 +7,17 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causekit import distances
 from causekit.distances import dstrat
 from causekit.errors import NotAcyclic
+from causekit.fixtures import tree_game
 from causekit.game_causality import (
+    METRIC_DSTAR,
+    GameCauseQuery,
     _distinct_matched,
+    check_cause_game,
+    is_minimal_explanation,
+    min_winning_distance,
     _sigma_matched,
     enumerate_strategies,
     losing_play_reaches_cause,
@@ -100,3 +107,20 @@ def test_repair_rejects_a_sigma_cycle_no_play_reaches():
     assert set(play_graph(game, sigma)) == {"v0", "t"}
     with pytest.raises(NotAcyclic):
         min_dstar_winning_strategy_acyclic(game, sigma)
+
+
+def test_dstar_searches_build_sigmas_play_graph_once(monkeypatch):
+    """`dstrat` gets sigma's play graph from the search, never builds it."""
+    game, sigma = tree_game()
+    built = []
+
+    def recording(game, strategy):
+        built.append(strategy)
+        return play_graph(game, strategy)
+
+    monkeypatch.setattr(distances, "play_graph", recording)
+    query = GameCauseQuery(game, REACH, sigma, frozenset({"v3"}), METRIC_DSTAR)
+    assert check_cause_game(query).witnesses
+    assert min_winning_distance(game, sigma, METRIC_DSTAR) == 1
+    assert is_minimal_explanation(game, sigma, {"v1"}, METRIC_DSTAR)
+    assert built and all(strategy is not sigma for strategy in built)
