@@ -13,6 +13,7 @@ budget reproduce identical bytes.
 """
 
 import argparse
+import gc
 import json
 import sys
 from functools import partial
@@ -459,6 +460,18 @@ PARSER = build_parser()
 
 def main(argv=None):
     args = PARSER.parse_args(argv)
+    # No command builds a reference cycle (tests/test_cli.py checks every
+    # subcommand), so the cyclic collector's passes would only cost time.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(args):
     try:
         doc, code = args.run(args)
     except BudgetExceeded as exc:

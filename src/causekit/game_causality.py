@@ -122,13 +122,18 @@ def _attractor_choices(game, allowed, rank, player):
     succ = game._succ
     for v in sorted(game.owned_by(player)):
         opts = allowed.get(v, succ[v])
+        choice[v] = opts[0] if opts else succ[v][0]
         if player == SAFE:
-            keep = [u for u in opts if u not in rank]
+            for u in opts:
+                if u not in rank:
+                    choice[v] = u
+                    break
         elif v in rank:
-            keep = [u for u in opts if rank.get(u, rank[v]) < rank[v]]
-        else:
-            keep = []
-        choice[v] = (keep or opts or succ[v])[0]
+            bound = rank[v]
+            for u in opts:
+                if rank.get(u, bound) < bound:
+                    choice[v] = u
+                    break
     return choice
 
 
@@ -140,7 +145,7 @@ def avoid_region(game, player, cause):
             raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
     region = _avoid_set(game, player, cause, {})
     allowed = {
-        v: tuple(u for u in game._succ[v] if u in region)
+        v: tuple(filter(region.__contains__, game._succ[v]))
         for v in game.owned_by(player) & region
     }
     return frozenset(region), allowed
@@ -401,7 +406,7 @@ def _check_pref_h(query, c1, budget):
 
     succ = game._succ
     allowed = {
-        v: pins[v] if v in pins else tuple(u for u in succ[v] if u in pin_region)
+        v: pins[v] if v in pins else tuple(filter(pin_region.__contains__, succ[v]))
         for v in owned & pin_region
     }
     # No opponent or allowed edge leaves the region, so the plays from the

@@ -21,7 +21,7 @@ universal vertices are pinned to one successor.
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
 
@@ -198,7 +198,8 @@ def _link(model, name, succ, message):
         src, dst = min((a, b) for a, b in pairs if a not in succ or b not in succ)
         raise InvalidModel(message.format(src, dst)) from None
     if not isinstance(pairs, frozenset):  # a frozenset has no repeats: it stays the view
-        if sum(map(len, succ.values())) != sum(map(len, map(set, succ.values()))):
+        multi = [ends for ends in succ.values() if len(ends) > 1]
+        if sum(map(len, multi)) != sum(map(len, map(set, multi))):
             succ, pred = ({v: list(set(ends)) for v, ends in m.items()} for m in (succ, pred))
         object.__delattr__(model, name)
     any(map(list.sort, chain(succ.values(), pred.values())))  # sorts in place
@@ -231,9 +232,10 @@ def _partition(vertices, owners):
         for v, owner in zip(vertices, owners):
             if owner not in OWNERS:
                 raise InvalidModel(f"vertex {v!r} has unknown owner {owner!r}")
-    return tuple(
-        frozenset(compress(vertices, map(player.__eq__, owners))) for player in OWNERS
-    )
+    groups = {player: [] for player in OWNERS}
+    for v, owner in zip(vertices, owners):
+        groups[owner].append(v)
+    return tuple(frozenset(groups[player]) for player in OWNERS)
 
 
 @dataclass(frozen=True)
@@ -274,8 +276,8 @@ def validate_strategy(game, strategy):
         raise InvalidModel(f"unknown player {strategy.player!r}")
     owned = game.owned_by(strategy.player)
     choice, succ = strategy.choice, game._succ
-    if len(choice) == len(owned) and all(
-        v in choice and choice[v] in succ[v] for v in owned
+    if choice.keys() == owned and all(
+        map(tuple.__contains__, map(succ.get, choice), choice.values())
     ):
         return
     for v in sorted(owned):
@@ -679,7 +681,7 @@ def strategy_from_json(data):
     _expect_json(data, dict, "strategy")
     choices = _expect_json(required_field(data, "choices", "strategy"), dict, "choices")
     _all_json(list(choices.values()), str, lambda i: f"choices.{list(choices)[i]}")
-    return MDStrategy(player=required_field(data, "player", "strategy"), choice=dict(choices))
+    return MDStrategy(player=required_field(data, "player", "strategy"), choice=choices)
 
 
 def path_from_json(data):

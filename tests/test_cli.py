@@ -1,3 +1,4 @@
+import gc
 import json
 import subprocess
 import sys
@@ -656,3 +657,83 @@ def test_pretty_flag_appends_human_lines():
     assert "verdict" in body[doc_end:]
     again = run_cli(*branching_args("ghamm"), "--pretty")
     assert again.stdout == body
+
+
+
+def tree_game_args(command, cause, metric):
+    return [
+        *command,
+        "--model", str(FIXDIR / "tree_game.json"),
+        "--player", "reach",
+        "--strategy", str(FIXDIR / "tree_game_sigma.json"),
+        "--cause", cause,
+        "--metric", metric,
+    ]
+
+
+# One command per exit code: 0, 1, 2 (the model file is missing) and 3.
+EXIT_CASES = [
+    (branching_args("ghamm"), 0),
+    (branching_args("pref"), 1),
+    (["solve", "--model", str(FIXDIR / "missing.json")], 2),
+    ([*tree_game_args(["game-cause"], "v3", "dstar"), "--budget", "1"], 3),
+]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collecting", "paused"])
+@pytest.mark.parametrize("argv, code", EXIT_CASES, ids=["exit0", "exit1", "exit2", "exit3"])
+def test_main_restores_the_collector_state(capsys, enabled, argv, code):
+    from causekit import cli
+
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(argv) == code
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    # `main` pauses the cyclic collector, which is only sound if no command
+    # builds a reference cycle: under DEBUG_SAVEALL, a collection after each
+    # command counts every object that only the collector could free.
+    from causekit import cli
+
+    sem = str(tmp_path / "sem.json")
+    sem_args = ["--model", sem, "--effect", '{"last": 1, "values": [[false]]}', "--vars", "X1"]
+    loop_game = ["--model", str(FIXDIR / "loop_game.json")]
+    loop_sigma = str(FIXDIR / "loop_game_sigma.json")
+    explain = ["explain", *loop_game, "--strategy", loop_sigma]
+    ts_metrics = ("pref", "pref-ap", "hamm", "ghamm", "lev")
+    cases = [
+        (["gen", "--family", "boolean-sem", "--seed", "1", "--out", sem], 0),
+        (["solve", *loop_game], 0),
+        (explain, 0),
+        ([*explain, "--check", "v1"], 0),
+        ([*explain, "--check-minimal", "v1,v2", "--metric", "hamm-s"], 1),
+        (tree_game_args(["game-cause"], "v2,v3", "pref-h"), 0),
+        (tree_game_args(["game-cause"], "v3", "hamm-s"), 0),
+        (tree_game_args(["game-cause"], "v3", "dstar"), 1),
+        *((branching_args(m), int(m == "pref")) for m in ts_metrics),
+        (["oracle", "ts-cause", *branching_args("lev")[1:]], 0),
+        (tree_game_args(["oracle", "game-cause"], "v3", "dstar"), 1),
+        (["distance", "lev", "--u", "a,b,b,c", "--v", "a,c,c,b,c"], 0),
+        (["distance", "dstar", *loop_game, "--sigma", loop_sigma, "--tau", loop_sigma], 0),
+        (["sem", "bridge", *sem_args], 0),
+        (["sem", "butfor", *sem_args], 0),
+        *EXIT_CASES[2:],
+    ]
+    was, debug = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv, code in cases:
+            assert (cli.main(argv), gc.collect()) == (code, 0), argv
+            capsys.readouterr()
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        (gc.enable if was else gc.disable)()
