@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import LengthMismatch, PreconditionViolated, as_budget
-from .model import play_graph
+from .model import play_graph, play_layers
 
 INF = math.inf
 
@@ -177,19 +177,10 @@ def d_pref_hausdorff(game, sigma, tau):
     diff = disagreement_vertices(game, sigma, tau)
     if not diff:
         return Fraction(0)
-    owned, succ = game.owned_by(sigma.player), game._succ
-    depth = {game.initial: 0}
-    frontier = [game.initial]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if v in diff:
-                return dyadic(depth[v] + 1)
-            for u in (sigma.choice[v],) if v in owned else succ[v]:
-                if u not in depth:
-                    depth[u] = depth[v] + 1
-                    nxt.append(u)
-        frontier = sorted(nxt)
+    # Up to the first disagreement, the common edges are sigma's.
+    for depth, layer in enumerate(play_layers(game, sigma)):
+        if not diff.isdisjoint(layer):
+            return dyadic(depth + 1)
     return Fraction(0)
 
 

@@ -36,7 +36,9 @@ from .model import (
     maximal_avoiding_set,
     opponent,
     play_graph,
+    play_layers,
     reachable_set,
+    shortest_route,
     strategy_adjacency,
     trap_vertices,
     validate_strategy,
@@ -346,25 +348,6 @@ def check_cause_game(query, budget=None):
     return _check_dstar(query, allowed, budget)
 
 
-def _pin_layers(game, sigma):
-    """The owned vertices of sigma's play graph by breadth-first depth from
-    the initial vertex: entry d lists those at depth d."""
-    owned = game.owned_by(sigma.player)
-    seen = {game.initial}
-    frontier = [game.initial]
-    layers = []
-    while frontier:
-        layers.append([v for v in frontier if v in owned])
-        nxt = []
-        for v in frontier:
-            for u in (sigma.choice[v],) if v in owned else game.successors(v):
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return layers
-
-
 def _check_pref_h(query, c1, budget):
     """Hausdorff-prefix cause check, conditions 2 and 3 (condition 1 is `c1`).
 
@@ -387,55 +370,46 @@ def _check_pref_h(query, c1, budget):
     if not (c1 and c2):
         return GameCauseVerdict(False, distances.INF, c1, c2)
 
-    layers = _pin_layers(game, sigma)
-    n_star = 0
-    for layer in layers:
+    pinned = {}
+    for n_star, layer in enumerate(play_layers(game, sigma)):
         budget.charge()
         joined = len(caught.rank)
-        caught.pin({v: sigma.choice[v] for v in layer})
+        pins = {v: sigma.choice[v] for v in layer}
+        caught.pin(pins)
         if game.initial in caught.rank:
             break
-        n_star += 1
+        pinned.update(pins)
     else:
         raise AssertionError("pinning every reachable vertex must block avoidance")
     lost = set(islice(caught.rank, joined))
     pin_region = {v for v in game._succ if v not in lost}
 
-    pins = {v: (sigma.choice[v],) for layer in layers[:n_star] for v in layer}
-    min_d = dyadic(n_star + 1)
-
-    succ = game._succ
     allowed = {
-        v: pins[v] if v in pins else tuple(filter(pin_region.__contains__, succ[v]))
+        v: (pinned[v],) if v in pinned else tuple(filter(pin_region.__contains__, game._succ[v]))
         for v in owned & pin_region
     }
-    # No opponent or allowed edge leaves the region, so the plays from the
-    # initial vertex stay inside it: the arena is the game with `allowed`.
-    arena = {**succ, **allowed}
+    overrides = _defeat_choices(game, player, allowed)
+    wins = overrides is None
+    tau = _assemble_strategy(sigma, owned, allowed, overrides or {})
+    # tau copies sigma at every depth below n_star and avoids the cause; a
+    # strategy that also copied sigma at depth n_star could not, so tau first
+    # differs from sigma there and d_pref_hausdorff(sigma, tau) is min_d.
+    min_d = dyadic(n_star + 1)
+    witness = StrategyWitness(tau, min_d, wins)
+    return GameCauseVerdict(wins, min_d, True, True, (witness,)[: query.witnesses])
 
-    dodge = None
+
+def _defeat_choices(game, player, allowed):
+    """The player's MD choices on one play by which the opponent defeats it
+    in the arena, the game with the edge tuples of `allowed`; None if there
+    is no such play from the initial vertex.  Against Reach the play keeps
+    to the effect-avoiding set by first successors until it closes a cycle;
+    against Safe it is the least shortest route to the effect set."""
+    arena = {**game._succ, **allowed}
     if player == REACH:
-        doomed = attractor(succ, (), game.effect, game._pred, allowed)
-        dodge = {v for v in pin_region if v not in doomed}
-        defeated = game.initial in dodge
-    else:
-        defeated = bool(set(game.effect) & reachable_set(arena, game.initial))
-
-    overrides = _defeat_choices(game, player, arena, owned, dodge) if defeated else {}
-    tau = _assemble_strategy(sigma, owned, allowed, overrides)
-    witness = StrategyWitness(
-        tau, distances.d_pref_hausdorff(game, sigma, tau), not defeated
-    )
-    return GameCauseVerdict(
-        not defeated, min_d, True, True, (witness,)[: query.witnesses]
-    )
-
-
-def _defeat_choices(game, player, arena, owned, dodge):
-    """MD choices (within the arena) realizing one defeating play.
-
-    For Reach, `dodge` is the arena's maximal effect-avoiding set."""
-    if player == REACH:
+        dodge = maximal_avoiding_set(game._succ, game.effect, game._pred, allowed)
+        if game.initial not in dodge:
+            return None
         choices = {}
         v = game.initial
         while v not in choices:
@@ -444,26 +418,12 @@ def _defeat_choices(game, player, arena, owned, dodge):
                 break
             choices[v] = stay[0]
             v = stay[0]
-        return {v: u for v, u in choices.items() if v in owned}
-    parent = {game.initial: None}
-    queue = [game.initial]
-    target = None
-    while queue and target is None:
-        nxt = []
-        for v in queue:
-            if v in game.effect:
-                target = v
-                break
-            for u in arena[v]:
-                if u not in parent:
-                    parent[u] = v
-                    nxt.append(u)
-        queue = sorted(nxt)
-    choices = {}
-    v = target
-    while v is not None and parent[v] is not None:
-        choices[parent[v]] = v
-        v = parent[v]
+    else:
+        route = shortest_route(arena, game.initial, game.effect.__contains__)
+        if route is None:
+            return None
+        choices = dict(zip(route, route[1:]))
+    owned = game.owned_by(player)
     return {v: u for v, u in choices.items() if v in owned}
 
 

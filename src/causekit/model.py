@@ -16,6 +16,12 @@ acyclicity are all attractors or their complements.  On a model's own graph
 it reads the model's predecessor lists, with `allowed` edge tuples as
 overrides.  `Attractor` is the same kernel as an object that resumes after
 universal vertices are pinned to one successor.
+
+Two breadth-first walks answer the questions the checkers ask of paths.
+`shortest_route` is the least shortest route to a goal: each layer is
+sorted and a vertex keeps the first parent that reaches it.  `play_layers`
+yields the owned vertices of a strategy's play graph by depth, each layer
+in discovery order; its callers read the layers as sets.
 """
 
 import json
@@ -327,6 +333,25 @@ def play_graph(game, strategy):
     return graph
 
 
+def play_layers(game, strategy):
+    """The owned vertices of the strategy's play graph, one list per
+    breadth-first depth from the initial vertex, generated lazily: entry d
+    lists those at depth d."""
+    owned = game.owned_by(strategy.player)
+    choice, succ = strategy.choice, game._succ
+    seen = {game.initial}
+    layer = [game.initial]
+    while layer:
+        yield [v for v in layer if v in owned]
+        nxt = []
+        for v in layer:
+            for u in (choice[v],) if v in owned else succ[v]:
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        layer = nxt
+
+
 # ---------------------------------------------------------------------------
 # graph primitives (shared by transition systems and games)
 
@@ -342,6 +367,34 @@ def reachable_set(adjacency, start):
                 seen.add(u)
                 stack.append(u)
     return seen
+
+
+def shortest_route(adjacency, start, goal, avoid=()):
+    """The least shortest route from `start` to a vertex satisfying the
+    predicate `goal` that enters no vertex of `avoid`, as a tuple, or None.
+
+    Breadth-first, each layer in sorted order, the first parent winning: the
+    route ends at the least goal of the least depth, and each of its
+    vertices is entered from its least predecessor one layer up."""
+    if start in avoid:
+        return None
+    parent = {start: None}
+    layer = [start]
+    while layer:
+        nxt = []
+        for v in layer:
+            if goal(v):
+                route = []
+                while v is not None:
+                    route.append(v)
+                    v = parent[v]
+                return tuple(reversed(route))
+            for u in adjacency[v]:
+                if u not in avoid and u not in parent:
+                    parent[u] = v
+                    nxt.append(u)
+        layer = sorted(nxt)
+    return None
 
 
 def attractor(adjacency, existential, target, preds=None, allowed=None):
@@ -438,14 +491,15 @@ class Attractor:
         self._absorb(joining)
 
 
-def maximal_avoiding_set(adjacency, avoid, preds=None):
+def maximal_avoiding_set(adjacency, avoid, preds=None, allowed=None):
     """States admitting a maximal path that never visits `avoid`.
 
     The complement of the attractor of `avoid` in which every state is
     universal.  Maximal paths are the finite ones ending in a terminal state
-    together with the infinite ones.  `preds` as in `attractor`.
+    together with the infinite ones.  `preds` and `allowed` as in
+    `attractor`.
     """
-    doomed = attractor(adjacency, (), avoid, preds)
+    doomed = attractor(adjacency, (), avoid, preds, allowed)
     return {s for s in adjacency if s not in doomed}
 
 

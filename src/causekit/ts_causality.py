@@ -20,6 +20,7 @@ from .model import (
     exists_maximal_path_avoiding,
     maximal_avoiding_set,
     maximal_paths,
+    shortest_route,
     validate_maximal_path,
 )
 from . import distances
@@ -134,28 +135,26 @@ def check_cause_pref_ap(query, allow_overlap=False):
     target_symbols = [symbol(s) for s in seq]
     can_avoid = maximal_avoiding_set(ts._succ, cause, ts._pred)
 
-    layers = []
-    parents = []
-    first = {ts.initial} if ts.initial in can_avoid else set()
-    layers.append(first)
-    parents.append({ts.initial: None} if first else {})
+    if ts.initial not in can_avoid:
+        return CauseVerdict(False, INF, (), condition1=False)
+
+    # parents[j] maps each state of layer j to its parent in layer j - 1; a
+    # layer is empty once the one before it is, so the walk stops there.
+    parents = [{ts.initial: None}]
     for j in range(1, len(seq)):
         layer = {}
-        for s in sorted(layers[j - 1]):
+        for s in sorted(parents[-1]):
             for t in ts.successors(s):
                 if t in can_avoid and symbol(t) == target_symbols[j]:
                     if t not in layer:
                         layer[t] = s
-        layers.append(set(layer))
+        if not layer:
+            break
         parents.append(layer)
-
-    if not layers[0]:
-        return CauseVerdict(False, INF, (), condition1=False)
-
-    i_max = max(j for j, layer in enumerate(layers) if layer)
+    i_max = len(parents) - 1
 
     exact_terminals = (
-        sorted(t for t in layers[n_last] if ts.is_terminal(t))
+        sorted(t for t in parents[n_last] if ts.is_terminal(t))
         if i_max == n_last
         else []
     )
@@ -173,7 +172,7 @@ def check_cause_pref_ap(query, allow_overlap=False):
         return CauseVerdict(is_cause, min_d, wits)
 
     min_d = dyadic(i_max + 1)
-    frontier = sorted(layers[i_max])
+    frontier = sorted(parents[i_max])
     # States with a C-avoiding continuation that satisfies the property.
     if phi == PHI_REACH:
         blocked = dict.fromkeys(cause, ())  # no edge leaves a cause state
@@ -207,39 +206,16 @@ def _finite_avoiding_continuation(ts, start, cause, effect, phi, prefer_phi):
     """A finite maximal C-avoiding path from `start`, preferring one that
     satisfies the effect property when asked.  None if only infinite
     continuations exist."""
-    if prefer_phi and phi == PHI_REACH:
-        path = _bfs_path(ts, start, effect, cause)
+    if prefer_phi:
+        # For safety the walk never enters E, so every terminal it meets lies outside E.
+        if phi == PHI_REACH:
+            goal, avoid = effect.__contains__, cause
+        else:
+            goal, avoid = ts.is_terminal, cause | effect
+        path = shortest_route(ts._succ, start, goal, avoid)
         if path is not None:
             return path
-    if prefer_phi and phi == PHI_SAFE:
-        goals = {s for s in ts.states if ts.is_terminal(s) and s not in effect}
-        path = _bfs_path(ts, start, goals, cause | effect)
-        if path is not None:
-            return path
-    goals = {s for s in ts.states if ts.is_terminal(s)}
-    return _bfs_path(ts, start, goals, cause)
-
-
-def _bfs_path(ts, start, targets, avoid):
-    if start in avoid:
-        return None
-    parent = {start: None}
-    queue = [start]
-    while queue:
-        nxt = []
-        for v in queue:
-            if v in targets:
-                out = []
-                while v is not None:
-                    out.append(v)
-                    v = parent[v]
-                return tuple(reversed(out))
-            for u in ts.successors(v):
-                if u not in avoid and u not in parent:
-                    parent[u] = v
-                    nxt.append(u)
-        queue = sorted(nxt)
-    return None
+    return shortest_route(ts._succ, start, ts.is_terminal, cause)
 
 
 def _finish_witnesses(query, paths, distance):

@@ -6,11 +6,13 @@ play-prefix enumeration, the play-distance supremum by chains over
 disagreement subsets (and a play's distance by `play_dist`), attractors by
 rescanning every vertex per round or over a copied adjacency with fresh
 predecessor lists, the pref-h pin search by one fresh attractor per radius,
-the strategy predicates on the whole strategy-induced adjacency, the SEM
-bridge by a layered Hamming check on the fully unrolled tree, model loading
-by per-item checks over sorted transitions and edges, acyclicity by a
-colored depth-first search, the d* repair's costs by a Bellman-style min-max
-sweep, and the tree change count and maximal-path enumeration by recursion.
+the strategy predicates on the whole strategy-induced adjacency, the
+breadth-first walks (defeating plays, witness continuations, play layers)
+by loops of their own, the SEM bridge by a layered Hamming check on the
+fully unrolled tree, model loading by per-item checks over sorted
+transitions and edges, acyclicity by a colored depth-first search, the d*
+repair's costs by a Bellman-style min-max sweep, and the tree change count
+and maximal-path enumeration by recursion.
 """
 
 import random
@@ -36,7 +38,6 @@ from causekit.game_causality import (
     StrategyWitness,
     _assemble_strategy,
     _avoid_set,
-    _defeat_choices,
     _min_winning,
     _sigma_matched,
     avoid_region,
@@ -690,7 +691,7 @@ def _naive_pref_h(query, region, budget):
     else:
         defeated = bool(set(game.effect) & reachable_set(arena, game.initial))
 
-    overrides = _defeat_choices(game, player, arena, owned, dodge) if defeated else {}
+    overrides = naive_defeat_choices(game, player, arena, owned, dodge) if defeated else {}
     tau = _assemble_strategy(sigma, owned, allowed, overrides)
     witness = StrategyWitness(
         tau, distances.d_pref_hausdorff(game, sigma, tau), not defeated
@@ -698,6 +699,87 @@ def _naive_pref_h(query, region, budget):
     return GameCauseVerdict(
         not defeated, min_d, True, True, (witness,)[: query.witnesses]
     )
+
+
+# ---------------------------------------------------------------------------
+# breadth-first walks, each with its own loop and tie-break
+
+
+def naive_defeat_choices(game, player, arena, owned, dodge):
+    """MD choices (within the arena) realizing one defeating play.
+
+    For Reach, `dodge` is the arena's maximal effect-avoiding set."""
+    if player == REACH:
+        choices = {}
+        v = game.initial
+        while v not in choices:
+            stay = [u for u in arena[v] if u in dodge]
+            if not stay:
+                break
+            choices[v] = stay[0]
+            v = stay[0]
+        return {v: u for v, u in choices.items() if v in owned}
+    parent = {game.initial: None}
+    queue = [game.initial]
+    target = None
+    while queue and target is None:
+        nxt = []
+        for v in queue:
+            if v in game.effect:
+                target = v
+                break
+            for u in arena[v]:
+                if u not in parent:
+                    parent[u] = v
+                    nxt.append(u)
+        queue = sorted(nxt)
+    choices = {}
+    v = target
+    while v is not None and parent[v] is not None:
+        choices[parent[v]] = v
+        v = parent[v]
+    return {v: u for v, u in choices.items() if v in owned}
+
+
+def naive_bfs_path(ts, start, targets, avoid):
+    if start in avoid:
+        return None
+    parent = {start: None}
+    queue = [start]
+    while queue:
+        nxt = []
+        for v in queue:
+            if v in targets:
+                out = []
+                while v is not None:
+                    out.append(v)
+                    v = parent[v]
+                return tuple(reversed(out))
+            for u in ts.successors(v):
+                if u not in avoid and u not in parent:
+                    parent[u] = v
+                    nxt.append(u)
+        queue = sorted(nxt)
+    return None
+
+
+def naive_pin_layers(game, sigma):
+    """The owned vertices of sigma's play graph by breadth-first depth from
+    the initial vertex: entry d lists those at depth d."""
+    owned = game.owned_by(sigma.player)
+    seen = {game.initial}
+    frontier = [game.initial]
+    layers = []
+    while frontier:
+        layers.append([v for v in frontier if v in owned])
+        nxt = []
+        for v in frontier:
+            for u in (sigma.choice[v],) if v in owned else game.successors(v):
+                if u not in seen:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return layers
 
 
 def pref_h_chain(rng, n):

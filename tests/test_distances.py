@@ -144,11 +144,18 @@ def test_pref_hausdorff_matches_definitional_oracle():
         game = generate(GeneratorSpec(family, seed=seed, states=6))
         for player in ("reach", "safe"):
             sigma = random_strategy(rng, game, player)
-            tau = random_strategy(rng, game, player)
-            assert d_pref_hausdorff(game, sigma, tau) == hausdorff_oracle(
-                game, sigma, tau
-            )
-            checked += 1
+            taus = [random_strategy(rng, game, player)]
+            # One change to sigma puts the only disagreement at any depth of
+            # sigma's play graph, or off every play.
+            for v in sorted(game.owned_by(player)):
+                others = [u for u in game.successors(v) if u != sigma.choice[v]]
+                if others:
+                    taus.append(MDStrategy(player, {**sigma.choice, v: rng.choice(others)}))
+            for tau in taus:
+                assert d_pref_hausdorff(game, sigma, tau) == hausdorff_oracle(
+                    game, sigma, tau
+                )
+                checked += 1
     assert checked >= 400
 
 

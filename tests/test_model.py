@@ -18,12 +18,13 @@ from causekit.model import (
     model_from_json,
     model_to_json,
     reachable_set,
+    shortest_route,
     strategy_adjacency,
     validate_maximal_path,
     validate_strategy,
 )
 
-from helpers import budgeted, naive_maximal_paths
+from helpers import budgeted, naive_bfs_path, naive_maximal_paths
 
 
 def small_ts():
@@ -230,3 +231,23 @@ def test_maximal_paths_match_the_recursive_walk(seed, cyclic):
     assert budgeted(maximal_paths, ts, max_len, limit=limit) == (
         budgeted(naive_maximal_paths, ts, max_len, limit=limit)
     )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_shortest_route_matches_the_naive_walk(seed, cyclic):
+    rng = random.Random(seed)
+    ts = acyclic_ts(rng, 9, 2)
+    if cyclic:
+        back = [(s, rng.choice(ts.states)) for s in rng.sample(ts.states, 2)]
+        ts = replace(ts, transitions=ts.transitions | set(back))
+    terminals = frozenset(s for s in ts.states if ts.is_terminal(s))
+    for start in ts.states:
+        avoid = frozenset(rng.sample(ts.states, rng.randint(0, len(ts.states) // 2)))
+        goals = frozenset(rng.sample(ts.states, rng.randint(0, min(3, len(ts.states)))))
+        # The empty goal set is unreachable, and so is any goal behind `avoid`.
+        for targets in (goals, terminals, frozenset(), frozenset({start})):
+            for walls in (avoid - {start}, avoid | {start}):
+                assert shortest_route(ts._succ, start, targets.__contains__, walls) == (
+                    naive_bfs_path(ts, start, targets, walls)
+                )

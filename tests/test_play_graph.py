@@ -32,6 +32,7 @@ from causekit.model import (
     MDStrategy,
     game_from_owners,
     play_graph,
+    play_layers,
     reachable_set,
     strategy_adjacency,
 )
@@ -41,6 +42,7 @@ from helpers import (
     naive_distinct_matched,
     naive_dstrat,
     naive_losing_play_reaches_cause,
+    naive_pin_layers,
     naive_sigma_matched,
     naive_strategy_avoids,
     naive_strategy_is_winning,
@@ -63,8 +65,9 @@ def test_play_graph_helpers_match_the_whole_adjacency(seed, cyclic):
         adj = strategy_adjacency(game, tau)
         seen = reachable_set(adj, game.initial)
         assert play_graph(game, tau) == {v: adj[v] for v in seen}
+        assert list(play_layers(game, tau)) == naive_pin_layers(game, tau)
         assert strategy_is_winning(game, tau) == naive_strategy_is_winning(game, tau)
-        cause = frozenset(rng.sample(pool, rng.randint(1, 3)))
+        cause = frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
         assert strategy_avoids(game, tau, cause) == naive_strategy_avoids(game, tau, cause)
         assert losing_play_reaches_cause(game, sigma, cause) == (
             naive_losing_play_reaches_cause(game, sigma, cause)
