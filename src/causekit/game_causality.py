@@ -9,11 +9,15 @@ own predecessor lists where it can; the Hausdorff-prefix check resumes one
 problems the distance functions make NP- or coNP-hard.  Those searches share
 one enumeration kernel: `_free_sets` walks the least sets of sigma's vertices
 whose freeing solves a feasibility test, `_variants` re-points sigma over a
-product of edge choices, and `_distinct_matched` sigma-matches and
-deduplicates.  Each charges one budget unit per candidate.  A candidate is
-matched, tested and measured on its play graph (`model.play_graph`), the part
-of the game its plays can visit.  The acyclic d* repair skips the exact
-search when its deviation costs certify the proposed strategy.
+product of edge choices, `_matched_strategies` builds each distinct
+sigma-matched strategy once by branching only at vertices its plays reach
+(the d* winning search behind `min_winning_distance`,
+`is_minimal_explanation` and the repair's fallback), and `_distinct_matched`
+sigma-matches and deduplicates `_variants` for the d* cause check.  Each
+charges one budget unit per candidate.  A candidate is matched, tested and
+measured on its play graph (`model.play_graph`), the part of the game its
+plays can visit.  The acyclic d* repair skips the exact search when its
+deviation costs certify the proposed strategy.
 """
 
 from dataclasses import dataclass
@@ -287,6 +291,75 @@ def _distinct_matched(game, sigma, strategies):
         if key not in seen:
             seen.add(key)
             yield key, MDStrategy(tau.player, choice)
+
+
+def _matched_strategies(game, sigma, options, budget):
+    """Each distinct sigma-matched strategy whose reached choices come from
+    `options` (a tuple per owned vertex), once, as `(key, tau)` with its
+    sorted choice items as key, at one budget unit each, lazily.
+
+    A search state fixes choices at some owned vertices; its plays run from
+    the initial vertex until they meet an owned vertex without one.  A state
+    whose plays meet none is a strategy, with sigma's choice at every vertex
+    they never reach.  Otherwise the search branches at the least such
+    vertex, sigma's choice first where it is an option.  Choices are fixed
+    only at reached vertices and stay reached, so two branches differ at a
+    vertex both strategies' plays visit, and no strategy comes twice.
+
+    One state is kept and changed in place: each branch point records how
+    long the logs of reached and waiting vertices were, and going back to
+    it undoes what was logged since, so memory stays linear in the game.
+    """
+    owned = game.owned_by(sigma.player)
+    succ, default = game._succ, sigma.choice
+    fixed, seen, waiting = {}, {game.initial}, set()
+    trail, parked = [], []  # vertices added to `seen` and to `waiting`, in order
+
+    def walk(v):
+        todo = [v]
+        while todo:
+            v = todo.pop()
+            if v in owned and v not in fixed:
+                waiting.add(v)
+                parked.append(v)
+                continue
+            for u in (fixed[v],) if v in owned else succ[v]:
+                if u not in seen:
+                    seen.add(u)
+                    trail.append(u)
+                    todo.append(u)
+
+    walk(game.initial)
+    branches = []  # (vertex, its picks left, len(trail), len(parked)) per branch point
+    while True:
+        if waiting:
+            v = min(waiting)
+            waiting.remove(v)
+            first = default[v]
+            picks = [u for u in options[v] if u != first]
+            if first in options[v]:
+                picks.insert(0, first)
+            branches.append((v, iter(picks), len(trail), len(parked)))
+        else:
+            budget.charge()
+            key = tuple(sorted({**default, **fixed}.items()))
+            yield key, MDStrategy(sigma.player, dict(key))
+        while branches:  # the next pick of the innermost branch point with one left
+            v, picks, n_seen, n_waiting = branches[-1]
+            seen.difference_update(trail[n_seen:])
+            del trail[n_seen:]
+            waiting.difference_update(parked[n_waiting:])
+            del parked[n_waiting:]
+            u = next(picks, None)
+            if u is not None:
+                fixed[v] = u
+                walk(v)
+                break
+            fixed.pop(v, None)
+            waiting.add(v)
+            branches.pop()
+        else:
+            return
 
 
 def _alternatives(game, sigma, vertices):
@@ -671,8 +744,11 @@ def _min_winning(game, sigma, metric, threshold, budget):
     """(least distance from sigma to a winning strategy, a strategy there).
 
     The hamm-s search only asks whether the player wins, so its strategy is
-    None.  With a threshold, the first strategy within it is returned, or
-    (threshold + 1, None) when there is none.
+    None.  The d* search measures each distinct sigma-matched strategy of
+    `_matched_strategies` that wins and keeps the `(d, key)`-least, so its
+    answer does not depend on the enumeration order.  With a threshold, the
+    first strategy within it is returned, or (threshold + 1, None) when there
+    is none.
     """
     player = sigma.player
     if metric == METRIC_HAMM_S:
@@ -687,8 +763,7 @@ def _min_winning(game, sigma, metric, threshold, budget):
     elif metric == METRIC_DSTAR:
         best = None
         graph = play_graph(game, sigma)
-        strategies = enumerate_strategies(game, player, budget)
-        for key, tau in _distinct_matched(game, sigma, strategies):
+        for key, tau in _matched_strategies(game, sigma, game._succ, budget):
             if not strategy_is_winning(game, tau):
                 continue
             d = distances.dstar(game, tau, sigma, budget, graph)

@@ -11,7 +11,8 @@ breadth-first walks (defeating plays, witness continuations, play layers)
 by loops of their own, the SEM bridge by a layered Hamming check on the
 fully unrolled tree, model loading by per-item checks over sorted
 transitions and edges, acyclicity by a colored depth-first search, the d*
-repair's costs by a Bellman-style min-max sweep, and the tree change count
+repair's costs by a Bellman-style min-max sweep, the d* winning search over
+every strategy of the product enumeration, and the tree change count
 and maximal-path enumeration by recursion.
 """
 
@@ -38,9 +39,9 @@ from causekit.game_causality import (
     StrategyWitness,
     _assemble_strategy,
     _avoid_set,
-    _min_winning,
     _sigma_matched,
     avoid_region,
+    enumerate_strategies,
     strategy_is_winning,
     validate_game_query,
 )
@@ -56,6 +57,7 @@ from causekit.model import (
     game_from_owners,
     maximal_avoiding_set,
     maximal_paths,
+    play_graph,
     reachable_set,
     strategy_adjacency,
     trap_vertices,
@@ -534,7 +536,7 @@ def naive_repair_costs(game, sigma):
 
 def naive_min_dstar_repair(game, sigma, budget=None):
     """`min_dstar_winning_strategy_acyclic` with the colored-DFS acyclicity
-    test and the swept costs."""
+    test, the swept costs and `naive_min_winning`."""
     validate_strategy(game, sigma)
     if sigma.player != REACH:
         raise PreconditionViolated("the acyclic repair is defined for Reach")
@@ -559,8 +561,34 @@ def naive_min_dstar_repair(game, sigma, budget=None):
         fast = distances.dstar(game, tau_fast, sigma, budget)
         if fast == val[game.initial]:
             return tau_fast, fast
-    exact, tau_exact = _min_winning(game, sigma, METRIC_DSTAR, None, budget)
+    exact, tau_exact = naive_min_winning(game, sigma, METRIC_DSTAR, None, budget)
     return (tau_fast if fast == exact else tau_exact), exact
+
+
+def naive_min_winning(game, sigma, metric, threshold, budget):
+    """The d* branch of `_min_winning` over every strategy of
+    `enumerate_strategies`, sigma-matched and deduplicated by
+    `naive_distinct_matched`: one budget unit per strategy, matched or not."""
+    if metric != METRIC_DSTAR:
+        raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
+    player = sigma.player
+    best = None
+    graph = play_graph(game, sigma)
+    strategies = enumerate_strategies(game, player, budget)
+    for key, choice in naive_distinct_matched(game, sigma, strategies):
+        tau = MDStrategy(player, choice)
+        if not strategy_is_winning(game, tau):
+            continue
+        d = distances.dstar(game, tau, sigma, budget, graph)
+        if best is None or (d, key) < best[:2]:
+            best = (d, key, tau)
+            if threshold is not None and d <= threshold:
+                break
+    if best is not None:
+        return best[0], best[2]
+    if threshold is not None:
+        return threshold + 1, None
+    raise NoWinningStrategy(f"player {player} has no winning strategy")
 
 
 def naive_maximal_paths(ts, max_len=None, budget=None):

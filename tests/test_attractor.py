@@ -263,9 +263,15 @@ def test_repair_matches_the_swept_repair(seed, cyclic, island):
         game = with_unreachable_copy(game, rng)
     sigma = random_strategy(rng, game, REACH)
     limit = rng.choice((None, rng.randint(0, 300)))
-    assert budgeted(min_dstar_winning_strategy_acyclic, game, sigma, limit=limit) == (
-        budgeted(naive_min_dstar_repair, game, sigma, limit=limit)
-    )
+    got, used = budgeted(min_dstar_winning_strategy_acyclic, game, sigma, limit=limit)
+    # The exact search walks each distinct sigma-matched strategy once, the
+    # reference every product strategy: the same answer, in no more units.
+    want, want_used = budgeted(naive_min_dstar_repair, game, sigma)
+    assert used <= want_used
+    if got == "BudgetExceeded":
+        assert want_used > limit
+    else:
+        assert got == want
 
 
 def random_tree_game(rng, n):

@@ -737,3 +737,30 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
         gc.set_debug(debug)
         gc.garbage.clear()
         (gc.enable if was else gc.disable)()
+
+
+def test_check_minimal_dstar_ignores_choices_no_play_reaches(tmp_path, capsys):
+    # Sigma steers v0 into the trap t.  Sixteen more Reach vertices, each
+    # with the same two edges, sit on an island no play reaches, so only
+    # v0's two choices are strategies worth measuring: 2^17 products fit no
+    # budget of 200 units, the two matched strategies do.
+    from causekit import cli
+
+    island = [f"i{k:02d}" for k in range(16)]
+    game, sigma = tmp_path / "game.json", tmp_path / "sigma.json"
+    game.write_text(json.dumps({
+        "kind": "game",
+        "initial": "v0",
+        "vertices": [{"id": v, "owner": "reach"} for v in ["v0", *island]]
+        + [{"id": "t", "owner": "safe"}, {"id": "g", "owner": "effect"}],
+        "edges": [[v, w] for v in ["v0", *island] for w in ("g", "t")] + [["t", "t"]],
+    }))
+    sigma.write_text(json.dumps({
+        "player": "reach", "choices": {v: "t" for v in ["v0", *island]},
+    }))
+    argv = ["explain", "--model", str(game), "--strategy", str(sigma),
+            "--check-minimal", "v0", "--metric", "dstar", "--budget", "200"]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert (doc["verdict"], err) == (True, "")

@@ -7,7 +7,9 @@ sweep of acyclic and cyclic games: verdicts, every witness strategy and the
 only, so a change to the search order or to the budget charging shows here.
 
 Regenerate the file only for an intended change of those results:
-`PYTHONPATH=src python tests/test_search_pins.py`.
+`PYTHONPATH=src python tests/test_search_pins.py`.  Before writing, it prints
+per call kind how many records changed their result and on how many the
+budget rose or fell.
 """
 
 import json
@@ -49,6 +51,7 @@ def outcome(fn, *args, **kwargs):
 
 
 def sweep():
+    """[(call kind, record)] over the seeded games."""
     records = []
     for seed in range(GAMES):
         rng = random.Random(seed)
@@ -64,30 +67,59 @@ def sweep():
                 cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
                 for metric in (METRIC_HAMM_S, METRIC_DSTAR):
                     query = GameCauseQuery(game, player, sigma, cause, metric)
-                    records.append(outcome(check_cause_game, query))
+                    records.append(
+                        (f"check_cause_game {metric}", outcome(check_cause_game, query))
+                    )
             try:
                 explanation = extract_explanation(game, sigma).vertex_set
             except CausekitError:
                 explanation = None
             for metric in (METRIC_HAMM_S, METRIC_DSTAR):
-                records.append(outcome(min_winning_distance, game, sigma, metric))
-                records.append(
-                    outcome(min_winning_distance, game, sigma, metric, threshold=1)
-                )
+                records.append((
+                    f"min_winning_distance {metric}",
+                    outcome(min_winning_distance, game, sigma, metric),
+                ))
+                records.append((
+                    f"min_winning_distance {metric} threshold=1",
+                    outcome(min_winning_distance, game, sigma, metric, threshold=1),
+                ))
                 if explanation is not None:
-                    records.append(
-                        outcome(is_minimal_explanation, game, sigma, explanation, metric)
-                    )
+                    records.append((
+                        f"is_minimal_explanation {metric}",
+                        outcome(
+                            is_minimal_explanation, game, sigma, explanation, metric
+                        ),
+                    ))
     return records
 
 
 def test_search_results_and_budget_use_are_pinned():
     pinned = json.loads(PINS.read_text())
-    records = json.loads(json.dumps(sweep()))
+    records = json.loads(json.dumps([record for _kind, record in sweep()]))
     assert len(records) == len(pinned)
     for i, (got, want) in enumerate(zip(records, pinned)):
         assert got == want, i
 
 
+def moves(swept, pinned):
+    """{call kind: [records whose result changed, whose budget rose, whose
+    budget fell]} between a sweep and the pins."""
+    counts = {}
+    for (kind, (result, used)), (old_result, old_used) in zip(swept, pinned):
+        row = counts.setdefault(kind, [0, 0, 0])
+        row[0] += result != old_result
+        row[1] += used > old_used
+        row[2] += used < old_used
+    return counts
+
+
 if __name__ == "__main__":
-    PINS.write_text(json.dumps(sweep(), separators=(",", ":")) + "\n")
+    swept = json.loads(json.dumps(sweep()))
+    pinned = json.loads(PINS.read_text()) if PINS.exists() else []
+    if len(pinned) == len(swept):
+        for kind, (changed, rose, fell) in moves(swept, pinned).items():
+            print(f"{kind}: results changed {changed}, budget rose {rose}, fell {fell}")
+    else:
+        print(f"{len(swept)} records against {len(pinned)} pinned")
+    records = [record for _kind, record in swept]
+    PINS.write_text(json.dumps(records, separators=(",", ":")) + "\n")
