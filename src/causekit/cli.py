@@ -209,8 +209,9 @@ def cmd_solve(args):
         "command": "solve",
         "inputs": {"model": args.model},
         "verdict": winner,
-        "reachRegion": sorted(analysis.reach_region),
-        "safeRegion": sorted(analysis.safe_region),
+        # the regions in vertex order, which is sorted
+        "reachRegion": list(filter(analysis.reach_region.__contains__, game.vertices)),
+        "safeRegion": list(filter(analysis.safe_region.__contains__, game.vertices)),
         "reachStrategy": strategy_to_json(analysis.reach_strategy),
         "safeStrategy": strategy_to_json(analysis.safe_strategy),
     }
@@ -290,7 +291,11 @@ def cmd_distance(args):
 
 def cmd_sem(args):
     sem = sem_bridge.sem_from_json(read_json(args.model))
-    effect = sem_bridge.effect_from_json(sem, json.loads(args.effect))
+    try:
+        effect = json.loads(args.effect)
+    except RecursionError:
+        raise CausekitError("--effect: JSON nested too deeply") from None
+    effect = sem_bridge.effect_from_json(sem, effect)
     variables = sorted(_split(args.vars))
     inputs = {
         "model": args.model,

@@ -3,14 +3,20 @@
 Finite values are exact: naturals for the counting distances, Fractions for
 the 2^-n prefix family.  math.inf stands for an infinite distance; identical
 arguments always yield 0 (2^-inf is read as 0 for the prefix family).
+
+The strategy distances take `MDStrategy` values, check them with
+`validate_strategy` and run on their picks; `dstrat_picks` and
+`dstar_picks` are the play-distance measures for the searches, which hold
+picks already.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 
 from .errors import LengthMismatch, PreconditionViolated, as_budget
-from .model import play_graph, play_layers
+from .model import play_graph, play_layers, validate_strategy
 
 INF = math.inf
 
@@ -154,15 +160,10 @@ def _require_same_player(sigma, tau):
         )
 
 
-def disagreement_vertices(game, sigma, tau):
-    _require_same_player(sigma, tau)
-    owned = game.owned_by(sigma.player)
-    return frozenset(v for v in owned if sigma.choice[v] != tau.choice[v])
-
-
 def d_hamm_s(game, sigma, tau):
     """Number of owned vertices where two strategies choose differently."""
-    return len(disagreement_vertices(game, sigma, tau))
+    _require_same_player(sigma, tau)
+    return sum(map(ne, validate_strategy(game, sigma), validate_strategy(game, tau)))
 
 
 def d_pref_hausdorff(game, sigma, tau):
@@ -174,30 +175,35 @@ def d_pref_hausdorff(game, sigma, tau):
     reachable there (the play sets then coincide).
     """
     _require_same_player(sigma, tau)
-    diff = disagreement_vertices(game, sigma, tau)
-    if not diff:
+    s, t = validate_strategy(game, sigma), validate_strategy(game, tau)
+    if s == t:
         return Fraction(0)
     # Up to the first disagreement, the common edges are sigma's.
-    for depth, layer in enumerate(play_layers(game, sigma)):
-        if not diff.isdisjoint(layer):
+    for depth, layer in enumerate(play_layers(game, s)):
+        if any(s[v] != t[v] for v in layer):
             return dyadic(depth + 1)
     return Fraction(0)
 
 
-def dstrat(game, tau, sigma, budget=None, graph=None):
+def dstrat(game, tau, sigma, budget=None):
     """Supremum, over all tau-plays, of the number of distinct owned vertices
-    on the play where its move contradicts sigma.
+    on the play where its move contradicts sigma."""
+    _require_same_player(sigma, tau)
+    return dstrat_picks(
+        game, validate_strategy(game, tau), validate_strategy(game, sigma), as_budget(budget)
+    )
+
+
+def dstrat_picks(game, tau, sigma, budget, graph=None):
+    """`dstrat` on the strategies' picks.
 
     Exhaustive walk of the (vertex, counted-set) graph over tau's play graph,
     `graph` when the caller has built it; the counted set only grows along
     edges, so the reachable values are exactly the achievable play
     distances.  Worst case exponential; guarded by the budget.
     """
-    _require_same_player(sigma, tau)
-    budget = as_budget(budget)
     adj = play_graph(game, tau) if graph is None else graph
-    owned = game.owned_by(sigma.player)
-    start = (game.initial, frozenset())
+    start = (game._init, frozenset())
     seen = {start}
     stack = [start]
     best = 0
@@ -206,25 +212,31 @@ def dstrat(game, tau, sigma, budget=None, graph=None):
         budget.charge()
         if len(counted) > best:
             best = len(counted)
+        s = sigma[v]
         for u in adj[v]:
-            nxt = counted
-            if v in owned and sigma.choice[v] != u:
-                nxt = counted | {v}
-            state = (u, nxt)
+            state = (u, counted if s is None or s == u else counted | {v})
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
     return best
 
 
-def dstar(game, tau, sigma, budget=None, sigma_graph=None):
-    """Max of the two directed play-distance suprema between two strategies.
+def dstar(game, tau, sigma, budget=None):
+    """Max of the two directed play-distance suprema between two strategies."""
+    _require_same_player(sigma, tau)
+    return dstar_picks(
+        game, validate_strategy(game, tau), validate_strategy(game, sigma), as_budget(budget)
+    )
 
-    A search that measures many tau against one sigma builds sigma's play
-    graph once and passes it as `sigma_graph`.
-    """
-    budget = as_budget(budget)
-    return max(dstrat(game, tau, sigma, budget), dstrat(game, sigma, tau, budget, sigma_graph))
+
+def dstar_picks(game, tau, sigma, budget, sigma_graph=None):
+    """`dstar` on the strategies' picks.  A search that measures many tau
+    against one sigma builds sigma's play graph once and passes it as
+    `sigma_graph`."""
+    return max(
+        dstrat_picks(game, tau, sigma, budget),
+        dstrat_picks(game, sigma, tau, budget, sigma_graph),
+    )
 
 
 # ---------------------------------------------------------------------------

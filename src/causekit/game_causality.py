@@ -5,8 +5,9 @@ The polynomial pieces (attractor solving, safety regions, the Hausdorff-prefix
 cause check, the tree DP of the Hamming check and the d* repair's deviation
 costs) all run on the one attractor kernel `model.attractor`, on the game's
 own predecessor lists where it can; the Hausdorff-prefix check resumes one
-`model.Attractor` across all its pin radii.  They are complemented by exact, budget-guarded searches for the
-problems the distance functions make NP- or coNP-hard.  Those searches share
+`model.Attractor` across all its pin radii.  They are complemented by exact,
+budget-guarded searches for the problems the distance functions make NP- or
+coNP-hard.  Those searches share
 one enumeration kernel: `_free_sets` walks the least sets of sigma's vertices
 whose freeing solves a feasibility test, `_variants` re-points sigma over a
 product of edge choices, `_matched_strategies` builds each distinct
@@ -18,10 +19,22 @@ charges one budget unit per candidate.  A candidate is matched, tested and
 measured on its play graph (`model.play_graph`), the part of the game its
 plays can visit.  The acyclic d* repair skips the exact search when its
 deviation costs certify the proposed strategy.
+
+Everything here runs on the game's vertex numbers (see `model`): vertex
+sets are lists, sets or flags of numbers, and a strategy runs as its picks.
+The public entry points take `MDStrategy` values and id sets and convert
+them once, `validate_strategy` giving the picks and the game's `index` the
+numbers; `strategy_of` turns the picks of a result back into an
+`MDStrategy`.  Ids appear only in those conversions, in
+`enumerate_strategies` and in error messages.  The definitional oracle
+`brute_force_check_cause` stays on `MDStrategy` values and the public
+predicates and distances.  `avoid_region`, `tree_min_changes` and the
+private kernels take and give numbers.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, islice, product
+from itertools import combinations, compress, islice, product
+from operator import and_, ne, not_
 
 from .errors import (
     EmptyChoice,
@@ -31,11 +44,13 @@ from .errors import (
     as_budget,
 )
 from .model import (
+    EFFECT,
     REACH,
     SAFE,
     Attractor,
     MDStrategy,
     attractor,
+    dense,
     is_effectively_acyclic,
     maximal_avoiding_set,
     opponent,
@@ -44,8 +59,9 @@ from .model import (
     reachable_set,
     shortest_route,
     strategy_adjacency,
-    trap_vertices,
+    strategy_of,
     validate_strategy,
+    trap_vertices,
 )
 from . import distances
 from .distances import dyadic
@@ -107,75 +123,83 @@ def solve(game):
     Deterministic: Reach picks its first successor of lower attractor rank,
     so repeated runs extract the same strategies.
     """
-    rank = attractor(game._succ, game.reach_owned, game.effect, game._pred)
+    rank = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
+    inside = [r is not None for r in rank]
     return WinningAnalysis(
-        reach_region=frozenset(rank),
-        safe_region=frozenset(v for v in game._succ if v not in rank),
-        reach_strategy=MDStrategy(REACH, _attractor_choices(game, {}, rank, REACH)),
-        safe_strategy=MDStrategy(SAFE, _attractor_choices(game, {}, rank, SAFE)),
+        reach_region=frozenset(compress(game.ids, inside)),
+        safe_region=frozenset(compress(game.ids, map(not_, inside))),
+        reach_strategy=strategy_of(game, REACH, _attractor_choices(game, {}, rank, REACH)),
+        safe_strategy=strategy_of(game, SAFE, _attractor_choices(game, {}, rank, SAFE)),
     )
 
 
 def _attractor_choices(game, allowed, rank, player):
-    """The player's MD choices from Reach's attractor ranks over the game
-    with the edge tuples of `allowed` in place of its own.
+    """The player's picks from Reach's attractor ranks over the game with
+    the edge tuples of `allowed` in place of its own.
 
     Reach steps to its first successor of lower rank, Safe to its first
     successor outside the attractor; failing that, the first allowed edge,
     or the first edge of the game where `allowed` leaves none.
     """
-    choice = {}
     succ = game._succ
-    for v in sorted(game.owned_by(player)):
+    picks = [None] * len(succ)
+    for v in compress(range(len(succ)), game._owns[player]):
         opts = allowed.get(v, succ[v])
-        choice[v] = opts[0] if opts else succ[v][0]
+        picks[v] = opts[0] if opts else succ[v][0]
         if player == SAFE:
             for u in opts:
-                if u not in rank:
-                    choice[v] = u
+                if rank[u] is None:
+                    picks[v] = u
                     break
-        elif v in rank:
+        elif rank[v] is not None:
             bound = rank[v]
             for u in opts:
-                if rank.get(u, bound) < bound:
-                    choice[v] = u
+                if rank[u] is not None and rank[u] < bound:
+                    picks[v] = u
                     break
-    return choice
+    return picks
 
 
 def avoid_region(game, player, cause):
-    """Vertices from which the player can guarantee never visiting `cause`,
-    with the region-preserving edge sets at the player's vertices."""
+    """Flags by vertex of the vertices from which the player can guarantee
+    never visiting the vertices `cause`, with the region-preserving edge
+    sets at the player's vertices in the region."""
     for c in sorted(cause):
-        if c in game.effect:
-            raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
+        if game._owner[c] == EFFECT:
+            raise PreconditionViolated(f"cause vertex {game.ids[c]!r} lies in the effect set")
     region = _avoid_set(game, player, cause, {})
-    allowed = {
-        v: tuple(filter(region.__contains__, game._succ[v]))
-        for v in game.owned_by(player) & region
+    return region, _kept_edges(game, player, region)
+
+
+def _kept_edges(game, player, region):
+    """The edges into `region` of each of the player's vertices in it."""
+    succ, keep = game._succ, region.__getitem__
+    return {
+        v: succ[v] if all(map(keep, succ[v])) else tuple(compress(succ[v], map(keep, succ[v])))
+        for v in compress(range(len(succ)), map(and_, game._owns[player], region))
     }
-    return frozenset(region), allowed
 
 
 def _avoid_set(game, player, cause, allowed):
-    """Vertices outside the opponent's attractor of `cause` when the vertices
-    in `allowed` may only use the given edge tuples."""
+    """Flags by vertex of the vertices outside the opponent's attractor of
+    `cause` when the vertices in `allowed` may only use the given edge
+    tuples."""
     caught = attractor(
-        game._succ, game.owned_by(opponent(player)), cause, game._pred, allowed
+        game._succ, game._owns[opponent(player)], cause, game._pred, allowed
     )
-    return {v for v in game._succ if v not in caught}
+    return [r is None for r in caught]
 
 
 def _solve_for(game, player, allowed):
     """Solve the game for `player` when its vertices may only use the given
-    edge subsets.  Returns (wins_from_initial, total choice dict).
+    edge subsets.  Returns (wins_from_initial, picks).
 
     `allowed` is keyed by the player's vertices; those missing from it keep
     their full edge set.  Dead ends the restriction creates count against
     Reach: a stuck play never reaches the effect set.
     """
-    rank = attractor(game._succ, game.reach_owned, game.effect, game._pred, allowed)
-    wins = (game.initial in rank) == (player == REACH)
+    rank = attractor(game._succ, game._owns[REACH], game._targets, game._pred, allowed)
+    wins = (rank[game._init] is not None) == (player == REACH)
     return wins, _attractor_choices(game, allowed, rank, player)
 
 
@@ -184,14 +208,26 @@ def _solve_for(game, player, allowed):
 
 
 def strategy_is_winning(game, strategy):
-    graph = play_graph(game, strategy)
-    if strategy.player == REACH:
-        return game.initial not in maximal_avoiding_set(graph, game.effect)
-    return game.effect.isdisjoint(graph)
+    return _wins(game, strategy.player, validate_strategy(game, strategy))
+
+
+def _wins(game, player, picks):
+    """Whether the player's picks win: for Reach every play reaches the
+    effect set, for Safe none does."""
+    graph = play_graph(game, picks)
+    if player == REACH:
+        return not maximal_avoiding_set(dense(graph, len(picks)), game._targets)[game._init]
+    return not any(map(game._owns[EFFECT].__getitem__, graph))
 
 
 def strategy_avoids(game, strategy, cause):
-    return set(cause).isdisjoint(play_graph(game, strategy))
+    picks = validate_strategy(game, strategy)
+    return _avoids(game, picks, list(map(game.index.get, cause)))
+
+
+def _avoids(game, picks, cause):
+    graph = play_graph(game, picks)
+    return not any(c in graph for c in cause)
 
 
 def losing_play_reaches_cause(game, sigma, cause):
@@ -200,37 +236,42 @@ def losing_play_reaches_cause(game, sigma, cause):
     Losing means reaching the effect set for Safe, and avoiding it forever
     for Reach (a reachable cycle or trap past the cause visit).
     """
-    graph = play_graph(game, sigma)
+    picks = validate_strategy(game, sigma)
+    return _condition1(game, sigma.player, picks, list(map(game.index.get, cause)))
+
+
+def _condition1(game, player, picks, cause):
+    graph = play_graph(game, picks)
     hits = sorted(c for c in cause if c in graph)
     if not hits:
         return False
-    if sigma.player == SAFE:
-        return any(game.effect & reachable_set(graph, c) for c in hits)
-    dodging = maximal_avoiding_set(graph, game.effect)
-    return any(c in dodging for c in hits)
+    if player == SAFE:
+        effect = game._owns[EFFECT].__getitem__
+        return any(any(map(effect, reachable_set(graph, c))) for c in hits)
+    dodging = maximal_avoiding_set(dense(graph, len(picks)), game._targets)
+    return any(dodging[c] for c in hits)
 
 
 def enumerate_strategies(game, player, budget=None):
     """All MD strategies for the player, in lexicographic encoding order."""
     budget = as_budget(budget)
-    owned = sorted(game.owned_by(player))
-    option_lists = [game.successors(v) for v in owned]
+    ids, succ = game.ids, game._succ
+    owned = list(compress(range(len(ids)), game._owns[player]))
+    names = [ids[v] for v in owned]
+    option_lists = [[ids[u] for u in succ[v]] for v in owned]
     for picks in product(*option_lists):
         budget.charge()
-        yield MDStrategy(player, dict(zip(owned, picks)))
+        yield MDStrategy(player, dict(zip(names, picks)))
 
 
-def _sigma_matched(game, strategy, sigma):
-    """Reset choices at vertices the strategy never reaches to sigma's.
+def _sigma_matched(game, picks, sigma):
+    """Reset the picks at vertices they never reach to sigma's.
 
     Harmless for winning and cause-avoidance (the reachable part is
     untouched) and never increases any play-based distance to sigma.
     """
-    seen = play_graph(game, strategy)
-    choice = {
-        v: (u if v in seen else sigma.choice[v]) for v, u in strategy.choice.items()
-    }
-    return MDStrategy(strategy.player, choice)
+    seen = play_graph(game, picks)
+    return [picks[v] if v in seen else u for v, u in enumerate(sigma)]
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +283,19 @@ def _free_sets(game, sigma, solved, budget, start=0, stop=None):
 
     Sizes k run from `start` up to but excluding `stop`.  Each k-set S is
     tried in `combinations` order at one budget unit: `solved(allowed)` gets
-    every owned vertex outside S pinned to sigma's choice and S free.  The
+    every owned vertex outside S pinned to sigma's pick and S free.  The
     accepted sets are yielded lazily, and the search ends with the first
     size that has any.
     """
-    owned = game.owned_by(sigma.player)
-    branching = sorted(v for v in owned if len(game.successors(v)) >= 2)
+    succ = game._succ
+    owned = [v for v, u in enumerate(sigma) if u is not None]
+    branching = [v for v in owned if len(succ[v]) >= 2]
     top = len(branching) + 1 if stop is None else min(stop, len(branching) + 1)
     for k in range(start, top):
         found = False
         for free in combinations(branching, k):
             budget.charge()
-            if solved({v: (sigma.choice[v],) for v in owned if v not in free}):
+            if solved({v: (sigma[v],) for v in owned if v not in free}):
                 found = True
                 yield free
         if found:
@@ -261,75 +303,75 @@ def _free_sets(game, sigma, solved, budget, start=0, stop=None):
 
 
 def _variants(sigma, options, budget):
-    """Sigma re-pointed at every vertex of `options`, once per combination of
-    their edge tuples in `product` order, at one budget unit each."""
+    """Sigma's picks re-pointed at every vertex of `options`, once per
+    combination of their edge tuples in `product` order, at one budget unit
+    each."""
     vertices = sorted(options)
     for picks in product(*(options[v] for v in vertices)):
         budget.charge()
-        choice = dict(sigma.choice)
-        choice.update(zip(vertices, picks))
-        yield MDStrategy(sigma.player, choice)
+        tau = list(sigma)
+        for v, u in zip(vertices, picks):
+            tau[v] = u
+        yield tau
 
 
 def _distinct_matched(game, sigma, strategies):
-    """Each strategy sigma-matched, with its sorted choice items as key, the
-    first time its key appears.
+    """Each strategy's picks sigma-matched, as a tuple, the first time they
+    appear.
 
-    A strategy that agrees with the last walked one at every owned vertex
-    that one's plays visit has the same plays, hence the same key, and is
-    skipped without a walk.
+    Picks that agree with the last walked ones at every owned vertex those
+    ones' plays visit have the same plays, hence the same matched picks, and
+    are skipped without a walk.
     """
-    owned = game.owned_by(sigma.player)
     seen = set()
-    plays = None  # the last walked strategy's choices on its play graph
+    plays = None  # the last walked picks on their play graph
     for tau in strategies:
-        if plays is not None and all(tau.choice[v] == u for v, u in plays.items()):
+        if plays is not None and all(tau[v] == u for v, u in plays.items()):
             continue
-        plays = {v: tau.choice[v] for v in play_graph(game, tau) if v in owned}
-        choice = {v: plays.get(v, sigma.choice[v]) for v in tau.choice}
-        key = tuple(sorted(choice.items()))
-        if key not in seen:
-            seen.add(key)
-            yield key, MDStrategy(tau.player, choice)
+        plays = {v: tau[v] for v in play_graph(game, tau) if tau[v] is not None}
+        picks = tuple([plays.get(v, u) for v, u in enumerate(sigma)])
+        if picks not in seen:
+            seen.add(picks)
+            yield picks
 
 
 def _matched_strategies(game, sigma, options, budget):
-    """Each distinct sigma-matched strategy whose reached choices come from
-    `options` (a tuple per owned vertex), once, as `(key, tau)` with its
-    sorted choice items as key, at one budget unit each, lazily.
+    """Each distinct sigma-matched strategy whose reached picks come from
+    `options` (a tuple per owned vertex), once, as its picks, at one budget
+    unit each, lazily.
 
-    A search state fixes choices at some owned vertices; its plays run from
+    A search state fixes picks at some owned vertices; its plays run from
     the initial vertex until they meet an owned vertex without one.  A state
-    whose plays meet none is a strategy, with sigma's choice at every vertex
+    whose plays meet none is a strategy, with sigma's pick at every vertex
     they never reach.  Otherwise the search branches at the least such
-    vertex, sigma's choice first where it is an option.  Choices are fixed
-    only at reached vertices and stay reached, so two branches differ at a
-    vertex both strategies' plays visit, and no strategy comes twice.
+    vertex, sigma's pick first where it is an option.  Picks are fixed only
+    at reached vertices and stay reached, so two branches differ at a vertex
+    both strategies' plays visit, and no strategy comes twice.
 
     One state is kept and changed in place: each branch point records how
     long the logs of reached and waiting vertices were, and going back to
     it undoes what was logged since, so memory stays linear in the game.
     """
-    owned = game.owned_by(sigma.player)
-    succ, default = game._succ, sigma.choice
-    fixed, seen, waiting = {}, {game.initial}, set()
+    succ, default = game._succ, sigma
+    fixed, seen, waiting = {}, {game._init}, set()
     trail, parked = [], []  # vertices added to `seen` and to `waiting`, in order
 
     def walk(v):
         todo = [v]
         while todo:
             v = todo.pop()
-            if v in owned and v not in fixed:
+            owned = default[v] is not None
+            if owned and v not in fixed:
                 waiting.add(v)
                 parked.append(v)
                 continue
-            for u in (fixed[v],) if v in owned else succ[v]:
+            for u in (fixed[v],) if owned else succ[v]:
                 if u not in seen:
                     seen.add(u)
                     trail.append(u)
                     todo.append(u)
 
-    walk(game.initial)
+    walk(game._init)
     branches = []  # (vertex, its picks left, len(trail), len(parked)) per branch point
     while True:
         if waiting:
@@ -342,8 +384,10 @@ def _matched_strategies(game, sigma, options, budget):
             branches.append((v, iter(picks), len(trail), len(parked)))
         else:
             budget.charge()
-            key = tuple(sorted({**default, **fixed}.items()))
-            yield key, MDStrategy(sigma.player, dict(key))
+            tau = list(default)
+            for v, u in fixed.items():
+                tau[v] = u
+            yield tau
         while branches:  # the next pick of the innermost branch point with one left
             v, picks, n_seen, n_waiting = branches[-1]
             seen.difference_update(trail[n_seen:])
@@ -363,18 +407,20 @@ def _matched_strategies(game, sigma, options, budget):
 
 
 def _alternatives(game, sigma, vertices):
-    """The edges other than sigma's choice at each of the vertices."""
-    return {
-        v: tuple(u for u in game.successors(v) if u != sigma.choice[v])
-        for v in sorted(vertices)
-    }
+    """The edges other than sigma's pick at each of the vertices."""
+    succ = game._succ
+    return {v: tuple(u for u in succ[v] if u != sigma[v]) for v in sorted(vertices)}
 
 
 def _verdict(query, k, loser, winner):
     """Both conditions hold; the cause verdict at distance k, with the first
-    losing and the first winning minimal strategy as witnesses."""
+    losing and the first winning minimal picks as witnesses."""
     pairs = ((loser, False), (winner, True))
-    witnesses = tuple(StrategyWitness(t, k, w) for t, w in pairs if t is not None)
+    witnesses = tuple(
+        StrategyWitness(strategy_of(query.game, query.player, t), k, w)
+        for t, w in pairs
+        if t is not None
+    )
     return GameCauseVerdict(loser is None, k, True, True, witnesses[: query.witnesses])
 
 
@@ -383,18 +429,21 @@ def _verdict(query, k, loser, winner):
 
 
 def validate_game_query(query):
+    """Check the query; return sigma's picks and the cause's vertices."""
     if query.metric not in GAME_METRICS:
         raise PreconditionViolated(f"unknown strategy metric {query.metric!r}")
     if query.player not in (REACH, SAFE):
         raise PreconditionViolated(f"unknown player {query.player!r}")
     if query.sigma.player != query.player:
         raise PreconditionViolated("the strategy belongs to the other player")
-    validate_strategy(query.game, query.sigma)
+    game = query.game
+    sigma = validate_strategy(game, query.sigma)
     for c in sorted(query.cause):
-        if c not in query.game._succ:
+        if c not in game.index:
             raise PreconditionViolated(f"{c!r} is not a vertex")
-        if c in query.game.effect:
+        if game.owner(c) == EFFECT:
             raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
+    return sigma, frozenset(map(game.index.__getitem__, query.cause))
 
 
 def check_cause_game(query, budget=None):
@@ -404,24 +453,24 @@ def check_cause_game(query, budget=None):
     avoid the cause at all, and every cause-avoiding strategy at minimal
     distance to sigma is winning.
     """
-    validate_game_query(query)
+    sigma, cause = validate_game_query(query)
     budget = as_budget(budget)
-    game, sigma, cause = query.game, query.sigma, query.cause
+    game = query.game
     if query.metric == METRIC_HAMM_S:
         _require_effectively_acyclic(game)
-    c1 = losing_play_reaches_cause(game, sigma, cause)
+    c1 = _condition1(game, query.player, sigma, cause)
     if query.metric == METRIC_PREF_H:
-        return _check_pref_h(query, c1, budget)
+        return _check_pref_h(query, sigma, cause, c1, budget)
     region, allowed = avoid_region(game, query.player, cause)
-    c2 = game.initial in region
+    c2 = region[game._init]
     if not (c1 and c2):
         return GameCauseVerdict(False, distances.INF, c1, c2)
     if query.metric == METRIC_HAMM_S:
-        return _check_hamm_s(query, budget)
-    return _check_dstar(query, allowed, budget)
+        return _check_hamm_s(query, sigma, cause, budget)
+    return _check_dstar(query, sigma, allowed, budget)
 
 
-def _check_pref_h(query, c1, budget):
+def _check_pref_h(query, sigma, cause, c1, budget):
     """Hausdorff-prefix cause check, conditions 2 and 3 (condition 1 is `c1`).
 
     The distance-minimal cause-avoiding strategies are exactly those that
@@ -432,87 +481,86 @@ def _check_pref_h(query, c1, budget):
 
     One `Attractor` of the cause, for the opponent, answers every radius:
     unpinned it gives condition 2, and radius n pins the owned vertices of
-    depth n - 1 in sigma's play graph to sigma's choice, one layer per budget
+    depth n - 1 in sigma's play graph to sigma's pick, one layer per budget
     unit, until the initial vertex is caught.  The region at n_star is what
     had not joined before that last layer.
     """
-    game, sigma, cause, player = query.game, query.sigma, query.cause, query.player
-    owned = game.owned_by(player)
-    caught = Attractor(game._succ, game.owned_by(opponent(player)), cause, game._pred)
-    c2 = game.initial not in caught.rank
+    game, player, init = query.game, query.player, query.game._init
+    caught = Attractor(game._succ, game._owns[opponent(player)], cause, game._pred)
+    c2 = caught.rank[init] is None
     if not (c1 and c2):
         return GameCauseVerdict(False, distances.INF, c1, c2)
 
     pinned = {}
     for n_star, layer in enumerate(play_layers(game, sigma)):
         budget.charge()
-        joined = len(caught.rank)
-        pins = {v: sigma.choice[v] for v in layer}
+        joined = len(caught.order)
+        pins = {v: sigma[v] for v in layer}
         caught.pin(pins)
-        if game.initial in caught.rank:
+        if caught.rank[init] is not None:
             break
         pinned.update(pins)
     else:
         raise AssertionError("pinning every reachable vertex must block avoidance")
-    lost = set(islice(caught.rank, joined))
-    pin_region = {v for v in game._succ if v not in lost}
+    pin_region = [True] * len(game._succ)
+    for v in islice(caught.order, joined):
+        pin_region[v] = False
 
-    allowed = {
-        v: (pinned[v],) if v in pinned else tuple(filter(pin_region.__contains__, game._succ[v]))
-        for v in owned & pin_region
-    }
+    allowed = _kept_edges(game, player, pin_region)
+    allowed.update((v, (u,)) for v, u in pinned.items() if pin_region[v])
     overrides = _defeat_choices(game, player, allowed)
     wins = overrides is None
-    tau = _assemble_strategy(sigma, owned, allowed, overrides or {})
+    tau = _assemble_strategy(sigma, allowed, overrides or {})
     # tau copies sigma at every depth below n_star and avoids the cause; a
     # strategy that also copied sigma at depth n_star could not, so tau first
     # differs from sigma there and d_pref_hausdorff(sigma, tau) is min_d.
     min_d = dyadic(n_star + 1)
-    witness = StrategyWitness(tau, min_d, wins)
+    witness = StrategyWitness(strategy_of(game, player, tau), min_d, wins)
     return GameCauseVerdict(wins, min_d, True, True, (witness,)[: query.witnesses])
 
 
 def _defeat_choices(game, player, allowed):
-    """The player's MD choices on one play by which the opponent defeats it
-    in the arena, the game with the edge tuples of `allowed`; None if there
-    is no such play from the initial vertex.  Against Reach the play keeps
-    to the effect-avoiding set by first successors until it closes a cycle;
-    against Safe it is the least shortest route to the effect set."""
-    arena = {**game._succ, **allowed}
+    """The player's picks on one play by which the opponent defeats it in the
+    arena, the game with the edge tuples of `allowed`, as {vertex: pick};
+    None if there is no such play from the initial vertex.  Against Reach
+    the play keeps to the effect-avoiding set by first successors until it
+    closes a cycle; against Safe it is the least shortest route to the
+    effect set."""
+    arena = list(game._succ)
+    for v, ends in allowed.items():
+        arena[v] = ends
+    init = game._init
     if player == REACH:
-        dodge = maximal_avoiding_set(game._succ, game.effect, game._pred, allowed)
-        if game.initial not in dodge:
+        dodge = maximal_avoiding_set(game._succ, game._targets, game._pred, allowed)
+        if not dodge[init]:
             return None
         choices = {}
-        v = game.initial
+        v = init
         while v not in choices:
-            stay = [u for u in arena[v] if u in dodge]
+            stay = [u for u in arena[v] if dodge[u]]
             if not stay:
                 break
             choices[v] = stay[0]
             v = stay[0]
     else:
-        route = shortest_route(arena, game.initial, game.effect.__contains__)
+        route = shortest_route(arena, init, game._owns[EFFECT].__getitem__)
         if route is None:
             return None
         choices = dict(zip(route, route[1:]))
-    owned = game.owned_by(player)
-    return {v: u for v, u in choices.items() if v in owned}
+    mine = game._owns[player]
+    return {v: u for v, u in choices.items() if mine[v]}
 
 
-def _assemble_strategy(sigma, owned, allowed, overrides):
-    """Overrides first, then sigma's choice where `allowed` keeps it (pinned
-    vertices always do), then the first allowed edge."""
-    choice = {}
-    for v in sorted(owned):
-        if v in overrides:
-            choice[v] = overrides[v]
-        elif v in allowed:
-            opts = allowed[v]
-            choice[v] = sigma.choice[v] if sigma.choice[v] in opts else opts[0]
-        else:
-            choice[v] = sigma.choice[v]
-    return MDStrategy(sigma.player, choice)
+def _assemble_strategy(sigma, allowed, overrides):
+    """Picks: overrides first, then sigma's pick where `allowed` keeps it
+    (pinned vertices always do), then the first allowed edge."""
+    tau = list(sigma)
+    for v, opts in allowed.items():
+        if sigma[v] not in opts:
+            tau[v] = opts[0]
+    for v, u in overrides.items():
+        tau[v] = u
+    return tau
 
 
 def _require_effectively_acyclic(game):
@@ -526,16 +574,17 @@ def _tree_shaped(game):
     """Tree arenas (modulo trap self-loops): one way in per reachable vertex."""
     succ, pred = game._succ, game._pred
     traps = trap_vertices(succ)
-    seen = reachable_set(succ, game.initial)
+    seen = reachable_set(succ, game._init)
     return all(
         sum(p in seen and not (p == v and v in traps) for p in pred[v]) <= 1
         for v in seen
-        if v != game.initial
+        if v != game._init
     )
 
 
 def tree_min_changes(game, sigma, cause):
-    """Minimum number of choice changes that avoid `cause`, on tree arenas.
+    """Minimum number of pick changes that avoid the vertices `cause`, on
+    tree arenas.
 
     Subtree vertex sets are disjoint on a tree, so costs add across opponent
     branches; on general DAGs this sum may double-count shared descendants,
@@ -545,39 +594,38 @@ def tree_min_changes(game, sigma, cause):
     if the initial vertex never joins, that is, if a play from it can cycle
     before reaching one of them.
     """
-    owned = game.owned_by(sigma.player)
-    adj = game._succ
-    ends = trap_vertices(adj).union(game.effect, cause)
-    cost = {}
-    for v in attractor(adj, (), ends, game._pred):
+    succ = game._succ
+    ends = trap_vertices(succ).union(game._targets, cause)
+    cost = [None] * len(succ)
+    for v in Attractor(succ, bytes(len(succ)), ends, game._pred).order:
         if v in cause:
             cost[v] = distances.INF
         elif v in ends:
             cost[v] = 0
-        elif v in owned:
-            keep = cost[sigma.choice[v]]
+        elif sigma[v] is not None:
+            keep = cost[sigma[v]]
             change = min(
-                (1 + cost[u] for u in adj[v] if u != sigma.choice[v]),
+                (1 + cost[u] for u in succ[v] if u != sigma[v]),
                 default=distances.INF,
             )
             cost[v] = min(keep, change)
         else:
-            cost[v] = sum(cost[u] for u in adj[v])
-    if game.initial not in cost:
+            cost[v] = sum(cost[u] for u in succ[v])
+    if cost[game._init] is None:
         raise NotAcyclic("a play from the initial vertex can cycle")
-    return cost[game.initial]
+    return cost[game._init]
 
 
-def _check_hamm_s(query, budget):
+def _check_hamm_s(query, sigma, cause, budget):
     """Hamming strategy-distance cause check on (effectively) acyclic games:
-    find the minimum number of changed choices that avoids the cause, then
+    find the minimum number of changed picks that avoids the cause, then
     verify every avoiding strategy with exactly that many changes wins.
 
     Change sets are walked in order.  The set in which the first losing
     strategy turns up is walked to its end before the walk stops, so a
     winning strategy later in that set still becomes a witness.
     """
-    game, sigma, cause, player = query.game, query.sigma, query.cause, query.player
+    game, player = query.game, query.player
     start = 0
     if _tree_shaped(game):
         k_tree = tree_min_changes(game, sigma, cause)
@@ -585,7 +633,7 @@ def _check_hamm_s(query, budget):
             start = int(k_tree)
 
     def avoidable(allowed):
-        return game.initial in _avoid_set(game, player, cause, allowed)
+        return _avoid_set(game, player, cause, allowed)[game._init]
 
     sets = list(_free_sets(game, sigma, avoidable, budget, start))
     if not sets:
@@ -593,9 +641,9 @@ def _check_hamm_s(query, budget):
     loser = winner = None
     for free in sets:
         for tau in _variants(sigma, _alternatives(game, sigma, free), budget):
-            if not strategy_avoids(game, tau, cause):
+            if not _avoids(game, tau, cause):
                 continue
-            if strategy_is_winning(game, tau):
+            if _wins(game, player, tau):
                 winner = winner or tau
             else:
                 loser = loser or tau
@@ -604,27 +652,27 @@ def _check_hamm_s(query, budget):
     return _verdict(query, len(sets[0]), loser, winner)
 
 
-def _check_dstar(query, allowed, budget):
+def _check_dstar(query, sigma, allowed, budget):
     """Exact search for the Hausdorff-inspired vertex-counting distance: no
     polynomial algorithm is claimed for it, so candidates are enumerated and
     measured exactly.
 
-    The candidates take region-preserving choices inside the avoid region
-    and sigma's off it, sigma-matched; every cause-avoiding strategy is one
-    of them up to off-path choices, which can only increase the distance.
+    The candidates take region-preserving picks inside the avoid region and
+    sigma's off it, sigma-matched; every cause-avoiding strategy is one of
+    them up to off-path picks, which can only increase the distance.
     """
-    game, sigma = query.game, query.sigma
+    game = query.game
     graph = play_graph(game, sigma)
     scored = sorted(
-        (distances.dstar(game, tau, sigma, budget, graph), key, tau)
-        for key, tau in _distinct_matched(game, sigma, _variants(sigma, allowed, budget))
+        (distances.dstar_picks(game, tau, sigma, budget, graph), tau)
+        for tau in _distinct_matched(game, sigma, _variants(sigma, allowed, budget))
     )
     k_star = scored[0][0]
     loser = winner = None
-    for d, _key, tau in scored:
+    for d, tau in scored:
         if d != k_star:
             break
-        if strategy_is_winning(game, tau):
+        if _wins(game, query.player, tau):
             winner = winner or tau
         else:
             loser = loser or tau
@@ -684,46 +732,44 @@ def extract_explanation(game, sigma, cause=frozenset()):
     restricting to the avoid region keeps the opponent inside it, so the
     witness wins in the full game.  On actual causes the two coincide.
     """
-    validate_strategy(game, sigma)
+    picks = validate_strategy(game, sigma)
     cause = frozenset(cause)
     for c in sorted(cause):
-        if c not in game._succ:
+        if c not in game.index:
             raise PreconditionViolated(f"{c!r} is not a vertex")
     player = sigma.player
-    region, allowed = avoid_region(game, player, cause)
-    if game.initial not in region:
+    region, allowed = avoid_region(game, player, list(map(game.index.__getitem__, cause)))
+    if not region[game._init]:
         raise NoWinningStrategy(
             "the player cannot even avoid the cause set from the initial vertex"
         )
     wins, choices = _solve_for(game, player, allowed)
     if not wins:
         raise NoWinningStrategy("the player loses the cause-free subgame")
-    owned = game.owned_by(player)
-    choice = {v: choices.get(v, sigma.choice[v]) for v in sorted(owned)}
-    tau = _sigma_matched(game, MDStrategy(player, choice), sigma)
-    diff = frozenset(v for v in sorted(owned) if tau.choice[v] != sigma.choice[v])
-    return Explanation(vertex_set=diff, witness=tau)
+    tau = _sigma_matched(game, choices, picks)
+    diff = compress(game.ids, map(ne, tau, picks))
+    return Explanation(vertex_set=frozenset(diff), witness=strategy_of(game, player, tau))
 
 
 def is_explanation(game, sigma, vertex_set):
     """Decide whether changing sigma exactly on the given vertices can win.
 
     Returns (verdict, winning witness strategy or None)."""
-    validate_strategy(game, sigma)
+    picks = validate_strategy(game, sigma)
     player = sigma.player
-    owned = game.owned_by(player)
+    index = game.index
     vertex_set = frozenset(vertex_set)
     for v in sorted(vertex_set):
-        if v not in owned:
+        if v not in index or picks[index[v]] is None:
             raise PreconditionViolated(f"{v!r} is not owned by {player}")
-        if len(game.successors(v)) < 2:
+        if len(game._succ[index[v]]) < 2:
             raise EmptyChoice(f"{v!r} has no edge other than sigma's choice")
-    allowed = {v: (sigma.choice[v],) for v in owned}
-    allowed.update(_alternatives(game, sigma, vertex_set))
+    allowed = {v: (u,) for v, u in enumerate(picks) if u is not None}
+    allowed.update(_alternatives(game, picks, map(index.__getitem__, vertex_set)))
     wins, choices = _solve_for(game, player, allowed)
     if not wins:
         return False, None
-    return True, MDStrategy(player, choices)
+    return True, strategy_of(game, player, choices)
 
 
 def min_winning_distance(game, sigma, metric, threshold=None, budget=None):
@@ -732,30 +778,32 @@ def min_winning_distance(game, sigma, metric, threshold=None, budget=None):
     With a threshold, answers the decision problem "is there a winning
     strategy within distance k" instead (stopping early).
     """
-    validate_strategy(game, sigma)
+    picks = validate_strategy(game, sigma)
     budget = as_budget(budget)
-    value, _tau = _min_winning(game, sigma, metric, threshold, budget)
+    value, _tau = _min_winning(game, sigma.player, picks, metric, threshold, budget)
     if threshold is not None:
         return value <= threshold
     return value
 
 
-def _min_winning(game, sigma, metric, threshold, budget):
-    """(least distance from sigma to a winning strategy, a strategy there).
+def _min_winning(game, player, sigma, metric, threshold, budget):
+    """(least distance from sigma's picks to a winning strategy, the picks of
+    one there).
 
-    The hamm-s search only asks whether the player wins, so its strategy is
+    The hamm-s search only asks whether the player wins, so its picks are
     None.  The d* search measures each distinct sigma-matched strategy of
-    `_matched_strategies` that wins and keeps the `(d, key)`-least, so its
-    answer does not depend on the enumeration order.  With a threshold, the
+    `_matched_strategies` that wins and keeps the `(d, picks)`-least, so its
+    answer does not depend on the enumeration order.  Two picks lists differ
+    first at their least vertex of difference, so they compare as their
+    sorted (vertex, choice) id pairs do.  With a threshold, the
     first strategy within it is returned, or (threshold + 1, None) when there
     is none.
     """
-    player = sigma.player
     if metric == METRIC_HAMM_S:
         stop = None if threshold is None else threshold + 1
 
         def wins(allowed):  # Safe wins exactly where it avoids the effect set
-            safe_wins = game.initial in _avoid_set(game, SAFE, game.effect, allowed)
+            safe_wins = _avoid_set(game, SAFE, game._targets, allowed)[game._init]
             return safe_wins == (player == SAFE)
 
         for free in _free_sets(game, sigma, wins, budget, stop=stop):
@@ -763,16 +811,16 @@ def _min_winning(game, sigma, metric, threshold, budget):
     elif metric == METRIC_DSTAR:
         best = None
         graph = play_graph(game, sigma)
-        for key, tau in _matched_strategies(game, sigma, game._succ, budget):
-            if not strategy_is_winning(game, tau):
+        for tau in _matched_strategies(game, sigma, game._succ, budget):
+            if not _wins(game, player, tau):
                 continue
-            d = distances.dstar(game, tau, sigma, budget, graph)
-            if best is None or (d, key) < best[:2]:
-                best = (d, key, tau)
+            d = distances.dstar_picks(game, tau, sigma, budget, graph)
+            if best is None or (d, tau) < best:
+                best = (d, tau)
                 if threshold is not None and d <= threshold:
                     break
         if best is not None:
-            return best[0], best[2]
+            return best
     else:
         raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
     if threshold is not None:
@@ -799,12 +847,13 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
         )
     if metric == METRIC_DSTAR:
         overall = min_winning_distance(game, sigma, METRIC_DSTAR, budget=budget)
-        options = _alternatives(game, sigma, vertex_set)
-        graph = play_graph(game, sigma)
+        picks = validate_strategy(game, sigma)
+        options = _alternatives(game, picks, map(game.index.__getitem__, vertex_set))
+        graph = play_graph(game, picks)
         found = [
-            distances.dstar(game, tau, sigma, budget, graph)
-            for tau in _variants(sigma, options, budget)
-            if strategy_is_winning(game, tau)
+            distances.dstar_picks(game, tau, picks, budget, graph)
+            for tau in _variants(picks, options, budget)
+            if _wins(game, sigma.player, tau)
         ]
         return min(found, default=None) == overall
     raise PreconditionViolated(f"unsupported metric {metric!r} for minimality")
@@ -830,56 +879,58 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     returned without the exact search.  Otherwise the exact search decides,
     and tau_fast is still returned when it ties the exact optimum.
     """
-    validate_strategy(game, sigma)
+    picks = validate_strategy(game, sigma)
     if sigma.player != REACH:
         raise PreconditionViolated("the acyclic repair is defined for Reach")
     budget = as_budget(budget)
-    adj = strategy_adjacency(game, sigma)
+    adj = strategy_adjacency(game, picks)
     if not is_effectively_acyclic(adj):
         raise NotAcyclic("the game restricted to sigma is not acyclic")
-    ranks = attractor(game._succ, game.reach_owned, game.effect, game._pred)
-    if game.initial not in ranks:
+    succ, init = game._succ, game._init
+    ranks = attractor(succ, game._owns[REACH], game._targets, game._pred)
+    if ranks[init] is None:
         raise NoWinningStrategy("Reach does not win this game")
 
-    val = _deviation_costs(game, sigma, adj)
-    choice = {}
-    for v in sorted(game.reach_owned):
+    val = _deviation_costs(game, picks, adj)
+    choice = [None] * len(succ)
+    for v in compress(range(len(succ)), game._owns[REACH]):
         options = []
-        for u in game.successors(v):
-            cost = (0 if u == sigma.choice[v] else 1) + val.get(u, distances.INF)
-            options.append((cost, ranks.get(u, float("inf")), u))
+        for u in succ[v]:
+            cost = (0 if u == picks[v] else 1) + val[u]
+            options.append((cost, float("inf") if ranks[u] is None else ranks[u], u))
         options.sort()
         choice[v] = options[0][2]
-    tau_fast = _sigma_matched(game, MDStrategy(REACH, choice), sigma)
+    tau_fast = _sigma_matched(game, choice, picks)
 
     fast = None
-    if strategy_is_winning(game, tau_fast):
-        fast = distances.dstar(game, tau_fast, sigma, budget)
-        if fast == val[game.initial]:
-            return tau_fast, fast
-    exact, tau_exact = _min_winning(game, sigma, METRIC_DSTAR, None, budget)
-    return (tau_fast if fast == exact else tau_exact), exact
+    if _wins(game, REACH, tau_fast):
+        fast = distances.dstar_picks(game, tau_fast, picks, budget)
+        if fast == val[init]:
+            return strategy_of(game, REACH, tau_fast), fast
+    exact, tau_exact = _min_winning(game, REACH, picks, METRIC_DSTAR, None, budget)
+    return strategy_of(game, REACH, tau_fast if fast == exact else tau_exact), exact
 
 
 def _deviation_costs(game, sigma, adjacency):
-    """{vertex: cost} of forcing the effect when each step off sigma's choice
-    costs 1 and Safe maximizes; vertices where Reach cannot force it (cost
-    INF) are left out.  These are the 0/1 case of min-cost reachability game
-    values (Khachiyan et al., "On short paths interdiction problems", 2008):
-    a vertex costs at most k iff it joins the all-universal attractor, over
-    sigma's graph `adjacency`, of the effect plus every Reach vertex with an
-    edge into level k - 1.  One attractor runs per level until no Reach
-    vertex is added.  Attractors are least fixpoints, so the costs are the
-    greatest fixpoint of the min-max equations: the values a Bellman-style
-    sweep reaches from INF.
+    """Costs by vertex of forcing the effect when each step off sigma's pick
+    costs 1 and Safe maximizes; INF where Reach cannot force it.  These are
+    the 0/1 case of min-cost reachability game values (Khachiyan et al., "On
+    short paths interdiction problems", 2008): a vertex costs at most k iff
+    it joins the all-universal attractor, over sigma's graph `adjacency`, of
+    the effect plus every Reach vertex with an edge into level k - 1.  One
+    attractor runs per level until no Reach vertex is added.  Attractors are
+    least fixpoints, so the costs are the greatest fixpoint of the min-max
+    equations: the values a Bellman-style sweep reaches from INF.
     """
-    cost, level, target = {}, 0, game.effect
+    INF = distances.INF
+    succ = game._succ
+    reach = list(compress(range(len(succ)), game._owns[REACH]))
+    cost, level, target = [INF] * len(succ), 0, game._targets
     while True:
-        for v in attractor(adjacency, (), target):
-            cost.setdefault(v, level)
-        grown = game.effect.union(
-            v for v in game.reach_owned if any(u in cost for u in game.successors(v))
-        )
+        for v, r in enumerate(attractor(adjacency, bytes(len(succ)), target)):
+            if r is not None and cost[v] == INF:
+                cost[v] = level
+        grown = game._targets + [v for v in reach if any(cost[u] != INF for u in succ[v])]
         if len(grown) == len(target):
             return cost
         target, level = grown, level + 1

@@ -6,7 +6,6 @@ serialized; all randomness flows through one random.Random(seed).
 
 import random
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import InvalidSpec
 from .model import (
@@ -168,14 +167,3 @@ def random_strategy(rng, game, player):
     return MDStrategy(
         player, {v: rng.choice(game.successors(v)) for v in owned}
     )
-
-
-def all_boolean_sems(n):
-    """Every Boolean SEM over exactly n variables (exhaustive truth tables)."""
-    variables = tuple(f"X{i + 1}" for i in range(n))
-    table_spaces = [
-        [tuple(bits) for bits in product((False, True), repeat=2 ** i)]
-        for i in range(n)
-    ]
-    for tables in product(*table_spaces):
-        yield StructuralEquationModel(variables=variables, tables=tables)

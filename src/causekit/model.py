@@ -2,18 +2,35 @@
 
 Models are validated when they are constructed: `__post_init__` checks every
 structural invariant in the pass that builds the graph and raises
-InvalidModel on the first violation, so no invalid model exists.  A model
-holds successor lists (`_succ`) and predecessor lists (`_pred`), sorted and
-without duplicates, filled in one loop over the given pairs.  Unless given
-as a frozenset, the pairs are not kept: `transitions` and `edges` (and a
-game's sorted `vertices`) are derived from `_succ` on first read.  Models
-are immutable; every query in this module is a pure function of its inputs
-and safe to share across threads.
+InvalidModel on the first violation, so no invalid model exists.  Models are
+immutable; every query in this module is a pure function of its inputs and
+safe to share across threads.
+
+Numbering.  A model numbers its states or vertices once, in sorted-id order:
+`ids[i]` is the id of vertex i and `index` maps an id to its number.  It
+keeps successor tuples (`_succ`) of numbers, sorted and without duplicates,
+filled in one loop over the given pairs, and an owner list (`_owner`, games)
+or a label list (`_labels`, systems).  The predecessor lists (`_pred`) are
+built from `_succ` when a fixpoint first needs them.  Number
+order is id order, so a sorted list of numbers names a sorted list of ids,
+and every sort, minimum, combination order and tie-break on numbers gives
+the sequence it gave on ids.  The id-keyed views (`vertices`, `edges`,
+`transitions` and a game's `reach_owned`, `safe_owned` and `effect` where
+they were not given, and the id tuples of `successors`) are derived from the
+numbered lists on first read and cached on the model.
+
+Everything else in this module runs on numbers, and so do the checkers.  Ids
+appear only at the boundary: file decoding and encoding, `validate_strategy`
+and `strategy_of` for strategies, `validate_maximal_path` and
+`maximal_paths` for paths, and error messages.  A strategy runs as its
+`picks`: a list holding the chosen successor at each owned vertex and None
+at every other vertex.
 
 `attractor` is the single fixpoint kernel over game and system vertices:
 winning regions, safety regions, "exists a maximal avoiding path" and
-acyclicity are all attractors or their complements.  On a model's own graph
-it reads the model's predecessor lists, with `allowed` edge tuples as
+acyclicity are all attractors or their complements.  Ranks, counters and
+existential flags are lists indexed by vertex.  On a model's own graph it
+reads the model's predecessor lists, with `allowed` edge tuples as
 overrides.  `Attractor` is the same kernel as an object that resumes after
 universal vertices are pinned to one successor.
 
@@ -27,11 +44,18 @@ in discovery order; its callers read the layers as sets.
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import itemgetter
+from operator import is_not, itemgetter, lt, not_
 
-from .errors import InvalidModel, NotAPath, NotMaximal, PreconditionViolated, as_budget
+from .errors import (
+    CausekitError,
+    InvalidModel,
+    NotAPath,
+    NotMaximal,
+    PreconditionViolated,
+    as_budget,
+)
 
 REACH = "reach"
 SAFE = "safe"
@@ -40,14 +64,18 @@ EFFECT = "effect"
 PLAYERS = (REACH, SAFE)
 OWNERS = (REACH, SAFE, EFFECT)
 
+_CODES = {owner: code for code, owner in enumerate(OWNERS)}
+# bytes.translate tables from owner codes to the flags of one owner
+_FLAGS = {owner: bytes(i == code for i in range(256)) for owner, code in _CODES.items()}
+
 
 def opponent(player):
     return SAFE if player == REACH else REACH
 
 
 class _Derived:
-    """Attributes named in the class's `_DERIVED` are computed from `_succ`
-    on first read and cached on the model."""
+    """Attributes named in the class's `_DERIVED` are computed from the
+    numbered lists on first read and cached on the model."""
 
     _DERIVED = {}
 
@@ -55,14 +83,35 @@ class _Derived:
         derive = type(self)._DERIVED.get(name)
         if derive is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = derive(self._succ)
+        value = derive(self)
         object.__setattr__(self, name, value)
         return value
 
+    def successors(self, vertex):
+        return self._id_succ[vertex]
 
-def _pair_set(succ):
-    """The (source, target) pairs of the successor lists, as a frozenset."""
-    return frozenset((v, u) for v, ends in succ.items() for u in ends)
+    def is_terminal(self, vertex):
+        return not self._succ[self.index[vertex]]
+
+
+def _pair_set(model):
+    """The (source, target) id pairs of the successor lists, as a frozenset."""
+    ids = model.ids
+    return frozenset((ids[v], ids[u]) for v, ends in enumerate(model._succ) for u in ends)
+
+
+def _id_successors(model):
+    """{id: successor id tuple}, in id order."""
+    name = model.ids.__getitem__
+    return dict(zip(model.ids, (tuple(map(name, ends)) for ends in model._succ)))
+
+
+def _number(model, ids):
+    """Keep the sorted id list `ids` as `ids` and its inverse as `index`."""
+    ids = tuple(ids)
+    object.__setattr__(model, "ids", ids)
+    object.__setattr__(model, "index", dict(zip(ids, range(len(ids)))))
+    return model.index
 
 
 @dataclass(frozen=True)
@@ -83,17 +132,25 @@ class TransitionSystem(_Derived):
     transitions: frozenset
     labeling: dict
     alphabet: tuple
-    _succ: dict = field(init=False, repr=False, compare=False)
-    _pred: dict = field(init=False, repr=False, compare=False)
-    _DERIVED = {"transitions": _pair_set}
+    _succ: list = field(init=False, repr=False, compare=False)
+    _pred: list = field(init=False, repr=False, compare=False)
+    _labels: list = field(init=False, repr=False, compare=False)
+    _init: int = field(init=False, repr=False, compare=False)
+    _DERIVED = {
+        "transitions": _pair_set,
+        "_id_succ": _id_successors,
+        "_pred": lambda ts: predecessors(ts._succ),
+    }
 
     def __post_init__(self):
-        succ = {s: [] for s in self.states}
-        if not succ:
+        states = self.states
+        ordered = all(map(lt, states, islice(states, 1, None)))  # sorted, no repeats
+        index = _number(self, states if ordered else sorted(set(states)))
+        if not index:
             raise InvalidModel("transition system has no states")
-        if self.initial not in succ:
+        if self.initial not in index:
             raise InvalidModel(f"initial state {self.initial!r} is not a state")
-        _link(self, "transitions", succ, "transition ({!r}, {!r}) leaves the state set")
+        _link(self, "transitions", "transition ({!r}, {!r}) leaves the state set")
         labeling, alphabet = self.labeling, set(self.alphabet)
         try:
             labeled = alphabet.issuperset(map(labeling.__getitem__, self.states))
@@ -107,18 +164,19 @@ class TransitionSystem(_Derived):
                     raise InvalidModel(
                         f"state {s!r} carries label {labeling[s]!r} outside the alphabet"
                     )
-
-    def successors(self, state):
-        return self._succ[state]
-
-    def is_terminal(self, state):
-        return not self._succ[state]
+        object.__setattr__(self, "_labels", list(map(labeling.__getitem__, self.ids)))
+        object.__setattr__(self, "_init", index[self.initial])
 
     def label(self, state):
         return self.labeling[state]
 
     def trace(self, sequence):
         return tuple(self.labeling[s] for s in sequence)
+
+
+def _owned(player):
+    """The id set of the vertices `player` owns, derived from the owner list."""
+    return lambda game: frozenset(compress(game.ids, game._owns[player]))
 
 
 @dataclass(frozen=True)
@@ -132,7 +190,9 @@ class ReachabilityGame(_Derived):
     dropped.  Construction checks the partition, the initial vertex, every
     edge endpoint, and then the effect and the non-effect vertices, each with
     one set test or one loop; a failing check names the least offending edge
-    or vertex.  `vertices`, the sorted vertex tuple, is derived on first read.
+    or vertex.  `vertices`, the sorted vertex tuple, is `ids`.  `_owns` maps
+    each owner to a bytes of flags by vertex number, and `_targets` lists the
+    effect vertices' numbers.
     """
 
     reach_owned: frozenset
@@ -140,96 +200,115 @@ class ReachabilityGame(_Derived):
     effect: frozenset
     initial: str
     edges: frozenset
-    _succ: dict = field(init=False, repr=False, compare=False)
-    _pred: dict = field(init=False, repr=False, compare=False)
-    _DERIVED = {"edges": _pair_set, "vertices": lambda succ: tuple(sorted(succ))}
+    _succ: list = field(init=False, repr=False, compare=False)
+    _pred: list = field(init=False, repr=False, compare=False)
+    _owner: list = field(init=False, repr=False, compare=False)
+    _owns: dict = field(init=False, repr=False, compare=False)
+    _init: int = field(init=False, repr=False, compare=False)
+    _DERIVED = {
+        "edges": _pair_set,
+        "_id_succ": _id_successors,
+        "_pred": lambda game: predecessors(game._succ),
+        "vertices": lambda game: game.ids,
+        "reach_owned": _owned(REACH),
+        "safe_owned": _owned(SAFE),
+        "effect": _owned(EFFECT),
+        "_targets": lambda game: list(compress(range(len(game.ids)), game._owns[EFFECT])),
+    }
 
     def __post_init__(self):
         reach, safe, eff = self.reach_owned, self.safe_owned, self.effect
         overlap = (reach & safe) | (reach & eff) | (safe & eff)
         if overlap:
             raise InvalidModel(f"vertex partition overlaps at {sorted(overlap)}")
-        succ = {v: [] for v in chain(reach, safe, eff)}
-        if not succ:
-            raise InvalidModel("game has no vertices")
-        if self.initial not in succ:
-            raise InvalidModel(f"initial vertex {self.initial!r} is not a vertex")
-        if self.initial in eff:
-            raise InvalidModel("initial vertex lies in the effect set")
-        _link(self, "edges", succ, "edge ({!r}, {!r}) leaves the vertex set")
-        if any(map(succ.__getitem__, eff)):
-            v = min(v for v in eff if succ[v])
-            raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
-        if not all(map(succ.__getitem__, chain(reach, safe))):
-            v = min(v for v in chain(reach, safe) if not succ[v])
-            raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
+        owners = dict.fromkeys(reach, REACH)
+        owners.update(dict.fromkeys(safe, SAFE))
+        owners.update(dict.fromkeys(eff, EFFECT))
+        _fill_game(self, owners)
 
     def owner(self, vertex):
-        if vertex in self.reach_owned:
-            return REACH
-        if vertex in self.safe_owned:
-            return SAFE
-        if vertex in self.effect:
-            return EFFECT
-        raise KeyError(vertex)
+        return self._owner[self.index[vertex]]
 
     def owned_by(self, player):
         return self.reach_owned if player == REACH else self.safe_owned
 
-    def successors(self, vertex):
-        return self._succ[vertex]
-
-    def is_terminal(self, vertex):
-        return not self._succ[vertex]
-
     def adjacency(self):
-        return dict(self._succ)
+        return dict(self._id_succ)
 
 
-def _link(model, name, succ, message):
-    """Fill `succ`, which maps every vertex to an empty list, and the
-    predecessor lists from the pairs of the init field `name` in one loop;
-    keep them as `_succ` (tuples) and `_pred` (lists, shared: never change
-    them).  A KeyError in the loop is the endpoint check: InvalidModel
-    (`message`) names the least pair with an outside endpoint.  Lists are
-    sorted in place and deduplicated if some successor list has a repeat;
-    the field is dropped, to be derived again, unless it is a frozenset."""
+def _link(model, name, message):
+    """Fill the successor lists of the numbered model from the pairs of the
+    init field `name` in one loop and keep them as `_succ` (tuples).  A
+    KeyError in the loop is the endpoint check: InvalidModel (`message`)
+    names the least pair with an outside endpoint.  Lists are sorted in
+    place and deduplicated if some list has a repeat; the field is dropped,
+    to be derived again, unless it is a frozenset."""
     pairs = getattr(model, name)
-    pred = {v: [] for v in succ}
+    index = model.index
+    succ = [[] for _ in index]
     try:
         for src, dst in pairs:
-            succ[src].append(dst)
-            pred[dst].append(src)
+            succ[index[src]].append(index[dst])
     except KeyError:
-        src, dst = min((a, b) for a, b in pairs if a not in succ or b not in succ)
+        src, dst = min((a, b) for a, b in pairs if a not in index or b not in index)
         raise InvalidModel(message.format(src, dst)) from None
     if not isinstance(pairs, frozenset):  # a frozenset has no repeats: it stays the view
-        multi = [ends for ends in succ.values() if len(ends) > 1]
+        multi = [ends for ends in succ if len(ends) > 1]
         if sum(map(len, multi)) != sum(map(len, map(set, multi))):
-            succ, pred = ({v: list(set(ends)) for v, ends in m.items()} for m in (succ, pred))
+            succ = [list(set(ends)) for ends in succ]
         object.__delattr__(model, name)
-    any(map(list.sort, chain(succ.values(), pred.values())))  # sorts in place
-    object.__setattr__(model, "_succ", dict(zip(succ, map(tuple, succ.values()))))
-    object.__setattr__(model, "_pred", pred)
+    any(map(list.sort, succ))  # sorts in place
+    object.__setattr__(model, "_succ", list(map(tuple, succ)))
+
+
+def _fill_game(game, owners):
+    """Number, link and check the game whose `initial` and `edges` are set,
+    from `owners`, a map from every vertex to its owner in OWNERS."""
+    index = _number(game, sorted(owners))
+    if not index:
+        raise InvalidModel("game has no vertices")
+    if game.initial not in index:
+        raise InvalidModel(f"initial vertex {game.initial!r} is not a vertex")
+    owner = list(map(owners.__getitem__, game.ids))
+    codes = bytes(map(_CODES.__getitem__, owner))
+    owns = {p: codes.translate(_FLAGS[p]) for p in OWNERS}
+    init = index[game.initial]
+    if owns[EFFECT][init]:
+        raise InvalidModel("initial vertex lies in the effect set")
+    _link(game, "edges", "edge ({!r}, {!r}) leaves the vertex set")
+    terminal = bytes(map(not_, game._succ))
+    if terminal != owns[EFFECT]:
+        ends = list(zip(owns[EFFECT], terminal))
+        if (1, 0) in ends:
+            v = game.ids[ends.index((1, 0))]
+            raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
+        v = game.ids[ends.index((0, 1))]
+        raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
+    object.__setattr__(game, "_owner", owner)
+    object.__setattr__(game, "_owns", owns)
+    object.__setattr__(game, "_init", init)
+
+
+def _game(owners, initial, edges):
+    """The game with the given owner map, initial vertex and edges, built
+    without the partition sets, which are derived on first read."""
+    game = object.__new__(ReachabilityGame)
+    object.__setattr__(game, "initial", initial)
+    object.__setattr__(game, "edges", edges)
+    _fill_game(game, owners)
+    return game
 
 
 def game_from_owners(owners, initial, edges):
     """The game whose vertex partition is read off `owners`, a map from each
     vertex to REACH, SAFE or EFFECT; construction validates it."""
-    reach, safe, eff = _partition(owners, owners.values())
-    return ReachabilityGame(
-        reach_owned=reach,
-        safe_owned=safe,
-        effect=eff,
-        initial=initial,
-        edges=frozenset(edges),
-    )
+    _check_owners(owners, owners.values())
+    return _game(dict(owners), initial, frozenset(edges))
 
 
-def _partition(vertices, owners):
-    """The Reach, Safe and effect vertex sets, from the parallel sequences of
-    distinct vertices and of their owners; InvalidModel names the first
-    vertex with an owner outside OWNERS."""
+def _check_owners(vertices, owners):
+    """InvalidModel names the first of the parallel sequences of distinct
+    vertices and of their owners with an owner outside OWNERS."""
     try:
         known = set(owners) <= set(OWNERS)
     except TypeError:  # an unhashable owner
@@ -238,10 +317,6 @@ def _partition(vertices, owners):
         for v, owner in zip(vertices, owners):
             if owner not in OWNERS:
                 raise InvalidModel(f"vertex {v!r} has unknown owner {owner!r}")
-    groups = {player: [] for player in OWNERS}
-    for v, owner in zip(vertices, owners):
-        groups[owner].append(v)
-    return tuple(frozenset(groups[player]) for player in OWNERS)
 
 
 @dataclass(frozen=True)
@@ -269,85 +344,110 @@ class MaximalFinitePath:
 
 
 # ---------------------------------------------------------------------------
-# validation
+# strategies at the boundary
 
 
 def validate_strategy(game, strategy):
-    """Check that a strategy is total on its player's vertices and on-edge.
+    """Check that a strategy is total on its player's vertices and on-edge;
+    return its picks.
 
     A valid strategy passes in one unsorted pass; only a failing one is walked
     in sorted order, so the error names the sorted-first offender.
     """
     if strategy.player not in PLAYERS:
         raise InvalidModel(f"unknown player {strategy.player!r}")
-    owned = game.owned_by(strategy.player)
-    choice, succ = strategy.choice, game._succ
-    if choice.keys() == owned and all(
-        map(tuple.__contains__, map(succ.get, choice), choice.values())
+    index, succ, choice = game.index, game._succ, strategy.choice
+    mine = game._owns[strategy.player]
+    try:
+        vs = list(map(index.__getitem__, choice))
+        us = list(map(index.__getitem__, choice.values()))
+    except (KeyError, TypeError):  # an id that is not a vertex, or unhashable
+        vs = None
+    if (
+        vs is not None
+        and len(vs) == mine.count(1)
+        and all(map(mine.__getitem__, vs))
+        and all(map(tuple.__contains__, map(succ.__getitem__, vs), us))
     ):
-        return
+        picks = [None] * len(succ)
+        any(map(picks.__setitem__, vs, us))  # fills in place
+        return picks
+    owned = game.owned_by(strategy.player)
     for v in sorted(owned):
         if v not in choice:
             raise InvalidModel(f"strategy undefined at owned vertex {v!r}")
-        if choice[v] not in succ[v]:
-            raise InvalidModel(
-                f"strategy choice {choice[v]!r} is not a successor of {v!r}"
-            )
+        if choice[v] not in game.successors(v):
+            raise InvalidModel(f"strategy choice {choice[v]!r} is not a successor of {v!r}")
     for v in sorted(choice):
         if v not in owned:
             raise InvalidModel(f"strategy defined at non-owned vertex {v!r}")
+    raise InvalidModel("invalid strategy")  # not reached: one check above fails
+
+
+def strategy_of(game, player, picks):
+    """The MDStrategy of `player` with the given picks."""
+    name = game.ids.__getitem__
+    owned = list(compress(range(len(picks)), map(is_not, picks, repeat(None))))
+    choices = map(name, map(picks.__getitem__, owned))
+    return MDStrategy(player, dict(zip(map(name, owned), choices)))
 
 
 # ---------------------------------------------------------------------------
 # strategy-induced graphs
 
 
-def strategy_adjacency(game, strategy):
-    """Adjacency of the game under the strategy, without rebuilding the game."""
-    owned = game.owned_by(strategy.player)
-    return {
-        v: ((strategy.choice[v],) if v in owned else game.successors(v))
-        for v in game.vertices
-    }
+def strategy_adjacency(game, picks):
+    """Successor tuples of the game under the picks, for every vertex."""
+    return [ends if u is None else (u,) for ends, u in zip(game._succ, picks)]
 
 
-def play_graph(game, strategy):
-    """The part of `strategy_adjacency` reachable from the initial vertex.
+def play_graph(game, picks):
+    """The part of `strategy_adjacency` reachable from the initial vertex, as
+    {vertex: successor tuple}.
 
-    Built by one walk that reads the strategy's choices and the game's
-    successor tuples directly, so its cost is that of the plays, not of the
-    game.  It is closed under successors, so `reachable_set`, `attractor` and
-    `maximal_avoiding_set` answer on it as on the whole adjacency for every
-    vertex it has; its keys are the vertices some play visits.
+    Built by one walk that reads the picks and the game's successor tuples
+    directly, so its cost is that of the plays, not of the game.  It is
+    closed under successors; its keys are the vertices some play visits.
     """
-    owned = game.owned_by(strategy.player)
-    choice, succ = strategy.choice, game._succ
-    v = game.initial
-    graph = {v: (choice[v],) if v in owned else succ[v]}
+    succ = game._succ
+    v = game._init
+    u = picks[v]
+    graph = {v: succ[v] if u is None else (u,)}
     stack = [v]
     while stack:
-        for u in graph[stack.pop()]:
-            if u not in graph:
-                graph[u] = (choice[u],) if u in owned else succ[u]
-                stack.append(u)
+        for v in graph[stack.pop()]:
+            if v not in graph:
+                u = picks[v]
+                graph[v] = succ[v] if u is None else (u,)
+                stack.append(v)
     return graph
 
 
-def play_layers(game, strategy):
+def dense(graph, n):
+    """A play graph as successor tuples over all `n` vertices; vertices it
+    does not reach get none."""
+    out = [()] * n
+    for v, ends in graph.items():
+        out[v] = ends
+    return out
+
+
+def play_layers(game, picks):
     """The owned vertices of the strategy's play graph, one list per
     breadth-first depth from the initial vertex, generated lazily: entry d
     lists those at depth d."""
-    owned = game.owned_by(strategy.player)
-    choice, succ = strategy.choice, game._succ
-    seen = {game.initial}
-    layer = [game.initial]
+    succ = game._succ
+    seen = bytearray(len(succ))
+    seen[game._init] = 1
+    layer = [game._init]
     while layer:
-        yield [v for v in layer if v in owned]
+        yield [v for v in layer if picks[v] is not None]
         nxt = []
         for v in layer:
-            for u in (choice[v],) if v in owned else succ[v]:
-                if u not in seen:
-                    seen.add(u)
+            u = picks[v]
+            for u in succ[v] if u is None else (u,):
+                if not seen[u]:
+                    seen[u] = 1
                     nxt.append(u)
         layer = nxt
 
@@ -356,20 +456,20 @@ def play_layers(game, strategy):
 # graph primitives (shared by transition systems and games)
 
 
-def reachable_set(adjacency, start):
+def reachable_set(succ, start):
     """Vertices reachable from start, start included."""
     seen = {start}
     stack = [start]
     while stack:
         v = stack.pop()
-        for u in adjacency[v]:
+        for u in succ[v]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
     return seen
 
 
-def shortest_route(adjacency, start, goal, avoid=()):
+def shortest_route(succ, start, goal, avoid=()):
     """The least shortest route from `start` to a vertex satisfying the
     predicate `goal` that enters no vertex of `avoid`, as a tuple, or None.
 
@@ -389,7 +489,7 @@ def shortest_route(adjacency, start, goal, avoid=()):
                     route.append(v)
                     v = parent[v]
                 return tuple(reversed(route))
-            for u in adjacency[v]:
+            for u in succ[v]:
                 if u not in avoid and u not in parent:
                     parent[u] = v
                     nxt.append(u)
@@ -397,30 +497,42 @@ def shortest_route(adjacency, start, goal, avoid=()):
     return None
 
 
-def attractor(adjacency, existential, target, preds=None, allowed=None):
-    """Attractor of `target` as {vertex: rank}, in O(|V| + |E|).
+def predecessors(succ):
+    """Predecessor lists of the successor tuples `succ`, each sorted."""
+    preds = [[] for _ in succ]
+    for v, ends in enumerate(succ):
+        for u in ends:
+            preds[u].append(v)
+    return preds
 
-    Target vertices have rank 0.  A vertex in `existential` joins with one
-    successor already inside, any other vertex once every successor is inside;
-    a vertex without successors never joins.  The rank is the round in which
-    the round-based fixpoint adds the vertex: one more than the least
-    (existential) or greatest (universal) rank among its successors.  Each
-    vertex counts its successors still outside, so every edge is looked at
-    once (Zielonka 1998; Grädel, Thomas and Wilke 2002, ch. 2).
 
-    `adjacency` maps every vertex to its successor tuple and must be closed:
-    each successor is itself a key.  `preds` are its predecessor lists, built
-    here if not given (a model passes its `_pred`); their order decides only
-    the join order of equal ranks.  `allowed` maps some vertices to a subset
-    of their successors: the result is that over `adjacency` updated with
-    it.  Nothing passed in is changed.
+def attractor(succ, existential, target, preds=None, allowed=None):
+    """Attractor of `target` as a rank list: entry v is the rank of a member
+    v, None for a vertex outside.  O(|V| + |E|).
+
+    Target vertices have rank 0.  A vertex flagged in `existential` joins
+    with one successor already inside, any other vertex once every successor
+    is inside; a vertex without successors never joins.  The rank is the
+    round in which the round-based fixpoint adds the vertex: one more than
+    the least (existential) or greatest (universal) rank among its
+    successors.  Each vertex counts its successors still outside, so every
+    edge is looked at once (Zielonka 1998; Grädel, Thomas and Wilke 2002,
+    ch. 2).
+
+    `succ` lists every vertex's successor tuple and `existential` flags the
+    existential ones, both indexed by vertex.  `preds` are the predecessor
+    lists, built here if not given (a model passes its `_pred`); their order
+    decides only the join order of equal ranks.  `allowed` maps some
+    vertices to a subset of their successors: the result is that over `succ`
+    updated with it.  Nothing passed in is changed.
     """
-    return Attractor(adjacency, existential, target, preds, allowed).rank
+    return Attractor(succ, existential, target, preds, allowed).rank
 
 
 class Attractor:
-    """`attractor(adjacency, existential, target, preds, allowed)` as `rank`,
-    with its counters kept so that the run can resume after pins.
+    """`attractor(succ, existential, target, preds, allowed)` as `rank`, with
+    the members in join order as `order` and the counters kept so that the
+    run can resume after pins.
 
     The predecessor lists are only read: the scan skips an edge from a vertex
     of `allowed` to a successor it does not keep.  `pin` adds such overrides
@@ -431,43 +543,45 @@ class Attractor:
     let more vertices join, so no member ever has to leave.
     """
 
-    __slots__ = ("existential", "preds", "allowed", "outside", "rank")
+    __slots__ = ("existential", "preds", "allowed", "outside", "rank", "order")
 
-    def __init__(self, adjacency, existential, target, preds=None, allowed=None):
-        if preds is None:  # in the key order of `adjacency`
-            preds = {v: [] for v in adjacency}
-            for v, succ in adjacency.items():
-                for u in succ:
-                    preds[u].append(v)
-        self.existential, self.preds = existential, preds
+    def __init__(self, succ, existential, target, preds=None, allowed=None):
+        self.existential = existential
+        self.preds = predecessors(succ) if preds is None else preds
         self.allowed = dict(allowed) if allowed else {}
-        self.outside = dict(zip(adjacency, map(len, adjacency.values())))
-        self.outside.update(zip(self.allowed, map(len, self.allowed.values())))
-        self.rank = dict.fromkeys(target, 0)
-        self._absorb(list(self.rank))
+        outside = self.outside = list(map(len, succ))
+        for v, ends in self.allowed.items():
+            outside[v] = len(ends)
+        rank = self.rank = [None] * len(succ)
+        order = self.order = []
+        for v in target:
+            if rank[v] is None:
+                rank[v] = 0
+                order.append(v)
+        self._absorb(0)
 
-    def _absorb(self, queue):
-        """Let the predecessors of every queued member join, breadth-first,
-        so ranks are assigned in rank order."""
-        rank, preds, outside = self.rank, self.preds, self.outside
+    def _absorb(self, start):
+        """Let the predecessors of every member from `order[start]` on join,
+        breadth-first, so ranks are assigned in rank order."""
+        rank, preds, outside, order = self.rank, self.preds, self.outside, self.order
         existential, allowed = self.existential, self.allowed
-        for u in queue:
+        for u in islice(order, start, None):  # sees the members appended below
             joined = rank[u] + 1
-            for v in preds.get(u, ()):
-                if v in rank or (v in allowed and u not in allowed[v]):
+            for v in preds[u]:
+                if rank[v] is not None or (allowed and v in allowed and u not in allowed[v]):
                     continue
                 outside[v] -= 1
-                if v in existential or not outside[v]:
+                if existential[v] or not outside[v]:
                     rank[v] = joined
-                    queue.append(v)
+                    order.append(v)
 
     def pin(self, pins):
         """Restrict each universal vertex v of `pins` to the one successor
         pins[v] and resume.  Afterwards `rank` has the members of a fresh
-        attractor over the pinned adjacency, in the order they joined; the
-        ranks of vertices that joined after a pin count rounds of the resumed
-        run.  Each vertex may be pinned once, to one of its successors (an
-        allowed one, where `allowed` restricts it).
+        attractor over the pinned graph, and `order` lists them in the order
+        they joined; the ranks of vertices that joined after a pin count
+        rounds of the resumed run.  Each vertex may be pinned once, to one of
+        its successors (an allowed one, where `allowed` restricts it).
 
         Every member has had its predecessors scanned when `pin` starts, so
         a vertex still outside counts exactly its successors outside.  A
@@ -479,35 +593,30 @@ class Attractor:
         rank = self.rank
         joining = []
         for v, u in pins.items():
-            if v in rank:
+            if rank[v] is not None:
                 continue
-            if u in rank:
+            if rank[u] is not None:
                 joining.append(v)
                 continue
             self.allowed[v] = (u,)
             self.outside[v] = 1
         for v in joining:
             rank[v] = rank[pins[v]] + 1
-        self._absorb(joining)
+        start = len(self.order)
+        self.order.extend(joining)
+        self._absorb(start)
 
 
-def maximal_avoiding_set(adjacency, avoid, preds=None, allowed=None):
-    """States admitting a maximal path that never visits `avoid`.
+def maximal_avoiding_set(succ, avoid, preds=None, allowed=None):
+    """Flags by vertex: True where the vertex admits a maximal path that
+    never visits `avoid`.
 
-    The complement of the attractor of `avoid` in which every state is
-    universal.  Maximal paths are the finite ones ending in a terminal state
-    together with the infinite ones.  `preds` and `allowed` as in
+    The complement of the attractor of `avoid` in which every vertex is
+    universal.  Maximal paths are the finite ones ending in a terminal
+    vertex together with the infinite ones.  `preds` and `allowed` as in
     `attractor`.
     """
-    doomed = attractor(adjacency, (), avoid, preds, allowed)
-    return {s for s in adjacency if s not in doomed}
-
-
-def exists_maximal_path_avoiding(ts, from_state, avoid):
-    """True iff some maximal path from `from_state` never visits `avoid`."""
-    if from_state not in ts._succ:
-        raise PreconditionViolated(f"{from_state!r} is not a state")
-    return from_state in maximal_avoiding_set(ts._succ, set(avoid), ts._pred)
+    return [r is None for r in attractor(succ, bytes(len(succ)), avoid, preds, allowed)]
 
 
 # ---------------------------------------------------------------------------
@@ -519,17 +628,20 @@ def validate_maximal_path(ts, sequence):
     sequence = tuple(sequence)
     if not sequence:
         raise NotAPath("empty sequence")
+    index = ts.index
     for s in sequence:
-        if s not in ts._succ:
+        if s not in index:
             raise NotAPath(f"{s!r} is not a state")
     if sequence[0] != ts.initial:
         raise NotAPath(
             f"path starts at {sequence[0]!r}, not the initial state {ts.initial!r}"
         )
-    for a, b in zip(sequence, sequence[1:]):
-        if b not in ts._succ[a]:
-            raise NotAPath(f"({a!r}, {b!r}) is not a transition")
-    if not ts.is_terminal(sequence[-1]):
+    states = list(map(index.__getitem__, sequence))
+    succ = ts._succ
+    for a, b in zip(states, states[1:]):
+        if b not in succ[a]:
+            raise NotAPath(f"({ts.ids[a]!r}, {ts.ids[b]!r}) is not a transition")
+    if succ[states[-1]]:
         raise NotMaximal(f"path ends at non-terminal state {sequence[-1]!r}")
     return MaximalFinitePath(sequence)
 
@@ -544,22 +656,22 @@ def maximal_paths(ts, max_len=None, budget=None):
     state of the current path and charges one budget unit per visited state.
     """
     budget = as_budget(budget)
-    acyclic = is_acyclic(ts._succ)
-    if not acyclic and max_len is None:
+    succ, ids = ts._succ, ts.ids
+    if not is_acyclic(succ) and max_len is None:
         raise PreconditionViolated(
             "cyclic system: maximal-path enumeration needs a max_len cap"
         )
     out = []
     path = []
-    stack = [iter((ts.initial,))]  # stack[i + 1] iterates path[i]'s successors
+    stack = [iter((ts._init,))]  # stack[i + 1] iterates path[i]'s successors
     while stack:
         for state in stack[-1]:
             budget.charge()
             path.append(state)
-            if ts.is_terminal(state):
-                out.append(tuple(path))
+            if not succ[state]:
+                out.append(tuple(map(ids.__getitem__, path)))
             elif max_len is None or len(path) < max_len:
-                stack.append(iter(ts.successors(state)))
+                stack.append(iter(succ[state]))
                 break
             path.pop()
         else:
@@ -569,23 +681,23 @@ def maximal_paths(ts, max_len=None, budget=None):
     return out
 
 
-def is_acyclic(adjacency):
+def is_acyclic(succ):
     """True iff the directed graph has no cycle (self-loops included): every
     vertex joins the all-universal attractor of the sinks."""
-    sinks = [v for v, succ in adjacency.items() if not succ]
-    return len(attractor(adjacency, (), sinks)) == len(adjacency)
+    sinks = compress(range(len(succ)), map(not_, succ))
+    return None not in attractor(succ, bytes(len(succ)), sinks)
 
 
-def trap_vertices(adjacency):
+def trap_vertices(succ):
     """Vertices whose only outgoing edge is a self-loop.
 
     A play entering such a vertex stays there forever, so for acyclicity
     purposes these vertices behave like terminal sinks.
     """
-    return {v for v, succ in adjacency.items() if tuple(succ) == (v,)}
+    return {v for v, ends in enumerate(succ) if ends == (v,)}
 
 
-def is_effectively_acyclic(adjacency):
+def is_effectively_acyclic(succ):
     """Acyclic once self-loops at trap vertices are disregarded: every vertex
     joins the all-universal attractor of the sinks and the traps.
 
@@ -593,8 +705,8 @@ def is_effectively_acyclic(adjacency):
     self-loop wherever a drawing would show a non-target sink, and those
     loops are the only cycles an "acyclic" game may contain.
     """
-    ends = trap_vertices(adjacency).union(v for v, succ in adjacency.items() if not succ)
-    return len(attractor(adjacency, (), ends)) == len(adjacency)
+    ends = trap_vertices(succ).union(compress(range(len(succ)), map(not_, succ)))
+    return None not in attractor(succ, bytes(len(succ)), ends)
 
 
 # ---------------------------------------------------------------------------
@@ -602,26 +714,29 @@ def is_effectively_acyclic(adjacency):
 
 
 def model_to_json(model):
+    """The model's file document; pairs in sorted order."""
     if isinstance(model, TransitionSystem):
-        return {
+        data = {
             "kind": "ts",
             "alphabet": list(model.alphabet),
             "states": [
                 {"id": s, "label": model.labeling[s]} for s in sorted(model.states)
             ],
             "initial": model.initial,
-            "transitions": [list(t) for t in sorted(model.transitions)],
         }
-    if isinstance(model, ReachabilityGame):
-        return {
+        key = "transitions"
+    elif isinstance(model, ReachabilityGame):
+        data = {
             "kind": "game",
-            "vertices": [
-                {"id": v, "owner": model.owner(v)} for v in model.vertices
-            ],
+            "vertices": [{"id": v, "owner": o} for v, o in zip(model.ids, model._owner)],
             "initial": model.initial,
-            "edges": [list(e) for e in sorted(model.edges)],
         }
-    raise InvalidModel(f"not a model: {type(model).__name__}")
+        key = "edges"
+    else:
+        raise InvalidModel(f"not a model: {type(model).__name__}")
+    ids = model.ids
+    data[key] = [[ids[v], ids[u]] for v, ends in enumerate(model._succ) for u in ends]
+    return data
 
 
 def _expect_json(data, kind, what):
@@ -715,12 +830,11 @@ def model_from_json(data):
             )
     if kind == "game":
         items, (ids,) = _records(data, "vertices", "vertex", ("id",))
-        reach, safe, eff = _partition(ids, _column(items, "vertices", "owner"))
+        owners = _column(items, "vertices", "owner")
+        _check_owners(ids, owners)
         initial = _expect_json(required_field(data, "initial", "model"), str, "initial")
         with _pairs_named_first(data, "edges") as pairs:
-            return ReachabilityGame(
-                reach_owned=reach, safe_owned=safe, effect=eff, initial=initial, edges=pairs
-            )
+            return _game(dict(zip(ids, owners)), initial, pairs)
     raise InvalidModel(f"unknown model kind {kind!r}")
 
 
@@ -799,7 +913,10 @@ def _render(obj, newline):
 def read_json(path):
     """Decode a model, strategy, path or SEM file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise CausekitError(f"{path}: JSON nested too deeply") from None
 
 
 def load_model(path):

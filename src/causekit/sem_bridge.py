@@ -161,15 +161,6 @@ def _check_unroll_size(sem):
         )
 
 
-def default_path_states(sem):
-    values = evaluate_default(sem)
-    return tuple(state_id(values[:i]) for i in range(sem.n + 1))
-
-
-def effect_leaves(sem, effect):
-    return frozenset(state_id(tuple(v)) for v in effect)
-
-
 def butfor_to_cause_set(sem, variables):
     """States entered by a default step for one of the given variables."""
     indices = sorted(sem.index_of(x) for x in variables)
@@ -186,17 +177,17 @@ def bridge_check(sem, effect, variables, witnesses=3):
     induced by a variable set.
 
     The answer is that of `check_cause_hamm_layered` on `unroll_to_ts(sem)`
-    with the default path, `butfor_to_cause_set` and `effect_leaves`, which
-    the tests use as its reference.  The search runs on the tree without
-    building it: a node is a bit tuple, its successors are its two one-bit
-    extensions (False first), entering it by an intervention costs 1, and a
-    default step for one of the variables enters a cause state and is left
-    out.  Bit tuples order like their state ids, so `dijkstra` breaks ties
-    and picks witnesses as on the unrolled tree; state ids are built for the
-    witness paths only.  The tree is layered and its default path maximal by
-    construction, so neither is validated.  `MAX_UNROLL_VARIABLES` still
-    applies: the bridge's document lists cause states and effect valuations
-    extensionally.
+    with the default path, `butfor_to_cause_set` and the leaves of the effect
+    valuations, which the tests use as its reference.  The search runs on
+    the tree without building it: a node is a bit tuple, its successors are
+    its two one-bit extensions (False first), entering it by an intervention
+    costs 1, and a default step for one of the variables enters a cause
+    state and is left out.  Bit tuples order like their state ids, so
+    `dijkstra` breaks ties and picks witnesses as on the unrolled tree;
+    state ids are built for the witness paths only.  The tree is layered and
+    its default path maximal by construction, so neither is validated.
+    `MAX_UNROLL_VARIABLES` still applies: the bridge's document lists cause
+    states and effect valuations extensionally.
 
     The induced cause set may include effect leaves (a default step for the
     last variable ends in a leaf), so the usual cause/effect disjointness is
@@ -243,7 +234,7 @@ def bridge_check(sem, effect, variables, witnesses=3):
         witnesses=witnesses,
     )
     verdict = _shortest_path_verdict(
-        query, ((), 0, successors, goal_class), _project_state_route
+        query, ((), 0, successors, goal_class), _project_state_route, frozenset(), effect
     )
     return replace(
         verdict,

@@ -7,17 +7,22 @@ polynomial checker plus a shared brute-force oracle that applies the
 definition literally on enumerable systems.  The prefix distances run a
 layered fixpoint; hamm, ghamm and lev are shortest paths over a product of
 the system with the execution, expanded on demand by one kernel, `dijkstra`.
+
+The checkers run on the system's state numbers (see `model`):
+`validate_query` checks the query's ids and returns its execution, cause and
+effect as numbers, the products' nodes are (state number, position) pairs,
+and `_named` turns the witness paths back into ids.  Ids appear only there
+and in error messages; the brute-force oracle compares id paths.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import NotLayered, PreconditionViolated
 from .model import (
     MaximalFinitePath,
     attractor,
-    exists_maximal_path_avoiding,
     maximal_avoiding_set,
     maximal_paths,
     shortest_route,
@@ -71,13 +76,17 @@ def path_satisfies_phi(ts, sequence, effect, phi):
 
 
 def validate_query(query, allow_overlap=False):
+    """Check the query; return its execution, cause and effect as state
+    numbers: a tuple and two frozensets."""
     ts = query.ts
+    index, succ = ts.index, ts._succ
     for s in sorted(query.cause | query.effect):
-        if s not in ts._succ:
+        if s not in index:
             raise PreconditionViolated(f"{s!r} is not a state")
-    for e in sorted(query.effect):
-        if not ts.is_terminal(e):
-            raise PreconditionViolated(f"effect state {e!r} is not terminal")
+    effect = frozenset(map(index.__getitem__, query.effect))
+    for e in sorted(effect):
+        if succ[e]:
+            raise PreconditionViolated(f"effect state {ts.ids[e]!r} is not terminal")
     if not allow_overlap and query.cause & query.effect:
         raise PreconditionViolated(
             f"cause and effect overlap at {sorted(query.cause & query.effect)}"
@@ -87,13 +96,15 @@ def validate_query(query, allow_overlap=False):
     if query.metric not in TS_METRICS:
         raise PreconditionViolated(f"unknown metric {query.metric!r}")
     pi = validate_maximal_path(ts, query.pi.sequence)
-    if not any(s in query.cause for s in pi.sequence):
+    seq = tuple(map(index.__getitem__, pi.sequence))
+    cause = frozenset(map(index.__getitem__, query.cause))
+    if not any(s in cause for s in seq):
         raise PreconditionViolated("the given execution does not visit the cause set")
-    if not path_satisfies_phi(ts, pi.sequence, query.effect, query.phi):
+    if not path_satisfies_phi(ts, seq, effect, query.phi):
         raise PreconditionViolated(
             "the given execution does not satisfy the effect property"
         )
-    return pi
+    return seq, cause, effect
 
 
 def check_cause(query, allow_overlap=False):
@@ -107,6 +118,13 @@ def check_cause(query, allow_overlap=False):
     if query.metric == METRIC_LEV:
         return check_cause_lev(query, allow_overlap=allow_overlap)
     raise PreconditionViolated(f"unknown metric {query.metric!r}")
+
+
+def _named(ts, verdict):
+    """The verdict with its witness paths of state numbers as state ids."""
+    name = ts.ids.__getitem__
+    witnesses = tuple(replace(w, path=tuple(map(name, w.path))) for w in verdict.witnesses)
+    return replace(verdict, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -123,29 +141,26 @@ def check_cause_pref_ap(query, allow_overlap=False):
     distance; the verdict asks whether every C-avoiding continuation from it
     fails the effect property.
     """
-    pi = validate_query(query, allow_overlap)
-    ts, cause, effect, phi = query.ts, query.cause, query.effect, query.phi
-    by_states = query.metric == METRIC_PREF
-    seq = pi.sequence
+    seq, cause, effect = validate_query(query, allow_overlap)
+    ts, phi = query.ts, query.phi
+    succ = ts._succ
+    symbol = (lambda state: state) if query.metric == METRIC_PREF else ts._labels.__getitem__
     n_last = len(seq) - 1
 
-    def symbol(state):
-        return state if by_states else ts.label(state)
-
     target_symbols = [symbol(s) for s in seq]
-    can_avoid = maximal_avoiding_set(ts._succ, cause, ts._pred)
+    can_avoid = maximal_avoiding_set(succ, cause, ts._pred)
 
-    if ts.initial not in can_avoid:
+    if not can_avoid[ts._init]:
         return CauseVerdict(False, INF, (), condition1=False)
 
     # parents[j] maps each state of layer j to its parent in layer j - 1; a
     # layer is empty once the one before it is, so the walk stops there.
-    parents = [{ts.initial: None}]
+    parents = [{ts._init: None}]
     for j in range(1, len(seq)):
         layer = {}
         for s in sorted(parents[-1]):
-            for t in ts.successors(s):
-                if t in can_avoid and symbol(t) == target_symbols[j]:
+            for t in succ[s]:
+                if can_avoid[t] and symbol(t) == target_symbols[j]:
                     if t not in layer:
                         layer[t] = s
         if not layer:
@@ -154,7 +169,7 @@ def check_cause_pref_ap(query, allow_overlap=False):
     i_max = len(parents) - 1
 
     exact_terminals = (
-        sorted(t for t in parents[n_last] if ts.is_terminal(t))
+        sorted(t for t in parents[n_last] if not succ[t])
         if i_max == n_last
         else []
     )
@@ -168,29 +183,30 @@ def check_cause_pref_ap(query, allow_overlap=False):
         witness_paths = []
         for t in exact_terminals[: query.witnesses]:
             witness_paths.append(_reconstruct_prefix(parents, n_last, t))
-        wits = _finish_witnesses(query, witness_paths, min_d)
-        return CauseVerdict(is_cause, min_d, wits)
+        wits = _finish_witnesses(query, witness_paths, min_d, effect)
+        return _named(ts, CauseVerdict(is_cause, min_d, wits))
 
     min_d = dyadic(i_max + 1)
     frontier = sorted(parents[i_max])
     # States with a C-avoiding continuation that satisfies the property.
     if phi == PHI_REACH:
         blocked = dict.fromkeys(cause, ())  # no edge leaves a cause state
-        offending = attractor(ts._succ, ts._succ, effect - cause, ts._pred, blocked)
+        rank = attractor(succ, b"\x01" * len(succ), effect - cause, ts._pred, blocked)
+        offending = [r is not None for r in rank]
     else:
-        offending = maximal_avoiding_set(ts._succ, cause | effect, ts._pred)
-    is_cause = not any(t in offending for t in frontier)
+        offending = maximal_avoiding_set(succ, cause | effect, ts._pred)
+    is_cause = not any(offending[t] for t in frontier)
 
     witness_paths = []
     for t in frontier[: query.witnesses]:
         prefix = _reconstruct_prefix(parents, i_max, t)
         cont = _finite_avoiding_continuation(
-            ts, t, cause, effect, phi, prefer_phi=(t in offending)
+            ts, t, cause, effect, phi, prefer_phi=offending[t]
         )
         if cont is not None:
             witness_paths.append(prefix[:-1] + cont)
-    wits = _finish_witnesses(query, witness_paths, min_d)
-    return CauseVerdict(is_cause, min_d, wits)
+    wits = _finish_witnesses(query, witness_paths, min_d, effect)
+    return _named(ts, CauseVerdict(is_cause, min_d, wits))
 
 
 def _reconstruct_prefix(parents, j, t):
@@ -206,26 +222,31 @@ def _finite_avoiding_continuation(ts, start, cause, effect, phi, prefer_phi):
     """A finite maximal C-avoiding path from `start`, preferring one that
     satisfies the effect property when asked.  None if only infinite
     continuations exist."""
+    succ = ts._succ
+
+    def terminal(state):
+        return not succ[state]
+
     if prefer_phi:
         # For safety the walk never enters E, so every terminal it meets lies outside E.
         if phi == PHI_REACH:
             goal, avoid = effect.__contains__, cause
         else:
-            goal, avoid = ts.is_terminal, cause | effect
-        path = shortest_route(ts._succ, start, goal, avoid)
+            goal, avoid = terminal, cause | effect
+        path = shortest_route(succ, start, goal, avoid)
         if path is not None:
             return path
-    return shortest_route(ts._succ, start, ts.is_terminal, cause)
+    return shortest_route(succ, start, terminal, cause)
 
 
-def _finish_witnesses(query, paths, distance):
-    ts, effect, phi = query.ts, query.effect, query.phi
+def _finish_witnesses(query, paths, distance, effect):
+    phi = query.phi
     out = []
     seen = set()
     for p in paths:
         if p and p not in seen:
             seen.add(p)
-            out.append(Witness(p, distance, path_satisfies_phi(ts, p, effect, phi)))
+            out.append(Witness(p, distance, path_satisfies_phi(query.ts, p, effect, phi)))
     out.sort(key=lambda w: (not w.satisfies_phi, w.path))
     return tuple(out[: query.witnesses])
 
@@ -235,29 +256,31 @@ def _finish_witnesses(query, paths, distance):
 
 
 def validate_layered(ts):
-    """Depth of every reachable state; NotLayered if depths are ambiguous or
-    maximal paths have different lengths."""
-    depth = {ts.initial: 0}
-    frontier = [ts.initial]
+    """Depth of every state by number, None where unreachable; NotLayered if
+    depths are ambiguous or maximal paths have different lengths."""
+    succ = ts._succ
+    depth = [None] * len(succ)
+    depth[ts._init] = 0
+    frontier = [ts._init]
     while frontier:
         nxt = []
         for s in frontier:
-            for t in ts.successors(s):
-                if t in depth:
-                    if depth[t] != depth[s] + 1:
+            d = depth[s] + 1
+            for t in succ[s]:
+                if depth[t] is not None:
+                    if depth[t] != d:
                         raise NotLayered(
-                            f"state {t!r} is reachable at depths {depth[t]} "
-                            f"and {depth[s] + 1}"
+                            f"state {ts.ids[t]!r} is reachable at depths {depth[t]} and {d}"
                         )
                 else:
-                    depth[t] = depth[s] + 1
+                    depth[t] = d
                     nxt.append(t)
         frontier = sorted(nxt)
-    last = max(depth.values())
-    for s, d in sorted(depth.items()):
-        if ts.is_terminal(s) and d != last:
+    last = max(d for d in depth if d is not None)
+    for s, d in enumerate(depth):
+        if d is not None and not succ[s] and d != last:
             raise NotLayered(
-                f"terminal state {s!r} sits at depth {d}, not the last layer {last}"
+                f"terminal state {ts.ids[s]!r} sits at depth {d}, not the last layer {last}"
             )
     return depth
 
@@ -270,29 +293,29 @@ def check_cause_hamm_layered(query, allow_overlap=False):
     The weights are integers under the default 0/1 label metric and
     Fractions of `label_metric` otherwise, as in `metric_distance`.
     """
-    pi = validate_query(query, allow_overlap)
-    ts, cause, effect = query.ts, query.cause, query.effect
+    seq, cause, effect = validate_query(query, allow_overlap)
+    ts = query.ts
     depth = validate_layered(ts)
-    labeling = ts.labeling
-    target = [labeling[s] for s in pi.sequence]
+    labels, succ = ts._labels, ts._succ
+    target = [labels[s] for s in seq]
     metric = query.label_metric
 
     if metric is None:
         def node_weight(state):
-            return 0 if labeling[state] == target[depth[state]] else 1
+            return 0 if labels[state] == target[depth[state]] else 1
     else:
         def node_weight(state):
-            return Fraction(metric(labeling[state], target[depth[state]]))
+            return Fraction(metric(labels[state], target[depth[state]]))
 
     def successors(state):
-        for t in ts.successors(state):
+        for t in succ[state]:
             if t not in cause:
                 yield t, node_weight(t), "step"
 
-    start = None if ts.initial in cause else ts.initial
-    search = (start, node_weight(ts.initial), successors,
-              lambda state: _terminal_class(ts, effect, state))
-    return _shortest_path_verdict(query, search, _project_state_route)
+    start = None if ts._init in cause else ts._init
+    search = (start, node_weight(ts._init), successors,
+              lambda state: _terminal_class(succ, effect, state))
+    return _named(ts, _shortest_path_verdict(query, search, _project_state_route, cause, effect))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +324,8 @@ def check_cause_hamm_layered(query, allow_overlap=False):
 
 def ghamm_product(ts, pi_sequence, cause, effect):
     """Copy construction for the generalized Hamming distance, as the
-    (start, start_weight, successors, goal_class) arguments of `dijkstra`.
+    (start, start_weight, successors, goal_class) arguments of `dijkstra`;
+    states, the execution and the sets are state numbers.
 
     Node (s, i) reads state s against execution position i, for each C-free
     state s; mismatching labels cost 1 per position, early termination jumps
@@ -309,32 +333,33 @@ def ghamm_product(ts, pi_sequence, cause, effect):
     steps inside the last copy cost 1 each.  Goals are the terminal states of
     the last copy.
     """
-    labeling = ts.labeling
-    target = [labeling[s] for s in pi_sequence]
+    labels, succ = ts._labels, ts._succ
+    target = [labels[s] for s in pi_sequence]
     n = len(target)
 
     def mismatch(state, copy):
-        return 0 if labeling[state] == target[copy - 1] else 1
+        return 0 if labels[state] == target[copy - 1] else 1
 
     def successors(node):
         s, i = node
-        for t in ts.successors(s):
+        for t in succ[s]:
             if t not in cause:
                 if i < n:
                     yield (t, i + 1), mismatch(t, i + 1), "step"
                 else:
                     yield (t, n), 1, "step"
-        if i < n and ts.is_terminal(s):
+        if i < n and not succ[s]:
             yield (s, n), n - i, "jump"
 
-    start = None if ts.initial in cause else (ts.initial, 1)
-    return start, mismatch(ts.initial, 1), successors, _last_copy_class(ts, effect, n)
+    start = None if ts._init in cause else (ts._init, 1)
+    return start, mismatch(ts._init, 1), successors, _last_copy_class(succ, effect, n)
 
 
 def check_cause_ghamm(query, allow_overlap=False):
-    validate_query(query, allow_overlap)
-    search = ghamm_product(query.ts, query.pi.sequence, query.cause, query.effect)
-    return _shortest_path_verdict(query, search, _project_copy_route)
+    seq, cause, effect = validate_query(query, allow_overlap)
+    search = ghamm_product(query.ts, seq, cause, effect)
+    verdict = _shortest_path_verdict(query, search, _project_copy_route, cause, effect)
+    return _named(query.ts, verdict)
 
 
 def _project_copy_route(route):
@@ -358,51 +383,53 @@ def _project_state_route(route):
 
 def lev_product(ts, pi_sequence, cause, effect):
     """Product of the system with the execution's positions, edit-labeled, as
-    the (start, start_weight, successors, goal_class) arguments of `dijkstra`.
+    the (start, start_weight, successors, goal_class) arguments of `dijkstra`;
+    states, the execution and the sets are state numbers.
 
     Advancing both sides costs 0 on a label match and 1 otherwise; staying in
     a copy inserts into the comparison path's trace; skipping a position
     deletes from the execution's trace.  C-states are left out; goals are the
     terminal states of the last copy.
     """
-    labeling = ts.labeling
-    target = [labeling[s] for s in pi_sequence]
+    labels, succ = ts._labels, ts._succ
+    target = [labels[s] for s in pi_sequence]
     n = len(target)
 
     def successors(node):
         s, i = node
-        for t in ts.successors(s):
+        for t in succ[s]:
             if t in cause:
                 continue
             if i < n:
-                w = 0 if target[i] == labeling[t] else 1
+                w = 0 if target[i] == labels[t] else 1
                 yield (t, i + 1), w, "step"
             yield (t, i), 1, "step"
         if i < n:
             yield (s, i + 1), 1, "skip"
 
-    start = None if ts.initial in cause else (ts.initial, 1)
-    return start, 0, successors, _last_copy_class(ts, effect, n)
+    start = None if ts._init in cause else (ts._init, 1)
+    return start, 0, successors, _last_copy_class(succ, effect, n)
 
 
 def check_cause_lev(query, allow_overlap=False):
-    validate_query(query, allow_overlap)
-    search = lev_product(query.ts, query.pi.sequence, query.cause, query.effect)
-    return _shortest_path_verdict(query, search, _project_copy_route)
+    seq, cause, effect = validate_query(query, allow_overlap)
+    search = lev_product(query.ts, seq, cause, effect)
+    verdict = _shortest_path_verdict(query, search, _project_copy_route, cause, effect)
+    return _named(query.ts, verdict)
 
 
 # ---------------------------------------------------------------------------
 # shared shortest-path verdict logic
 
 
-def _terminal_class(ts, effect, state):
-    if not ts.is_terminal(state):
+def _terminal_class(succ, effect, state):
+    if succ[state]:
         return None
     return "effect" if state in effect else "other"
 
 
-def _last_copy_class(ts, effect, n):
-    return lambda node: _terminal_class(ts, effect, node[0]) if node[1] == n else None
+def _last_copy_class(succ, effect, n):
+    return lambda node: _terminal_class(succ, effect, node[0]) if node[1] == n else None
 
 
 def dijkstra(start, start_weight, successors, goal_class):
@@ -453,7 +480,9 @@ def _route_to(parent, node):
     return cur, edges
 
 
-def _shortest_path_verdict(query, search, project):
+def _shortest_path_verdict(query, search, project, cause, effect):
+    """The verdict of a `dijkstra` search; `project` turns a route into a
+    witness path, whose nodes `cause` and `effect` are read in."""
     ts, phi = query.ts, query.phi
     best, parent = dijkstra(*search)
     zeta, zeta_node = best.get("effect", (INF, None))
@@ -461,7 +490,7 @@ def _shortest_path_verdict(query, search, project):
     min_d = min(zeta, xi_other)
 
     if min_d == INF:
-        condition1 = exists_maximal_path_avoiding(ts, ts.initial, query.cause)
+        condition1 = maximal_avoiding_set(ts._succ, cause, ts._pred)[ts._init]
         if not condition1:
             return CauseVerdict(False, INF, (), condition1=False)
         # Only infinite comparison paths remain; they never reach the
@@ -479,7 +508,7 @@ def _shortest_path_verdict(query, search, project):
     for value, node in ((xi_other, xi_node), (zeta, zeta_node)):
         if node is not None and value == min_d:
             witness_paths.append(project(_route_to(parent, node)))
-    wits = _finish_witnesses(query, witness_paths, min_d)
+    wits = _finish_witnesses(query, witness_paths, min_d, effect)
     return CauseVerdict(is_cause, min_d, wits)
 
 

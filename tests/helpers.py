@@ -14,13 +14,20 @@ transitions and edges, acyclicity by a colored depth-first search, the d*
 repair's costs by a Bellman-style min-max sweep, the d* winning search over
 every strategy of the product enumeration, and the tree change count
 and maximal-path enumeration by recursion.
+
+The oracles run on ids, and so do the naive loaders, which keep id
+successor lists behind the `successors` view and id predecessor lists as
+`naive_pred`.  The library's kernels run on vertex numbers; the helpers in
+"the boundary between ids and vertex numbers" convert graphs, vertex sets,
+edge overrides and results, so a test can hand a kernel the same input as
+its reference and compare the answers in ids.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from causekit import distances
 from causekit.distances import dyadic
@@ -37,36 +44,32 @@ from causekit.game_causality import (
     METRIC_DSTAR,
     GameCauseVerdict,
     StrategyWitness,
-    _assemble_strategy,
     _avoid_set,
-    _sigma_matched,
     avoid_region,
     enumerate_strategies,
     strategy_is_winning,
+    tree_min_changes,
     validate_game_query,
 )
 from causekit.model import (
     EFFECT,
     REACH,
     SAFE,
+    Attractor,
     MaximalFinitePath,
     MDStrategy,
     ReachabilityGame,
     TransitionSystem,
-    attractor,
     game_from_owners,
     maximal_avoiding_set,
     maximal_paths,
-    play_graph,
-    reachable_set,
-    strategy_adjacency,
-    trap_vertices,
     validate_strategy,
 )
 from causekit.sem_bridge import (
+    StructuralEquationModel,
     butfor_to_cause_set,
-    default_path_states,
-    effect_leaves,
+    evaluate_default,
+    state_id,
     unroll_to_ts,
 )
 from causekit.ts_causality import (
@@ -113,6 +116,117 @@ def naive_attractor(adjacency, existential, target):
         for v in added:
             rank[v] = rnd
     return rank
+
+
+def naive_reachable(adjacency, start):
+    """Vertices of an id adjacency reachable from start, start included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for u in adjacency[stack.pop()]:
+            if u not in seen:
+                seen.add(u)
+                stack.append(u)
+    return seen
+
+
+def naive_avoiding(adjacency, avoid):
+    """Vertices of an id adjacency with a maximal path that never visits
+    `avoid`: those outside the all-universal round-based attractor."""
+    doomed = naive_attractor(adjacency, (), avoid)
+    return {v for v in adjacency if v not in doomed}
+
+
+def naive_traps(adjacency):
+    """Vertices of an id adjacency whose only edge is a self-loop."""
+    return {v for v, succ in adjacency.items() if tuple(succ) == (v,)}
+
+
+def id_adjacency(game, strategy=None):
+    """{id: successor ids} of every vertex, through the public views, under
+    the strategy's choices if one is given."""
+    adj = {v: game.successors(v) for v in game.vertices}
+    if strategy is not None:
+        adj.update((v, (u,)) for v, u in strategy.choice.items())
+    return adj
+
+
+# ---------------------------------------------------------------------------
+# the boundary between ids and vertex numbers
+
+
+def successor_map(model):
+    """{id: successor id tuple} through the model's public view."""
+    if isinstance(model, ReachabilityGame):
+        vertices = model.vertices
+    else:
+        vertices = sorted(set(model.states))
+    return {v: model.successors(v) for v in vertices}
+
+
+def id_predecessors(model):
+    """{id: predecessor ids} of the model's numbered predecessor lists, which
+    have no public view."""
+    ids = model.ids
+    return {ids[v]: [ids[u] for u in pred] for v, pred in enumerate(model._pred)}
+
+
+def numbers(model, vertices):
+    """The vertex numbers of the ids, in their order."""
+    return [model.index[v] for v in vertices]
+
+
+def flags(model, vertices):
+    """Flags by vertex number, set at the ids."""
+    out = bytearray(len(model.ids))
+    for v in vertices:
+        out[model.index[v]] = 1
+    return bytes(out)
+
+
+def id_set(model, flagged):
+    """The ids of the vertices flagged in a list by vertex number."""
+    return {v for v, f in zip(model.ids, flagged) if f}
+
+
+def int_graph(model, adjacency):
+    """An id adjacency over all of the model's vertices as successor tuples
+    of numbers."""
+    index = model.index
+    return [tuple(index[u] for u in adjacency[v]) for v in model.ids]
+
+
+def id_graph(model, succ):
+    """{id: successor ids} of successor tuples of numbers."""
+    ids = model.ids
+    return {ids[v]: tuple(ids[u] for u in ends) for v, ends in enumerate(succ)}
+
+
+def avoiding(model, avoid):
+    """The ids with a maximal path that never visits the ids `avoid`, by the
+    kernel over the model's own lists."""
+    return id_set(model, maximal_avoiding_set(model._succ, numbers(model, avoid), model._pred))
+
+
+def int_allowed(model, allowed):
+    """{number: successor numbers} of an id edge-tuple map."""
+    index = model.index
+    return {index[v]: tuple(index[u] for u in ends) for v, ends in allowed.items()}
+
+
+def id_ranks(model, rank):
+    """{id: rank} of the members of a rank list."""
+    return {v: r for v, r in zip(model.ids, rank) if r is not None}
+
+
+def join_order(model, attractor):
+    """[(id, rank)] of an Attractor's members in join order."""
+    return [(model.ids[v], attractor.rank[v]) for v in attractor.order]
+
+
+def model_attractor(model, existential, target, allowed=None):
+    """The kernel `Attractor` over the model's own lists, from ids."""
+    return Attractor(model._succ, flags(model, existential), numbers(model, target),
+                     model._pred, int_allowed(model, allowed or {}))
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +287,7 @@ def copied_adjacency(model, allowed=()):
     """The model's successor tuples in sorted vertex order, updated with the
     `allowed` edge tuples: the graph the attractors ran on before models
     kept predecessor lists."""
-    adj = {v: model._succ[v] for v in sorted(model._succ)}
+    adj = successor_map(model)
     adj.update(allowed)
     return adj
 
@@ -211,8 +325,8 @@ def _naive_ts_post_init(self):
             raise InvalidModel(
                 f"state {s!r} carries label {self.labeling[s]!r} outside the alphabet"
             )
-    object.__setattr__(self, "_succ", {s: tuple(t) for s, t in succ.items()})
-    object.__setattr__(self, "_pred", pred)
+    object.__setattr__(self, "_id_succ", {s: tuple(t) for s, t in succ.items()})
+    object.__setattr__(self, "naive_pred", pred)
 
 
 def _naive_game_post_init(self):
@@ -241,19 +355,21 @@ def _naive_game_post_init(self):
         if not succ[v] and v not in eff:
             raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
     object.__setattr__(self, "vertices", vertices)
-    object.__setattr__(self, "_succ", {v: tuple(t) for v, t in succ.items()})
-    object.__setattr__(self, "_pred", pred)
+    object.__setattr__(self, "_id_succ", {v: tuple(t) for v, t in succ.items()})
+    object.__setattr__(self, "naive_pred", pred)
 
 
 def naive_ts(**fields):
-    """`TransitionSystem(**fields)` checked and filled over sorted transitions,
-    its predecessor lists included."""
+    """`TransitionSystem(**fields)` checked and filled over sorted transitions:
+    its id successor lists serve the `successors` view, and its id
+    predecessor lists are `naive_pred`."""
     return _naive_build(TransitionSystem, _naive_ts_post_init, **fields)
 
 
 def naive_game(**fields):
-    """`ReachabilityGame(**fields)` checked and filled over sorted edges, its
-    predecessor lists included."""
+    """`ReachabilityGame(**fields)` checked and filled over sorted edges: its
+    id successor lists serve the `successors` view, and its id predecessor
+    lists are `naive_pred`."""
     return _naive_build(ReachabilityGame, _naive_game_post_init, **fields)
 
 
@@ -348,32 +464,32 @@ def budgeted(fn, *args, limit=None):
 
 
 def naive_strategy_is_winning(game, strategy):
-    adj = strategy_adjacency(game, strategy)
+    adj = id_adjacency(game, strategy)
     if strategy.player == REACH:
-        return game.initial not in maximal_avoiding_set(adj, game.effect)
-    return not (game.effect & reachable_set(adj, game.initial))
+        return game.initial not in naive_avoiding(adj, game.effect)
+    return not (game.effect & naive_reachable(adj, game.initial))
 
 
 def naive_strategy_avoids(game, strategy, cause):
-    adj = strategy_adjacency(game, strategy)
-    return not (set(cause) & reachable_set(adj, game.initial))
+    adj = id_adjacency(game, strategy)
+    return not (set(cause) & naive_reachable(adj, game.initial))
 
 
 def naive_losing_play_reaches_cause(game, sigma, cause):
-    adj = strategy_adjacency(game, sigma)
-    seen = reachable_set(adj, game.initial)
+    adj = id_adjacency(game, sigma)
+    seen = naive_reachable(adj, game.initial)
     hits = sorted(set(cause) & seen)
     if not hits:
         return False
     if sigma.player == SAFE:
-        return any(game.effect & reachable_set(adj, c) for c in hits)
-    dodging = maximal_avoiding_set(adj, game.effect)
+        return any(game.effect & naive_reachable(adj, c) for c in hits)
+    dodging = naive_avoiding(adj, game.effect)
     return any(c in dodging for c in hits)
 
 
 def naive_sigma_matched(game, strategy, sigma):
-    adj = strategy_adjacency(game, strategy)
-    seen = reachable_set(adj, game.initial)
+    adj = id_adjacency(game, strategy)
+    seen = naive_reachable(adj, game.initial)
     choice = {
         v: (strategy.choice[v] if v in seen else sigma.choice[v])
         for v in strategy.choice
@@ -428,9 +544,9 @@ def play_dist(game, play, strategy):
 
 def naive_dstrat(game, tau, sigma, budget=None):
     """The (vertex, counted-set) walk of `distances.dstrat` over the whole
-    `strategy_adjacency`, charging the budget once per state."""
+    strategy-induced adjacency, charging the budget once per state."""
     budget = as_budget(budget)
-    adj = strategy_adjacency(game, tau)
+    adj = id_adjacency(game, tau)
     owned = game.owned_by(sigma.player)
     start = (game.initial, frozenset())
     seen = {start}
@@ -501,7 +617,7 @@ def naive_is_acyclic(adjacency):
 
 def naive_is_effectively_acyclic(adjacency):
     """`naive_is_acyclic` on a copy without the trap vertices' self-loops."""
-    traps = trap_vertices(adjacency)
+    traps = naive_traps(adjacency)
     stripped = {
         v: tuple(u for u in succ if not (u == v and v in traps))
         for v, succ in adjacency.items()
@@ -541,9 +657,9 @@ def naive_min_dstar_repair(game, sigma, budget=None):
     if sigma.player != REACH:
         raise PreconditionViolated("the acyclic repair is defined for Reach")
     budget = as_budget(budget)
-    if not naive_is_effectively_acyclic(strategy_adjacency(game, sigma)):
+    if not naive_is_effectively_acyclic(id_adjacency(game, sigma)):
         raise NotAcyclic("the game restricted to sigma is not acyclic")
-    ranks = attractor(game.adjacency(), game.reach_owned, game.effect)
+    ranks = naive_attractor(game.adjacency(), game.reach_owned, game.effect)
     if game.initial not in ranks:
         raise NoWinningStrategy("Reach does not win this game")
     val = naive_repair_costs(game, sigma)
@@ -555,7 +671,7 @@ def naive_min_dstar_repair(game, sigma, budget=None):
             options.append((cost, ranks.get(u, float("inf")), u))
         options.sort()
         choice[v] = options[0][2]
-    tau_fast = _sigma_matched(game, MDStrategy(REACH, choice), sigma)
+    tau_fast = naive_sigma_matched(game, MDStrategy(REACH, choice), sigma)
     fast = None
     if strategy_is_winning(game, tau_fast):
         fast = distances.dstar(game, tau_fast, sigma, budget)
@@ -573,13 +689,12 @@ def naive_min_winning(game, sigma, metric, threshold, budget):
         raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
     player = sigma.player
     best = None
-    graph = play_graph(game, sigma)
     strategies = enumerate_strategies(game, player, budget)
     for key, choice in naive_distinct_matched(game, sigma, strategies):
         tau = MDStrategy(player, choice)
         if not strategy_is_winning(game, tau):
             continue
-        d = distances.dstar(game, tau, sigma, budget, graph)
+        d = distances.dstar(game, tau, sigma, budget)
         if best is None or (d, key) < best[:2]:
             best = (d, key, tau)
             if threshold is not None and d <= threshold:
@@ -619,7 +734,7 @@ def naive_tree_min_changes(game, sigma, cause):
     cycle on the way ends in RecursionError."""
     owned = game.owned_by(sigma.player)
     adj = game.adjacency()
-    traps = trap_vertices(adj)
+    traps = naive_traps(adj)
     memo = {}
 
     def cost(v):
@@ -652,7 +767,7 @@ def naive_check_pref_h(query, budget=None):
     validate_game_query(query)
     budget = as_budget(budget)
     c1 = naive_losing_play_reaches_cause(query.game, query.sigma, query.cause)
-    region, _allowed = avoid_region(query.game, query.player, query.cause)
+    region = avoid_set(query.game, query.player, query.cause, {})
     c2 = query.game.initial in region
     if not (c1 and c2):
         return GameCauseVerdict(False, distances.INF, c1, c2)
@@ -665,7 +780,7 @@ def _naive_pref_h(query, region, budget):
 
     depth = {game.initial: 0}
     frontier = [game.initial]
-    adj_sigma = strategy_adjacency(game, sigma)
+    adj_sigma = id_adjacency(game, sigma)
     while frontier:
         nxt = []
         for v in frontier:
@@ -687,7 +802,7 @@ def _naive_pref_h(query, region, budget):
     limit = len(game.vertices) + 2
     for n in range(1, limit + 1):
         budget.charge()
-        candidate = _avoid_set(game, player, cause, pins_at(n))
+        candidate = avoid_set(game, player, cause, pins_at(n))
         if game.initial in candidate:
             n_star = n
             pin_region = candidate
@@ -714,19 +829,52 @@ def _naive_pref_h(query, region, budget):
 
     dodge = None
     if player == REACH:
-        dodge = maximal_avoiding_set(arena, game.effect)
+        dodge = naive_avoiding(arena, game.effect)
         defeated = game.initial in dodge
     else:
-        defeated = bool(set(game.effect) & reachable_set(arena, game.initial))
+        defeated = bool(set(game.effect) & naive_reachable(arena, game.initial))
 
     overrides = naive_defeat_choices(game, player, arena, owned, dodge) if defeated else {}
-    tau = _assemble_strategy(sigma, owned, allowed, overrides)
+    tau = naive_assemble_strategy(sigma, owned, allowed, overrides)
     witness = StrategyWitness(
         tau, distances.d_pref_hausdorff(game, sigma, tau), not defeated
     )
     return GameCauseVerdict(
         not defeated, min_d, True, True, (witness,)[: query.witnesses]
     )
+
+
+def avoid_set(game, player, cause, allowed):
+    """`game_causality._avoid_set` from ids to ids."""
+    region = _avoid_set(game, player, numbers(game, cause), int_allowed(game, allowed))
+    return id_set(game, region)
+
+
+def id_avoid_region(game, player, cause):
+    """`game_causality.avoid_region` from ids to ids."""
+    region, allowed = avoid_region(game, player, numbers(game, cause))
+    ids = game.ids
+    return id_set(game, region), {ids[v]: tuple(ids[u] for u in a) for v, a in allowed.items()}
+
+
+def id_tree_min_changes(game, sigma, cause):
+    """`game_causality.tree_min_changes` from ids."""
+    return tree_min_changes(game, validate_strategy(game, sigma), set(numbers(game, cause)))
+
+
+def naive_assemble_strategy(sigma, owned, allowed, overrides):
+    """Overrides first, then sigma's choice where `allowed` keeps it, then
+    the first allowed edge; sigma's choice off `allowed`."""
+    choice = {}
+    for v in sorted(owned):
+        if v in overrides:
+            choice[v] = overrides[v]
+        elif v in allowed:
+            opts = allowed[v]
+            choice[v] = sigma.choice[v] if sigma.choice[v] in opts else opts[0]
+        else:
+            choice[v] = sigma.choice[v]
+    return MDStrategy(sigma.player, choice)
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +996,7 @@ def pref_h_chain(rng, n):
 def prefix_sets(game, strategy, max_vertices):
     """All play prefixes of the strategy with up to max_vertices vertices,
     grouped by vertex count."""
-    adj = strategy_adjacency(game, strategy)
+    adj = id_adjacency(game, strategy)
     by_len = [set(), {(game.initial,)}]
     level = {(game.initial,)}
     for _ in range(2, max_vertices + 1):
@@ -877,15 +1025,15 @@ def hausdorff_oracle(game, sigma, tau):
 def dstrat_oracle(game, tau, sigma):
     """Max number of distinct disagreement vertices on one tau-play, by
     dynamic programming over visiting orders (a chain of reachability hops)."""
-    adj = strategy_adjacency(game, tau)
+    adj = id_adjacency(game, tau)
     owned = game.owned_by(sigma.player)
     diff = sorted(
         v for v in owned if tau.choice[v] != sigma.choice[v]
     )
     if not diff:
         return 0
-    start_reach = reachable_set(adj, game.initial)
-    after = {v: reachable_set(adj, adj[v][0]) for v in diff}
+    start_reach = naive_reachable(adj, game.initial)
+    after = {v: naive_reachable(adj, adj[v][0]) for v in diff}
     n = len(diff)
     best = 0
     frontier = {
@@ -933,6 +1081,28 @@ def unrolled_bridge_check(sem, effect, variables, witnesses=3, ts=None):
         witnesses=witnesses,
     )
     return check_cause_hamm_layered(query, allow_overlap=True)
+
+
+def all_boolean_sems(n):
+    """Every Boolean SEM over exactly n variables (exhaustive truth tables)."""
+    variables = tuple(f"X{i + 1}" for i in range(n))
+    table_spaces = [
+        [tuple(bits) for bits in product((False, True), repeat=2 ** i)]
+        for i in range(n)
+    ]
+    for tables in product(*table_spaces):
+        yield StructuralEquationModel(variables=variables, tables=tables)
+
+
+def default_path_states(sem):
+    """The state ids of the unrolled tree's default execution."""
+    values = evaluate_default(sem)
+    return tuple(state_id(values[:i]) for i in range(sem.n + 1))
+
+
+def effect_leaves(sem, effect):
+    """The leaf state ids of the unrolled tree for the effect valuations."""
+    return frozenset(state_id(tuple(v)) for v in effect)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from causekit.game_causality import (
 )
 from causekit.generators import (
     GeneratorSpec,
-    all_boolean_sems,
     generate,
     random_strategy,
 )
@@ -75,6 +74,7 @@ from causekit.ts_causality import (
 )
 
 from helpers import (
+    all_boolean_sems,
     build_ts_query,
     dstar_oracle,
     dstrat_oracle,
@@ -357,7 +357,8 @@ def _pick_cause_query(rng, game, metric, preferred_player):
     """Prefer (player, sigma, cause) combinations where both cause conditions
     hold, trying live singleton causes vertex by vertex; fall back to a
     random draw so condition-failing paths stay covered too."""
-    from causekit.game_causality import avoid_region, losing_play_reaches_cause
+    from causekit.game_causality import losing_play_reaches_cause
+    from helpers import avoid_set
 
     other = "safe" if preferred_player == "reach" else "reach"
     fallback = None
@@ -367,7 +368,7 @@ def _pick_cause_query(rng, game, metric, preferred_player):
             live = []
             for v in sorted(set(game.vertices) - game.effect):
                 cause = frozenset({v})
-                region, _allowed = avoid_region(game, player, cause)
+                region = avoid_set(game, player, cause, {})
                 if game.initial not in region:
                     continue
                 if losing_play_reaches_cause(game, sigma, cause):

@@ -1,11 +1,13 @@
-"""Models hold successor and predecessor lists; the attractor reads them.
+"""Models hold numbered successor and predecessor lists; the attractor
+reads them.
 
-The loader and the constructors must give the successor lists, predecessor
-lists and derived pair sets of the naive per-item loaders, with duplicate
-pairs, shuffled input and unreachable copies.  The attractor kernel with
-`allowed` overrides and pins over a model's own lists must give the ranks,
-in join order, of the kernel over a copied and updated adjacency, and must
-leave the shared lists as it found them.
+The loader and the constructors must give the successor lists (read through
+the `successors` view), predecessor lists and derived pair sets of the naive
+per-item loaders, which stay on ids, with duplicate pairs, shuffled input
+and unreachable copies.  The attractor kernel with `allowed` overrides and
+pins over a model's own lists must give the ranks, in join order, of the
+kernel over a copied and updated id adjacency, and must leave the shared
+lists as it found them.
 """
 
 import copy
@@ -15,10 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from causekit.generators import GeneratorSpec, generate
 from causekit.model import (
-    Attractor,
     ReachabilityGame,
     TransitionSystem,
-    attractor,
     model_from_json,
     model_to_json,
 )
@@ -26,7 +26,11 @@ from causekit.model import (
 from helpers import (
     CopiedAttractor,
     copied_adjacency,
+    id_predecessors,
+    join_order,
+    model_attractor,
     naive_model_from_json,
+    successor_map,
     with_unreachable_copy,
 )
 
@@ -67,8 +71,8 @@ def test_lists_and_pairs_match_the_naive_loaders(seed, family):
     fields[key] = [tuple(p) for p in pairs]  # a list with repeats, in any order
     built = type(model)(**fields)
     for got in (loaded, built):
-        assert got._succ == reference._succ
-        assert got._pred == reference._pred
+        assert successor_map(got) == successor_map(reference)
+        assert id_predecessors(got) == reference.naive_pred
         assert pairs_of(got) == pairs_of(reference) == pairs_of(model)
         assert got == reference
         if isinstance(got, ReachabilityGame):
@@ -103,16 +107,14 @@ def test_overrides_and_pins_match_the_copied_kernel(seed, family):
     universal = {v for v in game.vertices if v not in existential}
     target = set(rng.sample(game.vertices, rng.randint(0, 3))) | set(game.effect)
     allowed, batches = random_overrides(rng, game, universal)
-    lists, kept = copy.deepcopy(game._pred), copy.deepcopy(allowed)
+    lists, kept = id_predecessors(game), copy.deepcopy(allowed)
 
     adj = copied_adjacency(game, allowed)
-    assert list(attractor(game._succ, existential, target, game._pred, allowed).items()) == (
-        list(CopiedAttractor(adj, existential, target).rank.items())
-    )
-    fast = Attractor(game._succ, existential, target, game._pred, allowed)
+    fast = model_attractor(game, existential, target, allowed)
     slow = CopiedAttractor(adj, existential, target)
+    assert join_order(game, fast) == list(slow.rank.items())
     for pins in batches:
-        fast.pin(pins)
+        fast.pin({game.index[v]: game.index[u] for v, u in pins.items()})
         slow.pin(pins)
-        assert list(fast.rank.items()) == list(slow.rank.items())
-    assert game._pred == lists and allowed == kept
+        assert join_order(game, fast) == list(slow.rank.items())
+    assert id_predecessors(game) == lists and allowed == kept

@@ -1,17 +1,18 @@
 """The linear-time attractor kernel against the round-based reference, its
 resumption after pins, and the game and system queries built on it:
-acyclicity, the d* repair's costs and the tree change count included."""
+acyclicity, the d* repair's costs and the tree change count included.  The
+references run on ids; the kernels get and give vertex numbers, converted
+by the helpers."""
 
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from causekit.distances import INF, dyadic
+from causekit.distances import dyadic
 from causekit.errors import NotAcyclic
 from causekit.game_causality import (
     METRIC_PREF_H,
     GameCauseQuery,
-    _avoid_set,
     _deviation_costs,
     _solve_for,
     check_cause_game,
@@ -27,18 +28,26 @@ from causekit.model import (
     Attractor,
     TransitionSystem,
     attractor,
-    exists_maximal_path_avoiding,
     game_from_owners,
     is_acyclic,
     is_effectively_acyclic,
     opponent,
-    play_graph,
     strategy_adjacency,
+    strategy_of,
+    validate_strategy,
 )
 
 from helpers import (
+    avoid_set,
+    avoiding,
     budgeted,
+    flags,
+    id_adjacency,
+    id_ranks,
+    int_allowed,
+    int_graph,
     naive_attractor,
+    naive_reachable,
     naive_check_pref_h,
     naive_is_acyclic,
     naive_is_effectively_acyclic,
@@ -90,6 +99,13 @@ def assert_attractor_choices(game, adjacency, rank, player, choice):
         assert choice[v] == expected, (v, player)
 
 
+def kernel_attractor(game, adjacency, existential, target):
+    """`attractor` over an id adjacency of the game's vertices, as {id: rank}."""
+    rank = attractor(int_graph(game, adjacency), flags(game, existential),
+                     [game.index[v] for v in target])
+    return id_ranks(game, rank)
+
+
 @FUZZ
 @given(SEEDS, st.booleans())
 @example(1099, True)  # a same-round read once overestimated ranks here
@@ -97,20 +113,20 @@ def test_attractor_ranks_match_reference(seed, cyclic):
     game, rng = random_game(seed, cyclic)
     full = game.adjacency()
     expected = naive_attractor(full, game.reach_owned, game.effect)
-    assert attractor(full, game.reach_owned, game.effect) == expected
+    assert kernel_attractor(game, full, game.reach_owned, game.effect) == expected
     pool = sorted(set(game.vertices) - game.effect)
     for player in (REACH, SAFE):
         existential = game.owned_by(player)
         adj = {**full, **edge_subsets(game, rng, player)}
         target = set(rng.sample(pool, rng.randint(1, len(pool)))) | game.effect
-        assert attractor(adj, existential, target) == naive_attractor(
+        assert kernel_attractor(game, adj, existential, target) == naive_attractor(
             adj, existential, target
         )
         cause = frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
         pins = random_pins(game, rng, player)
         allowed = {v: (u,) for v, u in pins.items()}
         caught = naive_attractor({**full, **allowed}, game.owned_by(opponent(player)), cause)
-        assert _avoid_set(game, player, cause, allowed) == set(game.vertices) - set(caught)
+        assert avoid_set(game, player, cause, allowed) == set(game.vertices) - set(caught)
 
 
 @FUZZ
@@ -129,8 +145,9 @@ def test_solved_strategies_descend_the_attractor(seed, cyclic):
         allowed = edge_subsets(game, rng, player)
         adj = {**full, **allowed}
         rank = naive_attractor(adj, game.reach_owned, game.effect)
-        wins, choice = _solve_for(game, player, allowed)
+        wins, picks = _solve_for(game, player, int_allowed(game, allowed))
         assert wins == ((game.initial in rank) == (player == REACH))
+        choice = strategy_of(game, player, picks).choice
         assert_attractor_choices(game, adj, rank, player, choice)
 
 
@@ -153,7 +170,7 @@ def test_maximal_avoiding_set_matches_reference(seed):
     adjacency = {s: ts.successors(s) for s in states}
     doomed = naive_attractor(adjacency, frozenset(), avoid)
     for s in states:
-        assert exists_maximal_path_avoiding(ts, s, avoid) == (s not in doomed)
+        assert (s in avoiding(ts, avoid)) == (s not in doomed)
 
 
 @FUZZ
@@ -165,16 +182,19 @@ def test_pinned_attractor_resumes_to_a_fresh_one(seed, cyclic):
         existential = game.owned_by(opponent(player))
         target = set(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
         adj = game.adjacency()
-        caught = Attractor(game.adjacency(), existential, target)
+        caught = Attractor(int_graph(game, adj), flags(game, existential),
+                           [game.index[v] for v in target])
         unpinned = [v for v in game.vertices if v not in existential and adj[v]]
         rng.shuffle(unpinned)
         while unpinned:
             k = rng.randint(1, 4)
             layer, unpinned = unpinned[:k], unpinned[k:]
             pins = {v: rng.choice(game.successors(v)) for v in layer}
-            caught.pin(pins)
+            caught.pin({game.index[v]: game.index[u] for v, u in pins.items()})
             adj.update((v, (u,)) for v, u in pins.items())
-            assert set(caught.rank) == set(naive_attractor(adj, existential, target))
+            members = set(id_ranks(game, caught.rank))
+            assert members == set(naive_attractor(adj, existential, target))
+            assert {game.ids[v] for v in caught.order} == members
 
 
 @FUZZ
@@ -188,7 +208,7 @@ def test_pref_h_matches_the_per_radius_loop(seed, cyclic, island):
         if not game.owned_by(player):
             continue
         sigma = random_strategy(rng, game, player)
-        plays = sorted(set(play_graph(game, sigma)) - game.effect)
+        plays = sorted(naive_reachable(id_adjacency(game, sigma), game.initial) - game.effect)
         cause = frozenset(rng.sample(plays if rng.random() < 0.7 else pool, 1))
         if rng.random() < 0.3:
             cause |= {rng.choice(pool)}
@@ -232,14 +252,15 @@ def test_acyclicity_matches_the_colored_search(seed, cyclic, island):
     game, rng = random_game(seed, cyclic)
     if island:
         game = with_unreachable_copy(game, rng)
-    graphs = [random_digraph(rng), game.adjacency()]
-    graphs += [
-        strategy_adjacency(game, random_strategy(rng, game, player))
-        for player in (REACH, SAFE)
-    ]
-    for adj in graphs:
-        assert is_acyclic(adj) == naive_is_acyclic(adj)
-        assert is_effectively_acyclic(adj) == naive_is_effectively_acyclic(adj)
+    digraph = random_digraph(rng)
+    graphs = [(digraph, [digraph[v] for v in range(len(digraph))])]
+    for adj in [game.adjacency()] + [
+        id_adjacency(game, random_strategy(rng, game, player)) for player in (REACH, SAFE)
+    ]:
+        graphs.append((adj, int_graph(game, adj)))
+    for adj, numbered in graphs:
+        assert is_acyclic(numbered) == naive_is_acyclic(adj)
+        assert is_effectively_acyclic(numbered) == naive_is_effectively_acyclic(adj)
 
 
 @FUZZ
@@ -250,8 +271,9 @@ def test_repair_costs_match_the_sweep(seed, cyclic, island):
         game = with_unreachable_copy(game, rng)
     sigma = random_strategy(rng, game, REACH)
     swept = naive_repair_costs(game, sigma)
-    costs = _deviation_costs(game, sigma, strategy_adjacency(game, sigma))
-    assert costs == {v: c for v, c in swept.items() if c != INF}
+    picks = validate_strategy(game, sigma)
+    costs = _deviation_costs(game, picks, strategy_adjacency(game, picks))
+    assert dict(zip(game.ids, costs)) == swept
 
 
 @FUZZ
@@ -317,7 +339,9 @@ def test_tree_min_changes_matches_the_recursion(seed, shape, island):
         except RecursionError:
             expected = "NotAcyclic"
         try:
-            got = tree_min_changes(game, sigma, cause)
+            got = tree_min_changes(
+                game, validate_strategy(game, sigma), {game.index[c] for c in cause}
+            )
         except NotAcyclic:
             got = "NotAcyclic"
         assert got == expected

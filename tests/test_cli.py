@@ -440,6 +440,32 @@ def test_sem_bridge_over_the_unroll_cap_exit_3(tmp_path, capsys):
     assert capsys.readouterr() == ("", "causekit: unrolling 17 variables needs 262143 states\n")
 
 
+NESTED = "[" * 100_000  # deeper than the JSON decoder can recurse
+
+
+@pytest.mark.parametrize("command", [["solve"], ["explain", "--strategy", "{sigma}"]])
+def test_a_deeply_nested_model_file_exits_2(tmp_path, capsys, command):
+    from causekit import cli
+
+    model = tmp_path / "deep.json"
+    model.write_text(NESTED)
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps({"player": "reach", "choices": {}}))
+    argv = [*command, "--model", str(model)]
+    assert cli.main([a.format(sigma=sigma) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"causekit: {model}: JSON nested too deeply\n")
+
+
+def test_a_deeply_nested_effect_flag_exits_2(tmp_path, capsys):
+    from causekit import cli
+
+    sem = tmp_path / "sem.json"
+    sem.write_text(json.dumps({"kind": "sem", "variables": ["X1"], "tables": [[True]]}))
+    argv = ["sem", "butfor", "--model", str(sem), "--effect", NESTED, "--vars", "X1"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "causekit: --effect: JSON nested too deeply\n")
+
+
 DEEP = 1100  # deeper than the interpreter's default recursion limit
 
 

@@ -2,8 +2,9 @@
 
 Each example takes one command over the shipped fixtures or a small SEM
 document, damages one of its input files (replaced or deleted JSON values,
-sometimes truncated text) and runs `cli.main` in-process.  The run must end
-with an exit code from 0 to 3 and no uncaught exception.
+sometimes truncated text or nested too deeply to decode) and runs
+`cli.main` in-process.  The run must end with an exit code from 0 to 3 and
+no uncaught exception.
 """
 
 import copy
@@ -96,6 +97,9 @@ def damage(data, doc):
     text = json.dumps(doc)
     if data.draw(st.integers(0, 4)) == 0:
         text = text[: data.draw(st.integers(0, len(text)))]
+    if data.draw(st.integers(0, 9)) == 0:  # past the decoder's recursion limit
+        depth = 100_000
+        text = "[" * depth + text + "]" * data.draw(st.sampled_from((0, depth)))
     return text
 
 

@@ -17,7 +17,6 @@ from causekit.game_causality import (
     METRIC_DSTAR,
     METRIC_HAMM_S,
     METRIC_PREF_H,
-    avoid_region,
     brute_force_check_cause,
     check_cause_game,
     enumerate_strategies,
@@ -30,12 +29,22 @@ from causekit.game_causality import (
     solve,
     strategy_avoids,
     strategy_is_winning,
-    tree_min_changes,
 )
 from causekit.generators import GeneratorSpec, generate, random_strategy
-from causekit.model import MDStrategy, reachable_set, strategy_adjacency
+from causekit.model import MDStrategy, strategy_adjacency, validate_strategy
 
-from helpers import dstar_oracle, hausdorff_oracle, strategy_space_size
+from helpers import (
+    dstar_oracle,
+    hausdorff_oracle,
+    id_adjacency,
+    id_avoid_region,
+    id_graph,
+    id_tree_min_changes,
+    int_graph,
+    naive_avoiding,
+    naive_reachable,
+    strategy_space_size,
+)
 
 
 def query(game, sigma, cause, metric, player="reach"):
@@ -76,12 +85,12 @@ def test_solve_regions_certified_by_played_strategies():
 
 def test_avoid_region_tree_game():
     game, _ = tree_game()
-    region, allowed = avoid_region(game, "reach", frozenset({"v2", "v3"}))
+    region, allowed = id_avoid_region(game, "reach", frozenset({"v2", "v3"}))
     assert game.initial in region
     assert "v2" not in region and "v3" not in region
     assert allowed["v0"] == ("s00",)
     assert allowed["v1"] == ("s11",)
-    everything, _ = avoid_region(game, "reach", frozenset())
+    everything, _ = id_avoid_region(game, "reach", frozenset())
     assert everything == set(game.vertices)
 
 
@@ -94,10 +103,10 @@ def test_avoid_region_certifies_avoidance():
             if not pool:
                 continue
             cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
-            region, allowed = avoid_region(game, player, cause)
+            region, allowed = id_avoid_region(game, player, cause)
             for tau in enumerate_strategies(game, player):
                 avoids = strategy_avoids(game, tau, cause)
-                seen = reachable_set(strategy_adjacency(game, tau), game.initial)
+                seen = naive_reachable(id_adjacency(game, tau), game.initial)
                 preserving = game.initial in region and all(
                     tau.choice[v] in allowed.get(v, ())
                     for v in seen & set(game.owned_by(player))
@@ -153,15 +162,15 @@ def test_hamm_s_needs_acyclicity():
 
 def test_tree_min_changes_matches_search():
     game, sigma = tree_game()
-    assert tree_min_changes(game, sigma, frozenset({"v3"})) == 1
-    assert tree_min_changes(game, sigma, frozenset({"v2", "v3"})) == 1
-    assert tree_min_changes(game, sigma, frozenset({"s11", "v3"})) == INF
+    assert id_tree_min_changes(game, sigma, frozenset({"v3"})) == 1
+    assert id_tree_min_changes(game, sigma, frozenset({"v2", "v3"})) == 1
+    assert id_tree_min_changes(game, sigma, frozenset({"s11", "v3"})) == INF
 
 
 def test_tree_min_changes_rejects_a_cyclic_game():
     game, sigma = loop_game()  # v1 has a non-trap self-loop
     with pytest.raises(NotAcyclic):
-        tree_min_changes(game, sigma, frozenset())
+        id_tree_min_changes(game, sigma, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +433,6 @@ def test_min_dstar_acyclic_matches_enumeration():
 def live_cause_queries(rng, seeds, states, metric, need, cap=800):
     """Queries whose cause conditions hold, found by probing singleton
     causes; mirrors how interesting instances arise in practice."""
-    from causekit.game_causality import avoid_region
     from causekit.model import is_effectively_acyclic
 
     out = []
@@ -437,14 +445,16 @@ def live_cause_queries(rng, seeds, states, metric, need, cap=800):
             continue
         if strategy_space_size(game, "safe") > cap:
             continue
-        if metric == METRIC_HAMM_S and not is_effectively_acyclic(game.adjacency()):
+        if metric == METRIC_HAMM_S and not is_effectively_acyclic(
+            int_graph(game, game.adjacency())
+        ):
             continue
         for player in ("reach", "safe"):
             sigma = random_strategy(rng, game, player)
             live = []
             for v in sorted(set(game.vertices) - game.effect):
                 cause = frozenset({v})
-                region, _ = avoid_region(game, player, cause)
+                region, _ = id_avoid_region(game, player, cause)
                 if game.initial in region and losing_play_reaches_cause(
                     game, sigma, cause
                 ):
@@ -553,19 +563,17 @@ def test_minimality_matches_pure_enumeration():
 
 
 def test_solve_strategies_win_from_their_whole_region():
-    from causekit.model import maximal_avoiding_set, strategy_adjacency, reachable_set
-
     for seed in range(60):
         family = "cyclic-game" if seed % 2 else "acyclic-game"
         game = generate(GeneratorSpec(family, seed=seed, states=7))
         analysis = solve(game)
-        reach_adj = strategy_adjacency(game, analysis.reach_strategy)
-        dodging = maximal_avoiding_set(reach_adj, game.effect)
+        reach_adj = id_adjacency(game, analysis.reach_strategy)
+        dodging = naive_avoiding(reach_adj, game.effect)
         for v in analysis.reach_region:
             assert v not in dodging, (seed, v)
-        safe_adj = strategy_adjacency(game, analysis.safe_strategy)
+        safe_adj = id_adjacency(game, analysis.safe_strategy)
         for v in analysis.safe_region:
-            assert not (game.effect & reachable_set(safe_adj, v)), (seed, v)
+            assert not (game.effect & naive_reachable(safe_adj, v)), (seed, v)
 
 
 def test_opponent_owns_everything():
@@ -585,7 +593,8 @@ def test_opponent_owns_everything():
     verdict = check_cause_game(query(game, sigma, {"v1"}, METRIC_PREF_H))
     assert not verdict.is_cause and verdict.condition1 and not verdict.condition2
     # restriction with an empty strategy keeps the arena unchanged
-    assert strategy_adjacency(game, sigma) == game.adjacency()
+    restricted = strategy_adjacency(game, validate_strategy(game, sigma))
+    assert id_graph(game, restricted) == game.adjacency()
 
 
 def test_sigma_already_avoiding_fails_condition1():

@@ -1,11 +1,15 @@
-"""Every name a causekit module imports is used in it or exported by it."""
+"""Every name a causekit module imports is used in it or exported by it, and
+every public function and class of a module is used by the package, the
+demos or the benchmark, so code only the tests call stays in the tests."""
 
 import ast
 import pathlib
 
 import pytest
 
-SOURCES = sorted((pathlib.Path(__file__).parent.parent / "src" / "causekit").glob("*.py"))
+ROOT = pathlib.Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "causekit").glob("*.py"))
+USERS = sorted(p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source):
@@ -36,3 +40,43 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def referenced_names(sources):
+    """The names that a name expression, an attribute or a from-import of
+    any of `sources` reads; a definition reads nothing."""
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced(module, names):
+    """The public top-level functions and classes of `module` not in `names`."""
+    return [
+        node.name
+        for node in ast.parse(module).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in names
+    ]
+
+
+def test_the_check_sees_an_unreferenced_function():
+    module = "def used():\n    pass\n\ndef unused():\n    used()\n\nclass _Private:\n    pass\n"
+    user = "from m import used\nimport m\nm.used()\n"
+    assert unreferenced(module, referenced_names([module, user])) == ["unused"]
+
+
+def test_every_public_function_is_used_outside_the_tests():
+    names = referenced_names(path.read_text(encoding="utf-8") for path in USERS)
+    assert {
+        path.name: unreferenced(path.read_text(encoding="utf-8"), names)
+        for path in SOURCES
+    } == {path.name: [] for path in SOURCES}

@@ -11,7 +11,6 @@ from causekit.model import (
     MDStrategy,
     ReachabilityGame,
     TransitionSystem,
-    exists_maximal_path_avoiding,
     is_acyclic,
     is_effectively_acyclic,
     maximal_paths,
@@ -20,11 +19,25 @@ from causekit.model import (
     reachable_set,
     shortest_route,
     strategy_adjacency,
-    validate_maximal_path,
     validate_strategy,
+    validate_maximal_path,
 )
 
-from helpers import budgeted, naive_bfs_path, naive_maximal_paths
+from helpers import (
+    avoiding,
+    budgeted,
+    id_graph,
+    int_graph,
+    naive_bfs_path,
+    naive_maximal_paths,
+    numbers,
+    successor_map,
+)
+
+
+def restricted_graph(game, strategy):
+    """`strategy_adjacency` from and to ids."""
+    return id_graph(game, strategy_adjacency(game, validate_strategy(game, strategy)))
 
 
 def small_ts():
@@ -85,7 +98,7 @@ def test_unknown_source_raises_invalid_model():
 
 def test_restrict_tree_game():
     game, sigma = tree_game()
-    restricted = strategy_adjacency(game, sigma)
+    restricted = restricted_graph(game, sigma)
     assert restricted["v0"] == ("s00",)
     assert restricted["v1"] == ("v3",)
     assert restricted["start"] == ("v0", "v1")
@@ -119,9 +132,9 @@ def test_validate_strategy_names_the_sorted_first_offender(changes, message):
 def test_restrict_opponent_only_is_identity():
     game, _ = tree_game()
     sigma = MDStrategy("safe", {v: game.successors(v)[0] for v in game.safe_owned})
-    restricted = strategy_adjacency(game, MDStrategy("reach", {"v0": "s00", "v1": "v3"}))
+    restricted = restricted_graph(game, MDStrategy("reach", {"v0": "s00", "v1": "v3"}))
     assert {(v, u) for v, succ in restricted.items() for u in succ} <= game.edges
-    safe_only = strategy_adjacency(game, sigma)
+    safe_only = restricted_graph(game, sigma)
     for v in game.safe_owned:
         assert len(safe_only[v]) == 1
 
@@ -132,9 +145,11 @@ def test_restricted_owned_outdegree_one():
         game = generate(GeneratorSpec("cyclic-game", seed=seed, states=7))
         for player in ("reach", "safe"):
             tau = random_strategy(rng, game, player)
-            adj = strategy_adjacency(game, tau)
-            assert adj.keys() == game._succ.keys()
-            for v in reachable_set(adj, game.initial):
+            picks = validate_strategy(game, tau)
+            adj = restricted_graph(game, tau)
+            assert list(adj) == list(game.vertices)
+            seen = reachable_set(strategy_adjacency(game, picks), game.index[game.initial])
+            for v in map(game.ids.__getitem__, seen):
                 if v in game.owned_by(player):
                     assert adj[v] == (tau.choice[v],)
                     assert tau.choice[v] in game.successors(v)
@@ -144,15 +159,14 @@ def test_restricted_owned_outdegree_one():
 
 def test_exists_maximal_path_avoiding_branching():
     ts, _pi, cause, _effect = branching_ts()
-    assert exists_maximal_path_avoiding(ts, "s0", cause)
-    assert exists_maximal_path_avoiding(ts, "s0", frozenset())
-    assert not exists_maximal_path_avoiding(ts, "s2", {"s2"})
+    assert "s0" in avoiding(ts, cause)
+    assert "s0" in avoiding(ts, frozenset())
+    assert "s2" not in avoiding(ts, {"s2"})
 
 
 def test_exists_maximal_path_avoiding_empty_avoid_everywhere():
     ts = small_ts()
-    for s in ts.states:
-        assert exists_maximal_path_avoiding(ts, s, frozenset())
+    assert avoiding(ts, frozenset()) == set(ts.states)
 
 
 def test_fixpoint_agrees_with_enumeration_acyclic():
@@ -164,7 +178,7 @@ def test_fixpoint_agrees_with_enumeration_acyclic():
             rng.sample(list(ts.states), rng.randint(0, min(3, len(ts.states))))
         )
         expected = any(not (set(p) & avoid) for p in paths)
-        assert exists_maximal_path_avoiding(ts, ts.initial, avoid) == expected
+        assert (ts.initial in avoiding(ts, avoid)) == expected
 
 
 def test_validate_maximal_path_branching():
@@ -180,13 +194,13 @@ def test_validate_maximal_path_branching():
 
 def test_effective_acyclicity():
     game, _ = tree_game()
-    assert is_effectively_acyclic(game.adjacency())
+    assert is_effectively_acyclic(int_graph(game, game.adjacency()))
     cyclic = generate(GeneratorSpec("cyclic-game", seed=5, states=6))
     adj = cyclic.adjacency()
     # self-loops at vertices with other edges stay cycles
     looped = {v: s for v, s in adj.items()}
     looped["v0"] = tuple(sorted(set(looped["v0"]) | {"v0"}))
-    assert not is_effectively_acyclic(looped)
+    assert not is_effectively_acyclic(int_graph(cyclic, looped))
 
 
 def test_model_json_roundtrip():
@@ -226,7 +240,8 @@ def test_maximal_paths_match_the_recursive_walk(seed, cyclic):
     if cyclic:
         back = [(s, rng.choice(ts.states)) for s in rng.sample(ts.states, 2)]
         ts = replace(ts, transitions=ts.transitions | set(back))
-    max_len = rng.choice((None, rng.randint(1, 7))) if is_acyclic(ts._succ) else rng.randint(1, 7)
+    acyclic = is_acyclic(int_graph(ts, successor_map(ts)))
+    max_len = rng.choice((None, rng.randint(1, 7))) if acyclic else rng.randint(1, 7)
     limit = rng.choice((None, rng.randint(0, 30)))
     assert budgeted(maximal_paths, ts, max_len, limit=limit) == (
         budgeted(naive_maximal_paths, ts, max_len, limit=limit)
@@ -242,12 +257,20 @@ def test_shortest_route_matches_the_naive_walk(seed, cyclic):
         back = [(s, rng.choice(ts.states)) for s in rng.sample(ts.states, 2)]
         ts = replace(ts, transitions=ts.transitions | set(back))
     terminals = frozenset(s for s in ts.states if ts.is_terminal(s))
+    succ = int_graph(ts, successor_map(ts))
+
+    def route(start, targets, walls):
+        """`shortest_route` from and to ids."""
+        found = shortest_route(succ, ts.index[start], lambda v: ts.ids[v] in targets,
+                               set(numbers(ts, walls)))
+        return None if found is None else tuple(ts.ids[v] for v in found)
+
     for start in ts.states:
         avoid = frozenset(rng.sample(ts.states, rng.randint(0, len(ts.states) // 2)))
         goals = frozenset(rng.sample(ts.states, rng.randint(0, min(3, len(ts.states)))))
         # The empty goal set is unreachable, and so is any goal behind `avoid`.
         for targets in (goals, terminals, frozenset(), frozenset({start})):
             for walls in (avoid - {start}, avoid | {start}):
-                assert shortest_route(ts._succ, start, targets.__contains__, walls) == (
+                assert route(start, targets, walls) == (
                     naive_bfs_path(ts, start, targets, walls)
                 )

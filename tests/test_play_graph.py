@@ -1,5 +1,7 @@
 """Strategy predicates and distances on the play graph against their
-whole-adjacency references, on games with parts no play reaches."""
+whole-adjacency references, on games with parts no play reaches.  The
+references run on ids; the kernels get and give picks and vertex numbers,
+converted here."""
 
 import random
 from itertools import islice
@@ -39,12 +41,15 @@ from causekit.model import (
     game_from_owners,
     play_graph,
     play_layers,
-    reachable_set,
-    strategy_adjacency,
+    strategy_of,
+    validate_strategy,
 )
 
 from helpers import (
     budgeted,
+    id_adjacency,
+    int_graph,
+    naive_reachable,
     naive_distinct_matched,
     naive_dstrat,
     naive_losing_play_reaches_cause,
@@ -59,6 +64,25 @@ from helpers import (
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
 
+def id_key(game, player, picks):
+    """The sorted (vertex, choice) id pairs of the picks."""
+    return tuple(sorted(strategy_of(game, player, picks).choice.items()))
+
+
+def min_winning(game, sigma, metric, threshold, budget):
+    """`_min_winning` from and to strategies."""
+    d, picks = _min_winning(
+        game, sigma.player, validate_strategy(game, sigma), metric, threshold, budget
+    )
+    return d, None if picks is None else strategy_of(game, sigma.player, picks)
+
+
+def naive_min_winning_picks(game, player, sigma, metric, threshold, budget):
+    """`naive_min_winning` with the arguments and the result of `_min_winning`."""
+    d, tau = naive_min_winning(game, strategy_of(game, player, sigma), metric, threshold, budget)
+    return d, None if tau is None else validate_strategy(game, tau)
+
+
 @FUZZ
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_play_graph_helpers_match_the_whole_adjacency(seed, cyclic):
@@ -69,17 +93,22 @@ def test_play_graph_helpers_match_the_whole_adjacency(seed, cyclic):
         if not game.owned_by(player):
             continue
         sigma, tau = (random_strategy(rng, game, player) for _ in range(2))
-        adj = strategy_adjacency(game, tau)
-        seen = reachable_set(adj, game.initial)
-        assert play_graph(game, tau) == {v: adj[v] for v in seen}
-        assert list(play_layers(game, tau)) == naive_pin_layers(game, tau)
+        picks, ids = validate_strategy(game, tau), game.ids
+        adj = id_adjacency(game, tau)
+        seen = naive_reachable(adj, game.initial)
+        graph = play_graph(game, picks)
+        graph = {ids[v]: tuple(ids[u] for u in ends) for v, ends in graph.items()}
+        assert graph == {v: adj[v] for v in seen}
+        layers = [[ids[v] for v in layer] for layer in play_layers(game, picks)]
+        assert layers == naive_pin_layers(game, tau)
         assert strategy_is_winning(game, tau) == naive_strategy_is_winning(game, tau)
         cause = frozenset(rng.sample(pool, rng.randint(1, min(3, len(pool)))))
         assert strategy_avoids(game, tau, cause) == naive_strategy_avoids(game, tau, cause)
         assert losing_play_reaches_cause(game, sigma, cause) == (
             naive_losing_play_reaches_cause(game, sigma, cause)
         )
-        assert _sigma_matched(game, tau, sigma).choice == (
+        matched = _sigma_matched(game, picks, validate_strategy(game, sigma))
+        assert strategy_of(game, player, matched).choice == (
             naive_sigma_matched(game, tau, sigma).choice
         )
         limit = rng.choice((None, rng.randint(0, 40)))
@@ -101,7 +130,11 @@ def test_distinct_matched_matches_matching_every_candidate(seed, cyclic, shuffle
         candidates = list(islice(enumerate_strategies(game, player), 3000))
         if shuffled:
             rng.shuffle(candidates)
-        got = [(key, tau.choice) for key, tau in _distinct_matched(game, sigma, candidates)]
+        numbered = [validate_strategy(game, tau) for tau in candidates]
+        matched = _distinct_matched(game, validate_strategy(game, sigma), numbered)
+        got = [
+            (id_key(game, player, tau), strategy_of(game, player, tau).choice) for tau in matched
+        ]
         assert got == naive_distinct_matched(game, sigma, candidates)
 
 
@@ -124,10 +157,10 @@ def small_games(seed, cyclic, island, limit=5000):
 def test_matched_strategies_are_the_distinct_matched_products(seed, cyclic, island):
     for game, player, sigma, _rng in small_games(seed, cyclic, island):
         budget = Budget()
-        got = list(_matched_strategies(game, sigma, game._succ, budget))
-        keys = [key for key, _tau in got]
+        options = int_graph(game, game.adjacency())
+        got = list(_matched_strategies(game, validate_strategy(game, sigma), options, budget))
+        keys = [id_key(game, player, tau) for tau in got]
         assert len(set(keys)) == len(keys) == budget.used
-        assert all(tau.choice == dict(key) and tau.player == player for key, tau in got)
         want = naive_distinct_matched(game, sigma, enumerate_strategies(game, player))
         assert set(keys) == {key for key, _choice in want}
 
@@ -141,7 +174,7 @@ def reference_min_winning_distance(game, sigma, metric, threshold, budget):
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_dstar_winning_searches_match_the_product_search(seed, cyclic, island):
     for game, player, sigma, rng in small_games(seed, cyclic, island):
-        got, used = budgeted(_min_winning, game, sigma, METRIC_DSTAR, None)
+        got, used = budgeted(min_winning, game, sigma, METRIC_DSTAR, None)
         want, want_used = budgeted(naive_min_winning, game, sigma, METRIC_DSTAR, None)
         assert (got, used <= want_used) == (want, True)
         args = (game, sigma, METRIC_DSTAR, rng.randint(0, 3))
@@ -159,7 +192,7 @@ def test_dstar_winning_searches_match_the_product_search(seed, cyclic, island):
         for vertex_set in sets:
             args = (game, sigma, vertex_set, METRIC_DSTAR)
             got, used = budgeted(is_minimal_explanation, *args)
-            with mock.patch.object(game_causality, "_min_winning", naive_min_winning):
+            with mock.patch.object(game_causality, "_min_winning", naive_min_winning_picks):
                 want, want_used = budgeted(is_minimal_explanation, *args)
             assert (got, used <= want_used) == (want, True)
 
@@ -189,7 +222,7 @@ def test_repair_rejects_a_sigma_cycle_no_play_reaches():
          ("v1", "g"), ("v2", "g")},
     )
     sigma = MDStrategy(REACH, {"v0": "t", "v1": "v2"})
-    assert set(play_graph(game, sigma)) == {"v0", "t"}
+    assert {game.ids[v] for v in play_graph(game, validate_strategy(game, sigma))} == {"v0", "t"}
     with pytest.raises(NotAcyclic):
         min_dstar_winning_strategy_acyclic(game, sigma)
 
@@ -208,4 +241,4 @@ def test_dstar_searches_build_sigmas_play_graph_once(monkeypatch):
     assert check_cause_game(query).witnesses
     assert min_winning_distance(game, sigma, METRIC_DSTAR) == 1
     assert is_minimal_explanation(game, sigma, {"v1"}, METRIC_DSTAR)
-    assert built and all(strategy is not sigma for strategy in built)
+    assert built and all(strategy != validate_strategy(game, sigma) for strategy in built)

@@ -28,7 +28,8 @@ from causekit.game_causality import (
     min_winning_distance,
 )
 from causekit.generators import acyclic_game, cyclic_game, random_strategy
-from causekit.model import reachable_set, strategy_adjacency
+
+from helpers import id_adjacency, naive_reachable
 
 PINS = Path(__file__).with_name("search_pins.json")
 GAMES = 80
@@ -61,7 +62,7 @@ def sweep():
             if not game.owned_by(player):
                 continue
             sigma = random_strategy(rng, game, player)
-            seen = reachable_set(strategy_adjacency(game, sigma), game.initial)
+            seen = naive_reachable(id_adjacency(game, sigma), game.initial)
             pool = sorted(seen - game.effect - {game.initial})
             for _ in range(2 if pool else 0):
                 cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))

@@ -123,7 +123,7 @@ def test_no_avoider_means_no_cause():
 def test_validate_layered():
     ts, _pi, _c, _e = branching_ts()
     depth = validate_layered(ts)
-    assert depth["s0"] == 0 and depth["s8"] == 3
+    assert depth[ts.index["s0"]] == 0 and depth[ts.index["s8"]] == 3
     skewed = TransitionSystem(
         states=("s0", "s1", "s2"),
         initial="s0",
@@ -210,23 +210,26 @@ def test_lev_product_tiny():
         labeling={"s0": "a"},
         alphabet=("a",),
     )
+    s0 = ts.index["s0"]  # products run on state numbers
     start, start_weight, successors, goal_class = lev_product(
-        ts, ("s0",), frozenset(), frozenset()
+        ts, (s0,), frozenset(), frozenset()
     )
-    assert (start, start_weight) == (("s0", 1), 0)
+    assert (start, start_weight) == ((s0, 1), 0)
     assert list(successors(start)) == []
     assert goal_class(start) == "other"
-    assert lev_product(ts, ("s0",), frozenset(), {"s0"})[3](start) == "effect"
+    assert lev_product(ts, (s0,), frozenset(), {s0})[3](start) == "effect"
     best, parent = dijkstra(start, start_weight, successors, goal_class)
-    assert best == {"other": (0, ("s0", 1))}
-    assert parent == {("s0", 1): None}
+    assert best == {"other": (0, (s0, 1))}
+    assert parent == {(s0, 1): None}
 
 
 def test_lev_product_zero_route_for_identical_traces():
     ts, pi, _c, effect = branching_ts()
-    best, _parent = dijkstra(*lev_product(ts, pi, frozenset(), effect))
-    assert best["effect"] == (0, ("s8", 4))  # the execution itself
-    assert best["other"] == (0, ("s5", 4))  # the identical-trace left branch
+    index = ts.index
+    numbered = tuple(index[s] for s in pi)
+    best, _parent = dijkstra(*lev_product(ts, numbered, frozenset(), {index[s] for s in effect}))
+    assert best["effect"] == (0, (index["s8"], 4))  # the execution itself
+    assert best["other"] == (0, (index["s5"], 4))  # the identical-trace left branch
 
 
 def test_dijkstra_keeps_least_goal_per_class_and_stops_past_it():
@@ -252,9 +255,10 @@ def test_lev_self_loop_prefers_skip_over_step():
         labeling={"s0": "a", "s1": "b"},
         alphabet=("a", "b"),
     )
-    start, weight, successors, _goal = lev_product(ts, ("s0", "s1"), frozenset(), frozenset())
+    s0, s1 = ts.index["s0"], ts.index["s1"]
+    start, weight, successors, _goal = lev_product(ts, (s0, s1), frozenset(), frozenset())
     _best, parent = dijkstra(start, weight, successors, lambda node: None)
-    assert parent[("s0", 2)] == (("s0", 1), (("s0", 2), 1, "skip"))
+    assert parent[(s0, 2)] == ((s0, 1), ((s0, 2), 1, "skip"))
 
 
 def test_ghamm_mixed_lengths_against_direct_formula():
