@@ -17,7 +17,9 @@ sigma-matched strategy once by branching only at vertices its plays reach
 sigma-matches and deduplicates `_variants` for the d* cause check.  Each
 charges one budget unit per candidate.  A candidate is matched, tested and
 measured on its play graph (`model.play_graph`), the part of the game its
-plays can visit.  The acyclic d* repair skips the exact search when its
+plays can visit; the win and condition-1 checks run the attractor on that
+graph numbered afresh (`model.play_arena`), so they cost what the plays
+cost.  The acyclic d* repair skips the exact search when its
 deviation costs certify the proposed strategy.
 
 Everything here runs on the game's vertex numbers (see `model`): vertex
@@ -50,10 +52,10 @@ from .model import (
     Attractor,
     MDStrategy,
     attractor,
-    dense,
     is_effectively_acyclic,
     maximal_avoiding_set,
     opponent,
+    play_arena,
     play_graph,
     play_layers,
     reachable_set,
@@ -165,19 +167,23 @@ def avoid_region(game, player, cause):
     never visiting the vertices `cause`, with the region-preserving edge
     sets at the player's vertices in the region."""
     for c in sorted(cause):
-        if game._owner[c] == EFFECT:
+        if game._owns[EFFECT][c]:
             raise PreconditionViolated(f"cause vertex {game.ids[c]!r} lies in the effect set")
     region = _avoid_set(game, player, cause, {})
     return region, _kept_edges(game, player, region)
 
 
 def _kept_edges(game, player, region):
-    """The edges into `region` of each of the player's vertices in it."""
+    """The edges into `region` of each of the player's vertices in it: all
+    their edges, trimmed at the vertices with a successor outside."""
     succ, keep = game._succ, region.__getitem__
-    return {
-        v: succ[v] if all(map(keep, succ[v])) else tuple(compress(succ[v], map(keep, succ[v])))
-        for v in compress(range(len(succ)), map(and_, game._owns[player], region))
-    }
+    mine = list(compress(range(len(succ)), map(and_, game._owns[player], region)))
+    kept = dict(zip(mine, map(succ.__getitem__, mine)))
+    for u in compress(range(len(succ)), map(not_, region)):
+        for v in game._pred[u]:
+            if v in kept:
+                kept[v] = tuple(filter(keep, succ[v]))
+    return kept
 
 
 def _avoid_set(game, player, cause, allowed):
@@ -214,10 +220,11 @@ def strategy_is_winning(game, strategy):
 def _wins(game, player, picks):
     """Whether the player's picks win: for Reach every play reaches the
     effect set, for Safe none does."""
-    graph = play_graph(game, picks)
-    if player == REACH:
-        return not maximal_avoiding_set(dense(graph, len(picks)), game._targets)[game._init]
-    return not any(map(game._owns[EFFECT].__getitem__, graph))
+    effect = game._owns[EFFECT].__getitem__
+    if player == SAFE:
+        return not any(map(effect, play_graph(game, picks)))
+    seen, succ = play_arena(game, picks)
+    return not maximal_avoiding_set(succ, compress(range(len(succ)), map(effect, seen)))[0]
 
 
 def strategy_avoids(game, strategy, cause):
@@ -241,15 +248,15 @@ def losing_play_reaches_cause(game, sigma, cause):
 
 
 def _condition1(game, player, picks, cause):
-    graph = play_graph(game, picks)
-    hits = sorted(c for c in cause if c in graph)
+    seen, succ = play_arena(game, picks)
+    hits = [seen[c] for c in cause if c in seen]
     if not hits:
         return False
+    effect = list(map(game._owns[EFFECT].__getitem__, seen))
     if player == SAFE:
-        effect = game._owns[EFFECT].__getitem__
-        return any(any(map(effect, reachable_set(graph, c))) for c in hits)
-    dodging = maximal_avoiding_set(dense(graph, len(picks)), game._targets)
-    return any(dodging[c] for c in hits)
+        return any(any(map(effect.__getitem__, reachable_set(succ, c))) for c in hits)
+    dodging = maximal_avoiding_set(succ, compress(range(len(succ)), effect))
+    return any(map(dodging.__getitem__, hits))
 
 
 def enumerate_strategies(game, player, budget=None):

@@ -9,7 +9,7 @@ safe to share across threads.
 Numbering.  A model numbers its states or vertices once, in sorted-id order:
 `ids[i]` is the id of vertex i and `index` maps an id to its number.  It
 keeps successor tuples (`_succ`) of numbers, sorted and without duplicates,
-filled in one loop over the given pairs, and an owner list (`_owner`, games)
+filled in one loop over the given pairs, and owner flags (`_owns`, games)
 or a label list (`_labels`, systems).  The predecessor lists (`_pred`) are
 built from `_succ` when a fixpoint first needs them.  Number
 order is id order, so a sorted list of numbers names a sorted list of ids,
@@ -38,7 +38,9 @@ Two breadth-first walks answer the questions the checkers ask of paths.
 `shortest_route` is the least shortest route to a goal: each layer is
 sorted and a vertex keeps the first parent that reaches it.  `play_layers`
 yields the owned vertices of a strategy's play graph by depth, each layer
-in discovery order; its callers read the layers as sets.
+in discovery order; its callers read the layers as sets.  `play_arena`
+numbers a play graph afresh in discovery order, so that an attractor over
+the plays costs what the plays cost, however large the rest of the game.
 """
 
 import json
@@ -46,7 +48,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import is_not, itemgetter, lt, not_
+from operator import is_not, itemgetter, not_
 
 from .errors import (
     CausekitError,
@@ -143,9 +145,8 @@ class TransitionSystem(_Derived):
     }
 
     def __post_init__(self):
-        states = self.states
-        ordered = all(map(lt, states, islice(states, 1, None)))  # sorted, no repeats
-        index = _number(self, states if ordered else sorted(set(states)))
+        # dict.fromkeys keeps the given order, so states given sorted sort in linear time
+        index = _number(self, sorted(dict.fromkeys(self.states)))
         if not index:
             raise InvalidModel("transition system has no states")
         if self.initial not in index:
@@ -174,8 +175,14 @@ class TransitionSystem(_Derived):
         return tuple(self.labeling[s] for s in sequence)
 
 
+def _owner_list(game):
+    """The owner of each vertex, by number, read off the owner flags."""
+    reach, safe = game._owns[REACH], game._owns[SAFE]
+    return [REACH if r else SAFE if f else EFFECT for r, f in zip(reach, safe)]
+
+
 def _owned(player):
-    """The id set of the vertices `player` owns, derived from the owner list."""
+    """The id set of the vertices `player` owns, derived from the owner flags."""
     return lambda game: frozenset(compress(game.ids, game._owns[player]))
 
 
@@ -191,8 +198,9 @@ class ReachabilityGame(_Derived):
     edge endpoint, and then the effect and the non-effect vertices, each with
     one set test or one loop; a failing check names the least offending edge
     or vertex.  `vertices`, the sorted vertex tuple, is `ids`.  `_owns` maps
-    each owner to a bytes of flags by vertex number, and `_targets` lists the
-    effect vertices' numbers.
+    each owner to a bytes of flags by vertex number, the one stored record
+    of ownership; `_owner`, the owner of each vertex, and `_targets`, the
+    effect vertices' numbers, are derived from it on first read.
     """
 
     reach_owned: frozenset
@@ -202,7 +210,6 @@ class ReachabilityGame(_Derived):
     edges: frozenset
     _succ: list = field(init=False, repr=False, compare=False)
     _pred: list = field(init=False, repr=False, compare=False)
-    _owner: list = field(init=False, repr=False, compare=False)
     _owns: dict = field(init=False, repr=False, compare=False)
     _init: int = field(init=False, repr=False, compare=False)
     _DERIVED = {
@@ -214,6 +221,7 @@ class ReachabilityGame(_Derived):
         "safe_owned": _owned(SAFE),
         "effect": _owned(EFFECT),
         "_targets": lambda game: list(compress(range(len(game.ids)), game._owns[EFFECT])),
+        "_owner": _owner_list,
     }
 
     def __post_init__(self):
@@ -269,8 +277,7 @@ def _fill_game(game, owners):
         raise InvalidModel("game has no vertices")
     if game.initial not in index:
         raise InvalidModel(f"initial vertex {game.initial!r} is not a vertex")
-    owner = list(map(owners.__getitem__, game.ids))
-    codes = bytes(map(_CODES.__getitem__, owner))
+    codes = bytes(map(_CODES.__getitem__, map(owners.__getitem__, game.ids)))
     owns = {p: codes.translate(_FLAGS[p]) for p in OWNERS}
     init = index[game.initial]
     if owns[EFFECT][init]:
@@ -284,7 +291,6 @@ def _fill_game(game, owners):
             raise InvalidModel(f"effect vertex {v!r} has an outgoing edge")
         v = game.ids[ends.index((0, 1))]
         raise InvalidModel(f"non-effect vertex {v!r} is a dead end")
-    object.__setattr__(game, "_owner", owner)
     object.__setattr__(game, "_owns", owns)
     object.__setattr__(game, "_init", init)
 
@@ -423,13 +429,27 @@ def play_graph(game, picks):
     return graph
 
 
-def dense(graph, n):
-    """A play graph as successor tuples over all `n` vertices; vertices it
-    does not reach get none."""
-    out = [()] * n
-    for v, ends in graph.items():
-        out[v] = ends
-    return out
+def play_arena(game, picks):
+    """The play graph numbered afresh in discovery order, for the attractor
+    to run on at the cost of the plays rather than of the game.  Returns
+    (`seen`, `succ`): `seen` maps each vertex some play visits to its new
+    number, the initial vertex 0, and `succ` lists the successors of each
+    by new number."""
+    succ = game._succ
+    seen = {game._init: 0}
+    order = [game._init]
+    out = []
+    for v in order:  # sees the vertices appended below
+        u = picks[v]
+        row = []
+        for w in succ[v] if u is None else (u,):
+            i = seen.get(w)
+            if i is None:
+                i = seen[w] = len(order)
+                order.append(w)
+            row.append(i)
+        out.append(row)
+    return seen, out
 
 
 def play_layers(game, picks):

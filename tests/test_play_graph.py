@@ -39,6 +39,8 @@ from causekit.model import (
     SAFE,
     MDStrategy,
     game_from_owners,
+    maximal_avoiding_set,
+    play_arena,
     play_graph,
     play_layers,
     strategy_of,
@@ -99,6 +101,11 @@ def test_play_graph_helpers_match_the_whole_adjacency(seed, cyclic):
         graph = play_graph(game, picks)
         graph = {ids[v]: tuple(ids[u] for u in ends) for v, ends in graph.items()}
         assert graph == {v: adj[v] for v in seen}
+        numbered, succ = play_arena(game, picks)
+        assert list(numbered.values()) == list(range(len(numbered)))
+        assert numbered[game.index[game.initial]] == 0
+        names = [ids[v] for v in numbered]
+        assert {v: tuple(names[i] for i in row) for v, row in zip(names, succ)} == graph
         layers = [[ids[v] for v in layer] for layer in play_layers(game, picks)]
         assert layers == naive_pin_layers(game, tau)
         assert strategy_is_winning(game, tau) == naive_strategy_is_winning(game, tau)
@@ -242,3 +249,28 @@ def test_dstar_searches_build_sigmas_play_graph_once(monkeypatch):
     assert min_winning_distance(game, sigma, METRIC_DSTAR) == 1
     assert is_minimal_explanation(game, sigma, {"v1"}, METRIC_DSTAR)
     assert built and all(strategy != validate_strategy(game, sigma) for strategy in built)
+
+
+def test_play_checks_run_on_the_play_graph_only(monkeypatch):
+    # v0 chooses between the effect g and the trap t; 400 more Reach
+    # vertices on a chain into t sit where no play goes.  The win and
+    # condition 1 checks run the attractor on the two vertices each play
+    # graph holds, not on the whole game.
+    island = [f"i{k:03d}" for k in range(400)]
+    owners = dict.fromkeys(["v0", *island], REACH)
+    owners.update(t=SAFE, g="effect")
+    edges = {("v0", "g"), ("v0", "t"), ("t", "t")} | set(zip(island, island[1:] + ["t"]))
+    game = game_from_owners(owners, "v0", edges)
+    sizes = []
+
+    def recording(succ, avoid, preds=None, allowed=None):
+        sizes.append(len(succ))
+        return maximal_avoiding_set(succ, avoid, preds, allowed)
+
+    monkeypatch.setattr(game_causality, "maximal_avoiding_set", recording)
+    rest = dict(zip(island, island[1:] + ["t"]))
+    assert strategy_is_winning(game, MDStrategy(REACH, {"v0": "g", **rest}))
+    sigma = MDStrategy(REACH, {"v0": "t", **rest})
+    assert not strategy_is_winning(game, sigma)
+    assert losing_play_reaches_cause(game, sigma, {"t"})
+    assert sizes == [2, 2, 2]
