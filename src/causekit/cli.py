@@ -43,12 +43,12 @@ WORD_DISTANCES = {
     "ghamm": distances.d_ghamm,
     "lev": distances.d_lev,
 }
-# Each takes (game, sigma, tau, budget); dstrat is measured from tau to sigma.
+# Each takes (game, sigma, tau); dstrat is measured from tau to sigma.
 STRATEGY_DISTANCES = {
-    "pref-h": lambda game, sigma, tau, budget: distances.d_pref_hausdorff(game, sigma, tau),
-    "hamm-s": lambda game, sigma, tau, budget: distances.d_hamm_s(game, sigma, tau),
-    "dstar": lambda game, sigma, tau, budget: distances.dstar(game, sigma, tau, budget),
-    "dstrat": lambda game, sigma, tau, budget: distances.dstrat(game, tau, sigma, budget),
+    "pref-h": lambda game, sigma, tau: distances.d_pref_hausdorff(game, sigma, tau),
+    "hamm-s": lambda game, sigma, tau: distances.d_hamm_s(game, sigma, tau),
+    "dstar": lambda game, sigma, tau: distances.dstar(game, sigma, tau),
+    "dstrat": lambda game, sigma, tau: distances.dstrat(game, tau, sigma),
 }
 
 
@@ -283,7 +283,7 @@ def cmd_distance(args):
         validate_strategy(game, sigma)
         validate_strategy(game, tau)
         doc["inputs"]["model"] = args.model
-        value = STRATEGY_DISTANCES[metric](game, sigma, tau, budget)
+        value = STRATEGY_DISTANCES[metric](game, sigma, tau)
     doc["verdict"] = distances.format_distance(value)
     doc["diagnostics"] = _diag(budget)
     return doc, 0

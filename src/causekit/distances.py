@@ -7,7 +7,8 @@ arguments always yield 0 (2^-inf is read as 0 for the prefix family).
 The strategy distances take `MDStrategy` values, check them with
 `validate_strategy` and run on their picks; `dstrat_picks` and
 `dstar_picks` are the play-distance measures for the searches, which hold
-picks already.
+picks already.  All are polynomial and take no budget: `dstrat` is one
+iterative pass over a play graph (`play_scan`), linear in its size.
 """
 
 import math
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import ne
 
-from .errors import LengthMismatch, PreconditionViolated, as_budget
-from .model import play_graph, play_layers, validate_strategy
+from .errors import LengthMismatch, PreconditionViolated
+from .model import play_layers, validate_strategy
 
 INF = math.inf
 
@@ -185,57 +186,141 @@ def d_pref_hausdorff(game, sigma, tau):
     return Fraction(0)
 
 
-def dstrat(game, tau, sigma, budget=None):
+def dstrat(game, tau, sigma):
     """Supremum, over all tau-plays, of the number of distinct owned vertices
     on the play where its move contradicts sigma."""
     _require_same_player(sigma, tau)
-    return dstrat_picks(
-        game, validate_strategy(game, tau), validate_strategy(game, sigma), as_budget(budget)
-    )
+    return dstrat_picks(game, validate_strategy(game, tau), validate_strategy(game, sigma))
 
 
-def dstrat_picks(game, tau, sigma, budget, graph=None):
-    """`dstrat` on the strategies' picks.
+def dstrat_picks(game, tau, sigma, condensed=None):
+    """`dstrat` on the strategies' picks, in time linear in tau's play graph.
 
-    Exhaustive walk of the (vertex, counted-set) graph over tau's play graph,
-    `graph` when the caller has built it; the counted set only grows along
-    edges, so the reachable values are exactly the achievable play
-    distances.  Worst case exponential; guarded by the budget.
+    A play can visit every vertex of a strongly connected component of the
+    play graph and then leave it, so the value is the heaviest path in the
+    condensation from the initial vertex's component, each component
+    weighing its vertices where the two picks differ.  `play_scan` finds it
+    in one pass.  A caller that measures many sigma against one tau passes
+    `play_condensation(game, tau)` as `condensed`.  Then only the components
+    with a disagreement are weighed, each on top of the heaviest such one it
+    reaches, in time quadratic in their number: a few, where sigma is a
+    search candidate close to tau.
     """
-    adj = play_graph(game, tau) if graph is None else graph
-    start = (game._init, frozenset())
-    seen = {start}
-    stack = [start]
-    best = 0
-    while stack:
-        v, counted = stack.pop()
-        budget.charge()
-        if len(counted) > best:
-            best = len(counted)
-        s = sigma[v]
-        for u in adj[v]:
-            state = (u, counted if s is None or s == u else counted | {v})
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    return best
+    if condensed is None:
+        return play_scan(game, tau, sigma)[0]
+    owned, reach = condensed
+    weight = {}
+    for v, k in owned:
+        if tau[v] != sigma[v]:
+            weight[k] = weight.get(k, 0) + 1
+    best = {}
+    for k in sorted(weight):  # every component after those it reaches
+        bits = reach[k]
+        best[k] = weight[k] + max([best[c] for c in best if bits >> c & 1], default=0)
+    return max(best.values(), default=0)
 
 
-def dstar(game, tau, sigma, budget=None):
+def play_scan(game, picks, other):
+    """One pass over the play graph of `picks`: (the heaviest path from the
+    initial vertex through its condensation, each strongly connected
+    component weighing its vertices where `picks` and `other` differ; whether
+    the graph has a cycle; the component of each vertex, as ~k for the k-th
+    to close, so every component closes after all those it reaches).
+
+    Iterative Tarjan (SIAM J. Comput. 1(2), 1972) in the one-map form of
+    Pearce (Inf. Process. Lett. 116(1), 2016): `rank` holds the least
+    discovery number a vertex reaches while its component is open and ~k
+    once it closes.  An edge into an open component closes a cycle.  Each
+    frame keeps the heaviest closed component its vertex has an edge into,
+    and a closing component adds its weight to the heaviest of its members'.
+    """
+    succ = game._succ
+    v = game._init
+    u = picks[v]
+    rank = {v: 0}
+    frames = [(v, 0, iter(succ[v] if u is None else (u,)))]
+    outs = [0]
+    waiting = []  # (number, vertex, out) of finished vertices whose component is open
+    best = []
+    cyclic = False
+    while frames:
+        v, mine, moves = frames[-1]
+        low = rank[v]
+        for w in moves:
+            r = rank.get(w)
+            if r is None:
+                rank[v] = low
+                r = rank[w] = len(rank)
+                u = picks[w]
+                frames.append((w, r, iter(succ[w] if u is None else (u,))))
+                outs.append(0)
+                break
+            if r >= 0:
+                cyclic = True
+                if r < low:
+                    low = r
+            elif best[~r] > outs[-1]:
+                outs[-1] = best[~r]
+        else:
+            frames.pop()
+            out = outs.pop()
+            if low < mine:
+                rank[v] = low
+                waiting.append((mine, v, out))
+                if low < rank[frames[-1][0]]:
+                    rank[frames[-1][0]] = low
+                continue
+            k = ~len(best)
+            weight = picks[v] != other[v]
+            while waiting and waiting[-1][0] > mine:
+                _, w, o = waiting.pop()
+                rank[w] = k
+                weight += picks[w] != other[w]
+                if o > out:
+                    out = o
+            rank[v] = k
+            best.append(out + weight)
+            if outs and best[-1] > outs[-1]:
+                outs[-1] = best[-1]
+    return best[-1], cyclic, rank
+
+
+def play_condensation(game, picks):
+    """The play graph of `picks` condensed for many `dstrat_picks` calls:
+    (each owned vertex with the number of its component, in `play_scan`'s
+    closing order; by number, the bit set of the other components that
+    component reaches)."""
+    succ = game._succ
+    _heaviest, _cyclic, rank = play_scan(game, picks, picks)
+    members = {}
+    for v, r in rank.items():
+        members.setdefault(~r, []).append(v)
+    reach = []
+    for k in range(len(members)):
+        bits = 0
+        for v in members[k]:
+            u = picks[v]
+            for w in succ[v] if u is None else (u,):
+                c = ~rank[w]
+                if c != k:
+                    bits |= reach[c] | 1 << c
+        reach.append(bits)
+    return [(v, ~r) for v, r in rank.items() if picks[v] is not None], reach
+
+
+def dstar(game, tau, sigma):
     """Max of the two directed play-distance suprema between two strategies."""
     _require_same_player(sigma, tau)
-    return dstar_picks(
-        game, validate_strategy(game, tau), validate_strategy(game, sigma), as_budget(budget)
-    )
+    return dstar_picks(game, validate_strategy(game, tau), validate_strategy(game, sigma))
 
 
-def dstar_picks(game, tau, sigma, budget, sigma_graph=None):
+def dstar_picks(game, tau, sigma, sigma_condensed=None):
     """`dstar` on the strategies' picks.  A search that measures many tau
-    against one sigma builds sigma's play graph once and passes it as
-    `sigma_graph`."""
+    against one sigma passes `play_condensation(game, sigma)`, built once, as
+    `sigma_condensed`."""
     return max(
-        dstrat_picks(game, tau, sigma, budget),
-        dstrat_picks(game, sigma, tau, budget, sigma_graph),
+        dstrat_picks(game, tau, sigma),
+        dstrat_picks(game, sigma, tau, sigma_condensed),
     )
 
 

@@ -34,7 +34,7 @@ class PreconditionViolated(CausekitError):
 
 
 class BudgetExceeded(CausekitError):
-    """An exact search exhausted its node-expansion budget."""
+    """An exact search exhausted its budget."""
 
 
 class NoWinningStrategy(CausekitError):
@@ -50,10 +50,11 @@ class InvalidSpec(CausekitError):
 
 
 class Budget:
-    """Node-expansion budget for exact searches.
+    """Budget for exact searches.
 
-    Exact searches charge one unit per expanded node and raise
-    BudgetExceeded instead of returning approximate answers.
+    Exact searches charge one unit per candidate they enumerate (a strategy,
+    a change set, a pin layer or, in the path oracle, a visited state) and
+    raise BudgetExceeded instead of returning approximate answers.
     """
 
     DEFAULT_LIMIT = 10_000_000

@@ -7,20 +7,25 @@ costs) all run on the one attractor kernel `model.attractor`, on the game's
 own predecessor lists where it can; the Hausdorff-prefix check resumes one
 `model.Attractor` across all its pin radii.  They are complemented by exact,
 budget-guarded searches for the problems the distance functions make NP- or
-coNP-hard.  Those searches share
-one enumeration kernel: `_free_sets` walks the least sets of sigma's vertices
-whose freeing solves a feasibility test, `_variants` re-points sigma over a
-product of edge choices, `_matched_strategies` builds each distinct
-sigma-matched strategy once by branching only at vertices its plays reach
-(the d* winning search behind `min_winning_distance`,
-`is_minimal_explanation` and the repair's fallback), and `_distinct_matched`
-sigma-matches and deduplicates `_variants` for the d* cause check.  Each
-charges one budget unit per candidate.  A candidate is matched, tested and
-measured on its play graph (`model.play_graph`), the part of the game its
-plays can visit; the win and condition-1 checks run the attractor on that
-graph numbered afresh (`model.play_arena`), so they cost what the plays
-cost.  The acyclic d* repair skips the exact search when its
-deviation costs certify the proposed strategy.
+coNP-hard.  Those searches share one enumeration kernel: `_free_sets` walks
+the least sets of sigma's vertices whose freeing solves a feasibility test,
+`_variants` re-points sigma over a product of edge choices, and
+`_matched_strategies` builds each distinct sigma-matched strategy once by
+branching only at vertices its plays reach, over any edge options (the d*
+cause check, and the d* winning search behind `min_winning_distance`,
+`is_minimal_explanation` and the repair's fallback).  Each charges one
+budget unit per candidate it tries; measuring a candidate charges nothing,
+since d* is linear in the play graph (`distances.play_scan`).  A candidate is
+matched, tested and measured on its play graph, the part of the game its
+plays can visit.  Reach's win test is that graph's acyclicity, read off the
+same scan that measures d*; Safe's reads `model.play_graph`, and the
+condition-1 check runs the attractor on the graph numbered afresh
+(`model.play_arena`), so they cost what the plays cost.  The d* cause check
+keeps only the candidates tied at the least distance so far.  The value-only
+d* searches stop at the first winner at a known lower bound: the least
+winning distance for `is_minimal_explanation`, Reach's deviation costs
+(`_dstar_floor`) for `min_winning_distance`.  The acyclic d* repair skips
+the exact search when its deviation costs certify the proposed strategy.
 
 Everything here runs on the game's vertex numbers (see `model`): vertex
 sets are lists, sets or flags of numbers, and a strategy runs as its picks.
@@ -219,12 +224,11 @@ def strategy_is_winning(game, strategy):
 
 def _wins(game, player, picks):
     """Whether the player's picks win: for Reach every play reaches the
-    effect set, for Safe none does."""
-    effect = game._owns[EFFECT].__getitem__
+    effect set, which holds iff the play graph has no cycle, since only
+    effect vertices end plays; for Safe none does."""
     if player == SAFE:
-        return not any(map(effect, play_graph(game, picks)))
-    seen, succ = play_arena(game, picks)
-    return not maximal_avoiding_set(succ, compress(range(len(succ)), map(effect, seen)))[0]
+        return not any(map(game._owns[EFFECT].__getitem__, play_graph(game, picks)))
+    return not distances.play_scan(game, picks, picks)[1]
 
 
 def strategy_avoids(game, strategy, cause):
@@ -320,26 +324,6 @@ def _variants(sigma, options, budget):
         for v, u in zip(vertices, picks):
             tau[v] = u
         yield tau
-
-
-def _distinct_matched(game, sigma, strategies):
-    """Each strategy's picks sigma-matched, as a tuple, the first time they
-    appear.
-
-    Picks that agree with the last walked ones at every owned vertex those
-    ones' plays visit have the same plays, hence the same matched picks, and
-    are skipped without a walk.
-    """
-    seen = set()
-    plays = None  # the last walked picks on their play graph
-    for tau in strategies:
-        if plays is not None and all(tau[v] == u for v, u in plays.items()):
-            continue
-        plays = {v: tau[v] for v in play_graph(game, tau) if tau[v] is not None}
-        picks = tuple([plays.get(v, u) for v, u in enumerate(sigma)])
-        if picks not in seen:
-            seen.add(picks)
-            yield picks
 
 
 def _matched_strategies(game, sigma, options, budget):
@@ -664,26 +648,29 @@ def _check_dstar(query, sigma, allowed, budget):
     polynomial algorithm is claimed for it, so candidates are enumerated and
     measured exactly.
 
-    The candidates take region-preserving picks inside the avoid region and
-    sigma's off it, sigma-matched; every cause-avoiding strategy is one of
-    them up to off-path picks, which can only increase the distance.
+    The candidates are the sigma-matched strategies with region-preserving
+    picks inside the avoid region and sigma's off it; every cause-avoiding
+    strategy is one of them up to off-path picks, which can only increase
+    the distance.  Only the candidates tied at the least distance so far are
+    kept.
     """
     game = query.game
-    graph = play_graph(game, sigma)
-    scored = sorted(
-        (distances.dstar_picks(game, tau, sigma, budget, graph), tau)
-        for tau in _distinct_matched(game, sigma, _variants(sigma, allowed, budget))
-    )
-    k_star = scored[0][0]
+    options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
+    condensed = distances.play_condensation(game, sigma)
+    least, ties = None, []
+    for tau in _matched_strategies(game, sigma, options, budget):
+        d = distances.dstar_picks(game, tau, sigma, condensed)
+        if least is None or d < least:
+            least, ties = d, [tau]
+        elif d == least:
+            ties.append(tau)
     loser = winner = None
-    for d, tau in scored:
-        if d != k_star:
-            break
+    for tau in sorted(ties):
         if _wins(game, query.player, tau):
             winner = winner or tau
         else:
             loser = loser or tau
-    return _verdict(query, k_star, loser, winner)
+    return _verdict(query, least, loser, winner)
 
 
 def brute_force_check_cause(query, budget=None, distance_fn=None):
@@ -783,17 +770,20 @@ def min_winning_distance(game, sigma, metric, threshold=None, budget=None):
     """Exact minimum distance from sigma to a winning strategy.
 
     With a threshold, answers the decision problem "is there a winning
-    strategy within distance k" instead (stopping early).
+    strategy within distance k" instead (stopping early).  The d* search
+    also stops at the first winner at `_dstar_floor`, below which no winner
+    lies.
     """
     picks = validate_strategy(game, sigma)
     budget = as_budget(budget)
-    value, _tau = _min_winning(game, sigma.player, picks, metric, threshold, budget)
+    floor = _dstar_floor(game, sigma.player, picks) if metric == METRIC_DSTAR else 0
+    value, _tau = _min_winning(game, sigma.player, picks, metric, threshold, budget, floor)
     if threshold is not None:
         return value <= threshold
     return value
 
 
-def _min_winning(game, player, sigma, metric, threshold, budget):
+def _min_winning(game, player, sigma, metric, threshold, budget, floor=0):
     """(least distance from sigma's picks to a winning strategy, the picks of
     one there).
 
@@ -804,7 +794,9 @@ def _min_winning(game, player, sigma, metric, threshold, budget):
     first at their least vertex of difference, so they compare as their
     sorted (vertex, choice) id pairs do.  With a threshold, the
     first strategy within it is returned, or (threshold + 1, None) when there
-    is none.
+    is none.  A `floor` no winner lies below ends the d* search at the first
+    winner on it; at the default 0 that winner is sigma itself, the only
+    strategy at d* 0 from it.
     """
     if metric == METRIC_HAMM_S:
         stop = None if threshold is None else threshold + 1
@@ -816,15 +808,13 @@ def _min_winning(game, player, sigma, metric, threshold, budget):
         for free in _free_sets(game, sigma, wins, budget, stop=stop):
             return len(free), None
     elif metric == METRIC_DSTAR:
+        stop = floor if threshold is None else max(threshold, floor)
         best = None
-        graph = play_graph(game, sigma)
-        for tau in _matched_strategies(game, sigma, game._succ, budget):
-            if not _wins(game, player, tau):
-                continue
-            d = distances.dstar_picks(game, tau, sigma, budget, graph)
+        strategies = _matched_strategies(game, sigma, game._succ, budget)
+        for d, tau in _winners_measured(game, player, sigma, strategies):
             if best is None or (d, tau) < best:
                 best = (d, tau)
-                if threshold is not None and d <= threshold:
+                if d <= stop:
                     break
         if best is not None:
             return best
@@ -835,13 +825,27 @@ def _min_winning(game, player, sigma, metric, threshold, budget):
     raise NoWinningStrategy(f"player {player} has no winning strategy")
 
 
+def _winners_measured(game, player, sigma, strategies):
+    """(d* from sigma's picks, picks) for each of the strategies that wins,
+    lazily.  Sigma's play graph is condensed once; Reach's win is read off
+    the same pass over a strategy's play graph that measures it."""
+    condensed = distances.play_condensation(game, sigma)
+    for tau in strategies:
+        if player == SAFE and not _wins(game, SAFE, tau):
+            continue
+        d, cyclic, _rank = distances.play_scan(game, tau, sigma)
+        if player == REACH and cyclic:
+            continue
+        yield max(d, distances.dstrat_picks(game, sigma, tau, condensed)), tau
+
+
 def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
     """A minimal explanation attains the least possible winning distance.
 
     For the Hamming strategy distance every E-distinct strategy sits at
     distance exactly |E|, so minimality is a cardinality comparison; for the
     vertex-counting distance the E-distinct winning strategies are measured
-    exactly.
+    until one attains the least winning distance, below which none can lie.
     """
     budget = as_budget(budget)
     vertex_set = frozenset(vertex_set)
@@ -856,13 +860,9 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
         overall = min_winning_distance(game, sigma, METRIC_DSTAR, budget=budget)
         picks = validate_strategy(game, sigma)
         options = _alternatives(game, picks, map(game.index.__getitem__, vertex_set))
-        graph = play_graph(game, picks)
-        found = [
-            distances.dstar_picks(game, tau, picks, budget, graph)
-            for tau in _variants(picks, options, budget)
-            if _wins(game, sigma.player, tau)
-        ]
-        return min(found, default=None) == overall
+        variants = _variants(picks, options, budget)
+        measured = _winners_measured(game, sigma.player, picks, variants)
+        return any(d == overall for d, _tau in measured)
     raise PreconditionViolated(f"unsupported metric {metric!r} for minimality")
 
 
@@ -875,12 +875,8 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     losing sigma whose restriction graph is acyclic, with that distance.
 
     The min-max costs of `_deviation_costs` (deviating edges cost 1, Safe
-    maximizing) propose a strategy tau_fast and a lower bound val[initial].
-    The bound holds because a winning MD strategy's plays are simple and
-    finite: Safe could repeat any loop forever.  So the play on which Safe
-    always moves to a successor of largest value deviates from sigma at no
-    fewer distinct vertices than val[initial], and d* is at least that play's
-    count.
+    maximizing) propose a strategy tau_fast and a lower bound val[initial]
+    (see `_dstar_floor`).
 
     A winning tau_fast whose d* equals val[initial] is certified optimal and
     returned without the exact search.  Otherwise the exact search decides,
@@ -898,7 +894,7 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     if ranks[init] is None:
         raise NoWinningStrategy("Reach does not win this game")
 
-    val = _deviation_costs(game, picks, adj)
+    val = _deviation_costs(succ, game._owns[REACH], game._targets, adj)
     choice = [None] * len(succ)
     for v in compress(range(len(succ)), game._owns[REACH]):
         options = []
@@ -911,16 +907,44 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
 
     fast = None
     if _wins(game, REACH, tau_fast):
-        fast = distances.dstar_picks(game, tau_fast, picks, budget)
+        fast = distances.dstar_picks(game, tau_fast, picks)
         if fast == val[init]:
             return strategy_of(game, REACH, tau_fast), fast
     exact, tau_exact = _min_winning(game, REACH, picks, METRIC_DSTAR, None, budget)
     return strategy_of(game, REACH, tau_fast if fast == exact else tau_exact), exact
 
 
-def _deviation_costs(game, sigma, adjacency):
-    """Costs by vertex of forcing the effect when each step off sigma's pick
-    costs 1 and Safe maximizes; INF where Reach cannot force it.  These are
+def _dstar_floor(game, player, sigma):
+    """A d* distance from sigma's picks below which no winning strategy of
+    the player lies: the `_deviation_costs` of the initial vertex for Reach,
+    0 for Safe.
+
+    Let Safe always move to a successor whose cost is at least its own; one
+    exists at every Safe vertex.  Against a winning Reach strategy that play
+    reaches the effect, at cost 0, and is simple, since both players move
+    memorylessly and a repeated vertex would repeat forever.  A step on
+    sigma's pick never lowers the cost and any other step lowers it by at
+    most 1, so the play deviates from sigma at no fewer distinct vertices
+    than the initial vertex's cost, and d* is at least that count.  Nothing
+    here needs sigma's graph to be acyclic.  The costs are found on the part
+    of the game the initial vertex reaches, numbered afresh by `play_arena`
+    with no picks, so vertices no play can visit cost nothing.
+    """
+    if player != REACH:
+        return 0
+    seen, succ = play_arena(game, [None] * len(sigma))
+    old = list(seen)
+    adjacency = [row if sigma[v] is None else [seen[sigma[v]]] for v, row in zip(old, succ)]
+    reach = bytes(map(game._owns[REACH].__getitem__, old))
+    targets = list(compress(range(len(old)), map(game._owns[EFFECT].__getitem__, old)))
+    return _deviation_costs(succ, reach, targets, adjacency)[0]
+
+
+def _deviation_costs(succ, reach, targets, adjacency):
+    """Costs by vertex of forcing the effect, the vertices `targets`, over
+    the graph `succ` when each step off sigma's pick costs 1 and Safe
+    maximizes; INF where Reach, owning the vertices flagged in `reach`,
+    cannot force it.  These are
     the 0/1 case of min-cost reachability game values (Khachiyan et al., "On
     short paths interdiction problems", 2008): a vertex costs at most k iff
     it joins the all-universal attractor, over sigma's graph `adjacency`, of
@@ -930,14 +954,13 @@ def _deviation_costs(game, sigma, adjacency):
     equations: the values a Bellman-style sweep reaches from INF.
     """
     INF = distances.INF
-    succ = game._succ
-    reach = list(compress(range(len(succ)), game._owns[REACH]))
-    cost, level, target = [INF] * len(succ), 0, game._targets
+    reach = list(compress(range(len(succ)), reach))
+    cost, level, target = [INF] * len(succ), 0, targets
     while True:
         for v, r in enumerate(attractor(adjacency, bytes(len(succ)), target)):
             if r is not None and cost[v] == INF:
                 cost[v] = level
-        grown = game._targets + [v for v in reach if any(cost[u] != INF for u in succ[v])]
+        grown = targets + [v for v in reach if any(cost[u] != INF for u in succ[v])]
         if len(grown) == len(target):
             return cost
         target, level = grown, level + 1

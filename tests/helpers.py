@@ -543,8 +543,9 @@ def play_dist(game, play, strategy):
 
 
 def naive_dstrat(game, tau, sigma, budget=None):
-    """The (vertex, counted-set) walk of `distances.dstrat` over the whole
-    strategy-induced adjacency, charging the budget once per state."""
+    """`distances.dstrat` by an exhaustive walk of (vertex, counted set)
+    states over the whole strategy-induced adjacency, charging the budget
+    once per state; exponential in the worst case (`diamond_game`)."""
     budget = as_budget(budget)
     adj = id_adjacency(game, tau)
     owned = game.owned_by(sigma.player)
@@ -566,6 +567,27 @@ def naive_dstrat(game, tau, sigma, budget=None):
                 seen.add(state)
                 stack.append(state)
     return best
+
+
+def diamond_game(k):
+    """(game, sigma, tau) on k >= 1 Safe diamonds in a row: s_i lets Safe choose
+    Reach's a_i or b_i, and each of those steps on to s_(i+1), directly
+    (sigma) or through Safe's c_i (tau); s_k is the effect.  Every play of
+    either strategy meets k vertices where the two disagree, and at s_i the
+    walk over counted sets sees 2^i of them."""
+    s = [f"s{i:04d}" for i in range(k + 1)]
+    owners = {s[k]: "effect"}
+    edges = set()
+    sigma, tau = {}, {}
+    for i in range(k):
+        a, b, c = f"a{i:04d}", f"b{i:04d}", f"c{i:04d}"
+        owners.update({s[i]: SAFE, a: REACH, b: REACH, c: SAFE})
+        edges |= {(s[i], a), (s[i], b), (a, s[i + 1]), (b, s[i + 1]), (a, c), (b, c)}
+        edges.add((c, s[i + 1]))
+        sigma.update({a: s[i + 1], b: s[i + 1]})
+        tau.update({a: c, b: c})
+    game = game_from_owners(owners, s[0], edges)
+    return game, MDStrategy(REACH, sigma), MDStrategy(REACH, tau)
 
 
 def with_unreachable_copy(game, rng):
@@ -674,7 +696,7 @@ def naive_min_dstar_repair(game, sigma, budget=None):
     tau_fast = naive_sigma_matched(game, MDStrategy(REACH, choice), sigma)
     fast = None
     if strategy_is_winning(game, tau_fast):
-        fast = distances.dstar(game, tau_fast, sigma, budget)
+        fast = distances.dstar(game, tau_fast, sigma)
         if fast == val[game.initial]:
             return tau_fast, fast
     exact, tau_exact = naive_min_winning(game, sigma, METRIC_DSTAR, None, budget)
@@ -694,7 +716,7 @@ def naive_min_winning(game, sigma, metric, threshold, budget):
         tau = MDStrategy(player, choice)
         if not strategy_is_winning(game, tau):
             continue
-        d = distances.dstar(game, tau, sigma, budget)
+        d = distances.dstar(game, tau, sigma)
         if best is None or (d, key) < best[:2]:
             best = (d, key, tau)
             if threshold is not None and d <= threshold:

@@ -272,7 +272,9 @@ def test_repair_costs_match_the_sweep(seed, cyclic, island):
     sigma = random_strategy(rng, game, REACH)
     swept = naive_repair_costs(game, sigma)
     picks = validate_strategy(game, sigma)
-    costs = _deviation_costs(game, picks, strategy_adjacency(game, picks))
+    costs = _deviation_costs(
+        game._succ, game._owns[REACH], game._targets, strategy_adjacency(game, picks)
+    )
     assert dict(zip(game.ids, costs)) == swept
 
 

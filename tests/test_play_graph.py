@@ -3,23 +3,24 @@ whole-adjacency references, on games with parts no play reaches.  The
 references run on ids; the kernels get and give picks and vertex numbers,
 converted here."""
 
+import json
 import random
-from itertools import islice
 from math import prod
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causekit import distances
+from causekit import cli, distances
 from causekit import game_causality
-from causekit.distances import dstrat
+from causekit.distances import INF, dstar, dstrat, dstrat_picks, play_condensation, play_scan
 from causekit.errors import Budget, CausekitError, NotAcyclic
 from causekit.fixtures import tree_game
 from causekit.game_causality import (
     METRIC_DSTAR,
     GameCauseQuery,
-    _distinct_matched,
+    _deviation_costs,
+    _dstar_floor,
     _matched_strategies,
     _min_winning,
     check_cause_game,
@@ -27,6 +28,8 @@ from causekit.game_causality import (
     is_minimal_explanation,
     min_winning_distance,
     _sigma_matched,
+    _variants,
+    avoid_region,
     enumerate_strategies,
     losing_play_reaches_cause,
     min_dstar_winning_strategy_acyclic,
@@ -40,20 +43,25 @@ from causekit.model import (
     MDStrategy,
     game_from_owners,
     maximal_avoiding_set,
+    model_to_json,
     play_arena,
     play_graph,
     play_layers,
+    strategy_adjacency,
     strategy_of,
+    strategy_to_json,
     validate_strategy,
 )
 
 from helpers import (
     budgeted,
+    diamond_game,
     id_adjacency,
     int_graph,
     naive_reachable,
     naive_distinct_matched,
     naive_dstrat,
+    naive_is_acyclic,
     naive_losing_play_reaches_cause,
     naive_min_winning,
     naive_pin_layers,
@@ -79,8 +87,9 @@ def min_winning(game, sigma, metric, threshold, budget):
     return d, None if picks is None else strategy_of(game, sigma.player, picks)
 
 
-def naive_min_winning_picks(game, player, sigma, metric, threshold, budget):
-    """`naive_min_winning` with the arguments and the result of `_min_winning`."""
+def naive_min_winning_picks(game, player, sigma, metric, threshold, budget, floor=0):
+    """`naive_min_winning` with the arguments and the result of `_min_winning`;
+    it searches on past `floor`."""
     d, tau = naive_min_winning(game, strategy_of(game, player, sigma), metric, threshold, budget)
     return d, None if tau is None else validate_strategy(game, tau)
 
@@ -118,31 +127,55 @@ def test_play_graph_helpers_match_the_whole_adjacency(seed, cyclic):
         assert strategy_of(game, player, matched).choice == (
             naive_sigma_matched(game, tau, sigma).choice
         )
-        limit = rng.choice((None, rng.randint(0, 40)))
-        for a, b in ((tau, sigma), (sigma, tau)):
-            assert budgeted(dstrat, game, a, b, limit=limit) == (
-                budgeted(naive_dstrat, game, a, b, limit=limit)
-            )
 
 
 @FUZZ
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-def test_distinct_matched_matches_matching_every_candidate(seed, cyclic, shuffled):
+def test_dstrat_is_the_walk_over_counted_sets(seed, cyclic, island):
     rng = random.Random(seed)
-    game = with_unreachable_copy((cyclic_game if cyclic else acyclic_game)(rng, 5), rng)
+    game = (cyclic_game if cyclic else acyclic_game)(rng, 10)
+    if island:
+        game = with_unreachable_copy(game, rng)
     for player in (REACH, SAFE):
         if not game.owned_by(player):
             continue
-        sigma = random_strategy(rng, game, player)
-        candidates = list(islice(enumerate_strategies(game, player), 3000))
-        if shuffled:
-            rng.shuffle(candidates)
-        numbered = [validate_strategy(game, tau) for tau in candidates]
-        matched = _distinct_matched(game, validate_strategy(game, sigma), numbered)
-        got = [
-            (id_key(game, player, tau), strategy_of(game, player, tau).choice) for tau in matched
-        ]
-        assert got == naive_distinct_matched(game, sigma, candidates)
+        sigma, tau = (random_strategy(rng, game, player) for _ in range(2))
+        t, s = validate_strategy(game, tau), validate_strategy(game, sigma)
+        for a, b, x, y in ((tau, sigma, t, s), (sigma, tau, s, t), (tau, tau, t, t)):
+            want = naive_dstrat(game, a, b)
+            assert dstrat(game, a, b) == dstrat_picks(game, x, y, play_condensation(game, x))
+            assert dstrat(game, a, b) == want
+        adj = id_adjacency(game, tau)
+        plays = naive_reachable(adj, game.initial)
+        assert play_scan(game, t, t)[1] == (not naive_is_acyclic({v: adj[v] for v in plays}))
+        owned, reach = play_condensation(game, t)
+        plays = [v for v in play_graph(game, t) if t[v] is not None]
+        assert sorted(v for v, _k in owned) == sorted(plays)
+        assert all(bits < 1 << k for k, bits in enumerate(reach))
+
+
+def test_dstrat_on_diamonds_is_the_walk_over_counted_sets():
+    for k in range(1, 9):
+        game, sigma, tau = diamond_game(k)
+        for a, b in ((tau, sigma), (sigma, tau)):
+            assert dstrat(game, a, b) == naive_dstrat(game, a, b) == k
+
+
+def test_dstar_on_many_diamonds_answers_within_any_budget(tmp_path, capsys):
+    # The walk over counted sets meets 2^k states here; the scan charges
+    # nothing and visits each vertex once.
+    game, sigma, tau = diamond_game(200)
+    files = {"model": model_to_json(game), "sigma": strategy_to_json(sigma),
+             "tau": strategy_to_json(tau)}
+    argv = ["distance", "dstar", "--budget", "1"]
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        argv += [f"--{name}", str(tmp_path / f"{name}.json")]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["diagnostics"]["budgetUsed"]) == ("200", 0)
+    game, sigma, tau = diamond_game(1000)
+    assert dstar(game, sigma, tau) == 1000
 
 
 def small_games(seed, cyclic, island, limit=5000):
@@ -162,14 +195,47 @@ def small_games(seed, cyclic, island, limit=5000):
 @FUZZ
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_matched_strategies_are_the_distinct_matched_products(seed, cyclic, island):
+    for game, player, sigma, rng in small_games(seed, cyclic, island):
+        picks = validate_strategy(game, sigma)
+        # Every edge everywhere: the distinct matched strategies.
+        products = [(int_graph(game, game.adjacency()), enumerate_strategies(game, player))]
+        # The avoid region's edges inside it and sigma's pick elsewhere, the
+        # candidates of the d* cause check: its `_variants` product.
+        plays = play_graph(game, picks)
+        pool = [v for v in plays if v != game._init and not game._owns["effect"][v]]
+        if pool:
+            cause = rng.sample(pool, rng.randint(1, min(2, len(pool))))
+            region, allowed = avoid_region(game, player, cause)
+            if region[game._init]:
+                options = [allowed.get(v, (u,)) for v, u in enumerate(picks)]
+                variants = _variants(picks, allowed, Budget())
+                products.append((options, (strategy_of(game, player, t) for t in variants)))
+        for options, strategies in products:
+            budget = Budget()
+            got = list(_matched_strategies(game, picks, options, budget))
+            keys = [id_key(game, player, tau) for tau in got]
+            assert len(set(keys)) == len(keys) == budget.used
+            reached = [(t, v) for t in got for v in play_graph(game, t) if t[v] is not None]
+            assert all(tau[v] in options[v] for tau, v in reached)
+            want = naive_distinct_matched(game, sigma, strategies)
+            assert set(keys) == {key for key, _choice in want}
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_dstar_floor_is_a_lower_bound_on_cyclic_games_too(seed, cyclic, island):
     for game, player, sigma, _rng in small_games(seed, cyclic, island):
-        budget = Budget()
-        options = int_graph(game, game.adjacency())
-        got = list(_matched_strategies(game, validate_strategy(game, sigma), options, budget))
-        keys = [id_key(game, player, tau) for tau in got]
-        assert len(set(keys)) == len(keys) == budget.used
-        want = naive_distinct_matched(game, sigma, enumerate_strategies(game, player))
-        assert set(keys) == {key for key, _choice in want}
+        picks = validate_strategy(game, sigma)
+        floor = _dstar_floor(game, player, picks)
+        winners = [t for t in enumerate_strategies(game, player) if strategy_is_winning(game, t)]
+        least = min((dstar(game, t, sigma) for t in winners), default=INF)
+        if player == SAFE:
+            assert floor == 0
+        else:
+            assert floor <= least and (floor == INF) == (least == INF)
+            adjacency = strategy_adjacency(game, picks)
+            costs = _deviation_costs(game._succ, game._owns[REACH], game._targets, adjacency)
+            assert floor == costs[game._init]
 
 
 def reference_min_winning_distance(game, sigma, metric, threshold, budget):
@@ -184,6 +250,9 @@ def test_dstar_winning_searches_match_the_product_search(seed, cyclic, island):
         got, used = budgeted(min_winning, game, sigma, METRIC_DSTAR, None)
         want, want_used = budgeted(naive_min_winning, game, sigma, METRIC_DSTAR, None)
         assert (got, used <= want_used) == (want, True)
+        value, used = budgeted(min_winning_distance, game, sigma, METRIC_DSTAR, None)
+        assert used <= want_used
+        assert value == (want if isinstance(want, str) else want[0])
         args = (game, sigma, METRIC_DSTAR, rng.randint(0, 3))
         assert budgeted(min_winning_distance, *args)[0] == (
             budgeted(reference_min_winning_distance, *args)[0]
@@ -235,27 +304,42 @@ def test_repair_rejects_a_sigma_cycle_no_play_reaches():
 
 
 def test_dstar_searches_build_sigmas_play_graph_once(monkeypatch):
-    """`dstrat` gets sigma's play graph from the search, never builds it."""
+    """Each d* search condenses sigma's play graph once, for every `dstar`
+    it measures against sigma, and scans each candidate's."""
     game, sigma = tree_game()
-    built = []
+    picks = validate_strategy(game, sigma)
+    condensed, scanned = [], []
 
-    def recording(game, strategy):
-        built.append(strategy)
-        return play_graph(game, strategy)
+    def condensing(game, strategy):
+        condensed.append(strategy)
+        return play_condensation(game, strategy)
 
-    monkeypatch.setattr(distances, "play_graph", recording)
+    def scanning(game, strategy, other):
+        scanned.append(strategy)
+        return play_scan(game, strategy, other)
+
+    monkeypatch.setattr(distances, "play_condensation", condensing)
+    monkeypatch.setattr(distances, "play_scan", scanning)
     query = GameCauseQuery(game, REACH, sigma, frozenset({"v3"}), METRIC_DSTAR)
-    assert check_cause_game(query).witnesses
-    assert min_winning_distance(game, sigma, METRIC_DSTAR) == 1
-    assert is_minimal_explanation(game, sigma, {"v1"}, METRIC_DSTAR)
-    assert built and all(strategy != validate_strategy(game, sigma) for strategy in built)
+    searches = [
+        (lambda: check_cause_game(query).witnesses, 1),
+        (lambda: min_winning_distance(game, sigma, METRIC_DSTAR) == 1, 1),
+        # the least winning distance, then the E-variants
+        (lambda: is_minimal_explanation(game, sigma, {"v1"}, METRIC_DSTAR), 2),
+    ]
+    for search, runs in searches:
+        condensed.clear()
+        scanned.clear()
+        assert search()
+        assert condensed == [picks] * runs
+        assert len(scanned) > runs
 
 
 def test_play_checks_run_on_the_play_graph_only(monkeypatch):
     # v0 chooses between the effect g and the trap t; 400 more Reach
-    # vertices on a chain into t sit where no play goes.  The win and
-    # condition 1 checks run the attractor on the two vertices each play
-    # graph holds, not on the whole game.
+    # vertices on a chain into t sit where no play goes.  The win check
+    # scans, and the condition 1 check runs the attractor on, the two
+    # vertices each play graph holds, not the whole game.
     island = [f"i{k:03d}" for k in range(400)]
     owners = dict.fromkeys(["v0", *island], REACH)
     owners.update(t=SAFE, g="effect")
@@ -263,11 +347,17 @@ def test_play_checks_run_on_the_play_graph_only(monkeypatch):
     game = game_from_owners(owners, "v0", edges)
     sizes = []
 
-    def recording(succ, avoid, preds=None, allowed=None):
+    def attracting(succ, avoid, preds=None, allowed=None):
         sizes.append(len(succ))
         return maximal_avoiding_set(succ, avoid, preds, allowed)
 
-    monkeypatch.setattr(game_causality, "maximal_avoiding_set", recording)
+    def scanning(game, picks, other):
+        found = play_scan(game, picks, other)
+        sizes.append(len(found[2]))
+        return found
+
+    monkeypatch.setattr(game_causality, "maximal_avoiding_set", attracting)
+    monkeypatch.setattr(distances, "play_scan", scanning)
     rest = dict(zip(island, island[1:] + ["t"]))
     assert strategy_is_winning(game, MDStrategy(REACH, {"v0": "g", **rest}))
     sigma = MDStrategy(REACH, {"v0": "t", **rest})

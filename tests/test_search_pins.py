@@ -9,7 +9,8 @@ only, so a change to the search order or to the budget charging shows here.
 Regenerate the file only for an intended change of those results:
 `PYTHONPATH=src python tests/test_search_pins.py`.  Before writing, it prints
 per call kind how many records changed their result and on how many the
-budget rose or fell.
+budget rose or fell, and lists the records that ran out of budget before
+and give an answer now.
 """
 
 import json
@@ -103,23 +104,30 @@ def test_search_results_and_budget_use_are_pinned():
 
 
 def moves(swept, pinned):
-    """{call kind: [records whose result changed, whose budget rose, whose
-    budget fell]} between a sweep and the pins."""
-    counts = {}
-    for (kind, (result, used)), (old_result, old_used) in zip(swept, pinned):
+    """({call kind: [records whose result changed, whose budget rose, whose
+    budget fell]}, [(index, call kind, result) of each record that ran out
+    of budget in the pins and answers in the sweep]) between a sweep and the
+    pins."""
+    counts, answered = {}, []
+    for i, ((kind, (result, used)), (old_result, old_used)) in enumerate(zip(swept, pinned)):
         row = counts.setdefault(kind, [0, 0, 0])
         row[0] += result != old_result
         row[1] += used > old_used
         row[2] += used < old_used
-    return counts
+        if old_result == "BudgetExceeded" != result:
+            answered.append((i, kind, result))
+    return counts, answered
 
 
 if __name__ == "__main__":
     swept = json.loads(json.dumps(sweep()))
     pinned = json.loads(PINS.read_text()) if PINS.exists() else []
     if len(pinned) == len(swept):
-        for kind, (changed, rose, fell) in moves(swept, pinned).items():
+        counts, answered = moves(swept, pinned)
+        for kind, (changed, rose, fell) in counts.items():
             print(f"{kind}: results changed {changed}, budget rose {rose}, fell {fell}")
+        for i, kind, result in answered:
+            print(f"record {i} ({kind}) exceeded the budget and now answers {json.dumps(result)}")
     else:
         print(f"{len(swept)} records against {len(pinned)} pinned")
     records = [record for _kind, record in swept]
