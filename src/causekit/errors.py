@@ -67,7 +67,7 @@ class Budget:
         self.used += amount
         if self.used > self.limit:
             raise BudgetExceeded(
-                f"search budget of {self.limit} node expansions exhausted"
+                f"search budget of {self.limit} units exhausted"
             )
 
 

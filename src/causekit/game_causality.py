@@ -886,29 +886,28 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     if sigma.player != REACH:
         raise PreconditionViolated("the acyclic repair is defined for Reach")
     budget = as_budget(budget)
-    adj = strategy_adjacency(game, picks)
-    if not is_effectively_acyclic(adj):
+    if not is_effectively_acyclic(strategy_adjacency(game, picks)):
         raise NotAcyclic("the game restricted to sigma is not acyclic")
-    succ, init = game._succ, game._init
-    ranks = attractor(succ, game._owns[REACH], game._targets, game._pred)
-    if ranks[init] is None:
+    old, succ, adjacency, reach, targets = _reach_arena(game, picks)
+    ranks = attractor(succ, reach, targets)
+    if ranks[0] is None:
         raise NoWinningStrategy("Reach does not win this game")
 
-    val = _deviation_costs(succ, game._owns[REACH], game._targets, adj)
-    choice = [None] * len(succ)
-    for v in compress(range(len(succ)), game._owns[REACH]):
+    val = _deviation_costs(succ, reach, targets, adjacency)
+    choice = [None] * len(picks)
+    for j in compress(range(len(succ)), reach):
+        v = old[j]
         options = []
-        for u in succ[v]:
-            cost = (0 if u == picks[v] else 1) + val[u]
-            options.append((cost, float("inf") if ranks[u] is None else ranks[u], u))
-        options.sort()
-        choice[v] = options[0][2]
+        for u in succ[j]:
+            cost = (0 if old[u] == picks[v] else 1) + val[u]
+            options.append((cost, float("inf") if ranks[u] is None else ranks[u], old[u]))
+        choice[v] = min(options)[2]
     tau_fast = _sigma_matched(game, choice, picks)
 
     fast = None
     if _wins(game, REACH, tau_fast):
         fast = distances.dstar_picks(game, tau_fast, picks)
-        if fast == val[init]:
+        if fast == val[0]:
             return strategy_of(game, REACH, tau_fast), fast
     exact, tau_exact = _min_winning(game, REACH, picks, METRIC_DSTAR, None, budget)
     return strategy_of(game, REACH, tau_fast if fast == exact else tau_exact), exact
@@ -926,18 +925,28 @@ def _dstar_floor(game, player, sigma):
     sigma's pick never lowers the cost and any other step lowers it by at
     most 1, so the play deviates from sigma at no fewer distinct vertices
     than the initial vertex's cost, and d* is at least that count.  Nothing
-    here needs sigma's graph to be acyclic.  The costs are found on the part
-    of the game the initial vertex reaches, numbered afresh by `play_arena`
-    with no picks, so vertices no play can visit cost nothing.
+    here needs sigma's graph to be acyclic.  The costs are found on
+    `_reach_arena`, so vertices no play can visit cost nothing.
     """
     if player != REACH:
         return 0
+    _old, succ, adjacency, reach, targets = _reach_arena(game, sigma)
+    return _deviation_costs(succ, reach, targets, adjacency)[0]
+
+
+def _reach_arena(game, sigma):
+    """The part of the game the initial vertex reaches, numbered afresh by
+    `play_arena` with no picks, the initial vertex 0, as (`old`, `succ`,
+    `adjacency`, `reach`, `targets`): `old` maps each new number to the
+    game's, `adjacency` is sigma's graph, `reach` flags Reach's vertices and
+    `targets` lists the effect's.  No successor leaves the part, so the
+    attractors and costs run on it agree with the whole game's there."""
     seen, succ = play_arena(game, [None] * len(sigma))
     old = list(seen)
     adjacency = [row if sigma[v] is None else [seen[sigma[v]]] for v, row in zip(old, succ)]
     reach = bytes(map(game._owns[REACH].__getitem__, old))
     targets = list(compress(range(len(old)), map(game._owns[EFFECT].__getitem__, old)))
-    return _deviation_costs(succ, reach, targets, adjacency)[0]
+    return old, succ, adjacency, reach, targets
 
 
 def _deviation_costs(succ, reach, targets, adjacency):

@@ -7,6 +7,8 @@ polynomial checker plus a shared brute-force oracle that applies the
 definition literally on enumerable systems.  The prefix distances run a
 layered fixpoint; hamm, ghamm and lev are shortest paths over a product of
 the system with the execution, expanded on demand by one kernel, `dijkstra`.
+hamm runs on ghamm's copy product, which on layered systems never jumps or
+overshoots.
 
 The checkers run on the system's state numbers (see `model`):
 `validate_query` checks the query's ids and returns its execution, cause and
@@ -287,58 +289,44 @@ def validate_layered(ts):
 
 def check_cause_hamm_layered(query, allow_overlap=False):
     """Shortest-path checker for the plain Hamming distance on layered
-    systems: per-layer 0/1 state weights turn Hamming distance into
-    accumulated path weight.
+    systems, on `ghamm_product`: every terminal state sits in the last layer,
+    so node (s, i) has i = depth(s) + 1 and never jumps or overshoots.
 
     The weights are integers under the default 0/1 label metric and
     Fractions of `label_metric` otherwise, as in `metric_distance`.
     """
     seq, cause, effect = validate_query(query, allow_overlap)
-    ts = query.ts
-    depth = validate_layered(ts)
-    labels, succ = ts._labels, ts._succ
-    target = [labels[s] for s in seq]
-    metric = query.label_metric
-
-    if metric is None:
-        def node_weight(state):
-            return 0 if labels[state] == target[depth[state]] else 1
-    else:
-        def node_weight(state):
-            return Fraction(metric(labels[state], target[depth[state]]))
-
-    def successors(state):
-        for t in succ[state]:
-            if t not in cause:
-                yield t, node_weight(t), "step"
-
-    start = None if ts._init in cause else ts._init
-    search = (start, node_weight(ts._init), successors,
-              lambda state: _terminal_class(succ, effect, state))
-    return _named(ts, _shortest_path_verdict(query, search, _project_state_route, cause, effect))
+    validate_layered(query.ts)
+    search = ghamm_product(query.ts, seq, cause, effect, query.label_metric)
+    verdict = _shortest_path_verdict(query, search, _project_copy_route, cause, effect)
+    return _named(query.ts, verdict)
 
 
 # ---------------------------------------------------------------------------
 # generalized Hamming
 
 
-def ghamm_product(ts, pi_sequence, cause, effect):
+def ghamm_product(ts, pi_sequence, cause, effect, label_metric=None):
     """Copy construction for the generalized Hamming distance, as the
     (start, start_weight, successors, goal_class) arguments of `dijkstra`;
     states, the execution and the sets are state numbers.
 
     Node (s, i) reads state s against execution position i, for each C-free
-    state s; mismatching labels cost 1 per position, early termination jumps
-    to the last copy at the cost of the length difference, and overshoot
-    steps inside the last copy cost 1 each.  Goals are the terminal states of
-    the last copy.
+    state s; mismatching labels cost 1 per position (the Fraction of
+    `label_metric`, if given), early termination jumps to the last copy at
+    the cost of the length difference, and overshoot steps inside the last
+    copy cost 1 each.  Goals are the terminal states of the last copy.
     """
     labels, succ = ts._labels, ts._succ
     target = [labels[s] for s in pi_sequence]
     n = len(target)
 
-    def mismatch(state, copy):
-        return 0 if labels[state] == target[copy - 1] else 1
+    if label_metric is None:
+        def mismatch(state, copy):
+            return 0 if labels[state] == target[copy - 1] else 1
+    else:
+        def mismatch(state, copy):
+            return Fraction(label_metric(labels[state], target[copy - 1]))
 
     def successors(node):
         s, i = node
@@ -422,14 +410,15 @@ def check_cause_lev(query, allow_overlap=False):
 # shared shortest-path verdict logic
 
 
-def _terminal_class(succ, effect, state):
-    if succ[state]:
-        return None
-    return "effect" if state in effect else "other"
-
-
 def _last_copy_class(succ, effect, n):
-    return lambda node: _terminal_class(succ, effect, node[0]) if node[1] == n else None
+    """A node's goal class: "effect" or "other" at a terminal state of the
+    last copy, None elsewhere."""
+    def goal_class(node):
+        s, i = node
+        if i != n or succ[s]:
+            return None
+        return "effect" if s in effect else "other"
+    return goal_class
 
 
 def dijkstra(start, start_weight, successors, goal_class):

@@ -8,12 +8,13 @@ rescanning every vertex per round or over a copied adjacency with fresh
 predecessor lists, the pref-h pin search by one fresh attractor per radius,
 the strategy predicates on the whole strategy-induced adjacency, the
 breadth-first walks (defeating plays, witness continuations, play layers)
-by loops of their own, the SEM bridge by a layered Hamming check on the
-fully unrolled tree, model loading by per-item checks over sorted
-transitions and edges, acyclicity by a colored depth-first search, the d*
-repair's costs by a Bellman-style min-max sweep, the d* winning search over
-every strategy of the product enumeration, and the tree change count
-and maximal-path enumeration by recursion.
+by loops of their own, the layered Hamming check by a shortest-path search
+over the states instead of the copy product, the SEM bridge by a layered
+Hamming check on the fully unrolled tree, model loading by per-item checks
+over sorted transitions and edges, acyclicity by a colored depth-first
+search, the d* repair's costs by a Bellman-style min-max sweep, the d*
+winning search over every strategy of the product enumeration, and the tree
+change count and maximal-path enumeration by recursion.
 
 The oracles run on ids, and so do the naive loaders, which keep id
 successor lists behind the `successors` view and id predecessor lists as
@@ -77,7 +78,12 @@ from causekit.ts_causality import (
     METRIC_HAMM,
     PHI_REACH,
     PHI_SAFE,
+    _named,
+    _project_state_route,
+    _shortest_path_verdict,
     check_cause_hamm_layered,
+    validate_layered,
+    validate_query,
 )
 
 
@@ -1103,6 +1109,42 @@ def unrolled_bridge_check(sem, effect, variables, witnesses=3, ts=None):
         witnesses=witnesses,
     )
     return check_cause_hamm_layered(query, allow_overlap=True)
+
+
+def naive_hamm_layered(query, allow_overlap=False):
+    """`check_cause_hamm_layered` by a search over the states themselves:
+    each state weighs the mismatch of its label against the execution's at
+    its depth, and a path's weight is its Hamming distance.  The terminal
+    states are the goals."""
+    seq, cause, effect = validate_query(query, allow_overlap)
+    ts = query.ts
+    depth = validate_layered(ts)
+    labels, succ = ts._labels, ts._succ
+    target = [labels[s] for s in seq]
+    metric = query.label_metric
+
+    if metric is None:
+        def node_weight(state):
+            return 0 if labels[state] == target[depth[state]] else 1
+    else:
+        def node_weight(state):
+            return Fraction(metric(labels[state], target[depth[state]]))
+
+    def successors(state):
+        for t in succ[state]:
+            if t not in cause:
+                yield t, node_weight(t), "step"
+
+    start = None if ts._init in cause else ts._init
+    search = (start, node_weight(ts._init), successors,
+              lambda state: _terminal_class(succ, effect, state))
+    return _named(ts, _shortest_path_verdict(query, search, _project_state_route, cause, effect))
+
+
+def _terminal_class(succ, effect, state):
+    if succ[state]:
+        return None
+    return "effect" if state in effect else "other"
 
 
 def all_boolean_sems(n):

@@ -26,6 +26,7 @@ from causekit.model import (
     REACH,
     SAFE,
     Attractor,
+    MDStrategy,
     TransitionSystem,
     attractor,
     game_from_owners,
@@ -296,6 +297,31 @@ def test_repair_matches_the_swept_repair(seed, cyclic, island):
         assert want_used > limit
     else:
         assert got == want
+
+
+@FUZZ
+@given(SEEDS, st.booleans())
+def test_repair_ignores_an_unreachable_copy(seed, cyclic):
+    """The repair runs on the part of the game the initial vertex reaches: a
+    copy no play visits, with sigma's picks copied, changes neither the
+    answer nor the budget used.  Only the whole-game acyclicity check sees
+    the copy, and it rejects just the copies whose sigma graph has a cycle."""
+    rng = random.Random(seed)
+    game = (cyclic_game if cyclic else acyclic_game)(rng, 9)
+    sigma = random_strategy(rng, game, REACH)
+    island = with_unreachable_copy(game, rng)
+    copied = {f"u{v}": f"u{u}" for v, u in sigma.choice.items()}
+    island_sigma = MDStrategy(REACH, {**sigma.choice, **copied})
+    limit = rng.choice((None, rng.randint(0, 300)))
+    got = budgeted(min_dstar_winning_strategy_acyclic, island, island_sigma, limit=limit)
+    want, used = budgeted(min_dstar_winning_strategy_acyclic, game, sigma, limit=limit)
+    if got[0] == "NotAcyclic" and want != "NotAcyclic":
+        assert not naive_is_effectively_acyclic(id_adjacency(island, island_sigma))
+        return
+    if isinstance(want, tuple):
+        tau, value = want
+        want = MDStrategy(REACH, {**tau.choice, **copied}), value
+    assert got == (want, used)
 
 
 def random_tree_game(rng, n):

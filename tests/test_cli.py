@@ -611,7 +611,7 @@ def test_zero_budget_and_positive_max_len_are_accepted(capsys):
         "budgetLimit": 0, "budgetUsed": 0,
     }
     assert cli.main(DSTAR_TREE + ["--budget", "0"]) == 3
-    assert capsys.readouterr().err == "causekit: search budget of 0 node expansions exhausted\n"
+    assert capsys.readouterr().err == "causekit: search budget of 0 units exhausted\n"
     assert cli.main(oracle_hamm_args()) == 0
     uncapped = capsys.readouterr().out
     assert cli.main(oracle_hamm_args("--max-len", "9")) == 0

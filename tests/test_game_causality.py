@@ -31,7 +31,7 @@ from causekit.game_causality import (
     strategy_is_winning,
 )
 from causekit.generators import GeneratorSpec, generate, random_strategy
-from causekit.model import MDStrategy, strategy_adjacency, validate_strategy
+from causekit.model import MDStrategy, game_from_owners, strategy_adjacency, validate_strategy
 
 from helpers import (
     dstar_oracle,
@@ -402,6 +402,21 @@ def test_min_dstar_certified_repair_skips_the_exact_search():
     )
     assert value == optimum == dstar(game, tau, sigma)
     assert strategy_is_winning(game, tau)
+
+
+def test_min_dstar_repair_breaks_ties_by_vertex_id():
+    # At v, deviating to p or to q costs the same and both reach the effect
+    # in one step.  The walk from r meets q (through a) before p, so the
+    # tie must be broken by the game's own vertex order, not by discovery.
+    game = game_from_owners(
+        {"r": "safe", "a": "safe", "v": "reach", "p": "safe", "q": "safe", "t": "safe",
+         "g": "effect"},
+        "r",
+        {("r", "a"), ("r", "v"), ("a", "q"), ("v", "p"), ("v", "q"), ("v", "t"),
+         ("p", "g"), ("q", "g"), ("t", "t")},
+    )
+    tau, value = min_dstar_winning_strategy_acyclic(game, MDStrategy("reach", {"v": "t"}))
+    assert (tau.choice, value) == ({"v": "p"}, 1)
 
 
 def test_min_dstar_acyclic_matches_enumeration():

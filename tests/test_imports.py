@@ -1,6 +1,7 @@
-"""Every name a causekit module imports is used in it or exported by it, and
+"""Every name a causekit module imports is used in it or exported by it,
 every public function and class of a module is used by the package, the
-demos or the benchmark, so code only the tests call stays in the tests."""
+demos or the benchmark, so code only the tests call stays in the tests, and
+every private function of a module is used by the package."""
 
 import ast
 import pathlib
@@ -57,13 +58,17 @@ def referenced_names(sources):
     return names
 
 
-def unreferenced(module, names):
-    """The public top-level functions and classes of `module` not in `names`."""
+def unreferenced(module, names, private=False):
+    """The public top-level functions and classes of `module` not in
+    `names`; with `private`, its private top-level functions instead,
+    dunders aside."""
+    kinds = ast.FunctionDef if private else (ast.FunctionDef, ast.ClassDef)
     return [
         node.name
         for node in ast.parse(module).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        if isinstance(node, kinds)
+        and node.name.startswith("_") == private
+        and not node.name.startswith("__")
         and node.name not in names
     ]
 
@@ -72,6 +77,25 @@ def test_the_check_sees_an_unreferenced_function():
     module = "def used():\n    pass\n\ndef unused():\n    used()\n\nclass _Private:\n    pass\n"
     user = "from m import used\nimport m\nm.used()\n"
     assert unreferenced(module, referenced_names([module, user])) == ["unused"]
+
+
+def test_the_check_sees_an_unreferenced_private_function():
+    module = (
+        "def _used():\n    pass\n\ndef _unused():\n    _used()\n\n"
+        "def public():\n    pass\n\nclass _Private:\n    pass\n"
+    )
+    user = "from m import _imported\n"
+    names = referenced_names([module, user])
+    assert unreferenced(module, names, private=True) == ["_unused"]
+    assert unreferenced("def _imported():\n    pass\n", names, private=True) == []
+
+
+def test_every_private_function_is_used_in_the_package():
+    names = referenced_names(path.read_text(encoding="utf-8") for path in SOURCES)
+    assert {
+        path.name: unreferenced(path.read_text(encoding="utf-8"), names, private=True)
+        for path in SOURCES
+    } == {path.name: [] for path in SOURCES}
 
 
 def test_every_public_function_is_used_outside_the_tests():

@@ -35,7 +35,7 @@ from causekit.ts_causality import (
     validate_layered,
 )
 
-from helpers import build_ts_query, cyclic_ts_query
+from helpers import build_ts_query, cyclic_ts_query, naive_hamm_layered
 
 
 def branching_query(metric, **kw):
@@ -200,6 +200,41 @@ def test_hamm_integer_weights_match_fraction_weights():
             finite += 1
         checked += 1
     assert checked >= 150 and finite >= 90
+
+
+def test_hamm_matches_the_state_search():
+    """The copy-product hamm check gives the whole verdict of the search over
+    the states, distance types included, under the default and a Fraction
+    label metric, for both properties and one to four witnesses.  Half the
+    queries take ghamm's effect sets, any terminal states, so the two goal
+    classes often tie."""
+    halves = lambda a, b: 0 if a == b else Fraction(1 if {a, b} == {"a", "c"} else 3, 2)
+    rng = random.Random(18)
+    seen = set()
+    for seed in range(400):
+        spec = GeneratorSpec(
+            "layered-ts", seed=seed, layers=rng.randint(3, 8), width=rng.randint(2, 5),
+            alphabet=rng.randint(1, 3),
+        )
+        phi = rng.choice((PHI_REACH, PHI_SAFE))
+        effects_of = rng.choice((METRIC_HAMM, METRIC_GHAMM))
+        query = build_ts_query(generate(spec), rng, effects_of, phi, rng.randint(1, 4))
+        if query is None:
+            continue
+        for label_metric in (None, halves):
+            query = replace(query, metric=METRIC_HAMM, label_metric=label_metric)
+            got, want = check_cause_hamm_layered(query), naive_hamm_layered(query)
+            assert got == want
+            assert type(got.min_distance) is type(want.min_distance)
+            assert [type(w.distance) for w in got.witnesses] == [
+                type(w.distance) for w in want.witnesses
+            ]
+            seen.add((phi, label_metric is None, got.is_cause, len(got.witnesses)))
+    for phi in (PHI_REACH, PHI_SAFE):
+        for plain in (False, True):
+            assert {(c, n) for p, m, c, n in seen if (p, m) == (phi, plain)} >= {
+                (False, 0), (False, 1), (False, 2), (True, 1)
+            }
 
 
 def test_lev_product_tiny():
