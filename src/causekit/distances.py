@@ -314,14 +314,11 @@ def dstar(game, tau, sigma):
     return dstar_picks(game, validate_strategy(game, tau), validate_strategy(game, sigma))
 
 
-def dstar_picks(game, tau, sigma, sigma_condensed=None):
+def dstar_picks(game, tau, sigma):
     """`dstar` on the strategies' picks.  A search that measures many tau
-    against one sigma passes `play_condensation(game, sigma)`, built once, as
-    `sigma_condensed`."""
-    return max(
-        dstrat_picks(game, tau, sigma),
-        dstrat_picks(game, sigma, tau, sigma_condensed),
-    )
+    against one sigma takes the maximum of the two `dstrat_picks` itself,
+    with sigma's side on `play_condensation(game, sigma)`, built once."""
+    return max(dstrat_picks(game, tau, sigma), dstrat_picks(game, sigma, tau))
 
 
 # ---------------------------------------------------------------------------

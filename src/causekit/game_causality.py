@@ -15,16 +15,22 @@ branching only at vertices its plays reach, over any edge options (the d*
 cause check, and the d* winning search behind `min_winning_distance`,
 `is_minimal_explanation` and the repair's fallback).  Each charges one
 budget unit per candidate it tries; measuring a candidate charges nothing,
-since d* is linear in the play graph (`distances.play_scan`).  A candidate is
-matched, tested and measured on its play graph, the part of the game its
-plays can visit.  Reach's win test is that graph's acyclicity, read off the
-same scan that measures d*; Safe's reads `model.play_graph`, and the
+since d* is linear in the play graph (`distances.play_scan`).  The d*
+winning search flags the vertices from which the player loses against every
+strategy, by one run of Reach's attractor of the effect set, and drops
+without a budget unit every search state whose plays reach one: all the
+strategies below it lose.  A candidate is matched, tested and measured on
+its play graph, the part of the game its plays can visit.  The d* winning
+search reads both win tests off the scan that measures d*: Reach wins iff
+the graph has no cycle, Safe iff it holds no effect vertex.  The
 condition-1 check runs the attractor on the graph numbered afresh
-(`model.play_arena`), so they cost what the plays cost.  The d* cause check
-keeps only the candidates tied at the least distance so far.  The value-only
-d* searches stop at the first winner at a known lower bound: the least
-winning distance for `is_minimal_explanation`, Reach's deviation costs
-(`_dstar_floor`) for `min_winning_distance`.  The acyclic d* repair skips
+(`model.play_arena`), so these cost what the plays cost.  The d* cause
+check keeps only the candidates tied at the least distance so far, and
+scans a candidate only when its distance from sigma's side, read on
+sigma's condensation, does not exceed that.  The value-only d* searches
+stop at the first winner at a known lower bound: the least winning distance
+for `is_minimal_explanation`, Reach's deviation costs (`_dstar_floor`) for
+`min_winning_distance`.  The acyclic d* repair skips
 the exact search when its deviation costs certify the proposed strategy.
 
 Everything here runs on the game's vertex numbers (see `model`): vertex
@@ -326,10 +332,11 @@ def _variants(sigma, options, budget):
         yield tau
 
 
-def _matched_strategies(game, sigma, options, budget):
+def _matched_strategies(game, sigma, options, budget, lost=None):
     """Each distinct sigma-matched strategy whose reached picks come from
     `options` (a tuple per owned vertex), once, as its picks, at one budget
-    unit each, lazily.
+    unit each, lazily.  With `lost`, flags by vertex, only those whose plays
+    reach no flagged vertex, in the same order.
 
     A search state fixes picks at some owned vertices; its plays run from
     the initial vertex until they meet an owned vertex without one.  A state
@@ -337,17 +344,24 @@ def _matched_strategies(game, sigma, options, budget):
     they never reach.  Otherwise the search branches at the least such
     vertex, sigma's pick first where it is an option.  Picks are fixed only
     at reached vertices and stay reached, so two branches differ at a vertex
-    both strategies' plays visit, and no strategy comes twice.
+    both strategies' plays visit, and no strategy comes twice.  For the same
+    reason every strategy below a state whose plays reach a flagged vertex
+    reaches it too; such a state is dropped at once, without a budget unit.
+    A winning search flags the vertices from which the player loses against
+    every strategy, so what it drops are losers.
 
     One state is kept and changed in place: each branch point records how
     long the logs of reached and waiting vertices were, and going back to
     it undoes what was logged since, so memory stays linear in the game.
     """
     succ, default = game._succ, sigma
+    if lost is None:
+        lost = bytes(len(succ))
     fixed, seen, waiting = {}, {game._init}, set()
     trail, parked = [], []  # vertices added to `seen` and to `waiting`, in order
 
     def walk(v):
+        """Extend the plays from v; False when they reach a flagged vertex."""
         todo = [v]
         while todo:
             v = todo.pop()
@@ -358,11 +372,15 @@ def _matched_strategies(game, sigma, options, budget):
                 continue
             for u in (fixed[v],) if owned else succ[v]:
                 if u not in seen:
+                    if lost[u]:
+                        return False
                     seen.add(u)
                     trail.append(u)
                     todo.append(u)
+        return True
 
-    walk(game._init)
+    if lost[game._init] or not walk(game._init):
+        return
     branches = []  # (vertex, its picks left, len(trail), len(parked)) per branch point
     while True:
         if waiting:
@@ -386,13 +404,14 @@ def _matched_strategies(game, sigma, options, budget):
             waiting.difference_update(parked[n_waiting:])
             del parked[n_waiting:]
             u = next(picks, None)
-            if u is not None:
+            if u is None:
+                fixed.pop(v, None)
+                waiting.add(v)
+                branches.pop()
+            else:
                 fixed[v] = u
-                walk(v)
-                break
-            fixed.pop(v, None)
-            waiting.add(v)
-            branches.pop()
+                if walk(v):
+                    break
         else:
             return
 
@@ -659,7 +678,10 @@ def _check_dstar(query, sigma, allowed, budget):
     condensed = distances.play_condensation(game, sigma)
     least, ties = None, []
     for tau in _matched_strategies(game, sigma, options, budget):
-        d = distances.dstar_picks(game, tau, sigma, condensed)
+        d = distances.dstrat_picks(game, sigma, tau, condensed)
+        if least is not None and d > least:
+            continue  # cheap on sigma's condensation; spares tau's play scan
+        d = max(d, distances.dstrat_picks(game, tau, sigma))
         if least is None or d < least:
             least, ties = d, [tau]
         elif d == least:
@@ -790,13 +812,17 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0):
     The hamm-s search only asks whether the player wins, so its picks are
     None.  The d* search measures each distinct sigma-matched strategy of
     `_matched_strategies` that wins and keeps the `(d, picks)`-least, so its
-    answer does not depend on the enumeration order.  Two picks lists differ
-    first at their least vertex of difference, so they compare as their
-    sorted (vertex, choice) id pairs do.  With a threshold, the
-    first strategy within it is returned, or (threshold + 1, None) when there
-    is none.  A `floor` no winner lies below ends the d* search at the first
-    winner on it; at the default 0 that winner is sigma itself, the only
-    strategy at d* 0 from it.
+    answer does not depend on the enumeration order.  Two picks lists
+    differ first at their least vertex of difference, so they compare as
+    their sorted (vertex, choice) id pairs do.  The search flags as lost the
+    vertices from which the player loses against every strategy: those
+    outside Reach's attractor of the effect set for Reach, those inside it
+    for Safe.  The enumeration then drops losers early, without a budget
+    unit, and leaves the winners and their order as they are.  With a
+    threshold, the first strategy within it is returned, or (threshold + 1,
+    None) when there is none.  A `floor` no winner lies below ends the d*
+    search at the first winner on it; at the default 0 that winner is sigma
+    itself, the only strategy at d* 0 from it.
     """
     if metric == METRIC_HAMM_S:
         stop = None if threshold is None else threshold + 1
@@ -810,7 +836,9 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0):
     elif metric == METRIC_DSTAR:
         stop = floor if threshold is None else max(threshold, floor)
         best = None
-        strategies = _matched_strategies(game, sigma, game._succ, budget)
+        forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
+        lost = [(r is None) == (player == REACH) for r in forced]
+        strategies = _matched_strategies(game, sigma, game._succ, budget, lost)
         for d, tau in _winners_measured(game, player, sigma, strategies):
             if best is None or (d, tau) < best:
                 best = (d, tau)
@@ -827,14 +855,15 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0):
 
 def _winners_measured(game, player, sigma, strategies):
     """(d* from sigma's picks, picks) for each of the strategies that wins,
-    lazily.  Sigma's play graph is condensed once; Reach's win is read off
-    the same pass over a strategy's play graph that measures it."""
+    lazily.  Sigma's play graph is condensed once; the win is read off the
+    same pass over a strategy's play graph that measures it: Reach's from
+    its cycles, Safe's from the effect vertices among those it reaches."""
     condensed = distances.play_condensation(game, sigma)
+    effect = game._owns[EFFECT]
     for tau in strategies:
-        if player == SAFE and not _wins(game, SAFE, tau):
-            continue
-        d, cyclic, _rank = distances.play_scan(game, tau, sigma)
-        if player == REACH and cyclic:
+        d, cyclic, rank = distances.play_scan(game, tau, sigma)
+        loses = cyclic if player == REACH else any(map(effect.__getitem__, rank))
+        if loses:
             continue
         yield max(d, distances.dstrat_picks(game, sigma, tau, condensed)), tau
 

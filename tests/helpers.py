@@ -13,8 +13,9 @@ over the states instead of the copy product, the SEM bridge by a layered
 Hamming check on the fully unrolled tree, model loading by per-item checks
 over sorted transitions and edges, acyclicity by a colored depth-first
 search, the d* repair's costs by a Bellman-style min-max sweep, the d*
-winning search over every strategy of the product enumeration, and the tree
-change count and maximal-path enumeration by recursion.
+winning search over every strategy of the product enumeration or over every
+sigma-matched candidate with no loser dropped early, and the tree change
+count and maximal-path enumeration by recursion.
 
 The oracles run on ids, and so do the naive loaders, which keep id
 successor lists behind the `successors` view and id predecessor lists as
@@ -46,6 +47,8 @@ from causekit.game_causality import (
     GameCauseVerdict,
     StrategyWitness,
     _avoid_set,
+    _matched_strategies,
+    _wins,
     avoid_region,
     enumerate_strategies,
     strategy_is_winning,
@@ -732,6 +735,50 @@ def naive_min_winning(game, sigma, metric, threshold, budget):
     if threshold is not None:
         return threshold + 1, None
     raise NoWinningStrategy(f"player {player} has no winning strategy")
+
+
+def unpruned_min_winning(game, player, sigma, metric, threshold, budget, floor=0):
+    """The d* branch of `_min_winning` over every candidate of
+    `_matched_strategies`, no vertex flagged as lost: each is tested by
+    `_wins` and measured by `distances.dstar_picks`, at one budget unit
+    whether it wins or not."""
+    if metric != METRIC_DSTAR:
+        raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
+    stop = floor if threshold is None else max(threshold, floor)
+    best = None
+    for tau in _matched_strategies(game, sigma, game._succ, budget):
+        if not _wins(game, player, tau):
+            continue
+        d = distances.dstar_picks(game, tau, sigma)
+        if best is None or (d, tau) < best:
+            best = (d, tau)
+            if d <= stop:
+                break
+    if best is not None:
+        return best
+    if threshold is not None:
+        return threshold + 1, None
+    raise NoWinningStrategy(f"player {player} has no winning strategy")
+
+
+def naive_is_minimal_dstar(game, sigma, vertex_set):
+    """`is_minimal_explanation` for d*: some strategy that changes sigma's
+    choice at every vertex of the set and nowhere else wins, at the least d*
+    to sigma of any winning strategy of `enumerate_strategies`.  The changed
+    choices count wherever they are, reached by a play or not."""
+    least = min(
+        (distances.dstar(game, t, sigma)
+         for t in enumerate_strategies(game, sigma.player)
+         if strategy_is_winning(game, t)),
+        default=None,
+    )
+    vertices = sorted(vertex_set)
+    options = [[u for u in game.successors(v) if u != sigma.choice[v]] for v in vertices]
+    for picks in product(*options):
+        tau = MDStrategy(sigma.player, {**sigma.choice, **dict(zip(vertices, picks))})
+        if strategy_is_winning(game, tau) and distances.dstar(game, tau, sigma) == least:
+            return True
+    return False
 
 
 def naive_maximal_paths(ts, max_len=None, budget=None):

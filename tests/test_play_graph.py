@@ -5,6 +5,7 @@ converted here."""
 
 import json
 import random
+from functools import partial
 from math import prod
 from unittest import mock
 
@@ -41,6 +42,7 @@ from causekit.model import (
     REACH,
     SAFE,
     MDStrategy,
+    attractor,
     game_from_owners,
     maximal_avoiding_set,
     model_to_json,
@@ -62,12 +64,14 @@ from helpers import (
     naive_distinct_matched,
     naive_dstrat,
     naive_is_acyclic,
+    naive_is_minimal_dstar,
     naive_losing_play_reaches_cause,
     naive_min_winning,
     naive_pin_layers,
     naive_sigma_matched,
     naive_strategy_avoids,
     naive_strategy_is_winning,
+    unpruned_min_winning,
     with_unreachable_copy,
 )
 
@@ -271,6 +275,49 @@ def test_dstar_winning_searches_match_the_product_search(seed, cyclic, island):
             with mock.patch.object(game_causality, "_min_winning", naive_min_winning_picks):
                 want, want_used = budgeted(is_minimal_explanation, *args)
             assert (got, used <= want_used) == (want, True)
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_dstar_winning_search_drops_only_losers(seed, cyclic, island):
+    for game, player, sigma, rng in small_games(seed, cyclic, island):
+        picks = validate_strategy(game, sigma)
+        floor = _dstar_floor(game, player, picks)
+        for threshold, at in ((None, 0), (0, 0), (1, 0), (None, floor)):
+            args = (game, player, picks, METRIC_DSTAR, threshold)
+            got, used = budgeted(partial(_min_winning, floor=at), *args)
+            want, want_used = budgeted(partial(unpruned_min_winning, floor=at), *args)
+            assert got == want and used <= want_used
+        # The player's losing vertices, and flags drawn at random: the
+        # enumeration keeps the candidates whose plays avoid them, in order.
+        forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
+        drawn = [rng.random() < 0.2 for _ in forced]
+        every = list(_matched_strategies(game, picks, game._succ, Budget()))
+        for lost in ([(r is None) == (player == REACH) for r in forced], drawn):
+            budget = Budget()
+            kept = list(_matched_strategies(game, picks, game._succ, budget, lost))
+            assert kept == [t for t in every if not any(lost[v] for v in play_graph(game, t))]
+            assert budget.used == len(kept)
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_dstar_minimality_measures_the_unmatched_variants(seed, cyclic, island):
+    # A variant's changed choice at a vertex its plays miss still counts in
+    # d*(sigma, variant) when sigma's plays visit it; resetting such a choice
+    # to sigma's would measure another, closer strategy.
+    for game, player, sigma, rng in small_games(seed, cyclic, island):
+        owned = game.owned_by(player)
+        branching = sorted(v for v in owned if len(game.successors(v)) > 1)
+        sets = [frozenset(rng.sample(branching, rng.randint(0, min(3, len(branching)))))]
+        try:
+            sets.append(extract_explanation(game, sigma).vertex_set)
+        except CausekitError:
+            pass
+        for vertex_set in sets:
+            assert is_minimal_explanation(game, sigma, vertex_set, METRIC_DSTAR) == (
+                naive_is_minimal_dstar(game, sigma, vertex_set)
+            )
 
 
 def test_dstar_search_on_a_long_play_needs_no_recursion():

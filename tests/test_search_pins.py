@@ -8,9 +8,9 @@ only, so a change to the search order or to the budget charging shows here.
 
 Regenerate the file only for an intended change of those results:
 `PYTHONPATH=src python tests/test_search_pins.py`.  Before writing, it prints
-per call kind how many records changed their result and on how many the
-budget rose or fell, and lists the records that ran out of budget before
-and give an answer now.
+per call kind how many records changed their result, on how many the budget
+rose or fell and the summed budget use in the pins and in the sweep, and
+lists the records that ran out of budget before and give an answer now.
 """
 
 import json
@@ -105,15 +105,17 @@ def test_search_results_and_budget_use_are_pinned():
 
 def moves(swept, pinned):
     """({call kind: [records whose result changed, whose budget rose, whose
-    budget fell]}, [(index, call kind, result) of each record that ran out
-    of budget in the pins and answers in the sweep]) between a sweep and the
-    pins."""
+    budget fell, budget used in the pins, budget used in the sweep]},
+    [(index, call kind, result) of each record that ran out of budget in the
+    pins and answers in the sweep]) between a sweep and the pins."""
     counts, answered = {}, []
     for i, ((kind, (result, used)), (old_result, old_used)) in enumerate(zip(swept, pinned)):
-        row = counts.setdefault(kind, [0, 0, 0])
+        row = counts.setdefault(kind, [0, 0, 0, 0, 0])
         row[0] += result != old_result
         row[1] += used > old_used
         row[2] += used < old_used
+        row[3] += old_used
+        row[4] += used
         if old_result == "BudgetExceeded" != result:
             answered.append((i, kind, result))
     return counts, answered
@@ -124,8 +126,11 @@ if __name__ == "__main__":
     pinned = json.loads(PINS.read_text()) if PINS.exists() else []
     if len(pinned) == len(swept):
         counts, answered = moves(swept, pinned)
-        for kind, (changed, rose, fell) in counts.items():
-            print(f"{kind}: results changed {changed}, budget rose {rose}, fell {fell}")
+        for kind, (changed, rose, fell, before, after) in counts.items():
+            print(
+                f"{kind}: results changed {changed}, budget rose {rose}, fell {fell},"
+                f" used {before} -> {after}"
+            )
         for i, kind, result in answered:
             print(f"record {i} ({kind}) exceeded the budget and now answers {json.dumps(result)}")
     else:
