@@ -3,9 +3,12 @@
 `COMMANDS` is the command table: one row per subcommand with its help text,
 its handler and its arguments, each declared once.  `oracle ts-cause` and
 `oracle game-cause` reuse the rows' argument sets of `ts-cause` and
-`game-cause`.  The argparse tree is built from the table once per process
-(`PARSER`); each handler is bound as its subcommand's `run` default, so
-`main` parses, runs the handler and emits its document.
+`game-cause`.  Two readers are built from the table once per process.
+`parse` reads a valid argv in one pass, from `LEAVES`, one record per leaf
+command.  The argparse tree `PARSER` reads every argv that `parse` does
+not fully accept, so help, usage errors and their exit code 2 come from
+argparse.  Both give the same `argparse.Namespace`, whose `run`
+is the subcommand's handler; `main` runs it and emits its document.
 
 Exit codes: 0 positive verdict, 1 negative verdict, 2 usage or model error,
 3 budget exhausted.  Documents serialize with sorted keys so a fixed seed and
@@ -360,6 +363,11 @@ def _arg(*flags, **options):
     return flags, options
 
 
+def _one_of(*arguments):
+    """Arguments of which at most one may be given."""
+    return None, arguments
+
+
 MODEL = _arg("--model", required=True)
 STRATEGY = _arg("--strategy", required=True)
 CAUSE = _arg("--cause", required=True)
@@ -381,9 +389,7 @@ GAME_CAUSE = (
 EXPLAIN = (
     MODEL,
     STRATEGY,
-    _arg("--cause", default=""),
-    _arg("--check"),
-    _arg("--check-minimal"),
+    _one_of(_arg("--cause", default=""), _arg("--check"), _arg("--check-minimal")),
     _arg("--metric", choices=("hamm-s", "dstar"), default="hamm-s"),
 )
 DISTANCE = (
@@ -421,7 +427,8 @@ COMMON = (
 )
 
 # Rows are (name, help, handler, arguments).  A row whose handler is itself a
-# table is a command group; its subcommand lands in `<name>_command`.
+# table is a command group; its subcommand lands in `<name>_command`.  An
+# argument whose flags are None is a `_one_of` set.
 ORACLE = (
     ("ts-cause", None, partial(cmd_ts_cause, oracle=True), (*TS_CAUSE, MAX_LEN)),
     ("game-cause", None, partial(cmd_game_cause, oracle=True), GAME_CAUSE),
@@ -446,7 +453,12 @@ def _add_commands(parser, dest, table):
             _add_commands(p, f"{name}_command", run)
             continue
         for flags, options in arguments + COMMON:
-            p.add_argument(*flags, **options)
+            if flags is None:  # a _one_of set
+                group = p.add_mutually_exclusive_group()
+                for member_flags, member_options in options:
+                    group.add_argument(*member_flags, **member_options)
+            else:
+                p.add_argument(*flags, **options)
         p.set_defaults(run=run)
 
 
@@ -460,11 +472,112 @@ def build_parser():
     return parser
 
 
+def _dest(flag):
+    """argparse's dest of a positional or of a one-flag argument."""
+    return flag.lstrip("-").replace("-", "_") if flag.startswith("-") else flag
+
+
+def _leaves(table, dest="command", names=None):
+    """{command path: record} for each leaf command of the table, read as
+    `_add_commands` declares it to argparse (see `_leaf`)."""
+    leaves = {}
+    for name, _help, run, arguments in table:
+        named = {**(names or {}), dest: name}
+        if isinstance(run, tuple):
+            leaves.update(_leaves(run, f"{name}_command", named))
+        else:
+            leaves[tuple(named.values())] = _leaf(arguments + COMMON, {**named, "run": run})
+    return leaves
+
+
+def _leaf(arguments, defaults):
+    """(flags, positionals, defaults, required, exclusive) of one leaf
+    command: `flags` maps each flag to its (dest, type, choices, whether it
+    takes a value), `positionals` lists their (dest, type, choices) in
+    order, `defaults` grows into the Namespace before any argument is read,
+    `required` is the set of dests that must be given and `exclusive` lists
+    the dest sets of `_one_of`."""
+    flags, positionals, required, exclusive = {}, [], set(), []
+    for entry in arguments:
+        if entry[0] is None:  # a _one_of set
+            group = entry[1]
+            exclusive.append(frozenset(_dest(flag) for (flag,), _options in group))
+        else:
+            group = (entry,)
+        for (flag,), options in group:
+            dest = _dest(flag)
+            switch = options.get("action") == "store_true"
+            spec = (dest, options.get("type"), options.get("choices"))
+            defaults[dest] = False if switch else options.get("default")
+            if flag.startswith("-"):
+                flags[flag] = (*spec, not switch)
+            else:
+                positionals.append(spec)
+            if options.get("required") or not flag.startswith("-"):
+                required.add(dest)
+    return flags, positionals, defaults, required, exclusive
+
+
 PARSER = build_parser()
+LEAVES = _leaves(COMMANDS)
+
+
+def parse(argv):
+    """The Namespace `PARSER.parse_args(argv)` returns, for an argv that
+    the command table fully accepts, read in one pass; None for any other.
+
+    Command names and flags must match exactly, and each flag may come
+    once.  Values and positionals must not start with "-" and must pass
+    their type and choices.  No required argument may be missing, no token
+    left over, and no two of a `_one_of` set given.  Everything else ("-h",
+    "--", "--flag=value", abbreviations) is left to argparse, so help and
+    usage errors keep its messages and exit code 2.
+    """
+    n = 1 if tuple(argv[:1]) in LEAVES else 2
+    leaf = LEAVES.get(tuple(argv[:n]))
+    if leaf is None:
+        return None
+    flags, positionals, defaults, required, exclusive = leaf
+    values, given, p = dict(defaults), set(), 0
+    tokens = iter(argv[n:])
+    for token in tokens:
+        if token[:1] != "-":
+            if p == len(positionals):
+                return None
+            dest, convert, choices = positionals[p]
+            p += 1
+        else:
+            spec = flags.get(token)
+            if spec is None or spec[0] in given:
+                return None
+            dest, convert, choices, takes_value = spec
+            if not takes_value:
+                given.add(dest)
+                values[dest] = True
+                continue
+            token = next(tokens, "-")  # a flag at the end lacks its value
+            if token[:1] == "-":
+                return None
+        given.add(dest)
+        if convert is not None:
+            try:
+                token = convert(token)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if choices is not None and token not in choices:
+            return None
+        values[dest] = token
+    if not required <= given or any(len(group & given) > 1 for group in exclusive):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None):
-    args = PARSER.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse(argv)
+    if args is None:
+        args = PARSER.parse_args(argv)
     # No command builds a reference cycle (tests/test_cli.py checks every
     # subcommand), so the cyclic collector's passes would only cost time.
     collecting = gc.isenabled()

@@ -798,14 +798,18 @@ def min_winning_distance(game, sigma, metric, threshold=None, budget=None):
     """
     picks = validate_strategy(game, sigma)
     budget = as_budget(budget)
-    floor = _dstar_floor(game, sigma.player, picks) if metric == METRIC_DSTAR else 0
-    value, _tau = _min_winning(game, sigma.player, picks, metric, threshold, budget, floor)
+    floor, lost = 0, None
+    if metric == METRIC_DSTAR:
+        floor, lost = _dstar_floor(game, sigma.player, picks)
+    value, _tau = _min_winning(
+        game, sigma.player, picks, metric, threshold, budget, floor, lost
+    )
     if threshold is not None:
         return value <= threshold
     return value
 
 
-def _min_winning(game, player, sigma, metric, threshold, budget, floor=0):
+def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=None):
     """(least distance from sigma's picks to a winning strategy, the picks of
     one there).
 
@@ -817,7 +821,10 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0):
     their sorted (vertex, choice) id pairs do.  The search flags as lost the
     vertices from which the player loses against every strategy: those
     outside Reach's attractor of the effect set for Reach, those inside it
-    for Safe.  The enumeration then drops losers early, without a budget
+    for Safe.  A caller may hand these `lost` flags over, as the `_lost`
+    flags of Reach's deviation costs; they need only be right where the
+    initial vertex reaches.  Otherwise they come from an attractor over the
+    whole game.  The enumeration then drops losers early, without a budget
     unit, and leaves the winners and their order as they are.  With a
     threshold, the first strategy within it is returned, or (threshold + 1,
     None) when there is none.  A `floor` no winner lies below ends the d*
@@ -836,8 +843,9 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0):
     elif metric == METRIC_DSTAR:
         stop = floor if threshold is None else max(threshold, floor)
         best = None
-        forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
-        lost = [(r is None) == (player == REACH) for r in forced]
+        if lost is None:
+            forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
+            lost = [(r is None) == (player == REACH) for r in forced]
         strategies = _matched_strategies(game, sigma, game._succ, budget, lost)
         for d, tau in _winners_measured(game, player, sigma, strategies):
             if best is None or (d, tau) < best:
@@ -938,14 +946,16 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
         fast = distances.dstar_picks(game, tau_fast, picks)
         if fast == val[0]:
             return strategy_of(game, REACH, tau_fast), fast
-    exact, tau_exact = _min_winning(game, REACH, picks, METRIC_DSTAR, None, budget)
+    lost = _lost(len(picks), old, val)
+    exact, tau_exact = _min_winning(game, REACH, picks, METRIC_DSTAR, None, budget, lost=lost)
     return strategy_of(game, REACH, tau_fast if fast == exact else tau_exact), exact
 
 
 def _dstar_floor(game, player, sigma):
-    """A d* distance from sigma's picks below which no winning strategy of
-    the player lies: the `_deviation_costs` of the initial vertex for Reach,
-    0 for Safe.
+    """(floor, lost): a d* distance from sigma's picks below which no
+    winning strategy of the player lies, and the flags of the vertices
+    Reach loses from.  For Reach these are the `_deviation_costs` of the
+    initial vertex and their `_lost` flags; for Safe, 0 and None.
 
     Let Safe always move to a successor whose cost is at least its own; one
     exists at every Safe vertex.  Against a winning Reach strategy that play
@@ -958,9 +968,22 @@ def _dstar_floor(game, player, sigma):
     `_reach_arena`, so vertices no play can visit cost nothing.
     """
     if player != REACH:
-        return 0
-    _old, succ, adjacency, reach, targets = _reach_arena(game, sigma)
-    return _deviation_costs(succ, reach, targets, adjacency)[0]
+        return 0, None
+    old, succ, adjacency, reach, targets = _reach_arena(game, sigma)
+    cost = _deviation_costs(succ, reach, targets, adjacency)
+    return cost[0], _lost(len(sigma), old, cost)
+
+
+def _lost(size, old, cost):
+    """Flags by game vertex of the `_reach_arena` vertices (`old` maps them
+    to the game's) whose deviation cost is INF: exactly those outside
+    Reach's attractor of the effect, from which Reach loses against every
+    strategy.  Vertices outside the arena are not flagged."""
+    lost = bytearray(size)
+    for v, c in zip(old, cost):
+        if c == distances.INF:
+            lost[v] = 1
+    return lost
 
 
 def _reach_arena(game, sigma):

@@ -14,6 +14,7 @@ from causekit.game_causality import (
     METRIC_PREF_H,
     GameCauseQuery,
     _deviation_costs,
+    _dstar_floor,
     _solve_for,
     check_cause_game,
     min_dstar_winning_strategy_acyclic,
@@ -277,6 +278,23 @@ def test_repair_costs_match_the_sweep(seed, cyclic, island):
         game._succ, game._owns[REACH], game._targets, strategy_adjacency(game, picks)
     )
     assert dict(zip(game.ids, costs)) == swept
+
+
+@FUZZ
+@given(SEEDS, st.booleans(), st.booleans())
+def test_lost_flags_of_the_costs_match_the_attractor(seed, cyclic, island):
+    """The d* search's Reach flags, read off the deviation costs of the part
+    of the game the initial vertex reaches, are the vertices outside Reach's
+    attractor of the effect, wherever the initial vertex reaches."""
+    game, rng = random_game(seed, cyclic)
+    if island:
+        game = with_unreachable_copy(game, rng)
+    sigma = random_strategy(rng, game, REACH)
+    _floor, lost = _dstar_floor(game, REACH, validate_strategy(game, sigma))
+    adjacency = id_adjacency(game)
+    forced = naive_attractor(adjacency, game.reach_owned, game.effect)
+    reached = naive_reachable(adjacency, game.initial)
+    assert {v for v in reached if lost[game.index[v]]} == reached - forced.keys()
 
 
 @FUZZ

@@ -89,6 +89,28 @@ def test_explain_commands():
     )
 
 
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--check", "v1", "--check-minimal", "v1", "--metric", "dstar"],
+        ["--cause", "v9", "--check", "v1"],
+        ["--check-minimal", "v1", "--cause", "v1"],
+    ],
+)
+def test_explain_modes_exclude_each_other(modes):
+    """Two of --cause, --check and --check-minimal are a usage error, even
+    where one alone would run (v9 is not a vertex of the game)."""
+    proc = run_cli(
+        "explain",
+        "--model", str(FIXDIR / "loop_game.json"),
+        "--strategy", str(FIXDIR / "loop_game_sigma.json"),
+        *modes,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert ": not allowed with argument --" in proc.stderr
+
+
 def test_distance_command():
     doc = json.loads(run_cli("distance", "lev", "--u", "a,b,b,c", "--v", "a,c,c,b,c").stdout)
     assert doc["verdict"] == "2"

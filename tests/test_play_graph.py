@@ -91,9 +91,9 @@ def min_winning(game, sigma, metric, threshold, budget):
     return d, None if picks is None else strategy_of(game, sigma.player, picks)
 
 
-def naive_min_winning_picks(game, player, sigma, metric, threshold, budget, floor=0):
+def naive_min_winning_picks(game, player, sigma, metric, threshold, budget, floor=0, lost=None):
     """`naive_min_winning` with the arguments and the result of `_min_winning`;
-    it searches on past `floor`."""
+    it searches on past `floor` and flags no vertex as lost."""
     d, tau = naive_min_winning(game, strategy_of(game, player, sigma), metric, threshold, budget)
     return d, None if tau is None else validate_strategy(game, tau)
 
@@ -230,7 +230,7 @@ def test_matched_strategies_are_the_distinct_matched_products(seed, cyclic, isla
 def test_dstar_floor_is_a_lower_bound_on_cyclic_games_too(seed, cyclic, island):
     for game, player, sigma, _rng in small_games(seed, cyclic, island):
         picks = validate_strategy(game, sigma)
-        floor = _dstar_floor(game, player, picks)
+        floor, _lost = _dstar_floor(game, player, picks)
         winners = [t for t in enumerate_strategies(game, player) if strategy_is_winning(game, t)]
         least = min((dstar(game, t, sigma) for t in winners), default=INF)
         if player == SAFE:
@@ -282,7 +282,7 @@ def test_dstar_winning_searches_match_the_product_search(seed, cyclic, island):
 def test_dstar_winning_search_drops_only_losers(seed, cyclic, island):
     for game, player, sigma, rng in small_games(seed, cyclic, island):
         picks = validate_strategy(game, sigma)
-        floor = _dstar_floor(game, player, picks)
+        floor, _lost = _dstar_floor(game, player, picks)
         for threshold, at in ((None, 0), (0, 0), (1, 0), (None, floor)):
             args = (game, player, picks, METRIC_DSTAR, threshold)
             got, used = budgeted(partial(_min_winning, floor=at), *args)
