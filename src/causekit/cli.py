@@ -389,7 +389,7 @@ GAME_CAUSE = (
 EXPLAIN = (
     MODEL,
     STRATEGY,
-    _one_of(_arg("--cause", default=""), _arg("--check"), _arg("--check-minimal")),
+    _one_of(_arg("--cause"), _arg("--check"), _arg("--check-minimal")),
     _arg("--metric", choices=("hamm-s", "dstar"), default="hamm-s"),
 )
 DISTANCE = (

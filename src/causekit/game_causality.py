@@ -20,18 +20,17 @@ winning search flags the vertices from which the player loses against every
 strategy, by one run of Reach's attractor of the effect set, and drops
 without a budget unit every search state whose plays reach one: all the
 strategies below it lose.  A candidate is matched, tested and measured on
-its play graph, the part of the game its plays can visit.  The d* winning
-search reads both win tests off the scan that measures d*: Reach wins iff
-the graph has no cycle, Safe iff it holds no effect vertex.  The
-condition-1 check runs the attractor on the graph numbered afresh
-(`model.play_arena`), so these cost what the plays cost.  The d* cause
-check keeps only the candidates tied at the least distance so far, and
-scans a candidate only when its distance from sigma's side, read on
-sigma's condensation, does not exceed that.  The value-only d* searches
-stop at the first winner at a known lower bound: the least winning distance
-for `is_minimal_explanation`, Reach's deviation costs (`_dstar_floor`) for
-`min_winning_distance`.  The acyclic d* repair skips
-the exact search when its deviation costs certify the proposed strategy.
+its play graph, the part of the game its plays can visit, and the
+condition-1 check runs the attractor on that graph numbered afresh
+(`model.play_arena`), so these cost what the plays cost.  One loop,
+`_least_dstar`, measures the candidates of all three d* searches: it reads
+sigma's side of d* on sigma's condensation, skips a candidate whose side
+strictly exceeds the least so far, and otherwise takes tau's side and the
+win from one scan.  The value-only d* searches stop at the first winner at
+a known lower bound: the least winning distance for
+`is_minimal_explanation`, Reach's deviation costs (`_dstar_floor`) for
+`min_winning_distance`.  The acyclic d* repair skips the exact search when
+its deviation costs certify the proposed strategy.
 
 Everything here runs on the game's vertex numbers (see `model`): vertex
 sets are lists, sets or flags of numbers, and a strategy runs as its picks.
@@ -434,6 +433,45 @@ def _verdict(query, k, loser, winner):
     return GameCauseVerdict(loser is None, k, True, True, witnesses[: query.witnesses])
 
 
+def _least_dstar(game, player, sigma, strategies, stop=None):
+    """(least d* from sigma's picks among the strategies, the least losing
+    and the least winning picks at it, or None).  With a `stop`, only
+    winners count, and the search ends at the first one at or below it.
+
+    Sigma's play graph is condensed once.  A candidate whose d* from sigma's
+    side, read on the condensation, exceeds the least so far is skipped; the
+    skip is strict, since the cause check needs every tie.  Otherwise one
+    `distances.play_scan` gives tau's side and the win: Reach wins iff the
+    play graph has no cycle, since only effect vertices end plays, Safe iff
+    it holds no effect vertex.  Picks lists compare as their sorted (vertex,
+    choice) id pairs do, so the result does not depend on the enumeration
+    order.
+    """
+    condensed = distances.play_condensation(game, sigma)
+    effect = game._owns[EFFECT]
+    least = loser = winner = None
+    for tau in strategies:
+        d = distances.dstrat_picks(game, sigma, tau, condensed)
+        if least is not None and d > least:
+            continue
+        d_tau, cyclic, rank = distances.play_scan(game, tau, sigma)
+        wins = not (cyclic if player == REACH else any(map(effect.__getitem__, rank)))
+        if stop is not None and not wins:
+            continue
+        d = max(d, d_tau)
+        if least is None or d < least:
+            least, loser, winner = d, None, None
+        elif d > least:
+            continue
+        if wins:
+            winner = min(winner or tau, tau)
+            if stop is not None and d <= stop:
+                break
+        else:
+            loser = min(loser or tau, tau)
+    return least, loser, winner
+
+
 # ---------------------------------------------------------------------------
 # cause checking
 
@@ -670,29 +708,13 @@ def _check_dstar(query, sigma, allowed, budget):
     The candidates are the sigma-matched strategies with region-preserving
     picks inside the avoid region and sigma's off it; every cause-avoiding
     strategy is one of them up to off-path picks, which can only increase
-    the distance.  Only the candidates tied at the least distance so far are
-    kept.
+    the distance.  `_least_dstar` measures them and gives the least losing
+    and the least winning at the least distance as witnesses.
     """
     game = query.game
     options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
-    condensed = distances.play_condensation(game, sigma)
-    least, ties = None, []
-    for tau in _matched_strategies(game, sigma, options, budget):
-        d = distances.dstrat_picks(game, sigma, tau, condensed)
-        if least is not None and d > least:
-            continue  # cheap on sigma's condensation; spares tau's play scan
-        d = max(d, distances.dstrat_picks(game, tau, sigma))
-        if least is None or d < least:
-            least, ties = d, [tau]
-        elif d == least:
-            ties.append(tau)
-    loser = winner = None
-    for tau in sorted(ties):
-        if _wins(game, query.player, tau):
-            winner = winner or tau
-        else:
-            loser = loser or tau
-    return _verdict(query, least, loser, winner)
+    strategies = _matched_strategies(game, sigma, options, budget)
+    return _verdict(query, *_least_dstar(game, query.player, sigma, strategies))
 
 
 def brute_force_check_cause(query, budget=None, distance_fn=None):
@@ -814,22 +836,20 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
     one there).
 
     The hamm-s search only asks whether the player wins, so its picks are
-    None.  The d* search measures each distinct sigma-matched strategy of
-    `_matched_strategies` that wins and keeps the `(d, picks)`-least, so its
-    answer does not depend on the enumeration order.  Two picks lists
-    differ first at their least vertex of difference, so they compare as
-    their sorted (vertex, choice) id pairs do.  The search flags as lost the
-    vertices from which the player loses against every strategy: those
-    outside Reach's attractor of the effect set for Reach, those inside it
-    for Safe.  A caller may hand these `lost` flags over, as the `_lost`
-    flags of Reach's deviation costs; they need only be right where the
-    initial vertex reaches.  Otherwise they come from an attractor over the
-    whole game.  The enumeration then drops losers early, without a budget
-    unit, and leaves the winners and their order as they are.  With a
-    threshold, the first strategy within it is returned, or (threshold + 1,
-    None) when there is none.  A `floor` no winner lies below ends the d*
-    search at the first winner on it; at the default 0 that winner is sigma
-    itself, the only strategy at d* 0 from it.
+    None.  The d* search hands each distinct sigma-matched strategy of
+    `_matched_strategies` to `_least_dstar`, which keeps the least winner at
+    the least distance.  The search flags as lost the vertices from which
+    the player loses against every strategy: those outside Reach's attractor
+    of the effect set for Reach, those inside it for Safe.  A caller may
+    hand these `lost` flags over, as the `_lost` flags of Reach's deviation
+    costs; they need only be right where the initial vertex reaches.
+    Otherwise they come from an attractor over the whole game.  The
+    enumeration then drops losers early, without a budget unit, and leaves
+    the winners and their order as they are.  With a threshold, the first
+    strategy within it is returned, or (threshold + 1, None) when there is
+    none.  A `floor` no winner lies below ends the d* search at the first
+    winner on it; at the default 0 that winner is sigma itself, the only
+    strategy at d* 0 from it.
     """
     if metric == METRIC_HAMM_S:
         stop = None if threshold is None else threshold + 1
@@ -842,38 +862,18 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
             return len(free), None
     elif metric == METRIC_DSTAR:
         stop = floor if threshold is None else max(threshold, floor)
-        best = None
         if lost is None:
             forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
             lost = [(r is None) == (player == REACH) for r in forced]
         strategies = _matched_strategies(game, sigma, game._succ, budget, lost)
-        for d, tau in _winners_measured(game, player, sigma, strategies):
-            if best is None or (d, tau) < best:
-                best = (d, tau)
-                if d <= stop:
-                    break
-        if best is not None:
-            return best
+        least, _loser, tau = _least_dstar(game, player, sigma, strategies, stop)
+        if tau is not None:
+            return least, tau
     else:
         raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
     if threshold is not None:
         return threshold + 1, None
     raise NoWinningStrategy(f"player {player} has no winning strategy")
-
-
-def _winners_measured(game, player, sigma, strategies):
-    """(d* from sigma's picks, picks) for each of the strategies that wins,
-    lazily.  Sigma's play graph is condensed once; the win is read off the
-    same pass over a strategy's play graph that measures it: Reach's from
-    its cycles, Safe's from the effect vertices among those it reaches."""
-    condensed = distances.play_condensation(game, sigma)
-    effect = game._owns[EFFECT]
-    for tau in strategies:
-        d, cyclic, rank = distances.play_scan(game, tau, sigma)
-        loses = cyclic if player == REACH else any(map(effect.__getitem__, rank))
-        if loses:
-            continue
-        yield max(d, distances.dstrat_picks(game, sigma, tau, condensed)), tau
 
 
 def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
@@ -898,8 +898,7 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
         picks = validate_strategy(game, sigma)
         options = _alternatives(game, picks, map(game.index.__getitem__, vertex_set))
         variants = _variants(picks, options, budget)
-        measured = _winners_measured(game, sigma.player, picks, variants)
-        return any(d == overall for d, _tau in measured)
+        return _least_dstar(game, sigma.player, picks, variants, overall)[0] == overall
     raise PreconditionViolated(f"unsupported metric {metric!r} for minimality")
 
 

@@ -48,6 +48,7 @@ from causekit.game_causality import (
     StrategyWitness,
     _avoid_set,
     _matched_strategies,
+    _verdict,
     _wins,
     avoid_region,
     enumerate_strategies,
@@ -759,6 +760,33 @@ def unpruned_min_winning(game, player, sigma, metric, threshold, budget, floor=0
     if threshold is not None:
         return threshold + 1, None
     raise NoWinningStrategy(f"player {player} has no winning strategy")
+
+
+def tie_list_check_dstar(query, sigma, allowed, budget):
+    """The d* cause check as a loop of its own: the candidates tied at the
+    least distance so far are kept in a list, scanned only when sigma's side
+    alone does not exceed it, and after the search the first loser and the
+    first winner among the sorted ties are found by `_wins`."""
+    game = query.game
+    options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
+    condensed = distances.play_condensation(game, sigma)
+    least, ties = None, []
+    for tau in _matched_strategies(game, sigma, options, budget):
+        d = distances.dstrat_picks(game, sigma, tau, condensed)
+        if least is not None and d > least:
+            continue  # cheap on sigma's condensation; spares tau's play scan
+        d = max(d, distances.dstrat_picks(game, tau, sigma))
+        if least is None or d < least:
+            least, ties = d, [tau]
+        elif d == least:
+            ties.append(tau)
+    loser = winner = None
+    for tau in sorted(ties):
+        if _wins(game, query.player, tau):
+            winner = winner or tau
+        else:
+            loser = loser or tau
+    return _verdict(query, least, loser, winner)
 
 
 def naive_is_minimal_dstar(game, sigma, vertex_set):

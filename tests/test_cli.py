@@ -81,6 +81,7 @@ def test_explain_commands():
     ]
     extract = json.loads(run_cli("explain", *base).stdout)
     assert extract["explanation"] == ["v1", "v2"]
+    assert extract["inputs"]["cause"] == []
     assert run_cli("explain", *base, "--check", "v1").returncode == 0
     assert run_cli("explain", *base, "--check-minimal", "v1", "--metric", "dstar").returncode == 0
     assert (
@@ -95,11 +96,14 @@ def test_explain_commands():
         ["--check", "v1", "--check-minimal", "v1", "--metric", "dstar"],
         ["--cause", "v9", "--check", "v1"],
         ["--check-minimal", "v1", "--cause", "v1"],
+        ["--cause", "", "--check", "v1"],
+        ["--cause", "", "--check-minimal", "v1"],
     ],
 )
 def test_explain_modes_exclude_each_other(modes):
     """Two of --cause, --check and --check-minimal are a usage error, even
-    where one alone would run (v9 is not a vertex of the game)."""
+    where one alone would run (v9 is not a vertex of the game) and where
+    --cause is given empty."""
     proc = run_cli(
         "explain",
         "--model", str(FIXDIR / "loop_game.json"),

@@ -71,6 +71,7 @@ from helpers import (
     naive_sigma_matched,
     naive_strategy_avoids,
     naive_strategy_is_winning,
+    tie_list_check_dstar,
     unpruned_min_winning,
     with_unreachable_copy,
 )
@@ -318,6 +319,24 @@ def test_dstar_minimality_measures_the_unmatched_variants(seed, cyclic, island):
             assert is_minimal_explanation(game, sigma, vertex_set, METRIC_DSTAR) == (
                 naive_is_minimal_dstar(game, sigma, vertex_set)
             )
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_dstar_cause_check_matches_the_tie_list_reference(seed, cyclic, island):
+    # Causes are drawn from sigma's play graph, where condition 1 can hold;
+    # about one query in seven reaches the d* search itself.
+    for game, player, sigma, rng in small_games(seed, cyclic, island):
+        plays = [game.ids[v] for v in sorted(play_graph(game, validate_strategy(game, sigma)))]
+        pool = [v for v in plays if v != game.initial and game.owner(v) != "effect"]
+        pool = pool or [v for v in game.ids if game.owner(v) != "effect"]
+        for _ in range(3):
+            cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
+            query = GameCauseQuery(game, player, sigma, cause, METRIC_DSTAR, rng.randint(1, 3))
+            got = budgeted(check_cause_game, query)
+            with mock.patch.object(game_causality, "_check_dstar", tie_list_check_dstar):
+                want = budgeted(check_cause_game, query)
+            assert got == want
 
 
 def test_dstar_search_on_a_long_play_needs_no_recursion():
