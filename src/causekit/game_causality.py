@@ -19,10 +19,10 @@ since d* is linear in the play graph (`distances.play_scan`).  The d*
 winning search flags the vertices from which the player loses against every
 strategy, by one run of Reach's attractor of the effect set, and drops
 without a budget unit every search state whose plays reach one: all the
-strategies below it lose.  A candidate is matched, tested and measured on
-its play graph, the part of the game its plays can visit, and the
-condition-1 check runs the attractor on that graph numbered afresh
-(`model.play_arena`), so these cost what the plays cost.  One loop,
+strategies below it lose.  A candidate is matched, tested and measured by
+the play walks of `model`, which cost what its plays cost: one walk
+(`_plays`) tells whether it wins and whether it avoids the cause, and
+condition 1 is one attractor over sigma's play arena.  One loop,
 `_least_dstar`, measures the candidates of all three d* searches: it reads
 sigma's side of d* on sigma's condensation, skips a candidate whose side
 strictly exceeds the least so far, and otherwise takes tau's side and the
@@ -66,9 +66,7 @@ from .model import (
     maximal_avoiding_set,
     opponent,
     play_arena,
-    play_graph,
     play_layers,
-    reachable_set,
     shortest_route,
     strategy_adjacency,
     strategy_of,
@@ -224,26 +222,32 @@ def _solve_for(game, player, allowed):
 
 
 def strategy_is_winning(game, strategy):
-    return _wins(game, strategy.player, validate_strategy(game, strategy))
+    return _plays(game, strategy.player, validate_strategy(game, strategy))[1]
 
 
-def _wins(game, player, picks):
-    """Whether the player's picks win: for Reach every play reaches the
-    effect set, which holds iff the play graph has no cycle, since only
-    effect vertices end plays; for Safe none does."""
-    if player == SAFE:
-        return not any(map(game._owns[EFFECT].__getitem__, play_graph(game, picks)))
-    return not distances.play_scan(game, picks, picks)[1]
+def _won(game, player, cyclic, seen):
+    """Whether the player's picks win, read off one walk of their plays:
+    Reach iff no play cycles, since only effect vertices end plays, Safe
+    iff no play visits the effect (`seen` holds the vertices visited)."""
+    if player == REACH:
+        return not cyclic
+    return not any(map(game._owns[EFFECT].__getitem__, seen))
+
+
+def _plays(game, player, picks):
+    """(the vertices the picks' plays visit, as dict keys, whether the picks
+    win), from one walk: `distances.play_scan` for Reach, `play_arena` for
+    Safe."""
+    if player == REACH:
+        _d, cyclic, seen = distances.play_scan(game, picks, picks)
+    else:
+        cyclic, seen = None, play_arena(game, picks)[0]
+    return seen, _won(game, player, cyclic, seen)
 
 
 def strategy_avoids(game, strategy, cause):
-    picks = validate_strategy(game, strategy)
-    return _avoids(game, picks, list(map(game.index.get, cause)))
-
-
-def _avoids(game, picks, cause):
-    graph = play_graph(game, picks)
-    return not any(c in graph for c in cause)
+    seen = play_arena(game, validate_strategy(game, strategy))[0]
+    return not any(game.index.get(c) in seen for c in cause)
 
 
 def losing_play_reaches_cause(game, sigma, cause):
@@ -257,15 +261,17 @@ def losing_play_reaches_cause(game, sigma, cause):
 
 
 def _condition1(game, player, picks, cause):
+    """Condition 1 by one attractor of the effect over the picks' play
+    arena: all-existential for Safe, whose plays can lose from its members,
+    all-universal for Reach, whose plays can avoid the effect forever from
+    the vertices outside it."""
     seen, succ = play_arena(game, picks)
     hits = [seen[c] for c in cause if c in seen]
     if not hits:
         return False
-    effect = list(map(game._owns[EFFECT].__getitem__, seen))
-    if player == SAFE:
-        return any(any(map(effect.__getitem__, reachable_set(succ, c))) for c in hits)
-    dodging = maximal_avoiding_set(succ, compress(range(len(succ)), effect))
-    return any(map(dodging.__getitem__, hits))
+    effect = compress(range(len(succ)), map(game._owns[EFFECT].__getitem__, seen))
+    rank = attractor(succ, (b"\0" if player == REACH else b"\1") * len(succ), effect)
+    return any((rank[h] is None) == (player == REACH) for h in hits)
 
 
 def enumerate_strategies(game, player, budget=None):
@@ -286,7 +292,7 @@ def _sigma_matched(game, picks, sigma):
     Harmless for winning and cause-avoidance (the reachable part is
     untouched) and never increases any play-based distance to sigma.
     """
-    seen = play_graph(game, picks)
+    seen = play_arena(game, picks)[0]
     return [picks[v] if v in seen else u for v, u in enumerate(sigma)]
 
 
@@ -441,21 +447,18 @@ def _least_dstar(game, player, sigma, strategies, stop=None):
     Sigma's play graph is condensed once.  A candidate whose d* from sigma's
     side, read on the condensation, exceeds the least so far is skipped; the
     skip is strict, since the cause check needs every tie.  Otherwise one
-    `distances.play_scan` gives tau's side and the win: Reach wins iff the
-    play graph has no cycle, since only effect vertices end plays, Safe iff
-    it holds no effect vertex.  Picks lists compare as their sorted (vertex,
-    choice) id pairs do, so the result does not depend on the enumeration
-    order.
+    `distances.play_scan` gives tau's side and, by `_won`, the win.  Picks
+    lists compare as their sorted (vertex, choice) id pairs do, so the
+    result does not depend on the enumeration order.
     """
     condensed = distances.play_condensation(game, sigma)
-    effect = game._owns[EFFECT]
     least = loser = winner = None
     for tau in strategies:
         d = distances.dstrat_picks(game, sigma, tau, condensed)
         if least is not None and d > least:
             continue
         d_tau, cyclic, rank = distances.play_scan(game, tau, sigma)
-        wins = not (cyclic if player == REACH else any(map(effect.__getitem__, rank)))
+        wins = _won(game, player, cyclic, rank)
         if stop is not None and not wins:
             continue
         d = max(d, d_tau)
@@ -622,7 +625,7 @@ def _tree_shaped(game):
     """Tree arenas (modulo trap self-loops): one way in per reachable vertex."""
     succ, pred = game._succ, game._pred
     traps = trap_vertices(succ)
-    seen = reachable_set(succ, game._init)
+    seen = play_arena(game, [None] * len(succ))[0]
     return all(
         sum(p in seen and not (p == v and v in traps) for p in pred[v]) <= 1
         for v in seen
@@ -689,9 +692,10 @@ def _check_hamm_s(query, sigma, cause, budget):
     loser = winner = None
     for free in sets:
         for tau in _variants(sigma, _alternatives(game, sigma, free), budget):
-            if not _avoids(game, tau, cause):
+            seen, wins = _plays(game, player, tau)
+            if any(c in seen for c in cause):
                 continue
-            if _wins(game, player, tau):
+            if wins:
                 winner = winner or tau
             else:
                 loser = loser or tau
@@ -941,7 +945,7 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     tau_fast = _sigma_matched(game, choice, picks)
 
     fast = None
-    if _wins(game, REACH, tau_fast):
+    if _plays(game, REACH, tau_fast)[1]:
         fast = distances.dstar_picks(game, tau_fast, picks)
         if fast == val[0]:
             return strategy_of(game, REACH, tau_fast), fast

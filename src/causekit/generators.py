@@ -19,6 +19,9 @@ from .model import (
 from .sem_bridge import StructuralEquationModel
 
 FAMILIES = ("layered-ts", "acyclic-ts", "acyclic-game", "cyclic-game", "boolean-sem")
+# The least `states` each family that reads it can build: a game needs an
+# initial vertex, an effect vertex and one more, a DAG system two states.
+MIN_STATES = {"acyclic-ts": 2, "acyclic-game": 3, "cyclic-game": 3}
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,9 @@ class GeneratorSpec:
         for name in ("states", "layers", "width", "alphabet", "variables"):
             if getattr(self, name) < 1:
                 raise InvalidSpec(f"{name} must be positive")
+        least = MIN_STATES.get(self.family, 1)
+        if self.states < least:
+            raise InvalidSpec(f"{self.family} needs at least {least} states")
 
 
 def generate(spec):

@@ -34,13 +34,16 @@ reads the model's predecessor lists, with `allowed` edge tuples as
 overrides.  `Attractor` is the same kernel as an object that resumes after
 universal vertices are pinned to one successor.
 
-Two breadth-first walks answer the questions the checkers ask of paths.
-`shortest_route` is the least shortest route to a goal: each layer is
-sorted and a vertex keeps the first parent that reaches it.  `play_layers`
-yields the owned vertices of a strategy's play graph by depth, each layer
-in discovery order; its callers read the layers as sets.  `play_arena`
-numbers a play graph afresh in discovery order, so that an attractor over
-the plays costs what the plays cost, however large the rest of the game.
+`shortest_route` is the least shortest route to a goal, breadth-first: each
+layer is sorted and a vertex keeps the first parent that reaches it.  Three
+walks answer the questions the checkers ask of a strategy's plays.  Each
+reads the picks and the game's successor tuples, so it costs what the plays
+cost, however large the rest of the game.  `play_arena` answers which
+vertices the plays visit: it numbers them afresh in discovery order, and
+the attractors over the plays run on it.  `distances.play_scan` answers
+whether the plays can cycle and gives the d* weights.  `play_layers` gives
+the owned vertices the plays visit by breadth-first depth, each layer in
+discovery order; its callers read the layers as sets.
 """
 
 import json
@@ -407,34 +410,14 @@ def strategy_adjacency(game, picks):
     return [ends if u is None else (u,) for ends, u in zip(game._succ, picks)]
 
 
-def play_graph(game, picks):
-    """The part of `strategy_adjacency` reachable from the initial vertex, as
-    {vertex: successor tuple}.
-
-    Built by one walk that reads the picks and the game's successor tuples
-    directly, so its cost is that of the plays, not of the game.  It is
-    closed under successors; its keys are the vertices some play visits.
-    """
-    succ = game._succ
-    v = game._init
-    u = picks[v]
-    graph = {v: succ[v] if u is None else (u,)}
-    stack = [v]
-    while stack:
-        for v in graph[stack.pop()]:
-            if v not in graph:
-                u = picks[v]
-                graph[v] = succ[v] if u is None else (u,)
-                stack.append(v)
-    return graph
-
-
 def play_arena(game, picks):
-    """The play graph numbered afresh in discovery order, for the attractor
+    """The play graph, the part of `strategy_adjacency` reachable from the
+    initial vertex, numbered afresh in discovery order, for the attractor
     to run on at the cost of the plays rather than of the game.  Returns
     (`seen`, `succ`): `seen` maps each vertex some play visits to its new
     number, the initial vertex 0, and `succ` lists the successors of each
-    by new number."""
+    by new number.  All-None picks give the part of the game the initial
+    vertex reaches."""
     succ = game._succ
     seen = {game._init: 0}
     order = [game._init]
@@ -474,19 +457,6 @@ def play_layers(game, picks):
 
 # ---------------------------------------------------------------------------
 # graph primitives (shared by transition systems and games)
-
-
-def reachable_set(succ, start):
-    """Vertices reachable from start, start included."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in succ[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
 
 
 def shortest_route(succ, start, goal, avoid=()):

@@ -11,7 +11,7 @@ is tested against.
 """
 
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 from .errors import BudgetExceeded, PreconditionViolated
 from .model import TransitionSystem, required_field
@@ -43,6 +43,12 @@ class StructuralEquationModel:
     def __post_init__(self):
         if not self.variables:
             raise PreconditionViolated("a SEM needs at least one variable")
+        if len(set(self.variables)) != len(self.variables):
+            seen = set()
+            for x in self.variables:
+                if x in seen:
+                    raise PreconditionViolated(f"duplicate variable {x!r}")
+                seen.add(x)
         if len(self.tables) != len(self.variables):
             raise PreconditionViolated("one truth table per variable required")
         for i, table in enumerate(self.tables):
@@ -271,10 +277,11 @@ def effect_from_json(sem, data):
     """Effect sets arrive as explicit valuation lists or as a predicate on the
     last k variables ({"last": k, "values": [...]}), expanded extensionally."""
     if isinstance(data, dict):
-        try:
-            k = int(required_field(data, "last", "effect"))
-        except TypeError:
-            raise PreconditionViolated("predicate arity must be a number") from None
+        k = required_field(data, "last", "effect")
+        if type(k) is not int:  # a JSON true is a bool, which int() would take
+            raise PreconditionViolated(
+                f"effect.last: expected a JSON integer, got {type(k).__name__}"
+            )
         if not 1 <= k <= sem.n:
             raise PreconditionViolated(f"predicate arity {k} out of range")
         accepted = set(_rows(required_field(data, "values", "effect"), "predicate values"))
@@ -295,7 +302,16 @@ def effect_from_json(sem, data):
 
 
 def _rows(data, what):
-    """A JSON array of arrays, each row as a tuple of Booleans."""
+    """A JSON array of arrays of Booleans, each row as a tuple; the first
+    entry that is not a Boolean is named."""
     if not isinstance(data, list) or not all(isinstance(v, list) for v in data):
         raise PreconditionViolated(f"{what} must be an array of arrays")
-    return [tuple(bool(b) for b in v) for v in data]
+    rows = list(map(tuple, data))
+    if not set(map(type, chain.from_iterable(rows))) <= {bool}:
+        for i, row in enumerate(rows):
+            for j, b in enumerate(row):
+                if type(b) is not bool:
+                    raise PreconditionViolated(
+                        f"{what}[{i}][{j}]: expected a JSON Boolean, got {type(b).__name__}"
+                    )
+    return rows

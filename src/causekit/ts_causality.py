@@ -72,7 +72,7 @@ class CauseVerdict:
     condition1: bool = True
 
 
-def path_satisfies_phi(ts, sequence, effect, phi):
+def path_satisfies_phi(sequence, effect, phi):
     visits = any(s in effect for s in sequence)
     return visits if phi == PHI_REACH else not visits
 
@@ -102,7 +102,7 @@ def validate_query(query, allow_overlap=False):
     cause = frozenset(map(index.__getitem__, query.cause))
     if not any(s in cause for s in seq):
         raise PreconditionViolated("the given execution does not visit the cause set")
-    if not path_satisfies_phi(ts, seq, effect, query.phi):
+    if not path_satisfies_phi(seq, effect, query.phi):
         raise PreconditionViolated(
             "the given execution does not satisfy the effect property"
         )
@@ -248,7 +248,7 @@ def _finish_witnesses(query, paths, distance, effect):
     for p in paths:
         if p and p not in seen:
             seen.add(p)
-            out.append(Witness(p, distance, path_satisfies_phi(query.ts, p, effect, phi)))
+            out.append(Witness(p, distance, path_satisfies_phi(p, effect, phi)))
     out.sort(key=lambda w: (not w.satisfies_phi, w.path))
     return tuple(out[: query.witnesses])
 
@@ -547,7 +547,7 @@ def brute_force_check(query, max_len=None, budget=None, allow_overlap=False):
     min_d = min(d for d, _ in scored)
     minimal = [p for d, p in scored if d == min_d]
     statuses = {
-        p: path_satisfies_phi(ts, p, query.effect, query.phi) for p in minimal
+        p: path_satisfies_phi(p, query.effect, query.phi) for p in minimal
     }
     is_cause = not any(statuses.values())
     ordered = sorted(minimal, key=lambda p: (statuses[p] == is_cause, p))

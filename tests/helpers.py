@@ -49,7 +49,6 @@ from causekit.game_causality import (
     _avoid_set,
     _matched_strategies,
     _verdict,
-    _wins,
     avoid_region,
     enumerate_strategies,
     strategy_is_winning,
@@ -68,6 +67,7 @@ from causekit.model import (
     game_from_owners,
     maximal_avoiding_set,
     maximal_paths,
+    strategy_of,
     validate_strategy,
 )
 from causekit.sem_bridge import (
@@ -480,6 +480,11 @@ def naive_strategy_is_winning(game, strategy):
     return not (game.effect & naive_reachable(adj, game.initial))
 
 
+def naive_picks_win(game, player, picks):
+    """`naive_strategy_is_winning` of the player's picks."""
+    return naive_strategy_is_winning(game, strategy_of(game, player, picks))
+
+
 def naive_strategy_avoids(game, strategy, cause):
     adj = id_adjacency(game, strategy)
     return not (set(cause) & naive_reachable(adj, game.initial))
@@ -741,14 +746,14 @@ def naive_min_winning(game, sigma, metric, threshold, budget):
 def unpruned_min_winning(game, player, sigma, metric, threshold, budget, floor=0):
     """The d* branch of `_min_winning` over every candidate of
     `_matched_strategies`, no vertex flagged as lost: each is tested by
-    `_wins` and measured by `distances.dstar_picks`, at one budget unit
+    `naive_picks_win` and measured by `distances.dstar_picks`, at one budget unit
     whether it wins or not."""
     if metric != METRIC_DSTAR:
         raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
     stop = floor if threshold is None else max(threshold, floor)
     best = None
     for tau in _matched_strategies(game, sigma, game._succ, budget):
-        if not _wins(game, player, tau):
+        if not naive_picks_win(game, player, tau):
             continue
         d = distances.dstar_picks(game, tau, sigma)
         if best is None or (d, tau) < best:
@@ -766,7 +771,7 @@ def tie_list_check_dstar(query, sigma, allowed, budget):
     """The d* cause check as a loop of its own: the candidates tied at the
     least distance so far are kept in a list, scanned only when sigma's side
     alone does not exceed it, and after the search the first loser and the
-    first winner among the sorted ties are found by `_wins`."""
+    first winner among the sorted ties are found by `naive_picks_win`."""
     game = query.game
     options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
     condensed = distances.play_condensation(game, sigma)
@@ -782,7 +787,7 @@ def tie_list_check_dstar(query, sigma, allowed, budget):
             ties.append(tau)
     loser = winner = None
     for tau in sorted(ties):
-        if _wins(game, query.player, tau):
+        if naive_picks_win(game, query.player, tau):
             winner = winner or tau
         else:
             loser = loser or tau

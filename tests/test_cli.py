@@ -333,6 +333,23 @@ MISSING_FIELD_IDS = [
         sem_case("tables must be an array of arrays", tables=5),
         sem_case("variables must be an array of strings", variables=5),
         sem_case("tables must be an array of arrays", tables=[True]),
+        sem_case("duplicate variable 'X1'", variables=["X1", "X1"]),
+        sem_case("tables[1][0]: expected a JSON Boolean, got str", tables=[[True], ["no", True]]),
+        sem_case("tables[0][0]: expected a JSON Boolean, got int", tables=[[5], [False, True]]),
+        effect_case("[[true, 1]]", "effect[0][1]: expected a JSON Boolean, got int"),
+        effect_case(
+            '{"last": 1, "values": [["no"]]}',
+            "predicate values[0][0]: expected a JSON Boolean, got str",
+        ),
+        effect_case(
+            '{"last": true, "values": [[true]]}', "effect.last: expected a JSON integer, got bool"
+        ),
+        effect_case(
+            '{"last": 1.5, "values": [[true]]}', "effect.last: expected a JSON integer, got float"
+        ),
+        effect_case(
+            '{"last": "x", "values": [[true]]}', "effect.last: expected a JSON integer, got str"
+        ),
         ts_case("transition system has no states", states=[], transitions=[]),
         ts_case("initial state 'zz' is not a state", initial="zz"),
         ts_case("transition ('s0', 'zz') leaves the state set", transitions=[["s0", "zz"]]),
@@ -368,6 +385,9 @@ MISSING_FIELD_IDS = [
         "int-endpoint", "triple-transition", "list-initial", "int-vertex-id",
         "int-edge-endpoint", "string-edge", "list-path-step", "list-choice", "effect-int", "effect-int-row",
         "effect-values-int", "sem-tables-int", "sem-variables-int", "sem-tables-bool-row",
+        "sem-duplicate-variable", "sem-table-string-entry", "sem-table-int-entry",
+        "effect-int-entry", "effect-values-string-entry", "effect-last-bool",
+        "effect-last-float", "effect-last-string",
         "ts-no-states", "ts-unknown-initial", "ts-unknown-target", "ts-unknown-source",
         "ts-label-outside-alphabet", "ts-first-bad-transition-sorted", "game-no-vertices",
         "game-unknown-initial", "game-initial-in-effect", "game-unknown-source",

@@ -1,6 +1,6 @@
 import pytest
 
-from causekit.cli import generate_json
+from causekit.cli import generate_json, main
 from causekit.errors import InvalidSpec
 from causekit.generators import FAMILIES, GeneratorSpec, generate
 from causekit.model import dumps_canonical, is_effectively_acyclic
@@ -15,6 +15,16 @@ def test_specs_validate():
         GeneratorSpec("no-such-family", seed=1)
     with pytest.raises(InvalidSpec):
         GeneratorSpec("acyclic-ts", seed=1, states=0)
+
+
+def test_specs_reject_sizes_the_families_cannot_build(capsys):
+    for family, least in (("acyclic-ts", 2), ("acyclic-game", 3), ("cyclic-game", 3)):
+        with pytest.raises(InvalidSpec, match=f"{family} needs at least {least} states"):
+            GeneratorSpec(family, seed=1, states=least - 1)
+        assert main(["gen", "--family", family, "--states", str(least - 1)]) == 2
+        assert f"{family} needs at least {least} states" in capsys.readouterr().err
+        for seed in range(30):
+            generate(GeneratorSpec(family, seed=seed, states=least))
 
 
 def test_determinism_byte_identical():

@@ -1,7 +1,8 @@
 """Every name a causekit module imports is used in it or exported by it,
 every public function and class of a module is used by the package, the
-demos or the benchmark, so code only the tests call stays in the tests, and
-every private function of a module is used by the package."""
+demos or the benchmark, so code only the tests call stays in the tests,
+every private function of a module is used by the package, and every
+parameter of a package function is read in its body."""
 
 import ast
 import pathlib
@@ -104,3 +105,37 @@ def test_every_public_function_is_used_outside_the_tests():
         path.name: unreferenced(path.read_text(encoding="utf-8"), names)
         for path in SOURCES
     } == {path.name: [] for path in SOURCES}
+
+
+def unread_parameters(source):
+    """(function, parameter) for each parameter of a function or lambda of
+    `source` that no name expression in its body reads, a nested function's
+    included, sorted."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for part in body for n in ast.walk(part) if isinstance(n, ast.Name)}
+            name = getattr(node, "name", "<lambda>")
+            out.extend((name, p) for p in params if p not in read)
+    return sorted(out)
+
+
+def test_the_check_sees_an_unread_parameter():
+    source = (
+        "def f(a, b, *rest, c=1, **extra):\n"
+        "    def g(d):\n        return b\n"
+        "    return g\n\n"
+        "key = lambda item, unused: item\n"
+    )
+    assert unread_parameters(source) == [
+        ("<lambda>", "unused"), ("f", "a"), ("f", "c"), ("f", "extra"), ("f", "rest"), ("g", "d"),
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []

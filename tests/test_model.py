@@ -16,7 +16,6 @@ from causekit.model import (
     maximal_paths,
     model_from_json,
     model_to_json,
-    reachable_set,
     shortest_route,
     strategy_adjacency,
     validate_strategy,
@@ -26,10 +25,12 @@ from causekit.model import (
 from helpers import (
     avoiding,
     budgeted,
+    id_adjacency,
     id_graph,
     int_graph,
     naive_bfs_path,
     naive_maximal_paths,
+    naive_reachable,
     numbers,
     successor_map,
 )
@@ -145,11 +146,9 @@ def test_restricted_owned_outdegree_one():
         game = generate(GeneratorSpec("cyclic-game", seed=seed, states=7))
         for player in ("reach", "safe"):
             tau = random_strategy(rng, game, player)
-            picks = validate_strategy(game, tau)
             adj = restricted_graph(game, tau)
             assert list(adj) == list(game.vertices)
-            seen = reachable_set(strategy_adjacency(game, picks), game.index[game.initial])
-            for v in map(game.ids.__getitem__, seen):
+            for v in naive_reachable(id_adjacency(game, tau), game.initial):
                 if v in game.owned_by(player):
                     assert adj[v] == (tau.choice[v],)
                     assert tau.choice[v] in game.successors(v)

@@ -19,6 +19,7 @@ from causekit.errors import Budget, CausekitError, NotAcyclic
 from causekit.fixtures import tree_game
 from causekit.game_causality import (
     METRIC_DSTAR,
+    METRIC_HAMM_S,
     GameCauseQuery,
     _deviation_costs,
     _dstar_floor,
@@ -44,10 +45,8 @@ from causekit.model import (
     MDStrategy,
     attractor,
     game_from_owners,
-    maximal_avoiding_set,
     model_to_json,
     play_arena,
-    play_graph,
     play_layers,
     strategy_adjacency,
     strategy_of,
@@ -112,14 +111,12 @@ def test_play_graph_helpers_match_the_whole_adjacency(seed, cyclic):
         picks, ids = validate_strategy(game, tau), game.ids
         adj = id_adjacency(game, tau)
         seen = naive_reachable(adj, game.initial)
-        graph = play_graph(game, picks)
-        graph = {ids[v]: tuple(ids[u] for u in ends) for v, ends in graph.items()}
-        assert graph == {v: adj[v] for v in seen}
         numbered, succ = play_arena(game, picks)
         assert list(numbered.values()) == list(range(len(numbered)))
         assert numbered[game.index[game.initial]] == 0
         names = [ids[v] for v in numbered]
-        assert {v: tuple(names[i] for i in row) for v, row in zip(names, succ)} == graph
+        graph = {v: tuple(names[i] for i in row) for v, row in zip(names, succ)}
+        assert graph == {v: adj[v] for v in seen}
         layers = [[ids[v] for v in layer] for layer in play_layers(game, picks)]
         assert layers == naive_pin_layers(game, tau)
         assert strategy_is_winning(game, tau) == naive_strategy_is_winning(game, tau)
@@ -154,7 +151,7 @@ def test_dstrat_is_the_walk_over_counted_sets(seed, cyclic, island):
         plays = naive_reachable(adj, game.initial)
         assert play_scan(game, t, t)[1] == (not naive_is_acyclic({v: adj[v] for v in plays}))
         owned, reach = play_condensation(game, t)
-        plays = [v for v in play_graph(game, t) if t[v] is not None]
+        plays = [v for v in play_arena(game, t)[0] if t[v] is not None]
         assert sorted(v for v, _k in owned) == sorted(plays)
         assert all(bits < 1 << k for k, bits in enumerate(reach))
 
@@ -206,7 +203,7 @@ def test_matched_strategies_are_the_distinct_matched_products(seed, cyclic, isla
         products = [(int_graph(game, game.adjacency()), enumerate_strategies(game, player))]
         # The avoid region's edges inside it and sigma's pick elsewhere, the
         # candidates of the d* cause check: its `_variants` product.
-        plays = play_graph(game, picks)
+        plays = play_arena(game, picks)[0]
         pool = [v for v in plays if v != game._init and not game._owns["effect"][v]]
         if pool:
             cause = rng.sample(pool, rng.randint(1, min(2, len(pool))))
@@ -220,7 +217,7 @@ def test_matched_strategies_are_the_distinct_matched_products(seed, cyclic, isla
             got = list(_matched_strategies(game, picks, options, budget))
             keys = [id_key(game, player, tau) for tau in got]
             assert len(set(keys)) == len(keys) == budget.used
-            reached = [(t, v) for t in got for v in play_graph(game, t) if t[v] is not None]
+            reached = [(t, v) for t in got for v in play_arena(game, t)[0] if t[v] is not None]
             assert all(tau[v] in options[v] for tau, v in reached)
             want = naive_distinct_matched(game, sigma, strategies)
             assert set(keys) == {key for key, _choice in want}
@@ -297,7 +294,7 @@ def test_dstar_winning_search_drops_only_losers(seed, cyclic, island):
         for lost in ([(r is None) == (player == REACH) for r in forced], drawn):
             budget = Budget()
             kept = list(_matched_strategies(game, picks, game._succ, budget, lost))
-            assert kept == [t for t in every if not any(lost[v] for v in play_graph(game, t))]
+            assert kept == [t for t in every if not any(lost[v] for v in play_arena(game, t)[0])]
             assert budget.used == len(kept)
 
 
@@ -327,7 +324,7 @@ def test_dstar_cause_check_matches_the_tie_list_reference(seed, cyclic, island):
     # Causes are drawn from sigma's play graph, where condition 1 can hold;
     # about one query in seven reaches the d* search itself.
     for game, player, sigma, rng in small_games(seed, cyclic, island):
-        plays = [game.ids[v] for v in sorted(play_graph(game, validate_strategy(game, sigma)))]
+        plays = [game.ids[v] for v in sorted(play_arena(game, validate_strategy(game, sigma))[0])]
         pool = [v for v in plays if v != game.initial and game.owner(v) != "effect"]
         pool = pool or [v for v in game.ids if game.owner(v) != "effect"]
         for _ in range(3):
@@ -364,7 +361,8 @@ def test_repair_rejects_a_sigma_cycle_no_play_reaches():
          ("v1", "g"), ("v2", "g")},
     )
     sigma = MDStrategy(REACH, {"v0": "t", "v1": "v2"})
-    assert {game.ids[v] for v in play_graph(game, validate_strategy(game, sigma))} == {"v0", "t"}
+    plays = play_arena(game, validate_strategy(game, sigma))[0]
+    assert {game.ids[v] for v in plays} == {"v0", "t"}
     with pytest.raises(NotAcyclic):
         min_dstar_winning_strategy_acyclic(game, sigma)
 
@@ -413,16 +411,16 @@ def test_play_checks_run_on_the_play_graph_only(monkeypatch):
     game = game_from_owners(owners, "v0", edges)
     sizes = []
 
-    def attracting(succ, avoid, preds=None, allowed=None):
+    def attracting(succ, existential, target, preds=None, allowed=None):
         sizes.append(len(succ))
-        return maximal_avoiding_set(succ, avoid, preds, allowed)
+        return attractor(succ, existential, target, preds, allowed)
 
     def scanning(game, picks, other):
         found = play_scan(game, picks, other)
         sizes.append(len(found[2]))
         return found
 
-    monkeypatch.setattr(game_causality, "maximal_avoiding_set", attracting)
+    monkeypatch.setattr(game_causality, "attractor", attracting)
     monkeypatch.setattr(distances, "play_scan", scanning)
     rest = dict(zip(island, island[1:] + ["t"]))
     assert strategy_is_winning(game, MDStrategy(REACH, {"v0": "g", **rest}))
@@ -430,3 +428,92 @@ def test_play_checks_run_on_the_play_graph_only(monkeypatch):
     assert not strategy_is_winning(game, sigma)
     assert losing_play_reaches_cause(game, sigma, {"t"})
     assert sizes == [2, 2, 2]
+
+
+@FUZZ
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_condition1_with_many_cause_vertices_matches_the_reference(seed, cyclic, island):
+    # Half or more of the non-effect vertices, the unreachable copy's too.
+    for game, player, sigma, rng in small_games(seed, cyclic, island):
+        pool = sorted(set(game.vertices) - game.effect)
+        cause = frozenset(rng.sample(pool, rng.randint(len(pool) // 2, len(pool))))
+        assert losing_play_reaches_cause(game, sigma, cause) == (
+            naive_losing_play_reaches_cause(game, sigma, cause)
+        )
+
+
+def cycle_game(player, n):
+    """(game, looping picks, leaking picks): the player owns a cycle of n
+    vertices, each with an edge into the effect g as well; the looping
+    strategy stays on the cycle, the leaking one steps into g at the end."""
+    cycle = [f"c{i:04d}" for i in range(n)]
+    loop = dict(zip(cycle, cycle[1:] + cycle[:1]))
+    edges = set(loop.items()) | {(v, "g") for v in cycle}
+    game = game_from_owners({**dict.fromkeys(cycle, player), "g": "effect"}, cycle[0], edges)
+    return game, MDStrategy(player, loop), MDStrategy(player, {**loop, cycle[-1]: "g"})
+
+
+def test_condition1_on_a_long_cycle_runs_one_attractor(monkeypatch):
+    # The cause is every cycle vertex but the initial one.  Safe loses only
+    # by leaking, Reach only by looping; one attractor over the play arena
+    # answers for every cause vertex at once.
+    calls = []
+
+    def attracting(succ, existential, target, preds=None, allowed=None):
+        calls.append(len(succ))
+        return attractor(succ, existential, target, preds, allowed)
+
+    monkeypatch.setattr(game_causality, "attractor", attracting)
+    for n in (200, 2000):
+        for player in (SAFE, REACH):
+            game, loop, leak = cycle_game(player, n)
+            cause = frozenset(v for v in game.ids if v not in ("c0000", "g"))
+            for sigma in (loop, leak):
+                calls.clear()
+                got = losing_play_reaches_cause(game, sigma, cause)
+                assert got == ((sigma is leak) == (player == SAFE))
+                assert len(calls) == 1
+                if n == 200:
+                    assert got == naive_losing_play_reaches_cause(game, sigma, cause)
+
+
+def test_hamm_s_check_walks_each_variant_once(monkeypatch):
+    # One walk of a variant's plays answers both "does it avoid the cause"
+    # and "does it win": `play_scan` for Reach, `play_arena` for Safe.
+    walked, variants = [], []
+
+    def scanning(game, picks, other):
+        walked.append(picks)
+        return play_scan(game, picks, other)
+
+    def numbering(game, picks):
+        walked.append(picks)
+        return play_arena(game, picks)
+
+    def varying(sigma, options, budget):
+        for tau in _variants(sigma, options, budget):
+            variants.append(tau)
+            yield tau
+
+    monkeypatch.setattr(distances, "play_scan", scanning)
+    monkeypatch.setattr(game_causality, "play_arena", numbering)
+    monkeypatch.setattr(game_causality, "_variants", varying)
+    checked = {REACH: 0, SAFE: 0}
+    rng = random.Random(5)
+    for _ in range(300):
+        game = acyclic_game(rng, 8)
+        for player in (REACH, SAFE):
+            if not game.owned_by(player):
+                continue
+            sigma = random_strategy(rng, game, player)
+            pool = sorted(set(game.vertices) - game.effect - {game.initial})
+            if not pool:
+                continue
+            cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
+            walked.clear()
+            variants.clear()
+            check_cause_game(GameCauseQuery(game, player, sigma, cause, METRIC_HAMM_S))
+            if variants:
+                checked[player] += 1
+                assert [sum(w is tau for w in walked) for tau in variants] == [1] * len(variants)
+    assert min(checked.values()) >= 10

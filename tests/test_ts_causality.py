@@ -76,7 +76,7 @@ def test_branching_witnesses_are_valid_avoiding_paths():
             assert ts.is_terminal(w.path[-1])
             assert not (set(w.path) & cause)
             assert metric_distance(query, w.path) == w.distance
-            assert w.satisfies_phi == path_satisfies_phi(ts, w.path, effect, PHI_REACH)
+            assert w.satisfies_phi == path_satisfies_phi(w.path, effect, PHI_REACH)
 
 
 def test_precondition_checks():
@@ -475,7 +475,7 @@ def test_witness_invariants_on_random_instances():
                 assert w.distance == verdict.min_distance
                 assert metric_distance(query, w.path) == w.distance
                 assert w.satisfies_phi == path_satisfies_phi(
-                    ts, w.path, query.effect, query.phi
+                    w.path, query.effect, query.phi
                 )
             if verdict.is_cause:
                 assert all(not w.satisfies_phi for w in verdict.witnesses)
