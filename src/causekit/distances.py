@@ -209,10 +209,16 @@ def dstrat_picks(game, tau, sigma, condensed=None):
     if condensed is None:
         return play_scan(game, tau, sigma)[0]
     owned, reach = condensed
+    return heaviest_chain([k for v, k in owned if tau[v] != sigma[v]], reach)
+
+
+def heaviest_chain(components, reach):
+    """The heaviest path through a condensation whose component k reaches
+    the components in the bit set `reach[k]`, each weighing how often it
+    occurs in `components`; quadratic in the number of distinct ones."""
     weight = {}
-    for v, k in owned:
-        if tau[v] != sigma[v]:
-            weight[k] = weight.get(k, 0) + 1
+    for k in components:
+        weight[k] = weight.get(k, 0) + 1
     best = {}
     for k in sorted(weight):  # every component after those it reaches
         bits = reach[k]

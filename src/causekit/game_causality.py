@@ -26,8 +26,18 @@ condition 1 is one attractor over sigma's play arena.  One loop,
 `_least_dstar`, measures the candidates of all three d* searches: it reads
 sigma's side of d* on sigma's condensation, skips a candidate whose side
 strictly exceeds the least so far, and otherwise takes tau's side and the
-win from one scan.  The value-only d* searches stop at the first winner at
-a known lower bound: the least winning distance for
+win from one scan.  It writes each new least to a limit that
+`_matched_strategies` reads: a search state is dropped, without a budget
+unit, once one of its two d* lower bounds is strictly above it.  Tau's side
+is the most picks differing from sigma's on a path the walk discovered,
+carried along each step; sigma's side is the heaviest path through sigma's
+condensation over the differing picks, redone only when one is fixed.
+Both hold for every strategy below the state, since its fixed picks stay
+reached; each branch point saves them with the length of the log of
+differing picks, and backtracking restores them.  The drop is strict,
+since the cause check needs every tie.  The decision searches start the
+limit at their threshold.  The value-only d* searches stop at the first
+winner at a known lower bound: the least winning distance for
 `is_minimal_explanation`, Reach's deviation costs (`_dstar_floor`) for
 `min_winning_distance`.  The acyclic d* repair skips the exact search when
 its deviation costs certify the proposed strategy.
@@ -337,11 +347,13 @@ def _variants(sigma, options, budget):
         yield tau
 
 
-def _matched_strategies(game, sigma, options, budget, lost=None):
+def _matched_strategies(game, sigma, options, budget, lost=None, bound=None):
     """Each distinct sigma-matched strategy whose reached picks come from
     `options` (a tuple per owned vertex), once, as its picks, at one budget
     unit each, lazily.  With `lost`, flags by vertex, only those whose plays
-    reach no flagged vertex, in the same order.
+    reach no flagged vertex, in the same order.  With `bound`, only those
+    at d* from sigma within a limit its consumer lowers as it goes, and
+    every one at d* on it, in the same order (see below).
 
     A search state fixes picks at some owned vertices; its plays run from
     the initial vertex until they meet an owned vertex without one.  A state
@@ -355,38 +367,76 @@ def _matched_strategies(game, sigma, options, budget, lost=None):
     A winning search flags the vertices from which the player loses against
     every strategy, so what it drops are losers.
 
+    The same reason gives two lower bounds on d* from sigma of every
+    strategy below a state, since the vertices whose fixed pick differs from
+    sigma's stay reached and differing in all of them.  `bound` is
+    (`distances.play_condensation(game, sigma)`, a one-item list holding
+    the limit), and a state is dropped, without a budget unit, as soon as
+    either bound is strictly greater than the limit; the drop is strict so
+    that a consumer which needs every tie at the least d* (`_least_dstar`)
+    can lower the limit to the least it has found.  Tau's side is the most
+    differing picks on the path by which the walk discovered a reached
+    vertex, carried along each step at O(1): a simple play path counts no
+    more than `distances.play_scan`'s heaviest path through the
+    condensation of tau's play graph, cycles or not.  Sigma's side is the
+    heaviest path through sigma's condensation weighing the differing picks
+    (`distances.heaviest_chain`), redone only when a differing pick is
+    fixed, in time quadratic in the few components that hold one.
+
     One state is kept and changed in place: each branch point records how
-    long the logs of reached and waiting vertices were, and going back to
-    it undoes what was logged since, so memory stays linear in the game.
+    long the logs of reached and waiting vertices and of the differing
+    picks' components were, with both bounds, and going back to it undoes
+    what was logged since and restores the bounds, so memory stays linear
+    in the game.  A branch point whose own bound has come to exceed the
+    limit is left at once.
     """
     succ, default = game._succ, sigma
     if lost is None:
         lost = bytes(len(succ))
+    if bound is None:
+        component, reach, limit = {}, (), [distances.INF]
+    else:
+        (owned, reach), limit = bound
+        component = dict(owned)
     fixed, seen, waiting = {}, {game._init}, set()
     trail, parked = [], []  # vertices added to `seen` and to `waiting`, in order
+    changed = []  # sigma's components of the fixed picks that differ from sigma's
+    depth = [0] * len(succ)  # differing picks on the path that discovered each vertex
 
-    def walk(v):
-        """Extend the plays from v; False when they reach a flagged vertex."""
+    def walk(v, top):
+        """Extend the plays from v; the tau-side bound `top` raised by the
+        steps taken, or None when they reach a flagged vertex."""
         todo = [v]
         while todo:
             v = todo.pop()
-            owned = default[v] is not None
-            if owned and v not in fixed:
+            d, first = depth[v], default[v]
+            if first is None:
+                moves = succ[v]
+            elif v in fixed:
+                moves = (fixed[v],)
+                if moves[0] != first:
+                    d += 1
+                    if d > top:
+                        top = d
+            else:
                 waiting.add(v)
                 parked.append(v)
                 continue
-            for u in (fixed[v],) if owned else succ[v]:
+            for u in moves:
                 if u not in seen:
                     if lost[u]:
-                        return False
+                        return None
                     seen.add(u)
                     trail.append(u)
+                    depth[u] = d
                     todo.append(u)
-        return True
+        return top
 
-    if lost[game._init] or not walk(game._init):
+    top = None if lost[game._init] else walk(game._init, 0)
+    if top is None:
         return
-    branches = []  # (vertex, its picks left, len(trail), len(parked)) per branch point
+    heavy = 0  # sigma's side
+    branches = []  # (vertex, its picks left, the log lengths, the bounds) per branch point
     while True:
         if waiting:
             v = min(waiting)
@@ -395,7 +445,7 @@ def _matched_strategies(game, sigma, options, budget, lost=None):
             picks = [u for u in options[v] if u != first]
             if first in options[v]:
                 picks.insert(0, first)
-            branches.append((v, iter(picks), len(trail), len(parked)))
+            branches.append((v, iter(picks), len(trail), len(parked), len(changed), top, heavy))
         else:
             budget.charge()
             tau = list(default)
@@ -403,20 +453,27 @@ def _matched_strategies(game, sigma, options, budget, lost=None):
                 tau[v] = u
             yield tau
         while branches:  # the next pick of the innermost branch point with one left
-            v, picks, n_seen, n_waiting = branches[-1]
+            v, picks, n_seen, n_waiting, n_changed, top, heavy = branches[-1]
             seen.difference_update(trail[n_seen:])
             del trail[n_seen:]
             waiting.difference_update(parked[n_waiting:])
             del parked[n_waiting:]
-            u = next(picks, None)
+            del changed[n_changed:]
+            u = next(picks, None) if top <= limit[0] >= heavy else None
             if u is None:
                 fixed.pop(v, None)
                 waiting.add(v)
                 branches.pop()
-            else:
-                fixed[v] = u
-                if walk(v):
-                    break
+                continue
+            fixed[v] = u
+            if u != default[v] and v in component:
+                changed.append(component[v])
+                heavy = distances.heaviest_chain(changed, reach)
+                if heavy > limit[0]:
+                    continue
+            top = walk(v, top)
+            if top is not None and top <= limit[0]:
+                break
         else:
             return
 
@@ -439,33 +496,40 @@ def _verdict(query, k, loser, winner):
     return GameCauseVerdict(loser is None, k, True, True, witnesses[: query.witnesses])
 
 
-def _least_dstar(game, player, sigma, strategies, stop=None):
+def _least_dstar(game, player, sigma, strategies, bound, stop=None):
     """(least d* from sigma's picks among the strategies, the least losing
     and the least winning picks at it, or None).  With a `stop`, only
     winners count, and the search ends at the first one at or below it.
 
-    Sigma's play graph is condensed once.  A candidate whose d* from sigma's
-    side, read on the condensation, exceeds the least so far is skipped; the
-    skip is strict, since the cause check needs every tie.  Otherwise one
-    `distances.play_scan` gives tau's side and, by `_won`, the win.  Picks
-    lists compare as their sorted (vertex, choice) id pairs do, so the
-    result does not depend on the enumeration order.
+    `bound` is (`distances.play_condensation(game, sigma)`, a one-item list
+    holding a limit), shared with a `_matched_strategies` that yields the
+    strategies: a candidate above the limit is skipped, and each new least
+    is written to it, so the enumeration drops the states whose d* lower
+    bounds exceed it.  A caller that needs no strategy above a threshold
+    starts the limit there; otherwise at INF, and nothing is dropped before
+    the first least.  The skip is strict, since the cause check needs every
+    tie.  A candidate's d* from sigma's side is read on the condensation,
+    and only where it is within the limit does one `distances.play_scan`
+    give tau's side and, by `_won`, the win.  Picks lists compare as their
+    sorted (vertex, choice) id pairs do, so the result does not depend on
+    the enumeration order.
     """
-    condensed = distances.play_condensation(game, sigma)
+    condensed, limit = bound
     least = loser = winner = None
     for tau in strategies:
         d = distances.dstrat_picks(game, sigma, tau, condensed)
-        if least is not None and d > least:
+        if d > limit[0]:
             continue
         d_tau, cyclic, rank = distances.play_scan(game, tau, sigma)
         wins = _won(game, player, cyclic, rank)
         if stop is not None and not wins:
             continue
         d = max(d, d_tau)
+        if d > limit[0]:
+            continue
         if least is None or d < least:
             least, loser, winner = d, None, None
-        elif d > least:
-            continue
+            limit[0] = d
         if wins:
             winner = min(winner or tau, tau)
             if stop is not None and d <= stop:
@@ -717,8 +781,9 @@ def _check_dstar(query, sigma, allowed, budget):
     """
     game = query.game
     options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
-    strategies = _matched_strategies(game, sigma, options, budget)
-    return _verdict(query, *_least_dstar(game, query.player, sigma, strategies))
+    bound = distances.play_condensation(game, sigma), [distances.INF]
+    strategies = _matched_strategies(game, sigma, options, budget, bound=bound)
+    return _verdict(query, *_least_dstar(game, query.player, sigma, strategies, bound))
 
 
 def brute_force_check_cause(query, budget=None, distance_fn=None):
@@ -797,10 +862,17 @@ def is_explanation(game, sigma, vertex_set):
     """Decide whether changing sigma exactly on the given vertices can win.
 
     Returns (verdict, winning witness strategy or None)."""
-    picks = validate_strategy(game, sigma)
     player = sigma.player
+    wins, choices = _is_explanation(
+        game, player, validate_strategy(game, sigma), frozenset(vertex_set)
+    )
+    return wins, strategy_of(game, player, choices) if wins else None
+
+
+def _is_explanation(game, player, picks, vertex_set):
+    """`is_explanation` on sigma's picks and a frozenset of vertex ids:
+    (verdict, the picks of a winning witness, or of a losing strategy)."""
     index = game.index
-    vertex_set = frozenset(vertex_set)
     for v in sorted(vertex_set):
         if v not in index or picks[index[v]] is None:
             raise PreconditionViolated(f"{v!r} is not owned by {player}")
@@ -808,10 +880,7 @@ def is_explanation(game, sigma, vertex_set):
             raise EmptyChoice(f"{v!r} has no edge other than sigma's choice")
     allowed = {v: (u,) for v, u in enumerate(picks) if u is not None}
     allowed.update(_alternatives(game, picks, map(index.__getitem__, vertex_set)))
-    wins, choices = _solve_for(game, player, allowed)
-    if not wins:
-        return False, None
-    return True, strategy_of(game, player, choices)
+    return _solve_for(game, player, allowed)
 
 
 def min_winning_distance(game, sigma, metric, threshold=None, budget=None):
@@ -823,13 +892,17 @@ def min_winning_distance(game, sigma, metric, threshold=None, budget=None):
     lies.
     """
     picks = validate_strategy(game, sigma)
-    budget = as_budget(budget)
+    return _min_winning_distance(
+        game, sigma.player, picks, metric, threshold, as_budget(budget)
+    )
+
+
+def _min_winning_distance(game, player, picks, metric, threshold, budget):
+    """`min_winning_distance` on sigma's picks."""
     floor, lost = 0, None
     if metric == METRIC_DSTAR:
-        floor, lost = _dstar_floor(game, sigma.player, picks)
-    value, _tau = _min_winning(
-        game, sigma.player, picks, metric, threshold, budget, floor, lost
-    )
+        floor, lost = _dstar_floor(game, player, picks)
+    value, _tau = _min_winning(game, player, picks, metric, threshold, budget, floor, lost)
     if threshold is not None:
         return value <= threshold
     return value
@@ -842,18 +915,20 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
     The hamm-s search only asks whether the player wins, so its picks are
     None.  The d* search hands each distinct sigma-matched strategy of
     `_matched_strategies` to `_least_dstar`, which keeps the least winner at
-    the least distance.  The search flags as lost the vertices from which
-    the player loses against every strategy: those outside Reach's attractor
-    of the effect set for Reach, those inside it for Safe.  A caller may
-    hand these `lost` flags over, as the `_lost` flags of Reach's deviation
-    costs; they need only be right where the initial vertex reaches.
-    Otherwise they come from an attractor over the whole game.  The
-    enumeration then drops losers early, without a budget unit, and leaves
-    the winners and their order as they are.  With a threshold, the first
-    strategy within it is returned, or (threshold + 1, None) when there is
-    none.  A `floor` no winner lies below ends the d* search at the first
-    winner on it; at the default 0 that winner is sigma itself, the only
-    strategy at d* 0 from it.
+    the least distance and lowers the enumeration's limit to it.  The search
+    flags as lost the vertices from which the player loses against every
+    strategy: those outside Reach's attractor of the effect set for Reach,
+    those inside it for Safe.  A caller may hand these `lost` flags over, as
+    the `_lost` flags of Reach's deviation costs; they need only be right
+    where the initial vertex reaches.  Otherwise they come from an attractor
+    over the whole game.  The enumeration then drops losers early, without a
+    budget unit, and leaves the winners and their order as they are.  With
+    a threshold, the first strategy within it is returned, or
+    (threshold + 1, None) when there is none; the d* search starts its
+    limit at the threshold, and does not start at all when the `floor`
+    exceeds it.  Without one, a `floor` no winner lies below ends the d*
+    search at the first winner on it; at the default 0 that winner is sigma
+    itself, the only strategy at d* 0 from it.
     """
     if metric == METRIC_HAMM_S:
         stop = None if threshold is None else threshold + 1
@@ -865,14 +940,16 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
         for free in _free_sets(game, sigma, wins, budget, stop=stop):
             return len(free), None
     elif metric == METRIC_DSTAR:
-        stop = floor if threshold is None else max(threshold, floor)
+        stop, limit = (floor, distances.INF) if threshold is None else (threshold, threshold)
         if lost is None:
             forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
             lost = [(r is None) == (player == REACH) for r in forced]
-        strategies = _matched_strategies(game, sigma, game._succ, budget, lost)
-        least, _loser, tau = _least_dstar(game, player, sigma, strategies, stop)
-        if tau is not None:
-            return least, tau
+        if floor <= limit:
+            bound = distances.play_condensation(game, sigma), [limit]
+            strategies = _matched_strategies(game, sigma, game._succ, budget, lost, bound)
+            least, _loser, tau = _least_dstar(game, player, sigma, strategies, bound, stop)
+            if tau is not None:
+                return least, tau
     else:
         raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
     if threshold is not None:
@@ -886,23 +963,25 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
     For the Hamming strategy distance every E-distinct strategy sits at
     distance exactly |E|, so minimality is a cardinality comparison; for the
     vertex-counting distance the E-distinct winning strategies are measured
-    until one attains the least winning distance, below which none can lie.
+    until one attains the least winning distance, below which none can lie,
+    and a variant whose d* from sigma's side already exceeds it is skipped
+    before its play scan.  Sigma is validated once, here.
     """
     budget = as_budget(budget)
     vertex_set = frozenset(vertex_set)
-    ok, _tau = is_explanation(game, sigma, vertex_set)
-    if not ok:
+    player, picks = sigma.player, validate_strategy(game, sigma)
+    if not _is_explanation(game, player, picks, vertex_set)[0]:
         return False
     if metric == METRIC_HAMM_S:
-        return len(vertex_set) == min_winning_distance(
-            game, sigma, METRIC_HAMM_S, budget=budget
+        return len(vertex_set) == _min_winning_distance(
+            game, player, picks, METRIC_HAMM_S, None, budget
         )
     if metric == METRIC_DSTAR:
-        overall = min_winning_distance(game, sigma, METRIC_DSTAR, budget=budget)
-        picks = validate_strategy(game, sigma)
+        overall = _min_winning_distance(game, player, picks, METRIC_DSTAR, None, budget)
         options = _alternatives(game, picks, map(game.index.__getitem__, vertex_set))
+        bound = distances.play_condensation(game, picks), [overall]
         variants = _variants(picks, options, budget)
-        return _least_dstar(game, sigma.player, picks, variants, overall)[0] == overall
+        return _least_dstar(game, player, picks, variants, bound, overall)[0] == overall
     raise PreconditionViolated(f"unsupported metric {metric!r} for minimality")
 
 

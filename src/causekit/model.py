@@ -901,12 +901,22 @@ def _render(obj, newline):
 
 
 def read_json(path):
-    """Decode a model, strategy, path or SEM file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise CausekitError(f"{path}: JSON nested too deeply") from None
+    """Decode a model, strategy, path or SEM file.
+
+    The bytes are read at once and decoded as UTF-8, which is faster than a
+    text-mode read.  Line ends are translated as a text-mode read would,
+    so the text and the positions in decoding errors are the same; a byte
+    order mark or another encoding fails as it did there.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = data.decode("utf-8")
+    if b"\r" in data:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise CausekitError(f"{path}: JSON nested too deeply") from None
 
 
 def load_model(path):

@@ -747,7 +747,8 @@ def unpruned_min_winning(game, player, sigma, metric, threshold, budget, floor=0
     """The d* branch of `_min_winning` over every candidate of
     `_matched_strategies`, no vertex flagged as lost: each is tested by
     `naive_picks_win` and measured by `distances.dstar_picks`, at one budget unit
-    whether it wins or not."""
+    whether it wins or not.  With a threshold, a winner above it counts as
+    none, as `_min_winning` documents."""
     if metric != METRIC_DSTAR:
         raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
     stop = floor if threshold is None else max(threshold, floor)
@@ -760,7 +761,7 @@ def unpruned_min_winning(game, player, sigma, metric, threshold, budget, floor=0
             best = (d, tau)
             if d <= stop:
                 break
-    if best is not None:
+    if best is not None and (threshold is None or best[0] <= threshold):
         return best
     if threshold is not None:
         return threshold + 1, None

@@ -10,20 +10,25 @@ is an InvalidModel naming it, where the reference raises a bare KeyError.
 
 import copy
 import hashlib
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causekit import cli
 from causekit.cli import generate_json
 from causekit.errors import InvalidModel
+from causekit.fixtures import fixture_text
 from causekit.generators import GeneratorSpec, generate
 from causekit.model import (
     ReachabilityGame,
     TransitionSystem,
     dumps_canonical,
+    load_model,
     model_from_json,
     model_to_json,
+    read_json,
 )
 
 from helpers import naive_game, naive_model_from_json, naive_ts, successor_map
@@ -239,3 +244,59 @@ def test_gen_output_is_unchanged(family):
         spec = GeneratorSpec(family, seed, states=12, layers=6, width=4, alphabet=3)
         digest.update(dumps_canonical(generate_json(spec)).encode())
     assert digest.hexdigest()[:16] == GEN_DIGESTS[family]
+
+
+# ---------------------------------------------------------------------------
+# reading files: `read_json` decodes bytes, and must read what a text-mode
+# read would
+
+
+def text_mode_error(path):
+    """The message of the error a text-mode UTF-8 read of the file raises."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            json.load(fh)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{path} decodes")
+
+
+def solve(path, capsys):
+    """(exit code, stderr) of `causekit solve` on the model file."""
+    code = cli.main(["solve", "--model", str(path)])
+    out, err = capsys.readouterr()
+    return code, err
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_model_with_other_line_ends_loads_equal_to_its_lf_twin(tmp_path, newline):
+    text = fixture_text("loop_game.json")
+    assert "\n" in text and "\r" not in text
+    lf, other = tmp_path / "lf.json", tmp_path / "other.json"
+    lf.write_bytes(text.encode())
+    other.write_bytes(text.replace("\n", newline).encode())
+    assert read_json(other) == read_json(lf)
+    assert load_model(other) == load_model(lf)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"\xef\xbb\xbf" + fixture_text("loop_game.json").encode(),  # a byte order mark
+        b'{"kind": "game",\n "vertices": ["v\xff"]}',  # not UTF-8
+        fixture_text("loop_game.json").encode("utf-16"),
+    ],
+    ids=["bom", "invalid-utf-8", "utf-16"],
+)
+def test_a_file_that_is_not_plain_utf_8_exits_2(tmp_path, capsys, data):
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    assert solve(path, capsys) == (2, f"causekit: {text_mode_error(path)}\n")
+
+
+def test_a_crlf_syntax_error_keeps_its_message(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{\r\n  "kind": "game",\r\n\r  "vertices": [,]\r\n}\r\n')
+    message = text_mode_error(path)
+    assert message == "Expecting value: line 4 column 16 (char 36)"
+    assert solve(path, capsys) == (2, f"causekit: {message}\n")

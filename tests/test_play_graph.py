@@ -330,10 +330,56 @@ def test_dstar_cause_check_matches_the_tie_list_reference(seed, cyclic, island):
         for _ in range(3):
             cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
             query = GameCauseQuery(game, player, sigma, cause, METRIC_DSTAR, rng.randint(1, 3))
-            got = budgeted(check_cause_game, query)
+            got, used = budgeted(check_cause_game, query)
             with mock.patch.object(game_causality, "_check_dstar", tie_list_check_dstar):
-                want = budgeted(check_cause_game, query)
-            assert got == want
+                want, want_used = budgeted(check_cause_game, query)
+            assert got == want and used <= want_used
+
+
+def test_dstar_bounds_drop_only_states_above_the_limit():
+    # The d* lower bounds of a search state hold for every strategy below
+    # it, and a state is dropped only when one is strictly above the limit:
+    # under a fixed limit the enumeration keeps, in order, every candidate
+    # of the unbounded one within it.  The searches that lower the limit as
+    # they go give what their unpruned references give, never at more
+    # budget, and somewhere at less.
+    fell = []
+
+    @FUZZ
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def pruned_searches_match_the_references(seed, cyclic, island):
+        for game, player, sigma, rng in small_games(seed, cyclic, island):
+            picks = validate_strategy(game, sigma)
+            every = list(_matched_strategies(game, picks, game._succ, Budget()))
+            limit = rng.randint(0, 3)
+            bound = play_condensation(game, picks), [limit]
+            kept = list(_matched_strategies(game, picks, game._succ, Budget(), bound=bound))
+            assert kept == [t for t in every if t in kept]
+            within = [t for t in every if distances.dstar_picks(game, t, picks) <= limit]
+            assert [t for t in kept if t in within] == within
+
+            plays = play_arena(game, picks)[0]
+            pool = [game.ids[v] for v in sorted(plays) if v != game._init]
+            pool = [v for v in pool if game.owner(v) != "effect"] or [
+                v for v in game.ids if game.owner(v) != "effect"
+            ]
+            cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
+            query = GameCauseQuery(game, player, sigma, cause, METRIC_DSTAR, rng.randint(1, 3))
+            got, used = budgeted(check_cause_game, query)
+            with mock.patch.object(game_causality, "_check_dstar", tie_list_check_dstar):
+                want, want_used = budgeted(check_cause_game, query)
+            assert got == want and used <= want_used
+            fell.append(used < want_used)
+
+            for threshold in (None, rng.randint(0, 3)):
+                args = (game, player, picks, METRIC_DSTAR, threshold)
+                got, used = budgeted(_min_winning, *args)
+                want, want_used = budgeted(unpruned_min_winning, *args)
+                assert got == want and used <= want_used
+                fell.append(used < want_used)
+
+    pruned_searches_match_the_references()
+    assert any(fell)
 
 
 def test_dstar_search_on_a_long_play_needs_no_recursion():
