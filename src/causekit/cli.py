@@ -332,7 +332,7 @@ def cmd_gen(args):
         alphabet=args.alphabet,
         variables=args.vars,
     )
-    instance = generate_json(spec)
+    instance = generate_json(spec, Budget(args.budget))
     text = dumps_canonical(instance)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -348,8 +348,8 @@ def cmd_gen(args):
     return None, 0
 
 
-def generate_json(spec):
-    instance = generators.generate(spec)
+def generate_json(spec, budget=None):
+    instance = generators.generate(spec, budget)
     if isinstance(instance, sem_bridge.StructuralEquationModel):
         return sem_bridge.sem_to_json(instance)
     return model_to_json(instance)

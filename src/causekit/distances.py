@@ -5,10 +5,12 @@ the 2^-n prefix family.  math.inf stands for an infinite distance; identical
 arguments always yield 0 (2^-inf is read as 0 for the prefix family).
 
 The strategy distances take `MDStrategy` values, check them with
-`validate_strategy` and run on their picks; `dstrat_picks` and
-`dstar_picks` are the play-distance measures for the searches, which hold
-picks already.  All are polynomial and take no budget: `dstrat` is one
-iterative pass over a play graph (`play_scan`), linear in its size.
+`validate_strategy` and run on their picks; `dstar_picks` is d* for the
+searches, which hold picks already.  All are polynomial and take no budget:
+each side of d* is one iterative pass over a play graph (`play_scan`),
+linear in its size.  The d* searches of `game_causality` read sigma's side
+off their enumeration instead, over `play_condensation(game, sigma)` and
+`heaviest_chain`.
 """
 
 import math
@@ -188,28 +190,16 @@ def d_pref_hausdorff(game, sigma, tau):
 
 def dstrat(game, tau, sigma):
     """Supremum, over all tau-plays, of the number of distinct owned vertices
-    on the play where its move contradicts sigma."""
-    _require_same_player(sigma, tau)
-    return dstrat_picks(game, validate_strategy(game, tau), validate_strategy(game, sigma))
-
-
-def dstrat_picks(game, tau, sigma, condensed=None):
-    """`dstrat` on the strategies' picks, in time linear in tau's play graph.
+    on the play where its move contradicts sigma.
 
     A play can visit every vertex of a strongly connected component of the
     play graph and then leave it, so the value is the heaviest path in the
     condensation from the initial vertex's component, each component
-    weighing its vertices where the two picks differ.  `play_scan` finds it
-    in one pass.  A caller that measures many sigma against one tau passes
-    `play_condensation(game, tau)` as `condensed`.  Then only the components
-    with a disagreement are weighed, each on top of the heaviest such one it
-    reaches, in time quadratic in their number: a few, where sigma is a
-    search candidate close to tau.
+    weighing its vertices where the two picks differ: `play_scan` finds it
+    in one pass.
     """
-    if condensed is None:
-        return play_scan(game, tau, sigma)[0]
-    owned, reach = condensed
-    return heaviest_chain([k for v, k in owned if tau[v] != sigma[v]], reach)
+    _require_same_player(sigma, tau)
+    return play_scan(game, validate_strategy(game, tau), validate_strategy(game, sigma))[0]
 
 
 def heaviest_chain(components, reach):
@@ -292,10 +282,10 @@ def play_scan(game, picks, other):
 
 
 def play_condensation(game, picks):
-    """The play graph of `picks` condensed for many `dstrat_picks` calls:
-    (each owned vertex with the number of its component, in `play_scan`'s
-    closing order; by number, the bit set of the other components that
-    component reaches)."""
+    """The play graph of `picks` condensed, for `heaviest_chain` over the
+    components of many others' differing picks: (each owned vertex with the
+    number of its component, in `play_scan`'s closing order; by number, the
+    bit set of the other components that component reaches)."""
     succ = game._succ
     _heaviest, _cyclic, rank = play_scan(game, picks, picks)
     members = {}
@@ -321,10 +311,8 @@ def dstar(game, tau, sigma):
 
 
 def dstar_picks(game, tau, sigma):
-    """`dstar` on the strategies' picks.  A search that measures many tau
-    against one sigma takes the maximum of the two `dstrat_picks` itself,
-    with sigma's side on `play_condensation(game, sigma)`, built once."""
-    return max(dstrat_picks(game, tau, sigma), dstrat_picks(game, sigma, tau))
+    """`dstar` on the strategies' picks."""
+    return max(play_scan(game, tau, sigma)[0], play_scan(game, sigma, tau)[0])
 
 
 # ---------------------------------------------------------------------------

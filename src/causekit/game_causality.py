@@ -22,25 +22,26 @@ without a budget unit every search state whose plays reach one: all the
 strategies below it lose.  A candidate is matched, tested and measured by
 the play walks of `model`, which cost what its plays cost: one walk
 (`_plays`) tells whether it wins and whether it avoids the cause, and
-condition 1 is one attractor over sigma's play arena.  One loop,
-`_least_dstar`, measures the candidates of all three d* searches: it reads
-sigma's side of d* on sigma's condensation, skips a candidate whose side
-strictly exceeds the least so far, and otherwise takes tau's side and the
-win from one scan.  It writes each new least to a limit that
-`_matched_strategies` reads: a search state is dropped, without a budget
-unit, once one of its two d* lower bounds is strictly above it.  Tau's side
-is the most picks differing from sigma's on a path the walk discovered,
-carried along each step; sigma's side is the heaviest path through sigma's
-condensation over the differing picks, redone only when one is fixed.
-Both hold for every strategy below the state, since its fixed picks stay
-reached; each branch point saves them with the length of the log of
-differing picks, and backtracking restores them.  The drop is strict,
-since the cause check needs every tie.  The decision searches start the
-limit at their threshold.  The value-only d* searches stop at the first
-winner at a known lower bound: the least winning distance for
-`is_minimal_explanation`, Reach's deviation costs (`_dstar_floor`) for
-`min_winning_distance`.  The acyclic d* repair skips the exact search when
-its deviation costs certify the proposed strategy.
+condition 1 is one attractor over sigma's play arena.  `_matched_strategies`
+yields each candidate with sigma's side of its d*, the one place that side
+is found; one loop, `_least_dstar`, adds tau's side and the win from one
+scan, for the cause check and the winning search.  It writes each new
+least to a limit that `_matched_strategies` reads: a search state is
+dropped, without a budget unit, once one of its two d* lower bounds is
+strictly above it.  Tau's side is the most picks differing from sigma's on
+a path the walk discovered, carried along each step; sigma's side is the
+heaviest path through sigma's condensation over the differing picks,
+redone only when one is fixed, and exact at a strategy.  Both hold for
+every strategy below the state, since its fixed picks stay reached; each
+branch point saves them with the length of the log of differing picks, and
+backtracking restores them.  The drop is strict, since the cause check
+needs every tie.  The E-variants of `is_minimal_explanation` differ from
+sigma exactly on E and share one sigma side, from one scan.  The decision
+searches start the limit at their threshold.  The value-only d* searches
+stop at the first winner at a known lower bound: the least winning
+distance for `is_minimal_explanation`, Reach's deviation costs
+(`_dstar_floor`) for `min_winning_distance`.  The acyclic d* repair skips
+the exact search when its deviation costs certify the proposed strategy.
 
 Everything here runs on the game's vertex numbers (see `model`): vertex
 sets are lists, sets or flags of numbers, and a strategy runs as its picks.
@@ -347,13 +348,14 @@ def _variants(sigma, options, budget):
         yield tau
 
 
-def _matched_strategies(game, sigma, options, budget, lost=None, bound=None):
+def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=None):
     """Each distinct sigma-matched strategy whose reached picks come from
-    `options` (a tuple per owned vertex), once, as its picks, at one budget
-    unit each, lazily.  With `lost`, flags by vertex, only those whose plays
-    reach no flagged vertex, in the same order.  With `bound`, only those
-    at d* from sigma within a limit its consumer lowers as it goes, and
-    every one at d* on it, in the same order (see below).
+    `options` (a tuple per owned vertex) and whose d* from sigma is within
+    the one-item list `limit`, which its consumer may lower as it goes,
+    once, as (its picks, sigma's side of that d*), at one budget unit each,
+    lazily.  `condensed` is `distances.play_condensation(game, sigma)`.
+    With `lost`, flags by vertex, only those whose plays reach no flagged
+    vertex, in the same order.
 
     A search state fixes picks at some owned vertices; its plays run from
     the initial vertex until they meet an owned vertex without one.  A state
@@ -369,19 +371,19 @@ def _matched_strategies(game, sigma, options, budget, lost=None, bound=None):
 
     The same reason gives two lower bounds on d* from sigma of every
     strategy below a state, since the vertices whose fixed pick differs from
-    sigma's stay reached and differing in all of them.  `bound` is
-    (`distances.play_condensation(game, sigma)`, a one-item list holding
-    the limit), and a state is dropped, without a budget unit, as soon as
-    either bound is strictly greater than the limit; the drop is strict so
-    that a consumer which needs every tie at the least d* (`_least_dstar`)
-    can lower the limit to the least it has found.  Tau's side is the most
-    differing picks on the path by which the walk discovered a reached
-    vertex, carried along each step at O(1): a simple play path counts no
-    more than `distances.play_scan`'s heaviest path through the
-    condensation of tau's play graph, cycles or not.  Sigma's side is the
-    heaviest path through sigma's condensation weighing the differing picks
-    (`distances.heaviest_chain`), redone only when a differing pick is
-    fixed, in time quadratic in the few components that hold one.
+    sigma's stay reached and differing in all of them.  A state is dropped,
+    without a budget unit, as soon as either bound is strictly greater than
+    the limit; the drop is strict so that a consumer which needs every tie
+    at the least d* (`_least_dstar`) can lower the limit to the least it
+    has found.  Tau's side is the most differing picks on the path by which
+    the walk discovered a reached vertex, carried along each step at O(1):
+    a simple play path counts no more than `distances.play_scan`'s heaviest
+    path through the condensation of tau's play graph, cycles or not.
+    Sigma's side is the heaviest path through sigma's condensation weighing
+    the differing picks (`distances.heaviest_chain`), redone only when a
+    differing pick is fixed, in time quadratic in the few components that
+    hold one.  A strategy differs from sigma only at its fixed picks, so
+    there this bound is exact, and it is yielded with the strategy.
 
     One state is kept and changed in place: each branch point records how
     long the logs of reached and waiting vertices and of the differing
@@ -393,11 +395,8 @@ def _matched_strategies(game, sigma, options, budget, lost=None, bound=None):
     succ, default = game._succ, sigma
     if lost is None:
         lost = bytes(len(succ))
-    if bound is None:
-        component, reach, limit = {}, (), [distances.INF]
-    else:
-        (owned, reach), limit = bound
-        component = dict(owned)
+    owned, reach = condensed
+    component = dict(owned)
     fixed, seen, waiting = {}, {game._init}, set()
     trail, parked = [], []  # vertices added to `seen` and to `waiting`, in order
     changed = []  # sigma's components of the fixed picks that differ from sigma's
@@ -451,7 +450,7 @@ def _matched_strategies(game, sigma, options, budget, lost=None, bound=None):
             tau = list(default)
             for v, u in fixed.items():
                 tau[v] = u
-            yield tau
+            yield tau, heavy
         while branches:  # the next pick of the innermost branch point with one left
             v, picks, n_seen, n_waiting, n_changed, top, heavy = branches[-1]
             seen.difference_update(trail[n_seen:])
@@ -496,35 +495,30 @@ def _verdict(query, k, loser, winner):
     return GameCauseVerdict(loser is None, k, True, True, witnesses[: query.witnesses])
 
 
-def _least_dstar(game, player, sigma, strategies, bound, stop=None):
-    """(least d* from sigma's picks among the strategies, the least losing
+def _least_dstar(game, player, sigma, candidates, limit, stop=None):
+    """(least d* from sigma's picks among the candidates, the least losing
     and the least winning picks at it, or None).  With a `stop`, only
     winners count, and the search ends at the first one at or below it.
 
-    `bound` is (`distances.play_condensation(game, sigma)`, a one-item list
-    holding a limit), shared with a `_matched_strategies` that yields the
-    strategies: a candidate above the limit is skipped, and each new least
-    is written to it, so the enumeration drops the states whose d* lower
-    bounds exceed it.  A caller that needs no strategy above a threshold
-    starts the limit there; otherwise at INF, and nothing is dropped before
-    the first least.  The skip is strict, since the cause check needs every
-    tie.  A candidate's d* from sigma's side is read on the condensation,
-    and only where it is within the limit does one `distances.play_scan`
-    give tau's side and, by `_won`, the win.  Picks lists compare as their
+    The candidates are the (picks, sigma's side of d*) pairs of a
+    `_matched_strategies` that shares the one-item list `limit`: each new
+    least is written to it, so the enumeration drops the states whose d*
+    lower bounds exceed it, and yields no candidate whose sigma side does.
+    A caller that needs no strategy above a threshold starts the limit
+    there; otherwise at INF, and nothing is dropped before the first least.
+    One `distances.play_scan` per candidate gives tau's side and, by
+    `_won`, the win; a candidate above the limit is skipped, strictly,
+    since the cause check needs every tie.  Picks lists compare as their
     sorted (vertex, choice) id pairs do, so the result does not depend on
     the enumeration order.
     """
-    condensed, limit = bound
     least = loser = winner = None
-    for tau in strategies:
-        d = distances.dstrat_picks(game, sigma, tau, condensed)
-        if d > limit[0]:
-            continue
+    for tau, side in candidates:
         d_tau, cyclic, rank = distances.play_scan(game, tau, sigma)
         wins = _won(game, player, cyclic, rank)
         if stop is not None and not wins:
             continue
-        d = max(d, d_tau)
+        d = max(side, d_tau)
         if d > limit[0]:
             continue
         if least is None or d < least:
@@ -781,9 +775,9 @@ def _check_dstar(query, sigma, allowed, budget):
     """
     game = query.game
     options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
-    bound = distances.play_condensation(game, sigma), [distances.INF]
-    strategies = _matched_strategies(game, sigma, options, budget, bound=bound)
-    return _verdict(query, *_least_dstar(game, query.player, sigma, strategies, bound))
+    condensed, limit = distances.play_condensation(game, sigma), [distances.INF]
+    candidates = _matched_strategies(game, sigma, options, budget, condensed, limit)
+    return _verdict(query, *_least_dstar(game, query.player, sigma, candidates, limit))
 
 
 def brute_force_check_cause(query, budget=None, distance_fn=None):
@@ -945,9 +939,11 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
             forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
             lost = [(r is None) == (player == REACH) for r in forced]
         if floor <= limit:
-            bound = distances.play_condensation(game, sigma), [limit]
-            strategies = _matched_strategies(game, sigma, game._succ, budget, lost, bound)
-            least, _loser, tau = _least_dstar(game, player, sigma, strategies, bound, stop)
+            condensed, limit = distances.play_condensation(game, sigma), [limit]
+            candidates = _matched_strategies(
+                game, sigma, game._succ, budget, condensed, limit, lost
+            )
+            least, _loser, tau = _least_dstar(game, player, sigma, candidates, limit, stop)
             if tau is not None:
                 return least, tau
     else:
@@ -963,9 +959,11 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
     For the Hamming strategy distance every E-distinct strategy sits at
     distance exactly |E|, so minimality is a cardinality comparison; for the
     vertex-counting distance the E-distinct winning strategies are measured
-    until one attains the least winning distance, below which none can lie,
-    and a variant whose d* from sigma's side already exceeds it is skipped
-    before its play scan.  Sigma is validated once, here.
+    until one attains the least winning distance, below which none can lie.
+    Every E-variant differs from sigma exactly on E, so all share sigma's
+    side of d*, found by one scan of sigma's plays.  When it exceeds the
+    least winning distance no variant is scanned, though each still costs
+    its budget unit.  Sigma is validated once, here.
     """
     budget = as_budget(budget)
     vertex_set = frozenset(vertex_set)
@@ -979,9 +977,14 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
     if metric == METRIC_DSTAR:
         overall = _min_winning_distance(game, player, picks, METRIC_DSTAR, None, budget)
         options = _alternatives(game, picks, map(game.index.__getitem__, vertex_set))
-        bound = distances.play_condensation(game, picks), [overall]
-        variants = _variants(picks, options, budget)
-        return _least_dstar(game, player, picks, variants, bound, overall)[0] == overall
+        changed = [None if v in options else u for v, u in enumerate(picks)]
+        side = distances.play_scan(game, picks, changed)[0]
+        for tau in _variants(picks, options, budget):
+            if side <= overall:
+                d, cyclic, rank = distances.play_scan(game, tau, picks)
+                if d <= overall and _won(game, player, cyclic, rank):
+                    return True
+        return False
     raise PreconditionViolated(f"unsupported metric {metric!r} for minimality")
 
 

@@ -7,7 +7,7 @@ serialized; all randomness flows through one random.Random(seed).
 import random
 from dataclasses import dataclass
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, as_budget
 from .model import (
     EFFECT,
     REACH,
@@ -45,7 +45,7 @@ class GeneratorSpec:
             raise InvalidSpec(f"{self.family} needs at least {least} states")
 
 
-def generate(spec):
+def generate(spec, budget=None):
     rng = random.Random(spec.seed)
     if spec.family == "layered-ts":
         return layered_ts(rng, spec.layers, spec.width, spec.alphabet)
@@ -55,7 +55,7 @@ def generate(spec):
         return acyclic_game(rng, spec.states)
     if spec.family == "cyclic-game":
         return cyclic_game(rng, spec.states)
-    return boolean_sem(rng, spec.variables)
+    return boolean_sem(rng, spec.variables, budget)
 
 
 def _symbols(k):
@@ -159,8 +159,13 @@ def cyclic_game(rng, max_states):
     return game_from_owners({**owners, **dict.fromkeys(effect, EFFECT)}, "v0", edges)
 
 
-def boolean_sem(rng, max_variables):
+def boolean_sem(rng, max_variables, budget=None):
+    """A random SEM of 1 to `max_variables` variables, X_{i+1} given by a
+    truth table over X_1..X_i.  The 2^n - 1 entries in all cost one budget
+    unit each, charged before any table is built, so an oversized SEM
+    raises BudgetExceeded without allocating it."""
     n = rng.randint(1, max_variables)
+    as_budget(budget).charge(2 ** n - 1)
     variables = tuple(f"X{i + 1}" for i in range(n))
     tables = tuple(
         tuple(rng.random() < 0.5 for _ in range(2 ** i)) for i in range(n)

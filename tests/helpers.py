@@ -745,15 +745,17 @@ def naive_min_winning(game, sigma, metric, threshold, budget):
 
 def unpruned_min_winning(game, player, sigma, metric, threshold, budget, floor=0):
     """The d* branch of `_min_winning` over every candidate of
-    `_matched_strategies`, no vertex flagged as lost: each is tested by
-    `naive_picks_win` and measured by `distances.dstar_picks`, at one budget unit
-    whether it wins or not.  With a threshold, a winner above it counts as
-    none, as `_min_winning` documents."""
+    `_matched_strategies` under an INF limit, no vertex flagged as lost: each
+    is tested by `naive_picks_win` and measured by `distances.dstar_picks`,
+    at one budget unit whether it wins or not.  With a threshold, a winner
+    above it counts as none, as `_min_winning` documents."""
     if metric != METRIC_DSTAR:
         raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
     stop = floor if threshold is None else max(threshold, floor)
     best = None
-    for tau in _matched_strategies(game, sigma, game._succ, budget):
+    condensed = distances.play_condensation(game, sigma)
+    limit = [distances.INF]
+    for tau, _side in _matched_strategies(game, sigma, game._succ, budget, condensed, limit):
         if not naive_picks_win(game, player, tau):
             continue
         d = distances.dstar_picks(game, tau, sigma)
@@ -769,19 +771,18 @@ def unpruned_min_winning(game, player, sigma, metric, threshold, budget, floor=0
 
 
 def tie_list_check_dstar(query, sigma, allowed, budget):
-    """The d* cause check as a loop of its own: the candidates tied at the
-    least distance so far are kept in a list, scanned only when sigma's side
-    alone does not exceed it, and after the search the first loser and the
+    """The d* cause check as a loop of its own over the candidates of
+    `_matched_strategies` under an INF limit, each measured afresh by
+    `distances.dstar_picks`: the candidates tied at the least distance so
+    far are kept in a list, and after the search the first loser and the
     first winner among the sorted ties are found by `naive_picks_win`."""
     game = query.game
     options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
     condensed = distances.play_condensation(game, sigma)
     least, ties = None, []
-    for tau in _matched_strategies(game, sigma, options, budget):
-        d = distances.dstrat_picks(game, sigma, tau, condensed)
-        if least is not None and d > least:
-            continue  # cheap on sigma's condensation; spares tau's play scan
-        d = max(d, distances.dstrat_picks(game, tau, sigma))
+    limit = [distances.INF]
+    for tau, _side in _matched_strategies(game, sigma, options, budget, condensed, limit):
+        d = distances.dstar_picks(game, tau, sigma)
         if least is None or d < least:
             least, ties = d, [tau]
         elif d == least:

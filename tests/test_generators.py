@@ -1,7 +1,9 @@
+import hashlib
+
 import pytest
 
 from causekit.cli import generate_json, main
-from causekit.errors import InvalidSpec
+from causekit.errors import Budget, BudgetExceeded, InvalidSpec
 from causekit.generators import FAMILIES, GeneratorSpec, generate
 from causekit.model import dumps_canonical, is_effectively_acyclic
 from causekit.sem_bridge import StructuralEquationModel
@@ -56,6 +58,28 @@ def test_sem_family():
         sem = generate(GeneratorSpec("boolean-sem", seed=seed, variables=4))
         assert isinstance(sem, StructuralEquationModel)
         assert 1 <= sem.n <= 4
+
+
+def test_sem_family_charges_one_unit_per_table_entry(capsys):
+    # An SEM of n variables has 2^n - 1 truth-table entries in all; they are
+    # charged before any table is built, so a spec too large for memory
+    # fails on the budget at once.
+    for seed in range(20):
+        spec = GeneratorSpec("boolean-sem", seed=seed, variables=8)
+        n = generate(spec).n
+        assert generate(spec, Budget(2**n - 1)) == generate(spec)
+        with pytest.raises(BudgetExceeded):
+            generate(spec, Budget(2**n - 2))
+    argv = ["gen", "--family", "boolean-sem", "--vars", "40", "--budget", "0"]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "causekit: search budget of 0 units exhausted\n")
+    # Under the default budget the output is what it was before the charge:
+    # sha256 prefix of `gen --family boolean-sem --vars 10`, seeds 0-39.
+    digest = hashlib.sha256()
+    for seed in range(40):
+        assert main(["gen", "--family", "boolean-sem", "--seed", str(seed), "--vars", "10"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest()[:16] == "416660455c42d99a"
 
 
 def test_roundtrip_equality_all_model_families():

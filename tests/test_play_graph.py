@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from causekit import cli, distances
 from causekit import game_causality
-from causekit.distances import INF, dstar, dstrat, dstrat_picks, play_condensation, play_scan
+from causekit.distances import INF, dstar, dstrat, play_condensation, play_scan
 from causekit.errors import Budget, CausekitError, NotAcyclic
 from causekit.fixtures import tree_game
 from causekit.game_causality import (
@@ -145,7 +145,7 @@ def test_dstrat_is_the_walk_over_counted_sets(seed, cyclic, island):
         t, s = validate_strategy(game, tau), validate_strategy(game, sigma)
         for a, b, x, y in ((tau, sigma, t, s), (sigma, tau, s, t), (tau, tau, t, t)):
             want = naive_dstrat(game, a, b)
-            assert dstrat(game, a, b) == dstrat_picks(game, x, y, play_condensation(game, x))
+            assert dstrat(game, a, b) == play_scan(game, x, y)[0]
             assert dstrat(game, a, b) == want
         adj = id_adjacency(game, tau)
         plays = naive_reachable(adj, game.initial)
@@ -178,6 +178,13 @@ def test_dstar_on_many_diamonds_answers_within_any_budget(tmp_path, capsys):
     assert (doc["verdict"], doc["diagnostics"]["budgetUsed"]) == ("200", 0)
     game, sigma, tau = diamond_game(1000)
     assert dstar(game, sigma, tau) == 1000
+
+
+def every_matched(game, picks, options, budget, lost=None):
+    """The picks `_matched_strategies` yields under an INF limit."""
+    condensed, limit = play_condensation(game, picks), [INF]
+    pairs = _matched_strategies(game, picks, options, budget, condensed, limit, lost)
+    return [t for t, _side in pairs]
 
 
 def small_games(seed, cyclic, island, limit=5000):
@@ -214,13 +221,40 @@ def test_matched_strategies_are_the_distinct_matched_products(seed, cyclic, isla
                 products.append((options, (strategy_of(game, player, t) for t in variants)))
         for options, strategies in products:
             budget = Budget()
-            got = list(_matched_strategies(game, picks, options, budget))
+            got = every_matched(game, picks, options, budget)
             keys = [id_key(game, player, tau) for tau in got]
             assert len(set(keys)) == len(keys) == budget.used
             reached = [(t, v) for t in got for v in play_arena(game, t)[0] if t[v] is not None]
             assert all(tau[v] in options[v] for tau, v in reached)
             want = naive_distinct_matched(game, sigma, strategies)
             assert set(keys) == {key for key, _choice in want}
+
+
+def test_matched_strategies_yield_sigmas_exact_side():
+    # Each candidate comes with sigma's side of its d*, the kernel's own
+    # bound at the yield: it must be what a scan of sigma's plays against
+    # the candidate gives, whatever the flags and however a consumer moves
+    # the limit between yields.
+    sides = []
+
+    @FUZZ
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+    def yielded_sides_are_scanned_sides(seed, cyclic, island, flagged):
+        for game, player, sigma, rng in small_games(seed, cyclic, island):
+            picks = validate_strategy(game, sigma)
+            lost = [rng.random() < 0.2 for _ in picks] if flagged else None
+            condensed = play_condensation(game, picks)
+            limit = [rng.choice((INF, rng.randint(0, 3)))]
+            for tau, side in _matched_strategies(
+                game, picks, game._succ, Budget(), condensed, limit, lost
+            ):
+                assert side == play_scan(game, picks, tau)[0] <= limit[0]
+                sides.append(side)
+                if rng.random() < 0.3:
+                    limit[0] = min(limit[0], rng.randint(side, side + 2))
+
+    yielded_sides_are_scanned_sides()
+    assert max(sides) >= 2
 
 
 @FUZZ
@@ -290,32 +324,55 @@ def test_dstar_winning_search_drops_only_losers(seed, cyclic, island):
         # enumeration keeps the candidates whose plays avoid them, in order.
         forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
         drawn = [rng.random() < 0.2 for _ in forced]
-        every = list(_matched_strategies(game, picks, game._succ, Budget()))
+        every = every_matched(game, picks, game._succ, Budget())
         for lost in ([(r is None) == (player == REACH) for r in forced], drawn):
             budget = Budget()
-            kept = list(_matched_strategies(game, picks, game._succ, budget, lost))
+            kept = every_matched(game, picks, game._succ, budget, lost)
             assert kept == [t for t in every if not any(lost[v] for v in play_arena(game, t)[0])]
             assert budget.used == len(kept)
 
 
-@FUZZ
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-def test_dstar_minimality_measures_the_unmatched_variants(seed, cyclic, island):
+def test_dstar_minimality_measures_the_unmatched_variants():
     # A variant's changed choice at a vertex its plays miss still counts in
     # d*(sigma, variant) when sigma's plays visit it; resetting such a choice
-    # to sigma's would measure another, closer strategy.
-    for game, player, sigma, rng in small_games(seed, cyclic, island):
-        owned = game.owned_by(player)
-        branching = sorted(v for v in owned if len(game.successors(v)) > 1)
-        sets = [frozenset(rng.sample(branching, rng.randint(0, min(3, len(branching)))))]
-        try:
-            sets.append(extract_explanation(game, sigma).vertex_set)
-        except CausekitError:
-            pass
-        for vertex_set in sets:
-            assert is_minimal_explanation(game, sigma, vertex_set, METRIC_DSTAR) == (
-                naive_is_minimal_dstar(game, sigma, vertex_set)
-            )
+    # to sigma's would measure another, closer strategy.  Every variant
+    # differs from sigma exactly on E, so sigma's side of its d* is the one
+    # scan of sigma's plays against sigma with E's picks changed.  The sets
+    # drawn from sigma's plays hold such vertices somewhere.
+    missed = []
+
+    @FUZZ
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def minimality_matches_the_brute_force(seed, cyclic, island):
+        for game, player, sigma, rng in small_games(seed, cyclic, island):
+            picks = validate_strategy(game, sigma)
+            plays = play_arena(game, picks)[0]
+            owned = game.owned_by(player)
+            branching = sorted(v for v in owned if len(game.successors(v)) > 1)
+            visited = [v for v in branching if game.index[v] in plays]
+            sets = [
+                frozenset(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+                for pool in (branching, visited)
+            ]
+            try:
+                sets.append(extract_explanation(game, sigma).vertex_set)
+            except CausekitError:
+                pass
+            for vertex_set in sets:
+                assert is_minimal_explanation(game, sigma, vertex_set, METRIC_DSTAR) == (
+                    naive_is_minimal_dstar(game, sigma, vertex_set)
+                )
+                e = {game.index[v] for v in vertex_set}
+                changed = [None if v in e else u for v, u in enumerate(picks)]
+                side = play_scan(game, picks, changed)[0]
+                options = {v: tuple(u for u in game._succ[v] if u != picks[v]) for v in e}
+                for tau in _variants(picks, options, Budget()):
+                    assert play_scan(game, picks, tau)[0] == side
+                    reached = play_arena(game, tau)[0]
+                    missed.append(any(v in plays and v not in reached for v in e))
+
+    minimality_matches_the_brute_force()
+    assert any(missed)
 
 
 @FUZZ
@@ -340,7 +397,7 @@ def test_dstar_bounds_drop_only_states_above_the_limit():
     # The d* lower bounds of a search state hold for every strategy below
     # it, and a state is dropped only when one is strictly above the limit:
     # under a fixed limit the enumeration keeps, in order, every candidate
-    # of the unbounded one within it.  The searches that lower the limit as
+    # it yields under an INF limit that lies within it.  The searches that lower the limit as
     # they go give what their unpruned references give, never at more
     # budget, and somewhere at less.
     fell = []
@@ -350,10 +407,11 @@ def test_dstar_bounds_drop_only_states_above_the_limit():
     def pruned_searches_match_the_references(seed, cyclic, island):
         for game, player, sigma, rng in small_games(seed, cyclic, island):
             picks = validate_strategy(game, sigma)
-            every = list(_matched_strategies(game, picks, game._succ, Budget()))
+            every = every_matched(game, picks, game._succ, Budget())
             limit = rng.randint(0, 3)
-            bound = play_condensation(game, picks), [limit]
-            kept = list(_matched_strategies(game, picks, game._succ, Budget(), bound=bound))
+            condensed = play_condensation(game, picks)
+            pairs = _matched_strategies(game, picks, game._succ, Budget(), condensed, [limit])
+            kept = [t for t, _side in pairs]
             assert kept == [t for t in every if t in kept]
             within = [t for t in every if distances.dstar_picks(game, t, picks) <= limit]
             assert [t for t in kept if t in within] == within
@@ -434,8 +492,8 @@ def test_dstar_searches_build_sigmas_play_graph_once(monkeypatch):
     searches = [
         (lambda: check_cause_game(query).witnesses, 1),
         (lambda: min_winning_distance(game, sigma, METRIC_DSTAR) == 1, 1),
-        # the least winning distance, then the E-variants
-        (lambda: is_minimal_explanation(game, sigma, {"v1"}, METRIC_DSTAR), 2),
+        # the least winning distance; the E-variants share one scanned side
+        (lambda: is_minimal_explanation(game, sigma, {"v1"}, METRIC_DSTAR), 1),
     ]
     for search, runs in searches:
         condensed.clear()
