@@ -185,9 +185,6 @@ def avoid_region(game, player, cause):
     """Flags by vertex of the vertices from which the player can guarantee
     never visiting the vertices `cause`, with the region-preserving edge
     sets at the player's vertices in the region."""
-    for c in sorted(cause):
-        if game._owns[EFFECT][c]:
-            raise PreconditionViolated(f"cause vertex {game.ids[c]!r} lies in the effect set")
     region = _avoid_set(game, player, cause, {})
     return region, _kept_edges(game, player, region)
 
@@ -838,6 +835,8 @@ def extract_explanation(game, sigma, cause=frozenset()):
     for c in sorted(cause):
         if c not in game.index:
             raise PreconditionViolated(f"{c!r} is not a vertex")
+        if game.owner(c) == EFFECT:
+            raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
     player = sigma.player
     region, allowed = avoid_region(game, player, list(map(game.index.__getitem__, cause)))
     if not region[game._init]:
@@ -962,8 +961,8 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
     until one attains the least winning distance, below which none can lie.
     Every E-variant differs from sigma exactly on E, so all share sigma's
     side of d*, found by one scan of sigma's plays.  When it exceeds the
-    least winning distance no variant is scanned, though each still costs
-    its budget unit.  Sigma is validated once, here.
+    least winning distance no variant is built, and the answer is False.
+    Sigma is validated once, here.
     """
     budget = as_budget(budget)
     vertex_set = frozenset(vertex_set)
@@ -978,12 +977,12 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
         overall = _min_winning_distance(game, player, picks, METRIC_DSTAR, None, budget)
         options = _alternatives(game, picks, map(game.index.__getitem__, vertex_set))
         changed = [None if v in options else u for v, u in enumerate(picks)]
-        side = distances.play_scan(game, picks, changed)[0]
+        if distances.play_scan(game, picks, changed)[0] > overall:
+            return False
         for tau in _variants(picks, options, budget):
-            if side <= overall:
-                d, cyclic, rank = distances.play_scan(game, tau, picks)
-                if d <= overall and _won(game, player, cyclic, rank):
-                    return True
+            d, cyclic, rank = distances.play_scan(game, tau, picks)
+            if d <= overall and _won(game, player, cyclic, rank):
+                return True
         return False
     raise PreconditionViolated(f"unsupported metric {metric!r} for minimality")
 

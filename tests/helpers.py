@@ -1,23 +1,27 @@
-"""Independent oracles and seeded instance builders shared by the tests.
+"""Independent references and seeded instance builders shared by the tests.
 
-The oracles here deliberately avoid the library's algorithmic shortcuts:
-Levenshtein by plain recursion, the Hausdorff strategy distance by explicit
-play-prefix enumeration, the play-distance supremum by chains over
-disagreement subsets (and a play's distance by `play_dist`), attractors by
-rescanning every vertex per round or over a copied adjacency with fresh
-predecessor lists, the pref-h pin search by one fresh attractor per radius,
-the strategy predicates on the whole strategy-induced adjacency, the
-breadth-first walks (defeating plays, witness continuations, play layers)
-by loops of their own, the layered Hamming check by a shortest-path search
-over the states instead of the copy product, the SEM bridge by a layered
-Hamming check on the fully unrolled tree, model loading by per-item checks
-over sorted transitions and edges, acyclicity by a colored depth-first
-search, the d* repair's costs by a Bellman-style min-max sweep, the d*
-winning search over every strategy of the product enumeration or over every
-sigma-matched candidate with no loser dropped early, and the tree change
-count and maximal-path enumeration by recursion.
+One reference per question, none of them calling the search or loop it checks:
 
-The oracles run on ids, and so do the naive loaders, which keep id
+- Levenshtein distance: `naive_lev`, by suffix recursion.
+- pref-h distance: `hausdorff_oracle`, by play-prefix enumeration.
+- dstrat and d*: `dstrat_oracle` and `dstar_oracle`, by chains over visiting orders.
+- attractors, with overrides and pins: `naive_attractor`, rescanning every vertex per round.
+- reachability and avoiding sets: `naive_reachable` and `naive_avoiding`.
+- acyclicity: `naive_is_acyclic`, by a colored depth-first search.
+- model loading: `naive_model_from_json`, by per-item checks over sorted pairs.
+- strategy predicates: `naive_strategy_is_winning` and its kin, on the whole adjacency.
+- breadth-first walks: `naive_defeat_choices`, `naive_bfs_path` and `naive_pin_layers`.
+- pref-h cause check: `naive_check_pref_h`, with one fresh attractor per pin radius.
+- d* cause check: `naive_check_dstar`, over every strategy of `enumerate_strategies`.
+- d* winning search: `naive_min_winning`, over every strategy of `enumerate_strategies`.
+- d* minimality: `naive_is_minimal_dstar`, over every strategy of `enumerate_strategies`.
+- d* repair: `naive_min_dstar_repair`, with the costs of a Bellman-style sweep.
+- tree change count: `naive_tree_min_changes`, by memoized recursion.
+- maximal paths: `naive_maximal_paths`, by recursion.
+- layered Hamming check: `naive_hamm_layered`, by a shortest-path search over the states.
+- SEM bridge: `unrolled_bridge_check`, the layered Hamming check on the unrolled tree.
+
+The references run on ids, and so do the naive loaders, which keep id
 successor lists behind the `successors` view and id predecessor lists as
 `naive_pred`.  The library's kernels run on vertex numbers; the helpers in
 "the boundary between ids and vertex numbers" convert graphs, vertex sets,
@@ -25,11 +29,9 @@ edge overrides and results, so a test can hand a kernel the same input as
 its reference and compare the answers in ids.
 """
 
-import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from causekit import distances
 from causekit.distances import dyadic
@@ -47,8 +49,6 @@ from causekit.game_causality import (
     GameCauseVerdict,
     StrategyWitness,
     _avoid_set,
-    _matched_strategies,
-    _verdict,
     avoid_region,
     enumerate_strategies,
     strategy_is_winning,
@@ -67,7 +67,6 @@ from causekit.model import (
     game_from_owners,
     maximal_avoiding_set,
     maximal_paths,
-    strategy_of,
     validate_strategy,
 )
 from causekit.sem_bridge import (
@@ -154,7 +153,7 @@ def naive_traps(adjacency):
 def id_adjacency(game, strategy=None):
     """{id: successor ids} of every vertex, through the public views, under
     the strategy's choices if one is given."""
-    adj = {v: game.successors(v) for v in game.vertices}
+    adj = game.adjacency()
     if strategy is not None:
         adj.update((v, (u,)) for v, u in strategy.choice.items())
     return adj
@@ -237,69 +236,6 @@ def model_attractor(model, existential, target, allowed=None):
     """The kernel `Attractor` over the model's own lists, from ids."""
     return Attractor(model._succ, flags(model, existential), numbers(model, target),
                      model._pred, int_allowed(model, allowed or {}))
-
-
-# ---------------------------------------------------------------------------
-# the attractor kernel over a copied and updated adjacency
-
-
-def _copied_counters(adjacency):
-    preds = {v: [] for v in adjacency}
-    for v, succ in adjacency.items():
-        for u in succ:
-            preds[u].append(v)
-    return preds, {v: len(succ) for v, succ in adjacency.items()}
-
-
-def _copied_absorb(queue, rank, preds, outside, existential):
-    for u in queue:
-        for v in preds.get(u, ()):
-            if v in rank:
-                continue
-            outside[v] -= 1
-            if v in existential or not outside[v]:
-                rank[v] = rank[u] + 1
-                queue.append(v)
-    return rank
-
-
-class CopiedAttractor:
-    """The attractor kernel that builds its own predecessor lists and
-    counters from `adjacency`, and whose `pin` removes the dropped edges from
-    those lists."""
-
-    def __init__(self, adjacency, existential, target):
-        self.adjacency = adjacency
-        self.existential = existential
-        self.preds, self.outside = _copied_counters(adjacency)
-        self.rank = dict.fromkeys(target, 0)
-        _copied_absorb(list(self.rank), self.rank, self.preds, self.outside, existential)
-
-    def pin(self, pins):
-        rank, preds = self.rank, self.preds
-        joining = []
-        for v, u in pins.items():
-            if v in rank:
-                continue
-            if u in rank:
-                joining.append(v)
-                continue
-            self.outside[v] = 1
-            for w in self.adjacency[v]:
-                if w != u and w not in rank:
-                    preds[w].remove(v)
-        for v in joining:
-            rank[v] = rank[pins[v]] + 1
-        _copied_absorb(joining, rank, preds, self.outside, self.existential)
-
-
-def copied_adjacency(model, allowed=()):
-    """The model's successor tuples in sorted vertex order, updated with the
-    `allowed` edge tuples: the graph the attractors ran on before models
-    kept predecessor lists."""
-    adj = successor_map(model)
-    adj.update(allowed)
-    return adj
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +416,6 @@ def naive_strategy_is_winning(game, strategy):
     return not (game.effect & naive_reachable(adj, game.initial))
 
 
-def naive_picks_win(game, player, picks):
-    """`naive_strategy_is_winning` of the player's picks."""
-    return naive_strategy_is_winning(game, strategy_of(game, player, picks))
-
-
 def naive_strategy_avoids(game, strategy, cause):
     adj = id_adjacency(game, strategy)
     return not (set(cause) & naive_reachable(adj, game.initial))
@@ -523,65 +454,6 @@ def naive_distinct_matched(game, sigma, strategies):
             seen.add(key)
             out.append((key, tau.choice))
     return out
-
-
-@dataclass(frozen=True)
-class Play:
-    """A play: finite (ending in effect, empty cycle) or a stem+cycle lasso."""
-
-    stem: tuple
-    cycle: tuple = ()
-
-    def steps(self):
-        """Edges along the stem plus one full cycle unrolling.
-
-        Counting over this finite unrolling is exhaustive for per-vertex
-        notions: further unrollings repeat the same (vertex, edge) pairs.
-        """
-        seq = list(self.stem) + list(self.cycle)
-        steps = [(seq[i], seq[i + 1]) for i in range(len(seq) - 1)]
-        if self.cycle:
-            steps.append((seq[-1], self.cycle[0]))
-        return steps
-
-
-def play_dist(game, play, strategy):
-    """Distinct owned vertices on the play where its move contradicts the
-    strategy; `dstrat` is its supremum over a strategy's plays.  Lassos are
-    evaluated over the stem plus one cycle unrolling."""
-    owned = game.owned_by(strategy.player)
-    hit = set()
-    for v, w in play.steps():
-        if v in owned and strategy.choice[v] != w:
-            hit.add(v)
-    return len(hit)
-
-
-def naive_dstrat(game, tau, sigma, budget=None):
-    """`distances.dstrat` by an exhaustive walk of (vertex, counted set)
-    states over the whole strategy-induced adjacency, charging the budget
-    once per state; exponential in the worst case (`diamond_game`)."""
-    budget = as_budget(budget)
-    adj = id_adjacency(game, tau)
-    owned = game.owned_by(sigma.player)
-    start = (game.initial, frozenset())
-    seen = {start}
-    stack = [start]
-    best = 0
-    while stack:
-        v, counted = stack.pop()
-        budget.charge()
-        if len(counted) > best:
-            best = len(counted)
-        for u in adj[v]:
-            nxt = counted
-            if v in owned and sigma.choice[v] != u:
-                nxt = counted | {v}
-            state = (u, nxt)
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    return best
 
 
 def diamond_game(k):
@@ -743,57 +615,32 @@ def naive_min_winning(game, sigma, metric, threshold, budget):
     raise NoWinningStrategy(f"player {player} has no winning strategy")
 
 
-def unpruned_min_winning(game, player, sigma, metric, threshold, budget, floor=0):
-    """The d* branch of `_min_winning` over every candidate of
-    `_matched_strategies` under an INF limit, no vertex flagged as lost: each
-    is tested by `naive_picks_win` and measured by `distances.dstar_picks`,
-    at one budget unit whether it wins or not.  With a threshold, a winner
-    above it counts as none, as `_min_winning` documents."""
-    if metric != METRIC_DSTAR:
-        raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
-    stop = floor if threshold is None else max(threshold, floor)
-    best = None
-    condensed = distances.play_condensation(game, sigma)
-    limit = [distances.INF]
-    for tau, _side in _matched_strategies(game, sigma, game._succ, budget, condensed, limit):
-        if not naive_picks_win(game, player, tau):
-            continue
-        d = distances.dstar_picks(game, tau, sigma)
-        if best is None or (d, tau) < best:
-            best = (d, tau)
-            if d <= stop:
-                break
-    if best is not None and (threshold is None or best[0] <= threshold):
-        return best
-    if threshold is not None:
-        return threshold + 1, None
-    raise NoWinningStrategy(f"player {player} has no winning strategy")
-
-
-def tie_list_check_dstar(query, sigma, allowed, budget):
-    """The d* cause check as a loop of its own over the candidates of
-    `_matched_strategies` under an INF limit, each measured afresh by
-    `distances.dstar_picks`: the candidates tied at the least distance so
-    far are kept in a list, and after the search the first loser and the
-    first winner among the sorted ties are found by `naive_picks_win`."""
-    game = query.game
-    options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
-    condensed = distances.play_condensation(game, sigma)
-    least, ties = None, []
-    limit = [distances.INF]
-    for tau, _side in _matched_strategies(game, sigma, options, budget, condensed, limit):
-        d = distances.dstar_picks(game, tau, sigma)
-        if least is None or d < least:
-            least, ties = d, [tau]
-        elif d == least:
-            ties.append(tau)
-    loser = winner = None
-    for tau in sorted(ties):
-        if naive_picks_win(game, query.player, tau):
-            winner = winner or tau
-        else:
-            loser = loser or tau
-    return _verdict(query, least, loser, winner)
+def naive_check_dstar(query, budget=None):
+    """`check_cause_game` for d* over every strategy of `enumerate_strategies`:
+    condition 1 on the whole adjacency and condition 2 by `naive_attractor`,
+    then the distinct sigma-matched strategies that avoid the cause, each
+    measured by `dstar_oracle`.  At the least distance the least losing and
+    the least winning strategy, by their sorted id pairs, are the witnesses.
+    One budget unit per strategy, matched or not."""
+    validate_game_query(query)
+    game, player, sigma, cause = query.game, query.player, query.sigma, query.cause
+    c1 = naive_losing_play_reaches_cause(game, sigma, cause)
+    opponent = game.owned_by(SAFE if player == REACH else REACH)
+    c2 = game.initial not in naive_attractor(game.adjacency(), opponent, cause)
+    if not (c1 and c2):
+        return GameCauseVerdict(False, distances.INF, c1, c2)
+    scored = []
+    strategies = enumerate_strategies(game, player, budget)
+    for key, choice in naive_distinct_matched(game, sigma, strategies):
+        tau = MDStrategy(player, choice)
+        if naive_strategy_avoids(game, tau, cause):
+            scored.append((dstar_oracle(game, tau, sigma), key, tau))
+    least = min(d for d, _key, _tau in scored)
+    first = {}
+    for _d, _key, tau in sorted(s for s in scored if s[0] == least):
+        first.setdefault(naive_strategy_is_winning(game, tau), tau)
+    witnesses = tuple(StrategyWitness(first[w], least, w) for w in (False, True) if w in first)
+    return GameCauseVerdict(False not in first, least, True, True, witnesses[: query.witnesses])
 
 
 def naive_is_minimal_dstar(game, sigma, vertex_set):

@@ -5,9 +5,9 @@ The loader and the constructors must give the successor lists (read through
 the `successors` view), predecessor lists and derived pair sets of the naive
 per-item loaders, which stay on ids, with duplicate pairs, shuffled input
 and unreachable copies.  The attractor kernel with `allowed` overrides and
-pins over a model's own lists must give the ranks, in join order, of the
-kernel over a copied and updated id adjacency, and must leave the shared
-lists as it found them.
+pins over a model's own lists must give the members of the round-based
+attractor over the overridden and pinned id adjacency, with its ranks
+before the first pin, and must leave the shared lists as it found them.
 """
 
 import copy
@@ -24,11 +24,11 @@ from causekit.model import (
 )
 
 from helpers import (
-    CopiedAttractor,
-    copied_adjacency,
     id_predecessors,
+    id_ranks,
     join_order,
     model_attractor,
+    naive_attractor,
     naive_model_from_json,
     successor_map,
     with_unreachable_copy,
@@ -85,7 +85,7 @@ def random_overrides(rng, game, universal):
     allowed = {}
     for v in rng.sample(game.vertices, rng.randint(0, len(game.vertices))):
         allowed[v] = tuple(u for u in game.successors(v) if rng.random() < 0.6)
-    adj = copied_adjacency(game, allowed)
+    adj = {**successor_map(game), **allowed}
     free = [v for v in game.vertices if v in universal and adj[v]]
     rng.shuffle(free)
     batches = []
@@ -98,7 +98,7 @@ def random_overrides(rng, game, universal):
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(("acyclic-game", "cyclic-game")))
-def test_overrides_and_pins_match_the_copied_kernel(seed, family):
+def test_overrides_and_pins_match_the_naive_attractor(seed, family):
     rng = random.Random(seed)
     game = random_model(rng, family)
     existential = rng.choice(
@@ -109,12 +109,19 @@ def test_overrides_and_pins_match_the_copied_kernel(seed, family):
     allowed, batches = random_overrides(rng, game, universal)
     lists, kept = id_predecessors(game), copy.deepcopy(allowed)
 
-    adj = copied_adjacency(game, allowed)
+    adj = {**successor_map(game), **allowed}
     fast = model_attractor(game, existential, target, allowed)
-    slow = CopiedAttractor(adj, existential, target)
-    assert join_order(game, fast) == list(slow.rank.items())
+    # Before any pin the kernel runs rounds breadth-first: the round-based
+    # ranks, joined in rank order.
+    ranks, order = id_ranks(game, fast.rank), join_order(game, fast)
+    assert ranks == naive_attractor(adj, existential, target)
+    assert sorted(order) == sorted(ranks.items())
+    assert [r for _v, r in order] == sorted(ranks.values())
     for pins in batches:
         fast.pin({game.index[v]: game.index[u] for v, u in pins.items()})
-        slow.pin(pins)
-        assert join_order(game, fast) == list(slow.rank.items())
+        adj.update((v, (u,)) for v, u in pins.items())
+        # Ranks of later joins count rounds of the resumed run.
+        members = id_ranks(game, fast.rank)
+        assert members.keys() == naive_attractor(adj, existential, target).keys()
+        assert sorted(v for v, _r in join_order(game, fast)) == sorted(members)
     assert id_predecessors(game) == lists and allowed == kept

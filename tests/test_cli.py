@@ -429,6 +429,8 @@ def test_distance_missing_operand_exit_2(argv, message):
 
 BRANCHING_TS = ["--model", str(FIXDIR / "branching_ts.json")]
 BRANCHING_RUN = str(FIXDIR / "branching_ts_run.json")
+TREE_GAME = ["--model", str(FIXDIR / "tree_game.json")]
+TREE_SIGMA = str(FIXDIR / "tree_game_sigma.json")
 
 
 @pytest.mark.parametrize(
@@ -452,11 +454,21 @@ BRANCHING_RUN = str(FIXDIR / "branching_ts_run.json")
           "--cause", "s2", "--metric", "dstar"], {}, "model: expected kind 'game', got 'ts'"),
         (["distance", "dstar", *BRANCHING_TS, "--sigma", LOOP_SIGMA, "--tau", LOOP_SIGMA], {},
          "model: expected kind 'game', got 'ts'"),
+        *(
+            (["game-cause", *TREE_GAME, "--player", "reach", "--strategy", TREE_SIGMA,
+              "--cause", "e000", "--metric", metric], {},
+             "cause vertex 'e000' lies in the effect set")
+            for metric in ("pref-h", "hamm-s", "dstar")
+        ),
+        (["explain", *TREE_GAME, "--strategy", TREE_SIGMA, "--cause", "e000"], {},
+         "cause vertex 'e000' lies in the effect set"),
     ],
     ids=[
         "pref-unknown-states", "pref-not-maximal", "pref-not-a-transition",
         "explain-unknown-cause", "pref-game-model", "ts-cause-game-model",
         "solve-ts-model", "explain-ts-model", "game-cause-ts-model", "dstar-ts-model",
+        "pref-h-effect-cause", "hamm-s-effect-cause", "dstar-effect-cause",
+        "explain-effect-cause",
     ],
 )
 def test_operands_checked_against_the_model_exit_2(tmp_path, capsys, argv, files, message):
@@ -581,8 +593,6 @@ def test_oracle_hamm_rejects_a_non_layered_system_like_ts_cause(tmp_path, capsys
         assert capsys.readouterr() == ("", message)
 
 
-TREE_GAME = ["--model", str(FIXDIR / "tree_game.json")]
-TREE_SIGMA = str(FIXDIR / "tree_game_sigma.json")
 BAD_TAUS = [
     ({"v0": "t101", "v1": "v3"}, "strategy choice 't101' is not a successor of 'v0'"),
     ({"v0": "s00"}, "strategy undefined at owned vertex 'v1'"),
@@ -836,3 +846,4 @@ def test_check_minimal_dstar_ignores_choices_no_play_reaches(tmp_path, capsys):
     out, err = capsys.readouterr()
     doc = json.loads(out)
     assert (doc["verdict"], err) == (True, "")
+

@@ -23,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 import causekit
-from causekit import cli, distances, errors, game_causality, model  # noqa: F401
+from causekit import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import instances  # noqa: E402

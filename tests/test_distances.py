@@ -22,12 +22,10 @@ from causekit.generators import GeneratorSpec, generate, random_strategy
 from causekit.model import MDStrategy
 
 from helpers import (
-    Play,
     dstar_oracle,
     dstrat_oracle,
     hausdorff_oracle,
     naive_lev,
-    play_dist,
     random_words,
 )
 
@@ -157,22 +155,6 @@ def test_pref_hausdorff_matches_definitional_oracle():
                 )
                 checked += 1
     assert checked >= 400
-
-
-def test_play_dist_loop_game():
-    game, _sigma = loop_game()
-    tau = MDStrategy("reach", {"v1": "eff", "v2": "eff"})
-    lasso = Play(stem=("v0", "v2"), cycle=("v1",))
-    assert play_dist(game, lasso, tau) == 2
-    sigma_play = Play(stem=("v0", "v1", "eff"))
-    assert play_dist(game, sigma_play, MDStrategy("reach", {"v1": "eff", "v2": "v1"})) == 0
-
-
-def test_play_dist_counts_distinct_vertices():
-    game, sigma = loop_game()
-    looping = Play(stem=("v0",), cycle=("v1",))
-    tau = MDStrategy("reach", {"v1": "eff", "v2": "v1"})
-    assert play_dist(game, looping, tau) == 1
 
 
 def test_dstar_loop_game():

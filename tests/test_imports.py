@@ -1,8 +1,9 @@
 """Every name a causekit module imports is used in it or exported by it,
 every public function and class of a module is used by the package, the
 demos or the benchmark, so code only the tests call stays in the tests,
-every private function of a module is used by the package, and every
-parameter of a package function is read in its body."""
+every private function of a module is used by the package, every
+parameter of a package function is read in its body, and every function
+and class of the tests' helpers is read by a test or another helper."""
 
 import ast
 import pathlib
@@ -105,6 +106,13 @@ def test_every_public_function_is_used_outside_the_tests():
         path.name: unreferenced(path.read_text(encoding="utf-8"), names)
         for path in SOURCES
     } == {path.name: [] for path in SOURCES}
+
+
+def test_every_helper_is_read_by_a_test_or_another_helper():
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    names = referenced_names(path.read_text(encoding="utf-8") for path in tests)
+    helpers = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
+    assert unreferenced(helpers, names) + unreferenced(helpers, names, private=True) == []
 
 
 def unread_parameters(source):

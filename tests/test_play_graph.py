@@ -57,11 +57,13 @@ from causekit.model import (
 from helpers import (
     budgeted,
     diamond_game,
+    dstar_oracle,
+    dstrat_oracle,
     id_adjacency,
     int_graph,
     naive_reachable,
+    naive_check_dstar,
     naive_distinct_matched,
-    naive_dstrat,
     naive_is_acyclic,
     naive_is_minimal_dstar,
     naive_losing_play_reaches_cause,
@@ -70,8 +72,6 @@ from helpers import (
     naive_sigma_matched,
     naive_strategy_avoids,
     naive_strategy_is_winning,
-    tie_list_check_dstar,
-    unpruned_min_winning,
     with_unreachable_copy,
 )
 
@@ -144,9 +144,7 @@ def test_dstrat_is_the_walk_over_counted_sets(seed, cyclic, island):
         sigma, tau = (random_strategy(rng, game, player) for _ in range(2))
         t, s = validate_strategy(game, tau), validate_strategy(game, sigma)
         for a, b, x, y in ((tau, sigma, t, s), (sigma, tau, s, t), (tau, tau, t, t)):
-            want = naive_dstrat(game, a, b)
-            assert dstrat(game, a, b) == play_scan(game, x, y)[0]
-            assert dstrat(game, a, b) == want
+            assert dstrat(game, a, b) == play_scan(game, x, y)[0] == dstrat_oracle(game, a, b)
         adj = id_adjacency(game, tau)
         plays = naive_reachable(adj, game.initial)
         assert play_scan(game, t, t)[1] == (not naive_is_acyclic({v: adj[v] for v in plays}))
@@ -160,7 +158,7 @@ def test_dstrat_on_diamonds_is_the_walk_over_counted_sets():
     for k in range(1, 9):
         game, sigma, tau = diamond_game(k)
         for a, b in ((tau, sigma), (sigma, tau)):
-            assert dstrat(game, a, b) == naive_dstrat(game, a, b) == k
+            assert dstrat(game, a, b) == dstrat_oracle(game, a, b) == k
 
 
 def test_dstar_on_many_diamonds_answers_within_any_budget(tmp_path, capsys):
@@ -279,6 +277,27 @@ def reference_min_winning_distance(game, sigma, metric, threshold, budget):
     return value if threshold is None else value <= threshold
 
 
+def assert_least_winner(game, sigma, threshold, floor, found, least):
+    """`_min_winning`'s (distance, picks) and budget use against the least
+    winner and budget use of `naive_min_winning` without a threshold.
+    Without a threshold it gives the least winning distance, and at floor 0
+    the least winner there; with one, a winner within it if there is any.
+    What it returns wins at the distance it gives."""
+    (got, used), (want, want_used) = found, least
+    assert used <= want_used
+    if isinstance(want, str) or (threshold is not None and want[0] > threshold):
+        assert got == (want if threshold is None else (threshold + 1, None))
+        return
+    d, tau = got[0], strategy_of(game, sigma.player, got[1])
+    assert naive_strategy_is_winning(game, tau) and dstar_oracle(game, tau, sigma) == d
+    if threshold is not None:
+        assert d <= threshold
+    elif floor == 0:
+        assert (d, tau) == want
+    else:
+        assert d == want[0]
+
+
 @FUZZ
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_dstar_winning_searches_match_the_product_search(seed, cyclic, island):
@@ -315,11 +334,11 @@ def test_dstar_winning_search_drops_only_losers(seed, cyclic, island):
     for game, player, sigma, rng in small_games(seed, cyclic, island):
         picks = validate_strategy(game, sigma)
         floor, _lost = _dstar_floor(game, player, picks)
+        least = budgeted(naive_min_winning, game, sigma, METRIC_DSTAR, None)
         for threshold, at in ((None, 0), (0, 0), (1, 0), (None, floor)):
             args = (game, player, picks, METRIC_DSTAR, threshold)
-            got, used = budgeted(partial(_min_winning, floor=at), *args)
-            want, want_used = budgeted(partial(unpruned_min_winning, floor=at), *args)
-            assert got == want and used <= want_used
+            found = budgeted(partial(_min_winning, floor=at), *args)
+            assert_least_winner(game, sigma, threshold, at, found, least)
         # The player's losing vertices, and flags drawn at random: the
         # enumeration keeps the candidates whose plays avoid them, in order.
         forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
@@ -379,7 +398,8 @@ def test_dstar_minimality_measures_the_unmatched_variants():
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_dstar_cause_check_matches_the_tie_list_reference(seed, cyclic, island):
     # Causes are drawn from sigma's play graph, where condition 1 can hold;
-    # about one query in seven reaches the d* search itself.
+    # about one query in seven reaches the d* search itself.  The reference
+    # sorts the ties at the least distance over every strategy.
     for game, player, sigma, rng in small_games(seed, cyclic, island):
         plays = [game.ids[v] for v in sorted(play_arena(game, validate_strategy(game, sigma))[0])]
         pool = [v for v in plays if v != game.initial and game.owner(v) != "effect"]
@@ -388,8 +408,7 @@ def test_dstar_cause_check_matches_the_tie_list_reference(seed, cyclic, island):
             cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
             query = GameCauseQuery(game, player, sigma, cause, METRIC_DSTAR, rng.randint(1, 3))
             got, used = budgeted(check_cause_game, query)
-            with mock.patch.object(game_causality, "_check_dstar", tie_list_check_dstar):
-                want, want_used = budgeted(check_cause_game, query)
+            want, want_used = budgeted(naive_check_dstar, query)
             assert got == want and used <= want_used
 
 
@@ -397,9 +416,10 @@ def test_dstar_bounds_drop_only_states_above_the_limit():
     # The d* lower bounds of a search state hold for every strategy below
     # it, and a state is dropped only when one is strictly above the limit:
     # under a fixed limit the enumeration keeps, in order, every candidate
-    # it yields under an INF limit that lies within it.  The searches that lower the limit as
-    # they go give what their unpruned references give, never at more
-    # budget, and somewhere at less.
+    # it yields under an INF limit that lies within it.  The searches that
+    # lower the limit as they go give what their references give, at no
+    # more budget units than that INF-limit run yields candidates, and
+    # somewhere at fewer.
     fell = []
 
     @FUZZ
@@ -424,17 +444,21 @@ def test_dstar_bounds_drop_only_states_above_the_limit():
             cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
             query = GameCauseQuery(game, player, sigma, cause, METRIC_DSTAR, rng.randint(1, 3))
             got, used = budgeted(check_cause_game, query)
-            with mock.patch.object(game_causality, "_check_dstar", tie_list_check_dstar):
-                want, want_used = budgeted(check_cause_game, query)
+            want, want_used = budgeted(naive_check_dstar, query)
             assert got == want and used <= want_used
-            fell.append(used < want_used)
+            if got.condition1 and got.condition2:
+                allowed = avoid_region(game, player, [game.index[c] for c in cause])[1]
+                options = [allowed.get(v, (u,)) for v, u in enumerate(picks)]
+                unpruned = len(every_matched(game, picks, options, Budget()))
+                assert used <= unpruned
+                fell.append(used < unpruned)
 
+            least = budgeted(naive_min_winning, game, sigma, METRIC_DSTAR, None)
             for threshold in (None, rng.randint(0, 3)):
-                args = (game, player, picks, METRIC_DSTAR, threshold)
-                got, used = budgeted(_min_winning, *args)
-                want, want_used = budgeted(unpruned_min_winning, *args)
-                assert got == want and used <= want_used
-                fell.append(used < want_used)
+                found = budgeted(_min_winning, game, player, picks, METRIC_DSTAR, threshold)
+                assert_least_winner(game, sigma, threshold, 0, found, least)
+                assert found[1] <= len(every)
+                fell.append(found[1] < len(every))
 
     pruned_searches_match_the_references()
     assert any(fell)
