@@ -298,13 +298,11 @@ def cmd_sem(args):
         effect = json.loads(args.effect)
     except RecursionError:
         raise CausekitError("--effect: JSON nested too deeply") from None
-    effect = sem_bridge.effect_from_json(sem, effect)
+    budget = Budget(args.budget)
+    rows = sem_bridge.effect_from_json(sem, effect, budget)  # distinct and sorted, as echoed
+    effect = frozenset(rows)
     variables = sorted(_split(args.vars))
-    inputs = {
-        "model": args.model,
-        "vars": variables,
-        "effect": sorted(list(v) for v in effect),
-    }
+    inputs = {"model": args.model, "vars": variables, "effect": rows}
     butfor = sem_bridge.is_but_for_cause(sem, effect, variables)
     if args.action == "butfor":
         doc = {"command": "sem butfor", "inputs": inputs, "verdict": butfor}
@@ -314,7 +312,7 @@ def cmd_sem(args):
         "command": "sem bridge",
         "inputs": inputs,
         "butFor": butfor,
-        "causeStates": sorted(sem_bridge.butfor_to_cause_set(sem, variables)),
+        "causeStates": sorted(sem_bridge.butfor_to_cause_set(sem, variables, budget)),
         "verdict": verdict.is_cause,
         "minDistance": distances.format_distance(verdict.min_distance),
         "witnesses": _ts_witnesses(verdict),

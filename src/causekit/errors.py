@@ -54,7 +54,8 @@ class Budget:
 
     Exact searches charge one unit per candidate they enumerate (a strategy,
     a change set, a pin layer or, in the path oracle, a visited state) and
-    raise BudgetExceeded instead of returning approximate answers.
+    raise BudgetExceeded instead of returning approximate answers.  A SEM
+    document's expansions charge one unit per effect row and cause state.
     """
 
     DEFAULT_LIMIT = 10_000_000

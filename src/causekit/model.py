@@ -855,49 +855,98 @@ def dumps_canonical(obj):
     whose `indent` makes `json` fall back to its pure-Python encoder.  This
     writer covers what documents hold: dicts with str keys, lists, tuples,
     str, int, bool and None.  On anything else it raises TypeError, and the
-    whole document goes to `json.dumps`.
+    whole document goes to `json.dumps`.  The pieces are collected in one
+    list and joined once at the end, so a large text is not copied again
+    at each level of nesting.
     """
+    out = []
     try:
-        return _render(obj, "\n") + "\n"
+        _render(obj, "\n", out)
     except TypeError:
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out.append("\n")
+    return "".join(out)
 
 
 _BOOLS = {True: "true", False: "false"}
 
 
-def _render(obj, newline):
-    """`obj` as JSON text at the depth whose line break and indent is
-    `newline`.  A list of only str or only bool is mapped at once."""
+def _render(obj, newline, out):
+    """Append `obj` as JSON text at the depth whose line break and indent is
+    `newline` to `out`.  A list of only str or only bool, and a dict of
+    only str values, is joined at once, and a list of Boolean rows takes
+    one join per row."""
     if isinstance(obj, str):
-        return _encode_str(obj)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return _BOOLS[obj]
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, (list, tuple)):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append(_BOOLS[obj])
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
+        sep = "," + inner
+        out.append("[" + inner)
         if all(map(isinstance, obj, repeat(str))):
-            texts = map(_encode_str, obj)
+            out.append(sep.join(map(_encode_str, obj)))
         elif all(map(isinstance, obj, repeat(bool))):
-            texts = map(_BOOLS.__getitem__, obj)
+            out.append(sep.join(map(_BOOLS.__getitem__, obj)))
+        elif _boolean_rows(obj):
+            word = _BOOLS.__getitem__
+            row_inner = inner + "  "
+            row_sep = "," + row_inner
+            out.append(sep.join([
+                f"[{row_inner}{row_sep.join(map(word, row))}{inner}]" if row else "[]"
+                for row in obj
+            ]))
         else:
-            texts = map(_render, obj, repeat(inner))
-        return "[" + inner + ("," + inner).join(texts) + newline + "]"
-    if isinstance(obj, dict):
+            _render(obj[0], inner, out)
+            for item in islice(obj, 1, None):
+                out.append(sep)
+                _render(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
+            out.append("{}")
+            return
         inner = newline + "  "
-        fields = []
-        for key, value in sorted(obj.items()):  # a key not a str raises TypeError
-            text = _encode_str(value) if isinstance(value, str) else _render(value, inner)
-            fields.append(_encode_str(key) + ": " + text)
-        return "{" + inner + ("," + inner).join(fields) + newline + "}"
-    raise TypeError(obj)
+        sep = "," + inner
+        out.append("{" + inner)
+        items = sorted(obj.items())  # a key not a str raises TypeError when encoded
+        if len(obj) > 8 and all(map(isinstance, obj.values(), repeat(str))):
+            # a strategy's choices: one piece rather than one per field; on
+            # a few fields the test costs more than it saves
+            out.append(sep.join([f"{_encode_str(k)}: {_encode_str(v)}" for k, v in items]))
+        else:
+            lead = ""
+            for key, value in items:
+                key = _encode_str(key)
+                if isinstance(value, str):
+                    out.append(f"{lead}{key}: {_encode_str(value)}")
+                elif type(value) is bool:
+                    out.append(f"{lead}{key}: {_BOOLS[value]}")
+                elif type(value) is int:
+                    out.append(f"{lead}{key}: {int.__repr__(value)}")
+                else:
+                    out.append(f"{lead}{key}: ")
+                    _render(value, inner, out)
+                lead = sep
+        out.append(newline + "}")
+    else:
+        raise TypeError(obj)
+
+
+def _boolean_rows(items):
+    """Whether every item is a list or tuple of bools only.  The types must
+    be exact: 1 == True, so _BOOLS would render a 1 as "true"."""
+    return (
+        set(map(type, items)) <= {list, tuple}
+        and set(map(type, chain.from_iterable(items))) <= {bool}
+    )
 
 
 def read_json(path):

@@ -8,12 +8,18 @@ by the flip, and intervention-entered states carry a distinguishing label.
 `bridge_check` searches that tree implicitly, expanding only the valuations
 it settles; `unroll_to_ts` builds it in full and is the reference the bridge
 is tested against.
+
+A `sem` document costs what it lists.  A predicate effect on the last k of n
+variables builds its 2**(n-k) * |values| valuations and no others, and a
+variable X_i adds 2**(i-1) cause states; both charge the budget one unit per
+row or state before they are built.
 """
 
 from dataclasses import dataclass, replace
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, starmap
+from operator import add
 
-from .errors import BudgetExceeded, PreconditionViolated
+from .errors import BudgetExceeded, PreconditionViolated, as_budget
 from .model import TransitionSystem, required_field
 from .ts_causality import (
     METRIC_HAMM,
@@ -94,10 +100,18 @@ def intervened_valuation(sem, intervened):
     return tuple(values)
 
 
+def _frozen(effect):
+    """The effect valuations as a frozenset of tuples; a frozenset is taken
+    as it is, so a caller that checks several questions freezes it once."""
+    if type(effect) is frozenset:
+        return effect
+    return frozenset(map(tuple, effect))
+
+
 def is_but_for_cause(sem, effect, variables):
     """Minimal variable set whose forced flips steer the outcome out of the
     effect set.  Minimality is checked by exhausting proper subsets."""
-    effect = frozenset(tuple(v) for v in effect)
+    effect = _frozen(effect)
     if evaluate_default(sem) not in effect:
         raise PreconditionViolated("the default valuation does not exhibit the effect")
     xs = tuple(sorted(variables, key=sem.index_of))
@@ -112,11 +126,11 @@ def is_but_for_cause(sem, effect, variables):
 
 def but_for_causes(sem, effect):
     """All but-for causes of the effect, as sorted variable tuples."""
-    effect_set = frozenset(tuple(v) for v in effect)
+    effect = _frozen(effect)
     out = []
     for r in range(1, sem.n + 1):
         for xs in combinations(sem.variables, r):
-            if intervened_valuation(sem, xs) not in effect_set:
+            if intervened_valuation(sem, xs) not in effect:
                 if is_but_for_cause(sem, effect, xs):
                     out.append(xs)
     return out
@@ -167,14 +181,27 @@ def _check_unroll_size(sem):
         )
 
 
-def butfor_to_cause_set(sem, variables):
-    """States entered by a default step for one of the given variables."""
-    indices = sorted(sem.index_of(x) for x in variables)
+def butfor_to_cause_set(sem, variables, budget=None):
+    """States entered by a default step for one of the given variables.
+
+    The default step for X_(i+1) from prefix number `pos` enters the state
+    whose id is the i prefix bits followed by `tables[i][pos]`, so each id
+    is formatted from the table's index and value.  The 2**i states of each
+    variable are charged to `budget` (an int limit, or None for the
+    default) before any is built.
+    """
+    indices = {sem.index_of(x) for x in variables}
+    as_budget(budget).charge(sum(2 ** i for i in indices))
     cause = set()
     for i in indices:
-        for bits in product((False, True), repeat=i):
-            default = sem.equation(i, bits)
-            cause.add(state_id(bits + (default,)))
+        table = sem.tables[i]
+        if i == 0:  # no prefix bits: format(0, "00b") would still give "0"
+            cause.add(state_id((table[0],)))
+            continue
+        spec = f"0{i}b"
+        cause.update(
+            f"v{pos:{spec}}{'1' if value else '0'}" for pos, value in enumerate(table)
+        )
     return frozenset(cause)
 
 
@@ -200,10 +227,9 @@ def bridge_check(sem, effect, variables, witnesses=3):
     deliberately not enforced here; avoiding the cause set excludes those
     leaves from the comparison paths either way.
     """
-    effect = frozenset(tuple(v) for v in effect)
-    for v in effect:
-        if len(v) != sem.n:
-            raise PreconditionViolated("effect valuations must be total")
+    effect = _frozen(effect)
+    if not set(map(len, effect)) <= {sem.n}:
+        raise PreconditionViolated("effect valuations must be total")
     if not variables:
         raise PreconditionViolated("an empty variable set induces no cause states")
     _check_unroll_size(sem)
@@ -273,9 +299,17 @@ def sem_from_json(data):
     return StructuralEquationModel(variables=tuple(variables), tables=tuple(tables))
 
 
-def effect_from_json(sem, data):
-    """Effect sets arrive as explicit valuation lists or as a predicate on the
-    last k variables ({"last": k, "values": [...]}), expanded extensionally."""
+def effect_from_json(sem, data, budget=None):
+    """The effect's valuations, distinct and sorted, as a tuple of tuples.
+
+    Effect sets arrive as explicit valuation lists or as a predicate on the
+    last k variables ({"last": k, "values": [...]}).  A predicate builds
+    only its 2**(n-k) * |values| valuations, each as a prefix of the first
+    n-k variables followed by an accepted row; prefixes and rows are taken
+    in sorted order, so the valuations come out sorted.  One unit per
+    valuation built is charged to `budget` (as in `butfor_to_cause_set`)
+    before any is built.
+    """
     if isinstance(data, dict):
         k = required_field(data, "last", "effect")
         if type(k) is not int:  # a JSON true is a bool, which int() would take
@@ -284,21 +318,20 @@ def effect_from_json(sem, data):
             )
         if not 1 <= k <= sem.n:
             raise PreconditionViolated(f"predicate arity {k} out of range")
-        accepted = set(_rows(required_field(data, "values", "effect"), "predicate values"))
-        for v in accepted:
-            if len(v) != k:
-                raise PreconditionViolated("predicate rows must have length k")
-        return frozenset(
-            full
-            for full in product((False, True), repeat=sem.n)
-            if full[-k:] in accepted
-        )
-    out = set()
-    for v in _rows(data, "effect"):
-        if len(v) != sem.n:
-            raise PreconditionViolated("effect valuations must be total")
-        out.add(v)
-    return frozenset(out)
+        values = _rows(required_field(data, "values", "effect"), "predicate values")
+        accepted = sorted(set(values))
+        if not set(map(len, accepted)) <= {k}:
+            raise PreconditionViolated("predicate rows must have length k")
+        as_budget(budget).charge(2 ** (sem.n - k) * len(accepted))
+        if not accepted:  # product would still build every prefix
+            return ()
+        prefixes = product((False, True), repeat=sem.n - k)
+        return tuple(starmap(add, product(prefixes, accepted)))
+    rows = _rows(data, "effect")
+    if not set(map(len, rows)) <= {sem.n}:
+        raise PreconditionViolated("effect valuations must be total")
+    as_budget(budget).charge(len(rows))
+    return tuple(sorted(set(rows)))
 
 
 def _rows(data, what):

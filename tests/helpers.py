@@ -20,6 +20,8 @@ One reference per question, none of them calling the search or loop it checks:
 - maximal paths: `naive_maximal_paths`, by recursion.
 - layered Hamming check: `naive_hamm_layered`, by a shortest-path search over the states.
 - SEM bridge: `unrolled_bridge_check`, the layered Hamming check on the unrolled tree.
+- SEM effect sets: `naive_effect`, filtering all 2^n valuations.
+- SEM cause states: `naive_cause_set`, one `equation` call per prefix.
 
 The references run on ids, and so do the naive loaders, which keep id
 successor lists behind the `successors` view and id predecessor lists as
@@ -71,7 +73,6 @@ from causekit.model import (
 )
 from causekit.sem_bridge import (
     StructuralEquationModel,
-    butfor_to_cause_set,
     evaluate_default,
     state_id,
     unroll_to_ts,
@@ -1031,7 +1032,7 @@ def unrolled_bridge_check(sem, effect, variables, witnesses=3, ts=None):
     query = CauseQuery(
         ts=ts or unroll_to_ts(sem),
         pi=MaximalFinitePath(default_path_states(sem)),
-        cause=butfor_to_cause_set(sem, variables),
+        cause=naive_cause_set(sem, variables),
         effect=effect_leaves(sem, effect),
         phi=PHI_REACH,
         metric=METRIC_HAMM,
@@ -1085,6 +1086,30 @@ def all_boolean_sems(n):
     ]
     for tables in product(*table_spaces):
         yield StructuralEquationModel(variables=variables, tables=tables)
+
+
+def naive_effect(sem, data):
+    """`effect_from_json` by a filter over all 2^n valuations in sorted
+    order: a predicate keeps those whose last k values are an accepted row,
+    a list keeps those it names.  Input checks are left to the library."""
+    space = product((False, True), repeat=sem.n)
+    if isinstance(data, dict):
+        k = data["last"]
+        values = {tuple(v) for v in data["values"]}
+        return tuple(full for full in space if full[-k:] in values)
+    listed = {tuple(v) for v in data}
+    return tuple(full for full in space if full in listed)
+
+
+def naive_cause_set(sem, variables):
+    """`butfor_to_cause_set` by one `equation` call and one `state_id` per
+    prefix of each given variable."""
+    cause = set()
+    for x in variables:
+        i = sem.index_of(x)
+        for bits in product((False, True), repeat=i):
+            cause.add(state_id(bits + (sem.equation(i, bits),)))
+    return frozenset(cause)
 
 
 def default_path_states(sem):

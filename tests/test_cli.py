@@ -498,6 +498,31 @@ def test_sem_bridge_over_the_unroll_cap_exit_3(tmp_path, capsys):
     assert capsys.readouterr() == ("", "causekit: unrolling 17 variables needs 262143 states\n")
 
 
+@pytest.mark.parametrize("action, causes", [("butfor", 0), ("bridge", 2)])
+def test_sem_expansions_are_charged_to_the_budget(tmp_path, capsys, action, causes):
+    """One unit per effect row and, for the bridge, per cause state: at
+    exactly that many units the bytes are the default's, one fewer exits 3."""
+    from causekit import cli
+
+    sem = tmp_path / "sem.json"
+    sem.write_text(json.dumps({
+        "kind": "sem",
+        "variables": ["X1", "X2", "X3"],
+        "tables": [[True], [False, True], [True, False, False, True]],
+    }))
+    effect = json.dumps({"last": 1, "values": [[True], [True]]})
+    argv = ["sem", action, "--model", str(sem), "--effect", effect, "--vars", "X2"]
+    rows = 4  # 2**(3 - 1) prefixes times one distinct accepted row
+    code = cli.main(argv)
+    default = capsys.readouterr()
+    assert cli.main([*argv, "--budget", str(rows + causes)]) == code
+    assert capsys.readouterr() == default
+    for units in {rows - 1, rows + causes - 1}:
+        assert cli.main([*argv, "--budget", str(units)]) == 3
+        message = f"causekit: search budget of {units} units exhausted\n"
+        assert capsys.readouterr() == ("", message)
+
+
 NESTED = "[" * 100_000  # deeper than the JSON decoder can recurse
 
 

@@ -1,8 +1,11 @@
 """`dumps_canonical` writes the bytes of `json.dumps(sort_keys=True, indent=2)`.
 
 Random JSON values, including nested empty arrays and objects, non-ASCII
-text, floats and non-string keys (which the writer hands to `json`), and
-every document the shipped fixtures are and the CLI prints over them.
+text, floats and non-string keys (which the writer hands to `json`); lists
+of Boolean rows, which the writer renders a row at a time, and rows that
+only look Boolean (1 == True); dicts of many str values, which it joins at
+once; and every document the shipped fixtures are and the CLI prints over
+them.
 """
 
 import io
@@ -51,6 +54,40 @@ VALUES = st.recursive(
 @given(VALUES)
 def test_writer_matches_json_dumps(obj):
     assert outcome(dumps_canonical, obj) == outcome(reference, obj)
+
+
+ROW = (
+    st.lists(st.booleans(), max_size=5)
+    | st.tuples(st.booleans(), st.booleans())
+    | st.lists(st.booleans() | st.sampled_from([0, 1]), max_size=4)
+)
+ROWS = st.lists(ROW, max_size=6) | st.tuples(ROW, ROW)
+ROW_DOCS = (
+    ROWS
+    | st.dictionaries(st.text(max_size=3), ROWS, max_size=3)
+    | st.lists(ROWS | st.booleans(), max_size=3)
+)
+# Large enough to be joined at once; an int key sends the dict to `json`.
+STR_DICTS = st.dictionaries(
+    st.text(max_size=3) | st.integers(0, 3), st.text(max_size=3), min_size=9, max_size=12
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(ROW_DOCS)
+def test_boolean_rows_match_json_dumps(obj):
+    assert dumps_canonical(obj) == reference(obj)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(STR_DICTS | st.dictionaries(st.text(max_size=2), STR_DICTS, max_size=2))
+def test_dicts_of_str_values_match_json_dumps(obj):
+    assert outcome(dumps_canonical, obj) == outcome(reference, obj)
+
+
+def test_rows_that_only_look_boolean():
+    for obj in ([[True, 1]], [[1], [True]], ([False], (0,)), [[], [True], []], {"a": [(True,), []]}):
+        assert dumps_canonical(obj) == reference(obj)
 
 
 def test_empty_containers_and_mixed_keys():

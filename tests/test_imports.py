@@ -1,6 +1,6 @@
-"""Every name a causekit module imports is used in it or exported by it,
-every public function and class of a module is used by the package, the
-demos or the benchmark, so code only the tests call stays in the tests,
+"""Every name a causekit or test module imports is used in it or exported
+by it, every public function and class of a module is used by the package,
+the demos or the benchmark, so code only the tests call stays in the tests,
 every private function of a module is used by the package, every
 parameter of a package function is read in its body, and every function
 and class of the tests' helpers is read by a test or another helper."""
@@ -12,6 +12,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "causekit").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 USERS = sorted(p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
@@ -40,7 +41,7 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == ["a", "os"]
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda path: path.name)
 def test_no_module_imports_a_name_it_does_not_use(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -109,8 +110,7 @@ def test_every_public_function_is_used_outside_the_tests():
 
 
 def test_every_helper_is_read_by_a_test_or_another_helper():
-    tests = sorted((ROOT / "tests").glob("*.py"))
-    names = referenced_names(path.read_text(encoding="utf-8") for path in tests)
+    names = referenced_names(path.read_text(encoding="utf-8") for path in TESTS)
     helpers = (ROOT / "tests" / "helpers.py").read_text(encoding="utf-8")
     assert unreferenced(helpers, names) + unreferenced(helpers, names, private=True) == []
 

@@ -3,8 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from causekit.errors import BudgetExceeded, PreconditionViolated
-from causekit.generators import GeneratorSpec, generate
+from causekit.errors import Budget, BudgetExceeded, PreconditionViolated
+from causekit.generators import GeneratorSpec, boolean_sem, generate
 from causekit.model import maximal_paths
 from causekit.sem_bridge import (
     LABEL_INTERVENTION,
@@ -16,14 +16,19 @@ from causekit.sem_bridge import (
     butfor_to_cause_set,
     effect_from_json,
     evaluate_default,
-    intervened_valuation,
     is_but_for_cause,
     sem_from_json,
     sem_to_json,
     unroll_to_ts,
 )
 from causekit.ts_causality import validate_layered
-from helpers import all_boolean_sems, default_path_states, unrolled_bridge_check
+from helpers import (
+    all_boolean_sems,
+    default_path_states,
+    naive_cause_set,
+    naive_effect,
+    unrolled_bridge_check,
+)
 
 
 def chain_sem():
@@ -210,6 +215,45 @@ def test_sem_json_roundtrip_and_effect_forms():
     sem = chain_sem()
     assert sem_from_json(sem_to_json(sem)) == sem
     lastk = effect_from_json(sem, {"last": 1, "values": [[True]]})
-    assert lastk == frozenset({(False, True), (True, True)})
-    listed = effect_from_json(sem, [[True, True]])
-    assert listed == frozenset({(True, True)})
+    assert lastk == ((False, True), (True, True))
+    listed = effect_from_json(sem, [[True, True], [False, True], [True, True]])
+    assert listed == ((False, True), (True, True))
+
+
+def charged(expand, *args, units):
+    """`expand(*args, budget)` under a budget of exactly `units`, which it
+    must use up, and under one unit less, which it must exceed."""
+    budget = Budget(units)
+    out = expand(*args, budget)
+    assert budget.used == units
+    if units:
+        with pytest.raises(BudgetExceeded):
+            expand(*args, Budget(units - 1))
+    return out
+
+
+def test_effect_expansion_matches_the_filter():
+    rng = random.Random(27)
+    for n in range(1, 11):
+        sem = StructuralEquationModel(
+            tuple(f"X{i + 1}" for i in range(n)), tuple((False,) * 2 ** i for i in range(n))
+        )
+        cases = [{"last": n, "values": []}, []]
+        for k in range(1, n + 1):
+            pool = [[rng.random() < 0.5 for _ in range(k)] for _ in range(3)]
+            cases.append({"last": k, "values": [rng.choice(pool) for _ in range(rng.randrange(5))]})
+        pool = [[rng.random() < 0.5 for _ in range(n)] for _ in range(4)]
+        cases += [[rng.choice(pool) for _ in range(rng.randrange(1, 7))] for _ in range(3)]
+        for data in cases:
+            expected = naive_effect(sem, data)
+            units = len(expected) if isinstance(data, dict) else len(data)
+            assert charged(effect_from_json, sem, data, units=units) == expected, data
+
+
+def test_cause_set_matches_the_equation_per_prefix():
+    rng = random.Random(26)
+    for _ in range(60):
+        sem = boolean_sem(rng, 12)
+        xs = {"X1", *rng.sample(sem.variables, rng.randint(0, sem.n))}
+        expected = naive_cause_set(sem, xs)
+        assert charged(butfor_to_cause_set, sem, xs, units=len(expected)) == expected

@@ -27,7 +27,6 @@ from causekit.ts_causality import (
     check_cause,
     check_cause_ghamm,
     check_cause_hamm_layered,
-    check_cause_pref_ap,
     dijkstra,
     lev_product,
     metric_distance,
