@@ -6,7 +6,8 @@ execution under the chosen distance fails the property.  Each distance gets a
 polynomial checker plus a shared brute-force oracle that applies the
 definition literally on enumerable systems.  The prefix distances run a
 layered fixpoint; hamm, ghamm and lev are shortest paths over a product of
-the system with the execution, expanded on demand by one kernel, `dijkstra`.
+the system with the execution, expanded on demand by one kernel, `dijkstra`,
+whose queue is bucketed by distance and pops in a single heap's order.
 hamm runs on ghamm's copy product, which on layered systems never jumps or
 overshoots.
 
@@ -321,26 +322,26 @@ def ghamm_product(ts, pi_sequence, cause, effect, label_metric=None):
     target = [labels[s] for s in pi_sequence]
     n = len(target)
 
-    if label_metric is None:
-        def mismatch(state, copy):
-            return 0 if labels[state] == target[copy - 1] else 1
-    else:
-        def mismatch(state, copy):
-            return Fraction(label_metric(labels[state], target[copy - 1]))
+    def mismatch(state, position):
+        if label_metric is None:
+            return 0 if labels[state] == target[position] else 1
+        return Fraction(label_metric(labels[state], target[position]))
 
     def successors(node):
         s, i = node
         for t in succ[s]:
             if t not in cause:
-                if i < n:
-                    yield (t, i + 1), mismatch(t, i + 1), "step"
-                else:
+                if i == n:
                     yield (t, n), 1, "step"
+                elif label_metric is None:
+                    yield (t, i + 1), 0 if labels[t] == target[i] else 1, "step"
+                else:
+                    yield (t, i + 1), mismatch(t, i), "step"
         if i < n and not succ[s]:
             yield (s, n), n - i, "jump"
 
     start = None if ts._init in cause else (ts._init, 1)
-    return start, mismatch(ts._init, 1), successors, _last_copy_class(succ, effect, n)
+    return start, mismatch(ts._init, 0), successors, _last_copy_class(succ, effect, n)
 
 
 def check_cause_ghamm(query, allow_overlap=False):
@@ -425,11 +426,22 @@ def dijkstra(start, start_weight, successors, goal_class):
     """Deterministic Dijkstra from `start` that expands nodes as it pops them.
 
     `successors(node)` yields (target, weight, tag) edges with non-negative
-    weights; `goal_class(node)` returns "effect", "other" or None.  Heap
-    entries are (distance, node, (prev, edge)), so ties resolve by node, then
-    by predecessor and edge.  The search stops once the popped distance
-    exceeds the first goal's, so every goal at the minimal distance is
-    settled; zero-weight edges may settle them out of node order.
+    weights; `goal_class(node)` returns "effect", "other" or None.  Nodes
+    settle in the order of one heap of (distance, node, prev, edge) entries,
+    so ties resolve by node, then by predecessor and edge.  The search stops
+    once every node at the first goal's distance is settled; zero-weight
+    edges may settle goals there out of node order.
+
+    The queue is bucketed by distance, as in Dial's algorithm (CACM 12(11),
+    1969), but keeps that heap's order.  `pending` is a heap of the
+    distances that have a bucket, and a bucket is a plain list of (node,
+    prev, edge) entries, so a positive-weight edge costs a dict lookup and
+    an append.  When the least distance comes up, its bucket is heapified
+    once, and its zero-weight edges are pushed into it.  Weights are not
+    negative, so every entry pushed from then on lands in this bucket or a
+    later one: the least entry of this bucket is the least entry of the
+    whole queue, which is what the one heap would pop.  Equal int and
+    Fraction distances hash alike, so they share a bucket.
 
     Returns (best, parent): best maps each goal class met at the minimal
     distance to its least (distance, node); parent maps every settled node to
@@ -437,23 +449,37 @@ def dijkstra(start, start_weight, successors, goal_class):
     """
     best = {}
     parent = {}
-    bound = INF
-    heap = [] if start is None else [(start_weight, start, None)]
-    while heap:
-        d, node, via = heapq.heappop(heap)
-        if d > bound:
-            break
-        if node in parent:
-            continue
-        parent[node] = via
-        cls = goal_class(node)
-        if cls is not None:
-            bound = d
-            best[cls] = min(best.get(cls, (d, node)), (d, node))
-        for edge in successors(node):
-            target, weight, _tag = edge
-            if target not in parent:
-                heapq.heappush(heap, (d + weight, target, (node, edge)))
+    if start is None:
+        return best, parent
+    pending = [start_weight]
+    buckets = {start_weight: [(start, None, None)]}
+    while pending and not best:
+        d = heapq.heappop(pending)
+        bucket = buckets.pop(d)
+        heapq.heapify(bucket)
+        while bucket:
+            node, prev, via = heapq.heappop(bucket)
+            if node in parent:
+                continue
+            parent[node] = (prev, via)
+            cls = goal_class(node)
+            if cls is not None:
+                best[cls] = min(best.get(cls, (d, node)), (d, node))
+            for edge in successors(node):
+                target, weight, _tag = edge
+                if target in parent:
+                    continue
+                if not weight:
+                    heapq.heappush(bucket, (target, node, edge))
+                    continue
+                dt = d + weight
+                later = buckets.get(dt)
+                if later is None:
+                    buckets[dt] = [(target, node, edge)]
+                    heapq.heappush(pending, dt)
+                else:
+                    later.append((target, node, edge))
+    parent[start] = None  # its entry had no predecessor
     return best, parent
 
 

@@ -19,6 +19,7 @@ One reference per question, none of them calling the search or loop it checks:
 - tree change count: `naive_tree_min_changes`, by memoized recursion.
 - maximal paths: `naive_maximal_paths`, by recursion.
 - layered Hamming check: `naive_hamm_layered`, by a shortest-path search over the states.
+- product search: `naive_dijkstra`, one heap of (distance, node, (prev, edge)) entries.
 - SEM bridge: `unrolled_bridge_check`, the layered Hamming check on the unrolled tree.
 - SEM effect sets: `naive_effect`, filtering all 2^n valuations.
 - SEM cause states: `naive_cause_set`, one `equation` call per prefix.
@@ -31,12 +32,13 @@ edge overrides and results, so a test can hand a kernel the same input as
 its reference and compare the answers in ids.
 """
 
+import heapq
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 from causekit import distances
-from causekit.distances import dyadic
+from causekit.distances import INF, dyadic
 from causekit.errors import (
     Budget,
     CausekitError,
@@ -1069,6 +1071,37 @@ def naive_hamm_layered(query, allow_overlap=False):
     search = (start, node_weight(ts._init), successors,
               lambda state: _terminal_class(succ, effect, state))
     return _named(ts, _shortest_path_verdict(query, search, _project_state_route, cause, effect))
+
+
+def naive_dijkstra(start, start_weight, successors, goal_class):
+    """`ts_causality.dijkstra` on a single heap, with the same arguments and
+    results.
+
+    Heap entries are (distance, node, (prev, edge)), so ties resolve by node,
+    then by predecessor and edge.  The search stops once the popped distance
+    exceeds the first goal's, so every goal at the minimal distance is
+    settled; zero-weight edges may settle them out of node order.
+    """
+    best = {}
+    parent = {}
+    bound = INF
+    heap = [] if start is None else [(start_weight, start, None)]
+    while heap:
+        d, node, via = heapq.heappop(heap)
+        if d > bound:
+            break
+        if node in parent:
+            continue
+        parent[node] = via
+        cls = goal_class(node)
+        if cls is not None:
+            bound = d
+            best[cls] = min(best.get(cls, (d, node)), (d, node))
+        for edge in successors(node):
+            target, weight, _tag = edge
+            if target not in parent:
+                heapq.heappush(heap, (d + weight, target, (node, edge)))
+    return best, parent
 
 
 def _terminal_class(succ, effect, state):

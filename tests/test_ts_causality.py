@@ -1,13 +1,17 @@
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from causekit.distances import INF, format_distance
 from causekit.errors import NotLayered, PreconditionViolated
 from causekit.fixtures import branching_ts
+from causekit.sem_bridge import bridge_check, evaluate_default
 from causekit.generators import GeneratorSpec, generate
+from causekit import ts_causality
 from causekit.model import (
     MaximalFinitePath,
     TransitionSystem,
@@ -28,13 +32,15 @@ from causekit.ts_causality import (
     check_cause_ghamm,
     check_cause_hamm_layered,
     dijkstra,
+    ghamm_product,
     lev_product,
     metric_distance,
     path_satisfies_phi,
     validate_layered,
+    validate_query,
 )
 
-from helpers import build_ts_query, cyclic_ts_query, naive_hamm_layered
+from helpers import build_ts_query, cyclic_ts_query, naive_dijkstra, naive_hamm_layered
 
 
 def branching_query(metric, **kw):
@@ -277,6 +283,153 @@ def test_dijkstra_keeps_least_goal_per_class_and_stops_past_it():
     assert best == {"effect": (0, "b")}
     assert "c" not in parent
     assert parent["b"] == ("z", ("b", 0, "step"))
+
+
+def settled_out_of_order(start_weight, parent):
+    """Whether some node settled after a larger node at the same distance;
+    `parent` lists the nodes in the order they settled."""
+    dist = {}
+    last = {}
+    for node, via in parent.items():
+        if via is None:
+            d = start_weight
+        else:
+            prev, (_target, weight, _tag) = via
+            d = dist[prev] + weight
+        dist[node] = d
+        if d in last and node < last[d]:
+            return True
+        last[d] = node
+    return False
+
+
+def agrees_with_the_heap(search):
+    """`dijkstra`'s (best, parent) on `search`, asserted equal to the heap's,
+    settle order included."""
+    got = dijkstra(*search)
+    want = naive_dijkstra(*search)
+    assert got == want
+    assert list(got[1]) == list(want[1])
+    return got
+
+
+def test_dijkstra_matches_the_heap_on_products():
+    """The bucketed queue settles the heap's nodes from the heap's parents on
+    hamm and ghamm products of layered systems, ghamm and lev products of
+    acyclic and cyclic systems, under the 0/1 and a 0-or-1/2 label metric,
+    and with the initial state in the cause."""
+    halves = lambda a, b: 0 if a == b else Fraction(1, 2)
+    rng = random.Random(29)
+    seen = Counter()
+    for seed in range(150):
+        phi = rng.choice((PHI_REACH, PHI_SAFE))
+        layered = generate(GeneratorSpec(
+            "layered-ts", seed=seed, layers=rng.randint(3, 7), width=rng.randint(2, 5),
+            alphabet=rng.randint(1, 3),
+        ))
+        acyclic = generate(GeneratorSpec("acyclic-ts", seed=seed, states=rng.randint(4, 10)))
+        cyclic = (cyclic_ts_query(rng, METRIC_LEV) for _ in range(20))
+        queries = [
+            ("layered", build_ts_query(layered, rng, rng.choice((METRIC_HAMM, METRIC_GHAMM)), phi)),
+            ("acyclic", build_ts_query(acyclic, rng, METRIC_GHAMM, phi)),
+            ("cyclic", next(filter(None, cyclic), None)),
+        ]
+        for family, query in queries:
+            if query is None:
+                continue
+            ts = query.ts
+            seq, cause, effect = validate_query(query)
+            searches = [
+                ("ghamm", ghamm_product(ts, seq, cause, effect)),
+                ("ghamm-halves", ghamm_product(ts, seq, cause, effect, halves)),
+                ("initial-in-cause", ghamm_product(ts, seq, cause | {ts._init}, effect)),
+                ("initial-in-cause", lev_product(ts, seq, cause | {ts._init}, effect)),
+            ]
+            if family != "layered":
+                searches.append(("lev", lev_product(ts, seq, cause, effect)))
+            for kind, search in searches:
+                best, parent = agrees_with_the_heap(search)
+                seen[family, kind] += 1
+                if settled_out_of_order(search[1], parent):
+                    seen[family, kind, "out of order"] += 1
+                for via in parent.values():
+                    if via is not None and via[1][2] == "jump" and via[1][1] > 1:
+                        seen[family, kind, "long jump"] += 1
+                if kind == "ghamm-halves" and any(d.denominator == 2 for d, _ in best.values()):
+                    seen[family, kind, "half"] += 1
+                if kind == "lev" and any(s in ts._succ[s] for s, _i in parent):
+                    seen[family, kind, "self-loop"] += 1
+                if kind == "initial-in-cause":
+                    assert best == parent == {}
+    for family in ("layered", "acyclic", "cyclic"):
+        assert seen[family, "ghamm"] >= 80
+        assert seen[family, "ghamm-halves", "half"] >= 10
+    for family in ("acyclic", "cyclic"):
+        assert seen[family, "ghamm", "long jump"] >= 5
+    for kind in ("ghamm", "lev"):
+        assert seen["cyclic", kind, "out of order"] >= 10
+    assert seen["cyclic", "lev", "self-loop"] >= 80
+
+
+def test_dijkstra_matches_the_heap_on_hand_made_graphs():
+    """Zero-weight chains that settle a smaller node after a larger one at
+    the same distance, and int and Fraction weights that meet in one bucket.
+    """
+    # "a" pushes "c" and "d" at 0; "c" pushes "b" at 0, which settles before
+    # "d" and so gives "x" its parent; "y" is pushed at Fraction(1) and at 1
+    edges = {
+        "a": (("c", 0, "e"), ("d", 0, "e"), ("y", Fraction(1), "e")),
+        "b": (("x", 0, "e"), ("y", 1, "e")),
+        "c": (("b", 0, "e"),),
+        "d": (("x", 0, "e"), ("z", 1, "e")),
+    }
+    goals = {"y": "effect", "z": "effect"}
+    best, parent = agrees_with_the_heap(("a", 0, lambda v: edges.get(v, ()), goals.get))
+    assert list(parent) == ["a", "c", "b", "d", "x", "y", "z"]
+    assert parent["x"] == ("b", ("x", 0, "e"))
+    assert parent["y"] == ("a", ("y", Fraction(1), "e"))
+    assert best == {"effect": (1, "y")}
+
+    rng = random.Random(1969)
+    weights = (0, Fraction(0), Fraction(1, 2), 1, Fraction(1), Fraction(3, 2), 2)
+    out_of_order = 0
+    for _ in range(600):
+        n = rng.randint(2, 12)
+        edges = {
+            v: tuple(
+                (rng.randrange(n), rng.choice(weights), rng.choice("pq"))
+                for _ in range(rng.randint(0, 4))
+            )
+            for v in range(n)
+        }
+        goals = {v: rng.choice(("effect", "other")) for v in range(n) if rng.random() < 0.2}
+        start_weight = rng.choice((0, Fraction(0), Fraction(1, 2)))
+        search = (rng.randrange(n), start_weight, edges.__getitem__, goals.get)
+        _best, parent = agrees_with_the_heap(search)
+        out_of_order += settled_out_of_order(start_weight, parent)
+    assert out_of_order >= 50
+
+
+def test_dijkstra_matches_the_heap_on_the_bridge(monkeypatch):
+    """Every bit-tuple search that `bridge_check` runs gives the heap's
+    (best, parent)."""
+    calls = []
+
+    def compared(*search):
+        calls.append(search)
+        return agrees_with_the_heap(search)
+
+    monkeypatch.setattr(ts_causality, "dijkstra", compared)
+    rng = random.Random(1001)
+    for seed in range(40):
+        sem = generate(GeneratorSpec("boolean-sem", seed=seed, variables=rng.randint(2, 7)))
+        default = evaluate_default(sem)
+        effect = {default} | {
+            v for v in product((False, True), repeat=sem.n) if rng.random() < 0.3
+        }
+        variables = rng.sample(sem.variables, rng.randint(1, min(3, sem.n)))
+        bridge_check(sem, effect, variables)
+    assert len(calls) == 40
 
 
 def test_lev_self_loop_prefers_skip_over_step():
