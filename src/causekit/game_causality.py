@@ -547,7 +547,7 @@ def validate_game_query(query):
     for c in sorted(query.cause):
         if c not in game.index:
             raise PreconditionViolated(f"{c!r} is not a vertex")
-        if game.owner(c) == EFFECT:
+        if game._owns[EFFECT][game.index[c]]:
             raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
     return sigma, frozenset(map(game.index.__getitem__, query.cause))
 
@@ -835,7 +835,7 @@ def extract_explanation(game, sigma, cause=frozenset()):
     for c in sorted(cause):
         if c not in game.index:
             raise PreconditionViolated(f"{c!r} is not a vertex")
-        if game.owner(c) == EFFECT:
+        if game._owns[EFFECT][game.index[c]]:
             raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
     player = sigma.player
     region, allowed = avoid_region(game, player, list(map(game.index.__getitem__, cause)))

@@ -11,7 +11,12 @@ Numbering.  A model numbers its states or vertices once, in sorted-id order:
 keeps successor tuples (`_succ`) of numbers, sorted and without duplicates,
 filled in one loop over the given pairs, and owner flags (`_owns`, games)
 or a label list (`_labels`, systems).  The predecessor lists (`_pred`) are
-built from `_succ` when a fixpoint first needs them.  Number
+built from `_succ` when a fixpoint first needs them.  Input in writer
+order, the order `model_to_json` writes, costs no sort and no duplicate
+scan: the loader takes ids that arrive strictly increasing as the sorted
+list and the other columns as they stand, and `_link`'s loop takes pairs
+that arrive strictly increasing by number as sorted, distinct successor
+lists.  Only input out of that order is sorted once and deduplicated.  Number
 order is id order, so a sorted list of numbers names a sorted list of ids,
 and every sort, minimum, combination order and tie-break on numbers gives
 the sequence it gave on ids.  The id-keyed views (`vertices`, `edges`,
@@ -51,7 +56,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import is_not, itemgetter, not_
+from operator import is_not, itemgetter, lt, not_
 
 from .errors import (
     CausekitError,
@@ -112,11 +117,21 @@ def _id_successors(model):
 
 
 def _number(model, ids):
-    """Keep the sorted id list `ids` as `ids` and its inverse as `index`."""
+    """Keep the sorted list of distinct ids `ids` as `ids` and its inverse
+    as `index`."""
     ids = tuple(ids)
     object.__setattr__(model, "ids", ids)
     object.__setattr__(model, "index", dict(zip(ids, range(len(ids)))))
     return model.index
+
+
+def _new(cls, **fields):
+    """A model of class `cls` with the given fields set and nothing checked
+    yet, for a loader that numbers and checks it itself."""
+    model = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(model, name, value)
+    return model
 
 
 @dataclass(frozen=True)
@@ -149,33 +164,42 @@ class TransitionSystem(_Derived):
 
     def __post_init__(self):
         # dict.fromkeys keeps the given order, so states given sorted sort in linear time
-        index = _number(self, sorted(dict.fromkeys(self.states)))
-        if not index:
-            raise InvalidModel("transition system has no states")
-        if self.initial not in index:
-            raise InvalidModel(f"initial state {self.initial!r} is not a state")
-        _link(self, "transitions", "transition ({!r}, {!r}) leaves the state set")
-        labeling, alphabet = self.labeling, set(self.alphabet)
-        try:
-            labeled = alphabet.issuperset(map(labeling.__getitem__, self.states))
-        except (KeyError, TypeError):  # a missing or an unhashable label
-            labeled = False
-        if not labeled:
-            for s in self.states:
-                if s not in labeling:
-                    raise InvalidModel(f"state {s!r} has no label")
-                if labeling[s] not in alphabet:
-                    raise InvalidModel(
-                        f"state {s!r} carries label {labeling[s]!r} outside the alphabet"
-                    )
-        object.__setattr__(self, "_labels", list(map(labeling.__getitem__, self.ids)))
-        object.__setattr__(self, "_init", index[self.initial])
+        _fill_ts(self, sorted(dict.fromkeys(self.states)))
 
     def label(self, state):
         return self.labeling[state]
 
     def trace(self, sequence):
         return tuple(self.labeling[s] for s in sequence)
+
+
+def _fill_ts(ts, ids, labels=None):
+    """Number, link and check the system whose fields are set: `ids` lists
+    its states sorted and without repeats, and `labels`, if given, the
+    label of each, read off `labeling` otherwise."""
+    index = _number(ts, ids)
+    if not index:
+        raise InvalidModel("transition system has no states")
+    if ts.initial not in index:
+        raise InvalidModel(f"initial state {ts.initial!r} is not a state")
+    _link(ts, "transitions", "transition ({!r}, {!r}) leaves the state set")
+    labeling, alphabet = ts.labeling, set(ts.alphabet)
+    try:
+        if labels is None:
+            labels = list(map(labeling.__getitem__, ts.ids))
+        labeled = alphabet.issuperset(labels)
+    except (KeyError, TypeError):  # a missing or an unhashable label
+        labeled = False
+    if not labeled:
+        for s in ts.states:
+            if s not in labeling:
+                raise InvalidModel(f"state {s!r} has no label")
+            if labeling[s] not in alphabet:
+                raise InvalidModel(
+                    f"state {s!r} carries label {labeling[s]!r} outside the alphabet"
+                )
+    object.__setattr__(ts, "_labels", labels)
+    object.__setattr__(ts, "_init", index[ts.initial])
 
 
 def _owner_list(game):
@@ -232,10 +256,10 @@ class ReachabilityGame(_Derived):
         overlap = (reach & safe) | (reach & eff) | (safe & eff)
         if overlap:
             raise InvalidModel(f"vertex partition overlaps at {sorted(overlap)}")
-        owners = dict.fromkeys(reach, REACH)
-        owners.update(dict.fromkeys(safe, SAFE))
-        owners.update(dict.fromkeys(eff, EFFECT))
-        _fill_game(self, owners)
+        codes = dict.fromkeys(reach, _CODES[REACH])
+        codes.update(dict.fromkeys(safe, _CODES[SAFE]))
+        codes.update(dict.fromkeys(eff, _CODES[EFFECT]))
+        _fill_game(self, *_by_id(codes))
 
     def owner(self, vertex):
         return self._owner[self.index[vertex]]
@@ -251,36 +275,60 @@ def _link(model, name, message):
     """Fill the successor lists of the numbered model from the pairs of the
     init field `name` in one loop and keep them as `_succ` (tuples).  A
     KeyError in the loop is the endpoint check: InvalidModel (`message`)
-    names the least pair with an outside endpoint.  Lists are sorted in
-    place and deduplicated if some list has a repeat; the field is dropped,
-    to be derived again, unless it is a frozenset."""
+    names the least pair with an outside endpoint.  The loop also checks
+    writer order, sources not decreasing and targets strictly increasing
+    within a source; pairs in that order fill lists that are already sorted
+    and distinct.  Pairs in any other order pay for the rest: the lists are
+    deduplicated if some list has a repeat and a frozenset is not given,
+    then sorted in place.  The field is dropped, to be derived again,
+    unless it is a frozenset."""
     pairs = getattr(model, name)
     index = model.index
     succ = [[] for _ in index]
+    rest = iter(pairs)
+    ordered = True
+    prev_s = prev_t = -1
     try:
-        for src, dst in pairs:
+        for src, dst in rest:
+            s = index[src]
+            t = index[dst]
+            succ[s].append(t)
+            if t <= prev_t and s == prev_s or s < prev_s:
+                ordered = False
+                break
+            prev_s, prev_t = s, t
+        for src, dst in rest:  # the pairs after the first one out of order
             succ[index[src]].append(index[dst])
     except KeyError:
         src, dst = min((a, b) for a, b in pairs if a not in index or b not in index)
         raise InvalidModel(message.format(src, dst)) from None
     if not isinstance(pairs, frozenset):  # a frozenset has no repeats: it stays the view
-        multi = [ends for ends in succ if len(ends) > 1]
-        if sum(map(len, multi)) != sum(map(len, map(set, multi))):
-            succ = [list(set(ends)) for ends in succ]
         object.__delattr__(model, name)
-    any(map(list.sort, succ))  # sorts in place
+        if not ordered:
+            multi = [ends for ends in succ if len(ends) > 1]
+            if sum(map(len, multi)) != sum(map(len, map(set, multi))):
+                succ = [list(set(ends)) for ends in succ]
+    if not ordered:
+        any(map(list.sort, succ))  # sorts in place
     object.__setattr__(model, "_succ", list(map(tuple, succ)))
 
 
-def _fill_game(game, owners):
-    """Number, link and check the game whose `initial` and `edges` are set,
-    from `owners`, a map from every vertex to its owner in OWNERS."""
-    index = _number(game, sorted(owners))
+def _by_id(codes):
+    """The sorted vertex list of the map `codes` from vertex to owner code,
+    and the codes in that order, as bytes."""
+    ids = sorted(codes)
+    return ids, bytes(map(codes.__getitem__, ids))
+
+
+def _fill_game(game, ids, codes):
+    """Number, link and check the game whose `initial` and `edges` are set:
+    `ids` lists its vertices sorted and without repeats, and `codes` holds
+    the owner code of each, its index in OWNERS."""
+    index = _number(game, ids)
     if not index:
         raise InvalidModel("game has no vertices")
     if game.initial not in index:
         raise InvalidModel(f"initial vertex {game.initial!r} is not a vertex")
-    codes = bytes(map(_CODES.__getitem__, map(owners.__getitem__, game.ids)))
     owns = {p: codes.translate(_FLAGS[p]) for p in OWNERS}
     init = index[game.initial]
     if owns[EFFECT][init]:
@@ -298,34 +346,33 @@ def _fill_game(game, owners):
     object.__setattr__(game, "_init", init)
 
 
-def _game(owners, initial, edges):
-    """The game with the given owner map, initial vertex and edges, built
-    without the partition sets, which are derived on first read."""
-    game = object.__new__(ReachabilityGame)
-    object.__setattr__(game, "initial", initial)
-    object.__setattr__(game, "edges", edges)
-    _fill_game(game, owners)
+def _game(ids, codes, initial, edges):
+    """The game with the given sorted vertices, owner codes, initial vertex
+    and edges, built without the partition sets, which are derived on first
+    read."""
+    game = _new(ReachabilityGame, initial=initial, edges=edges)
+    _fill_game(game, ids, codes)
     return game
 
 
 def game_from_owners(owners, initial, edges):
     """The game whose vertex partition is read off `owners`, a map from each
     vertex to REACH, SAFE or EFFECT; construction validates it."""
-    _check_owners(owners, owners.values())
-    return _game(dict(owners), initial, frozenset(edges))
+    codes = dict(zip(owners, _owner_codes(owners, owners.values())))
+    return _game(*_by_id(codes), initial, frozenset(edges))
 
 
-def _check_owners(vertices, owners):
-    """InvalidModel names the first of the parallel sequences of distinct
-    vertices and of their owners with an owner outside OWNERS."""
+def _owner_codes(vertices, owners):
+    """The owner codes, as bytes, of the parallel sequences of distinct
+    vertices and of their owners; InvalidModel names the first vertex with
+    an owner outside OWNERS."""
     try:
-        known = set(owners) <= set(OWNERS)
-    except TypeError:  # an unhashable owner
-        known = False
-    if not known:
+        return bytes(map(_CODES.__getitem__, owners))
+    except (KeyError, TypeError):  # an unknown or an unhashable owner
         for v, owner in zip(vertices, owners):
             if owner not in OWNERS:
-                raise InvalidModel(f"vertex {v!r} has unknown owner {owner!r}")
+                raise InvalidModel(f"vertex {v!r} has unknown owner {owner!r}") from None
+        raise  # not reached: the scan names the owner that failed
 
 
 @dataclass(frozen=True)
@@ -704,14 +751,13 @@ def is_effectively_acyclic(succ):
 
 
 def model_to_json(model):
-    """The model's file document; pairs in sorted order."""
+    """The model's file document, in writer order: each id once, ids and
+    pairs strictly increasing."""
     if isinstance(model, TransitionSystem):
         data = {
             "kind": "ts",
             "alphabet": list(model.alphabet),
-            "states": [
-                {"id": s, "label": model.labeling[s]} for s in sorted(model.states)
-            ],
+            "states": [{"id": s, "label": label} for s, label in zip(model.ids, model._labels)],
             "initial": model.initial,
         }
         key = "transitions"
@@ -770,21 +816,30 @@ def _column(items, key, name):
 
 
 def _records(data, key, what, fields):
-    """The array `data[key]` of objects and its columns `fields`, which are
-    strings; the first column holds unique ids."""
+    """The array `data[key]` of objects, its columns `fields`, which are
+    strings, and the first column, which holds unique ids, sorted.  Ids in
+    strictly increasing order are their own sorted list, so the caller can
+    tell by identity that the other columns are in id order too.  Other ids
+    are sorted once, and their uniqueness is strict order on that list."""
     items = _array_of(data, key, dict)
     columns = [
         _all_json(_column(items, key, name), str, lambda i: f"{key}[{i}].{name}")
         for name in fields
     ]
     ids = columns[0]
-    if len(set(ids)) != len(ids):
+    order = ids if _increasing(ids) else sorted(ids)
+    if order is not ids and not _increasing(order):
         seen = set()
         for vid in ids:
             if vid in seen:
                 raise InvalidModel(f"duplicate {what} id {vid!r}")
             seen.add(vid)
-    return items, columns
+    return items, columns, order
+
+
+def _increasing(items):
+    """Whether the list `items` is strictly increasing."""
+    return all(map(lt, items, islice(items, 1, None)))
 
 
 @contextmanager
@@ -808,23 +863,31 @@ def model_from_json(data):
     _expect_json(data, dict, "model")
     kind = data.get("kind")
     if kind == "ts":
-        _, (ids, labels) = _records(data, "states", "state", ("id", "label"))
+        _, (ids, labels), order = _records(data, "states", "state", ("id", "label"))
         initial = _expect_json(required_field(data, "initial", "model"), str, "initial")
+        labeling = dict(zip(ids, labels))
+        if order is not ids:
+            labels = list(map(labeling.__getitem__, order))
+        order = tuple(order)
         with _pairs_named_first(data, "transitions") as pairs:
-            return TransitionSystem(
-                states=tuple(sorted(ids)),
+            ts = _new(
+                TransitionSystem,
+                states=order,
                 initial=initial,
                 transitions=pairs,
-                labeling=dict(zip(ids, labels)),
+                labeling=labeling,
                 alphabet=tuple(sorted(_array_of(data, "alphabet", str))),
             )
+            _fill_ts(ts, order, labels)
+            return ts
     if kind == "game":
-        items, (ids,) = _records(data, "vertices", "vertex", ("id",))
-        owners = _column(items, "vertices", "owner")
-        _check_owners(ids, owners)
+        items, (ids,), order = _records(data, "vertices", "vertex", ("id",))
+        codes = _owner_codes(ids, _column(items, "vertices", "owner"))
+        if order is not ids:
+            codes = bytes(map(dict(zip(ids, codes)).__getitem__, order))
         initial = _expect_json(required_field(data, "initial", "model"), str, "initial")
         with _pairs_named_first(data, "edges") as pairs:
-            return _game(dict(zip(ids, owners)), initial, pairs)
+            return _game(order, codes, initial, pairs)
     raise InvalidModel(f"unknown model kind {kind!r}")
 
 

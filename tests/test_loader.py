@@ -1,11 +1,13 @@
 """The one-pass loader against the per-item reference loader.
 
-`model_from_json` and the model constructors check with set tests and fill
-the successor map in any order; `helpers.naive_model_from_json` and
-`helpers.naive_ts` / `naive_game` check item by item over sorted transitions
-and edges.  On the same input both must build equal models, or fail with the
-same exception and message.  The one intended difference: a missing field
-is an InvalidModel naming it, where the reference raises a bare KeyError.
+`model_from_json` and the model constructors check each array with one
+test and fill the successor map in any order, skipping the sort and the
+duplicate scan on input in writer order; `helpers.naive_model_from_json`
+and `helpers.naive_ts` / `naive_game` check item by item over sorted
+transitions and edges.  On the same input both must build equal models, with equal
+numbered lists, or fail with the same exception and message.  The one
+intended difference: a missing field is an InvalidModel naming it, where
+the reference raises a bare KeyError.
 """
 
 import copy
@@ -14,14 +16,17 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from causekit import cli
 from causekit.cli import generate_json
 from causekit.errors import InvalidModel
 from causekit.fixtures import fixture_text
-from causekit.generators import GeneratorSpec, generate
+from causekit.generators import FAMILIES, GeneratorSpec, generate
 from causekit.model import (
+    EFFECT,
+    REACH,
+    SAFE,
     ReachabilityGame,
     TransitionSystem,
     dumps_canonical,
@@ -44,10 +49,33 @@ def outcome(load, data):
         return type(exc), str(exc)
 
 
+def numbered(reference):
+    """The numbered lists a model keeps, read off the reference's id views."""
+    game = isinstance(reference, ReachabilityGame)
+    ids = reference.vertices if game else tuple(sorted(set(reference.states)))
+    index = {v: i for i, v in enumerate(ids)}
+    lists = {
+        "ids": ids,
+        "index": index,
+        "_succ": [tuple(index[u] for u in reference._id_succ[v]) for v in ids],
+        "_pred": [[index[u] for u in reference.naive_pred[v]] for v in ids],
+        "_init": index[reference.initial],
+    }
+    if game:
+        parts = {REACH: reference.reach_owned, SAFE: reference.safe_owned,
+                 EFFECT: reference.effect}
+        lists["_owns"] = {p: bytes(v in part for v in ids) for p, part in parts.items()}
+    else:
+        lists["_labels"] = [reference.labeling[s] for s in ids]
+    return lists
+
+
 def assert_same_model(model, reference):
     assert model == reference
     assert successor_map(model) == successor_map(reference)
     assert getattr(model, "vertices", None) == getattr(reference, "vertices", None)
+    want = numbered(reference)
+    assert {name: getattr(model, name) for name in want} == want
 
 
 def assert_same_outcome(load, reference, data):
@@ -213,6 +241,88 @@ def test_constructor_names_the_least_offender(edges, message):
         with pytest.raises(InvalidModel) as caught:
             build(**fields)
         assert str(caught.value) == message
+
+
+# One way each to break the writer order that `model_to_json` keeps: ids
+# strictly increasing, pairs strictly increasing.
+PERTURBATIONS = (
+    "repeat-pair", "swap-within-source", "swap-across-sources", "shuffle-records",
+    "shuffle-pairs", "duplicate-id",
+)
+
+
+def perturb(data, rng, kind):
+    """Apply the perturbation `kind` to a document in writer order; False if
+    the document has no two pairs it can apply to."""
+    ts = data["kind"] == "ts"
+    records = data["states"] if ts else data["vertices"]
+    pairs = data["transitions"] if ts else data["edges"]
+    if kind == "repeat-pair":
+        i = rng.randrange(len(pairs))
+        pairs.insert(i + 1, list(pairs[i]))
+    elif kind.startswith("swap"):
+        within = kind == "swap-within-source"
+        candidates = [
+            (i, j) for i in range(len(pairs)) for j in range(i + 1, len(pairs))
+            if (pairs[i][0] == pairs[j][0]) == within
+        ]
+        if not candidates:
+            return False
+        i, j = rng.choice(candidates)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+    elif kind.startswith("shuffle"):
+        array = records if kind == "shuffle-records" else pairs
+        if len(array) < 2:
+            return False
+        original = list(array)
+        while array == original:
+            rng.shuffle(array)
+    elif kind == "duplicate-id":
+        i = rng.randrange(len(records))
+        records.insert(i + 1, dict(records[i]))
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(MODEL_FAMILIES),
+    seed=st.integers(0, 10_000),
+    kind=st.sampled_from(PERTURBATIONS),
+    draws=st.integers(0, 2**32),
+)
+def test_loader_matches_the_reference_off_writer_order(family, seed, kind, draws):
+    data = generated_json(family, seed)
+    assume(perturb(data, random.Random(draws), kind))
+    assert_same_outcome(model_from_json, naive_model_from_json, data)
+
+
+def test_gen_writes_models_in_writer_order():
+    """`causekit gen` writes sorted ids and strictly increasing pairs, the
+    order in which the loader neither sorts nor deduplicates."""
+    written = set()
+    for family in FAMILIES:
+        for seed in range(20):
+            spec = GeneratorSpec(family, seed, states=12, layers=6, width=4, alphabet=3)
+            doc = generate_json(spec)
+            if doc["kind"] == "sem":
+                continue
+            written.add(family)
+            ts = doc["kind"] == "ts"
+            ids = [r["id"] for r in (doc["states"] if ts else doc["vertices"])]
+            pairs = doc["transitions"] if ts else doc["edges"]
+            assert all(a < b for a, b in zip(ids, ids[1:]))
+            assert all(a < b for a, b in zip(pairs, pairs[1:]))
+    assert written == set(MODEL_FAMILIES)
+
+
+def test_a_state_given_twice_is_written_once():
+    ts = TransitionSystem(
+        states=("b", "a", "b"), initial="a", transitions=frozenset({("a", "b")}),
+        labeling={"a": "x", "b": "y"}, alphabet=("x", "y"),
+    )
+    doc = model_to_json(ts)
+    assert doc["states"] == [{"id": "a", "label": "x"}, {"id": "b", "label": "y"}]
+    assert successor_map(model_from_json(doc)) == successor_map(ts)
 
 
 @pytest.mark.parametrize("family", MODEL_FAMILIES)
