@@ -212,10 +212,11 @@ def bridge_check(sem, effect, variables, witnesses=3):
     The answer is that of `check_cause_hamm_layered` on `unroll_to_ts(sem)`
     with the default path, `butfor_to_cause_set` and the leaves of the effect
     valuations, which the tests use as its reference.  The search runs on
-    the tree without building it: a node is a bit tuple, its successors are
-    its two one-bit extensions (False first), entering it by an intervention
-    costs 1, and a default step for one of the variables enters a cause
-    state and is left out.  Bit tuples order like their state ids, so
+    the tree without building it: a node is a bit tuple, its zero-weight
+    edge is the default step, its one-bit extension by the equation's value,
+    and its positive-weight edge the intervention, the other extension, which
+    costs 1.  A default step for one of the variables enters a cause state
+    and is left out.  Bit tuples order like their state ids, so
     `dijkstra` breaks ties and picks witnesses as on the unrolled tree;
     state ids are built for the witness paths only.  The tree is layered and
     its default path maximal by construction, so neither is validated.
@@ -239,15 +240,15 @@ def bridge_check(sem, effect, variables, witnesses=3):
             "the given execution does not satisfy the effect property"
         )
 
-    def successors(bits):
+    def default_step(bits):
+        depth = len(bits)
+        if depth < sem.n and depth not in chosen:
+            yield bits + (sem.equation(depth, bits),), 0, "step"
+
+    def intervention(bits):
         depth = len(bits)
         if depth < sem.n:
-            default = sem.equation(depth, bits)
-            for bit in (False, True):
-                if bit != default:
-                    yield bits + (bit,), 1, "step"
-                elif depth not in chosen:
-                    yield bits + (bit,), 0, "step"
+            yield bits + (not sem.equation(depth, bits),), 1, "step"
 
     def goal_class(bits):
         if len(bits) < sem.n:
@@ -266,7 +267,8 @@ def bridge_check(sem, effect, variables, witnesses=3):
         witnesses=witnesses,
     )
     verdict = _shortest_path_verdict(
-        query, ((), 0, successors, goal_class), _project_state_route, frozenset(), effect
+        query, ((), 0, (default_step, intervention), goal_class), _project_state_route,
+        frozenset(), effect
     )
     return replace(
         verdict,

@@ -7,9 +7,11 @@ polynomial checker plus a shared brute-force oracle that applies the
 definition literally on enumerable systems.  The prefix distances run a
 layered fixpoint; hamm, ghamm and lev are shortest paths over a product of
 the system with the execution, expanded on demand by one kernel, `dijkstra`,
-whose queue is bucketed by distance and pops in a single heap's order.
-hamm runs on ghamm's copy product, which on layered systems never jumps or
-overshoots.
+whose queue is bucketed by distance and pops in a single heap's order.  Each
+product gives its zero-weight and its positive-weight edges apart, and the
+kernel expands a node's positive-weight edges only once its distance is done
+without a goal.  hamm runs on ghamm's copy product, which on layered systems
+never jumps or overshoots.
 
 The checkers run on the system's state numbers (see `model`):
 `validate_query` checks the query's ids and returns its execution, cause and
@@ -309,14 +311,18 @@ def check_cause_hamm_layered(query, allow_overlap=False):
 
 def ghamm_product(ts, pi_sequence, cause, effect, label_metric=None):
     """Copy construction for the generalized Hamming distance, as the
-    (start, start_weight, successors, goal_class) arguments of `dijkstra`;
-    states, the execution and the sets are state numbers.
+    (start, start_weight, (zero_edges, positive_edges), goal_class)
+    arguments of `dijkstra`; states, the execution and the sets are state
+    numbers.
 
     Node (s, i) reads state s against execution position i, for each C-free
     state s; mismatching labels cost 1 per position (the Fraction of
     `label_metric`, if given), early termination jumps to the last copy at
     the cost of the length difference, and overshoot steps inside the last
     copy cost 1 each.  Goals are the terminal states of the last copy.
+    `zero_edges` yields the steps that cost 0, a `label_metric` mismatch of
+    0 among them; `positive_edges` yields the other steps, the jump (i < n,
+    so it weighs at least 1) and the overshoot steps.
     """
     labels, succ = ts._labels, ts._succ
     target = [labels[s] for s in pi_sequence]
@@ -327,21 +333,36 @@ def ghamm_product(ts, pi_sequence, cause, effect, label_metric=None):
             return 0 if labels[state] == target[position] else 1
         return Fraction(label_metric(labels[state], target[position]))
 
-    def successors(node):
+    def zero_edges(node):
+        s, i = node
+        if i == n:
+            return
+        for t in succ[s]:
+            if t not in cause:
+                if label_metric is None:
+                    if labels[t] == target[i]:
+                        yield (t, i + 1), 0, "step"
+                else:
+                    w = mismatch(t, i)
+                    if not w:
+                        yield (t, i + 1), w, "step"
+
+    def positive_edges(node):
         s, i = node
         for t in succ[s]:
             if t not in cause:
                 if i == n:
                     yield (t, n), 1, "step"
-                elif label_metric is None:
-                    yield (t, i + 1), 0 if labels[t] == target[i] else 1, "step"
                 else:
-                    yield (t, i + 1), mismatch(t, i), "step"
+                    w = mismatch(t, i)
+                    if w:
+                        yield (t, i + 1), w, "step"
         if i < n and not succ[s]:
             yield (s, n), n - i, "jump"
 
     start = None if ts._init in cause else (ts._init, 1)
-    return start, mismatch(ts._init, 0), successors, _last_copy_class(succ, effect, n)
+    return (start, mismatch(ts._init, 0), (zero_edges, positive_edges),
+            _last_copy_class(succ, effect, n))
 
 
 def check_cause_ghamm(query, allow_overlap=False):
@@ -372,32 +393,40 @@ def _project_state_route(route):
 
 def lev_product(ts, pi_sequence, cause, effect):
     """Product of the system with the execution's positions, edit-labeled, as
-    the (start, start_weight, successors, goal_class) arguments of `dijkstra`;
-    states, the execution and the sets are state numbers.
+    the (start, start_weight, (zero_edges, positive_edges), goal_class)
+    arguments of `dijkstra`; states, the execution and the sets are state
+    numbers.
 
     Advancing both sides costs 0 on a label match and 1 otherwise; staying in
     a copy inserts into the comparison path's trace; skipping a position
     deletes from the execution's trace.  C-states are left out; goals are the
-    terminal states of the last copy.
+    terminal states of the last copy.  `zero_edges` yields the matching
+    advances, `positive_edges` every other edge, each of weight 1.
     """
     labels, succ = ts._labels, ts._succ
     target = [labels[s] for s in pi_sequence]
     n = len(target)
 
-    def successors(node):
+    def zero_edges(node):
+        s, i = node
+        if i < n:
+            for t in succ[s]:
+                if t not in cause and target[i] == labels[t]:
+                    yield (t, i + 1), 0, "step"
+
+    def positive_edges(node):
         s, i = node
         for t in succ[s]:
             if t in cause:
                 continue
-            if i < n:
-                w = 0 if target[i] == labels[t] else 1
-                yield (t, i + 1), w, "step"
+            if i < n and target[i] != labels[t]:
+                yield (t, i + 1), 1, "step"
             yield (t, i), 1, "step"
         if i < n:
             yield (s, i + 1), 1, "skip"
 
     start = None if ts._init in cause else (ts._init, 1)
-    return start, 0, successors, _last_copy_class(succ, effect, n)
+    return start, 0, (zero_edges, positive_edges), _last_copy_class(succ, effect, n)
 
 
 def check_cause_lev(query, allow_overlap=False):
@@ -423,54 +452,73 @@ def _last_copy_class(succ, effect, n):
 
 
 def dijkstra(start, start_weight, successors, goal_class):
-    """Deterministic Dijkstra from `start` that expands nodes as it pops them.
+    """Deterministic Dijkstra from `start` that expands nodes as it settles
+    them.
 
-    `successors(node)` yields (target, weight, tag) edges with non-negative
-    weights; `goal_class(node)` returns "effect", "other" or None.  Nodes
-    settle in the order of one heap of (distance, node, prev, edge) entries,
-    so ties resolve by node, then by predecessor and edge.  The search stops
-    once every node at the first goal's distance is settled; zero-weight
-    edges may settle goals there out of node order.
+    `successors` is a pair (zero_edges, positive_edges) of functions of a
+    node: the first yields its (target, weight, tag) edges of weight 0, the
+    second those of positive weight.  `goal_class(node)` returns "effect",
+    "other" or None.  Nodes settle in the order of one heap of (distance,
+    node, prev, edge) entries over both kinds of edges, so ties resolve by
+    node, then by predecessor and edge.  The search stops once every node at
+    the first goal's distance is settled; zero-weight edges may settle goals
+    there out of node order.
 
     The queue is bucketed by distance, as in Dial's algorithm (CACM 12(11),
     1969), but keeps that heap's order.  `pending` is a heap of the
     distances that have a bucket, and a bucket is a plain list of (node,
-    prev, edge) entries, so a positive-weight edge costs a dict lookup and
-    an append.  When the least distance comes up, its bucket is heapified
-    once, and its zero-weight edges are pushed into it.  Weights are not
-    negative, so every entry pushed from then on lands in this bucket or a
-    later one: the least entry of this bucket is the least entry of the
-    whole queue, which is what the one heap would pop.  Equal int and
-    Fraction distances hash alike, so they share a bucket.
+    prev, edge) entries.  When the least distance comes up, its bucket is
+    heapified once, and the zero-weight edges of the nodes it settles are
+    pushed into it.  Weights are not negative, so every entry pushed from
+    then on lands in this bucket or a later one: the least entry of this
+    bucket is the least entry of the whole queue, which is what the one heap
+    would pop.  Equal int and Fraction distances hash alike, so they share a
+    bucket.
+
+    Positive-weight edges are expanded lazily, as in partial expansion
+    (Yoshizumi, Miura and Ishida, AAAI 2000): only once the bucket is empty
+    and no goal has been met, for the nodes settled at its distance, each
+    edge a dict lookup and an append to a later bucket.  An edge whose
+    target settled in the meantime is skipped; the heap would have popped
+    its entry as stale.  Later buckets are heapified when their distance
+    comes up, so the order of the appends does not matter.  When a goal is
+    met, the nodes of the last bucket, most of the settled ones, are never
+    asked for their positive-weight edges.
 
     Returns (best, parent): best maps each goal class met at the minimal
     distance to its least (distance, node); parent maps every settled node to
     the (node, edge) pair that settled it, None for the start.
     """
+    zero_edges, positive_edges = successors
     best = {}
     parent = {}
     if start is None:
         return best, parent
     pending = [start_weight]
     buckets = {start_weight: [(start, None, None)]}
-    while pending and not best:
+    while pending:
         d = heapq.heappop(pending)
         bucket = buckets.pop(d)
         heapq.heapify(bucket)
+        settled = []
         while bucket:
             node, prev, via = heapq.heappop(bucket)
             if node in parent:
                 continue
             parent[node] = (prev, via)
+            settled.append(node)
             cls = goal_class(node)
             if cls is not None:
                 best[cls] = min(best.get(cls, (d, node)), (d, node))
-            for edge in successors(node):
+            for edge in zero_edges(node):
+                if edge[0] not in parent:
+                    heapq.heappush(bucket, (edge[0], node, edge))
+        if best:
+            break
+        for node in settled:
+            for edge in positive_edges(node):
                 target, weight, _tag = edge
                 if target in parent:
-                    continue
-                if not weight:
-                    heapq.heappush(bucket, (target, node, edge))
                     continue
                 dt = d + weight
                 later = buckets.get(dt)

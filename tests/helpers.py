@@ -1062,20 +1062,24 @@ def naive_hamm_layered(query, allow_overlap=False):
         def node_weight(state):
             return Fraction(metric(labels[state], target[depth[state]]))
 
-    def successors(state):
+    def steps(state, zero):
         for t in succ[state]:
             if t not in cause:
-                yield t, node_weight(t), "step"
+                w = node_weight(t)
+                if (w == 0) == zero:
+                    yield t, w, "step"
 
     start = None if ts._init in cause else ts._init
-    search = (start, node_weight(ts._init), successors,
+    search = (start, node_weight(ts._init),
+              (lambda state: steps(state, True), lambda state: steps(state, False)),
               lambda state: _terminal_class(succ, effect, state))
     return _named(ts, _shortest_path_verdict(query, search, _project_state_route, cause, effect))
 
 
 def naive_dijkstra(start, start_weight, successors, goal_class):
-    """`ts_causality.dijkstra` on a single heap, with the same arguments and
-    results.
+    """`ts_causality.dijkstra` on a single heap, with the same results;
+    `successors` is one function that yields a node's zero-weight and
+    positive-weight edges alike.
 
     Heap entries are (distance, node, (prev, edge)), so ties resolve by node,
     then by predecessor and edge.  The search stops once the popped distance

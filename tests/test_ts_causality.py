@@ -2,7 +2,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -254,8 +254,9 @@ def test_lev_product_tiny():
     start, start_weight, successors, goal_class = lev_product(
         ts, (s0,), frozenset(), frozenset()
     )
+    zero_edges, positive_edges = successors
     assert (start, start_weight) == ((s0, 1), 0)
-    assert list(successors(start)) == []
+    assert list(zero_edges(start)) == list(positive_edges(start)) == []
     assert goal_class(start) == "other"
     assert lev_product(ts, (s0,), frozenset(), {s0})[3](start) == "effect"
     best, parent = dijkstra(start, start_weight, successors, goal_class)
@@ -272,31 +273,55 @@ def test_lev_product_zero_route_for_identical_traces():
     assert best["other"] == (0, (index["s5"], 4))  # the identical-trace left branch
 
 
+def by_weight(edges):
+    """The (zero_edges, positive_edges) pair of a hand-made graph, a dict
+    from a node to its (target, weight, tag) edges."""
+    def zero_edges(node):
+        return [edge for edge in edges.get(node, ()) if not edge[1]]
+
+    def positive_edges(node):
+        return [edge for edge in edges.get(node, ()) if edge[1]]
+
+    return zero_edges, positive_edges
+
+
+def chained(successors):
+    """One function that yields a node's edges of both halves of a
+    (zero_edges, positive_edges) pair, as `naive_dijkstra` takes them."""
+    zero_edges, positive_edges = successors
+    return lambda node: chain(zero_edges(node), positive_edges(node))
+
+
 def test_dijkstra_keeps_least_goal_per_class_and_stops_past_it():
     edges = {
         "a": (("m", 0, "step"), ("z", 0, "step"), ("c", 1, "step")),
         "z": (("b", 0, "step"),),
     }
     goals = {"m": "effect", "b": "effect", "c": "other"}
-    best, parent = dijkstra("a", 0, lambda v: edges.get(v, ()), goals.get)
+    best, parent = dijkstra("a", 0, by_weight(edges), goals.get)
     # "b" is pushed only after "m" is settled, yet it is the least goal at 0
     assert best == {"effect": (0, "b")}
     assert "c" not in parent
     assert parent["b"] == ("z", ("b", 0, "step"))
 
 
+def settled_distances(start_weight, parent):
+    """Each settled node's distance, in the order the nodes settled."""
+    dist = {}
+    for node, via in parent.items():
+        if via is None:
+            dist[node] = start_weight
+        else:
+            prev, (_target, weight, _tag) = via
+            dist[node] = dist[prev] + weight
+    return dist
+
+
 def settled_out_of_order(start_weight, parent):
     """Whether some node settled after a larger node at the same distance;
     `parent` lists the nodes in the order they settled."""
-    dist = {}
     last = {}
-    for node, via in parent.items():
-        if via is None:
-            d = start_weight
-        else:
-            prev, (_target, weight, _tag) = via
-            d = dist[prev] + weight
-        dist[node] = d
+    for node, d in settled_distances(start_weight, parent).items():
         if d in last and node < last[d]:
             return True
         last[d] = node
@@ -304,23 +329,27 @@ def settled_out_of_order(start_weight, parent):
 
 
 def agrees_with_the_heap(search):
-    """`dijkstra`'s (best, parent) on `search`, asserted equal to the heap's,
-    settle order included."""
+    """`dijkstra`'s (best, parent) on `search`, asserted equal to the heap's
+    on both halves of its edges chained, settle order included."""
+    start, start_weight, successors, goal_class = search
     got = dijkstra(*search)
-    want = naive_dijkstra(*search)
+    want = naive_dijkstra(start, start_weight, chained(successors), goal_class)
     assert got == want
     assert list(got[1]) == list(want[1])
     return got
 
 
-def test_dijkstra_matches_the_heap_on_products():
-    """The bucketed queue settles the heap's nodes from the heap's parents on
-    hamm and ghamm products of layered systems, ghamm and lev products of
-    acyclic and cyclic systems, under the 0/1 and a 0-or-1/2 label metric,
-    and with the initial state in the cause."""
+@pytest.fixture(scope="module")
+def product_searches():
+    """(family, kind, system, execution, search) for 150 seeds: hamm and
+    ghamm products of layered systems, ghamm and lev products of acyclic and
+    cyclic systems, under the 0/1 metric, a 0-or-1/2 label metric and one
+    that scores the distinct labels "a" and "b" 0, and with the initial
+    state in the cause."""
     halves = lambda a, b: 0 if a == b else Fraction(1, 2)
+    blurred = lambda a, b: 0 if a == b or {a, b} == {"a", "b"} else Fraction(3, 2)
     rng = random.Random(29)
-    seen = Counter()
+    out = []
     for seed in range(150):
         phi = rng.choice((PHI_REACH, PHI_SAFE))
         layered = generate(GeneratorSpec(
@@ -342,25 +371,34 @@ def test_dijkstra_matches_the_heap_on_products():
             searches = [
                 ("ghamm", ghamm_product(ts, seq, cause, effect)),
                 ("ghamm-halves", ghamm_product(ts, seq, cause, effect, halves)),
+                ("ghamm-blurred", ghamm_product(ts, seq, cause, effect, blurred)),
                 ("initial-in-cause", ghamm_product(ts, seq, cause | {ts._init}, effect)),
                 ("initial-in-cause", lev_product(ts, seq, cause | {ts._init}, effect)),
             ]
             if family != "layered":
                 searches.append(("lev", lev_product(ts, seq, cause, effect)))
-            for kind, search in searches:
-                best, parent = agrees_with_the_heap(search)
-                seen[family, kind] += 1
-                if settled_out_of_order(search[1], parent):
-                    seen[family, kind, "out of order"] += 1
-                for via in parent.values():
-                    if via is not None and via[1][2] == "jump" and via[1][1] > 1:
-                        seen[family, kind, "long jump"] += 1
-                if kind == "ghamm-halves" and any(d.denominator == 2 for d, _ in best.values()):
-                    seen[family, kind, "half"] += 1
-                if kind == "lev" and any(s in ts._succ[s] for s, _i in parent):
-                    seen[family, kind, "self-loop"] += 1
-                if kind == "initial-in-cause":
-                    assert best == parent == {}
+            out.extend((family, kind, ts, seq, search) for kind, search in searches)
+    return tuple(out)
+
+
+def test_dijkstra_matches_the_heap_on_products(product_searches):
+    """The bucketed queue settles the heap's nodes from the heap's parents on
+    every search of `product_searches`."""
+    seen = Counter()
+    for family, kind, ts, _seq, search in product_searches:
+        best, parent = agrees_with_the_heap(search)
+        seen[family, kind] += 1
+        if settled_out_of_order(search[1], parent):
+            seen[family, kind, "out of order"] += 1
+        for via in parent.values():
+            if via is not None and via[1][2] == "jump" and via[1][1] > 1:
+                seen[family, kind, "long jump"] += 1
+        if kind == "ghamm-halves" and any(d.denominator == 2 for d, _ in best.values()):
+            seen[family, kind, "half"] += 1
+        if kind == "lev" and any(s in ts._succ[s] for s, _i in parent):
+            seen[family, kind, "self-loop"] += 1
+        if kind == "initial-in-cause":
+            assert best == parent == {}
     for family in ("layered", "acyclic", "cyclic"):
         assert seen[family, "ghamm"] >= 80
         assert seen[family, "ghamm-halves", "half"] >= 10
@@ -369,6 +407,85 @@ def test_dijkstra_matches_the_heap_on_products():
     for kind in ("ghamm", "lev"):
         assert seen["cyclic", kind, "out of order"] >= 10
     assert seen["cyclic", "lev", "self-loop"] >= 80
+
+
+def test_product_edges_are_split_by_weight(product_searches):
+    """On every node that a search of `product_searches` settles, the
+    zero-weight half of the product yields only edges of weight 0 and the
+    positive-weight half only edges of weight above 0; under a label metric
+    that scores distinct labels 0, those mismatches are zero-weight edges."""
+    zero_mismatches = positive = 0
+    for _family, kind, ts, seq, search in product_searches:
+        zero_edges, positive_edges = search[2]
+        _best, parent = dijkstra(*search)
+        for node in parent:
+            for target, weight, _tag in zero_edges(node):
+                assert weight == 0
+                if kind == "ghamm-blurred" and ts._labels[target[0]] != ts._labels[seq[node[1]]]:
+                    zero_mismatches += 1
+            for _target, weight, _tag in positive_edges(node):
+                assert weight > 0
+                positive += 1
+    assert zero_mismatches >= 200 and positive >= 4000
+
+
+class Logged(int):
+    """An int weight that records its edge's target each time the search
+    adds it to a distance."""
+
+    def __new__(cls, value, target, log):
+        weight = super().__new__(cls, value)
+        weight.target, weight.log = target, log
+        return weight
+
+    def __radd__(self, other):
+        self.log.append(self.target)
+        return other + int(self)
+
+
+def test_dijkstra_expands_positive_edges_only_below_the_result_distance(product_searches):
+    """The positive-weight half of a node's edges is asked for once for each
+    node settled below the distance the search ends at, and for no other
+    node; an edge to a node settled by then is not added to a distance."""
+    expanded = last_bucket = 0
+    for _family, _kind, _ts, _seq, search in product_searches:
+        start, start_weight, (zero_edges, positive_edges), goal_class = search
+        asked = []
+
+        def recorded(node):
+            asked.append(node)
+            return positive_edges(node)
+
+        best, parent = dijkstra(start, start_weight, (zero_edges, recorded), goal_class)
+        dist = settled_distances(start_weight, parent)
+        end = min(best.values())[0] if best else INF
+        assert sorted(asked) == sorted(node for node, d in dist.items() if d < end)
+        expanded += len(asked)
+        last_bucket += len(parent) - len(asked)
+    assert expanded >= 2000 and last_bucket >= 1500
+
+    # a goal at distance 0, by a zero-weight edge or at the start itself
+    asked = []
+    edges = {"a": (("g", 0, "e"), ("b", 1, "e")), "g": (("b", 1, "e"),)}
+    zero_edges, positive_edges = by_weight(edges)
+    for goals in ({"g": "effect"}, {"a": "other"}):
+        best, _parent = dijkstra(
+            "a", 0, (zero_edges, lambda node: asked.append(node) or positive_edges(node)),
+            goals.get,
+        )
+        assert min(best.values())[0] == 0
+    assert asked == []
+
+    # "b" settles at 0 after "a", and "a" before "b": neither is pushed again
+    log = []
+    edges = {
+        "a": (("b", 0, "e"), ("b", Logged(1, "b", log), "e"), ("c", Logged(1, "c", log), "e")),
+        "b": (("a", Logged(1, "a", log), "e"), ("c", Logged(2, "c", log), "e")),
+    }
+    best, parent = dijkstra("a", 0, by_weight(edges), {"c": "effect"}.get)
+    assert best == {"effect": (1, "c")}
+    assert list(parent) == ["a", "b", "c"]
+    assert log == ["c", "c"]
 
 
 def test_dijkstra_matches_the_heap_on_hand_made_graphs():
@@ -384,7 +501,7 @@ def test_dijkstra_matches_the_heap_on_hand_made_graphs():
         "d": (("x", 0, "e"), ("z", 1, "e")),
     }
     goals = {"y": "effect", "z": "effect"}
-    best, parent = agrees_with_the_heap(("a", 0, lambda v: edges.get(v, ()), goals.get))
+    best, parent = agrees_with_the_heap(("a", 0, by_weight(edges), goals.get))
     assert list(parent) == ["a", "c", "b", "d", "x", "y", "z"]
     assert parent["x"] == ("b", ("x", 0, "e"))
     assert parent["y"] == ("a", ("y", Fraction(1), "e"))
@@ -404,7 +521,7 @@ def test_dijkstra_matches_the_heap_on_hand_made_graphs():
         }
         goals = {v: rng.choice(("effect", "other")) for v in range(n) if rng.random() < 0.2}
         start_weight = rng.choice((0, Fraction(0), Fraction(1, 2)))
-        search = (rng.randrange(n), start_weight, edges.__getitem__, goals.get)
+        search = (rng.randrange(n), start_weight, by_weight(edges), goals.get)
         _best, parent = agrees_with_the_heap(search)
         out_of_order += settled_out_of_order(start_weight, parent)
     assert out_of_order >= 50
