@@ -5,43 +5,55 @@ The polynomial pieces (attractor solving, safety regions, the Hausdorff-prefix
 cause check, the tree DP of the Hamming check and the d* repair's deviation
 costs) all run on the one attractor kernel `model.attractor`, on the game's
 own predecessor lists where it can; the Hausdorff-prefix check resumes one
-`model.Attractor` across all its pin radii.  They are complemented by exact,
-budget-guarded searches for the problems the distance functions make NP- or
-coNP-hard.  Those searches share one enumeration kernel: `_free_sets` walks
-the least sets of sigma's vertices whose freeing solves a feasibility test,
-`_variants` re-points sigma over a product of edge choices, and
+`model.Attractor` across all its pin radii, and the deviation costs build
+the predecessor lists of sigma's graph once for all their levels.  They are
+complemented by exact, budget-guarded searches for the problems the
+distance functions make NP- or coNP-hard.  No game needs to be acyclic.
+Both exact distances, hamm-s and d*, share one enumeration kernel:
 `_matched_strategies` builds each distinct sigma-matched strategy once by
-branching only at vertices its plays reach, over any edge options (the d*
-cause check, and the d* winning search behind `min_winning_distance`,
-`is_minimal_explanation` and the repair's fallback).  Each charges one
-budget unit per candidate it tries; measuring a candidate charges nothing,
-since d* is linear in the play graph (`distances.play_scan`).  The d*
-winning search flags the vertices from which the player loses against every
-strategy, by one run of Reach's attractor of the effect set, and drops
+branching only at vertices its plays reach, over any edge options.  The
+cause checks (`_check_exact`) give it the region-preserving edges inside
+the avoid region and sigma's pick elsewhere; the winning searches behind
+`min_winning_distance`, `is_minimal_explanation` and the repair's fallback
+give it every edge.  `_variants` re-points sigma over a product of edge
+choices, for the d* minimality check.  Each charges one budget unit per
+candidate it yields; measuring a candidate charges nothing: hamm-s is the
+kernel's own count, and d* is linear in the play graph
+(`distances.play_scan`).  The
+winning searches flag the vertices from which the player loses against
+every strategy, by one run of Reach's attractor of the effect set, and drop
 without a budget unit every search state whose plays reach one: all the
 strategies below it lose.  A candidate is matched, tested and measured by
 the play walks of `model`, which cost what its plays cost: one walk
-(`_plays`) tells whether it wins and whether it avoids the cause, and
-condition 1 is one attractor over sigma's play arena.  `_matched_strategies`
-yields each candidate with sigma's side of its d*, the one place that side
-is found; one loop, `_least_dstar`, adds tau's side and the win from one
-scan, for the cause check and the winning search.  It writes each new
-least to a limit that `_matched_strategies` reads: a search state is
-dropped, without a budget unit, once one of its two d* lower bounds is
-strictly above it.  Tau's side is the most picks differing from sigma's on
-a path the walk discovered, carried along each step; sigma's side is the
-heaviest path through sigma's condensation over the differing picks,
-redone only when one is fixed, and exact at a strategy.  Both hold for
-every strategy below the state, since its fixed picks stay reached; each
-branch point saves them with the length of the log of differing picks, and
-backtracking restores them.  The drop is strict, since the cause check
-needs every tie.  The E-variants of `is_minimal_explanation` differ from
+(`_plays`) tells whether it wins, and condition 1 is one attractor over
+sigma's play arena.
+
+`_matched_strategies` yields each candidate with sigma's side of its
+distance, the one place that side is found.  Its consumers write each new
+least to a limit that it reads: a search state is dropped, without a budget
+unit, once one of its lower bounds is strictly above it.  The drop is
+strict, since the cause checks need every tie.  Every bound holds for every
+strategy below the state, since its fixed picks stay reached; each branch
+point saves the bounds with the length of the log of differing picks, and
+backtracking restores them.  For d*, one loop, `_least_dstar`, adds tau's
+side and the win from one scan, for the cause check and the winning search.
+Tau's side is the most picks differing from sigma's on a path the walk
+discovered, carried along each step; sigma's side is the heaviest path
+through sigma's condensation over the differing picks, redone only when one
+is fixed, and exact at a strategy.  For hamm-s, sigma's side is the whole
+distance: the count of fixed picks that differ from sigma's, which only
+grows, so a state with no room for one more follows sigma's picks in one
+walk.  `_least_changes` keeps the witnesses of a walk over change sets, the
+first loser and the first winner in `_variants` order.  The hamm-s winning
+search needs one winner per distance, so each winner lowers the limit to
+one below its own, and the hamm-s minimality check is the decision search
+within |E| - 1.  The E-variants of the d* minimality check differ from
 sigma exactly on E and share one sigma side, from one scan.  The decision
 searches start the limit at their threshold.  The value-only d* searches
 stop at the first winner at a known lower bound: the least winning
 distance for `is_minimal_explanation`, Reach's deviation costs
-(`_dstar_floor`) for `min_winning_distance`.  The acyclic d* repair skips
-the exact search when its deviation costs certify the proposed strategy.
+(`_dstar_floor`) for `min_winning_distance`.  The d* repair skips the exact
+search when its deviation costs certify the proposed strategy.
 
 Everything here runs on the game's vertex numbers (see `model`): vertex
 sets are lists, sets or flags of numbers, and a strategy runs as its picks.
@@ -56,7 +68,8 @@ private kernels take and give numbers.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, compress, islice, product
+from functools import partial
+from itertools import compress, islice, product
 from operator import and_, ne, not_
 
 from .errors import (
@@ -73,13 +86,12 @@ from .model import (
     Attractor,
     MDStrategy,
     attractor,
-    is_effectively_acyclic,
     maximal_avoiding_set,
     opponent,
     play_arena,
     play_layers,
+    predecessors,
     shortest_route,
-    strategy_adjacency,
     strategy_of,
     validate_strategy,
     trap_vertices,
@@ -308,30 +320,6 @@ def _sigma_matched(game, picks, sigma):
 # exact search kernel
 
 
-def _free_sets(game, sigma, solved, budget, start=0, stop=None):
-    """The least sets of sigma's branching vertices that pass `solved` freed.
-
-    Sizes k run from `start` up to but excluding `stop`.  Each k-set S is
-    tried in `combinations` order at one budget unit: `solved(allowed)` gets
-    every owned vertex outside S pinned to sigma's pick and S free.  The
-    accepted sets are yielded lazily, and the search ends with the first
-    size that has any.
-    """
-    succ = game._succ
-    owned = [v for v, u in enumerate(sigma) if u is not None]
-    branching = [v for v in owned if len(succ[v]) >= 2]
-    top = len(branching) + 1 if stop is None else min(stop, len(branching) + 1)
-    for k in range(start, top):
-        found = False
-        for free in combinations(branching, k):
-            budget.charge()
-            if solved({v: (sigma[v],) for v in owned if v not in free}):
-                found = True
-                yield free
-        if found:
-            return
-
-
 def _variants(sigma, options, budget):
     """Sigma's picks re-pointed at every vertex of `options`, once per
     combination of their edge tuples in `product` order, at one budget unit
@@ -347,10 +335,12 @@ def _variants(sigma, options, budget):
 
 def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=None):
     """Each distinct sigma-matched strategy whose reached picks come from
-    `options` (a tuple per owned vertex) and whose d* from sigma is within
-    the one-item list `limit`, which its consumer may lower as it goes,
-    once, as (its picks, sigma's side of that d*), at one budget unit each,
-    lazily.  `condensed` is `distances.play_condensation(game, sigma)`.
+    `options` (a tuple per owned vertex) and whose distance from sigma is
+    within the one-item list `limit`, which its consumer may lower as it
+    goes, once, as (its picks, sigma's side of that distance), at one budget
+    unit each, lazily.  `condensed` is `distances.play_condensation(game,
+    sigma)` for d*; None measures hamm-s instead, whose sigma side is the
+    whole distance: the number of fixed picks that differ from sigma's.
     With `lost`, flags by vertex, only those whose plays reach no flagged
     vertex, in the same order.
 
@@ -358,9 +348,10 @@ def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=Non
     the initial vertex until they meet an owned vertex without one.  A state
     whose plays meet none is a strategy, with sigma's pick at every vertex
     they never reach.  Otherwise the search branches at the least such
-    vertex, sigma's pick first where it is an option.  Picks are fixed only
-    at reached vertices and stay reached, so two branches differ at a vertex
-    both strategies' plays visit, and no strategy comes twice.  For the same
+    vertex, sigma's pick first where it is an option; a vertex whose one
+    option is sigma's pick takes it with no branch point.  Picks are fixed
+    only at reached vertices and stay reached, so two branches differ at a
+    vertex both strategies' plays visit, and no strategy comes twice.  For the same
     reason every strategy below a state whose plays reach a flagged vertex
     reaches it too; such a state is dropped at once, without a budget unit.
     A winning search flags the vertices from which the player loses against
@@ -380,7 +371,12 @@ def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=Non
     the differing picks (`distances.heaviest_chain`), redone only when a
     differing pick is fixed, in time quadratic in the few components that
     hold one.  A strategy differs from sigma only at its fixed picks, so
-    there this bound is exact, and it is yielded with the strategy.
+    there this bound is exact, and it is yielded with the strategy.  For
+    hamm-s the count of differing fixed picks takes its place: it too only
+    grows below a state, and at a strategy it is the hamm-s distance.  A
+    state whose count leaves no room for one more differing pick follows
+    sigma's pick at every vertex its plays reach, in one walk, and ends
+    where sigma's pick is no option.
 
     One state is kept and changed in place: each branch point records how
     long the logs of reached and waiting vertices and of the differing
@@ -392,16 +388,25 @@ def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=Non
     succ, default = game._succ, sigma
     if lost is None:
         lost = bytes(len(succ))
-    owned, reach = condensed
-    component = dict(owned)
+    if condensed is None:  # hamm-s: every differing pick counts once
+        component = {v: v for v, u in enumerate(sigma) if u is not None}
+        measure, rise = len, 1
+    else:
+        owned, reach = condensed
+        component = dict(owned)
+        measure, rise = partial(distances.heaviest_chain, reach=reach), 0
     fixed, seen, waiting = {}, {game._init}, set()
     trail, parked = [], []  # vertices added to `seen` and to `waiting`, in order
     changed = []  # sigma's components of the fixed picks that differ from sigma's
     depth = [0] * len(succ)  # differing picks on the path that discovered each vertex
+    sole = [u is not None and options[v] == (u,) for v, u in enumerate(sigma)]
 
-    def walk(v, top):
+    def walk(v, top, pinned):
         """Extend the plays from v; the tau-side bound `top` raised by the
-        steps taken, or None when they reach a flagged vertex."""
+        steps taken, or None when they reach a flagged vertex.  A vertex
+        whose one option is sigma's pick takes it, and with `pinned` so
+        does every vertex without a fixed pick, or the walk ends (None)
+        where sigma's pick is no option."""
         todo = [v]
         while todo:
             v = todo.pop()
@@ -414,6 +419,10 @@ def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=Non
                     d += 1
                     if d > top:
                         top = d
+            elif sole[v] or pinned:
+                if first not in options[v]:
+                    return None
+                moves = (first,)
             else:
                 waiting.add(v)
                 parked.append(v)
@@ -428,7 +437,7 @@ def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=Non
                     todo.append(u)
         return top
 
-    top = None if lost[game._init] else walk(game._init, 0)
+    top = None if lost[game._init] else walk(game._init, 0, rise > limit[0])
     if top is None:
         return
     heavy = 0  # sigma's side
@@ -438,9 +447,12 @@ def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=Non
             v = min(waiting)
             waiting.remove(v)
             first = default[v]
-            picks = [u for u in options[v] if u != first]
-            if first in options[v]:
-                picks.insert(0, first)
+            if heavy + rise > limit[0]:  # no differing pick fits
+                picks = [first] if first in options[v] else []
+            else:
+                picks = [u for u in options[v] if u != first]
+                if first in options[v]:
+                    picks.insert(0, first)
             branches.append((v, iter(picks), len(trail), len(parked), len(changed), top, heavy))
         else:
             budget.charge()
@@ -464,10 +476,10 @@ def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=Non
             fixed[v] = u
             if u != default[v] and v in component:
                 changed.append(component[v])
-                heavy = distances.heaviest_chain(changed, reach)
+                heavy = measure(changed)
                 if heavy > limit[0]:
                     continue
-            top = walk(v, top)
+            top = walk(v, top, heavy + rise > limit[0])
             if top is not None and top <= limit[0]:
                 break
         else:
@@ -562,8 +574,6 @@ def check_cause_game(query, budget=None):
     sigma, cause = validate_game_query(query)
     budget = as_budget(budget)
     game = query.game
-    if query.metric == METRIC_HAMM_S:
-        _require_effectively_acyclic(game)
     c1 = _condition1(game, query.player, sigma, cause)
     if query.metric == METRIC_PREF_H:
         return _check_pref_h(query, sigma, cause, c1, budget)
@@ -571,9 +581,7 @@ def check_cause_game(query, budget=None):
     c2 = region[game._init]
     if not (c1 and c2):
         return GameCauseVerdict(False, distances.INF, c1, c2)
-    if query.metric == METRIC_HAMM_S:
-        return _check_hamm_s(query, sigma, cause, budget)
-    return _check_dstar(query, sigma, allowed, budget)
+    return _check_exact(query, sigma, cause, allowed, budget)
 
 
 def _check_pref_h(query, sigma, cause, c1, budget):
@@ -669,23 +677,20 @@ def _assemble_strategy(sigma, allowed, overrides):
     return tau
 
 
-def _require_effectively_acyclic(game):
-    if not is_effectively_acyclic(game._succ):
-        raise NotAcyclic(
-            "this check needs an acyclic game (self-loop traps aside)"
-        )
-
-
 def _tree_shaped(game):
-    """Tree arenas (modulo trap self-loops): one way in per reachable vertex."""
-    succ, pred = game._succ, game._pred
-    traps = trap_vertices(succ)
-    seen = play_arena(game, [None] * len(succ))[0]
-    return all(
-        sum(p in seen and not (p == v and v in traps) for p in pred[v]) <= 1
-        for v in seen
-        if v != game._init
-    )
+    """Tree arenas (modulo trap self-loops): one way in per reachable vertex
+    but the initial one.  The walk stops at the first vertex with two."""
+    succ, init = game._succ, game._init
+    seen, todo = {init}, [init]
+    while todo:
+        v = todo.pop()
+        for u in succ[v]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+            elif u != init and not (u == v and succ[v] == (v,)):
+                return False
+    return True
 
 
 def tree_min_changes(game, sigma, cause):
@@ -694,7 +699,7 @@ def tree_min_changes(game, sigma, cause):
 
     Subtree vertex sets are disjoint on a tree, so costs add across opponent
     branches; on general DAGs this sum may double-count shared descendants,
-    which is why the exact subset search is used there.  Costs are filled
+    which is why the exact search is used there.  Costs are filled
     bottom-up in the join order of the all-universal attractor of the cause,
     effect and trap vertices, so every successor is costed first; NotAcyclic
     if the initial vertex never joins, that is, if a play from it can cycle
@@ -722,59 +727,66 @@ def tree_min_changes(game, sigma, cause):
     return cost[game._init]
 
 
-def _check_hamm_s(query, sigma, cause, budget):
-    """Hamming strategy-distance cause check on (effectively) acyclic games:
-    find the minimum number of changed picks that avoids the cause, then
-    verify every avoiding strategy with exactly that many changes wins.
-
-    Change sets are walked in order.  The set in which the first losing
-    strategy turns up is walked to its end before the walk stops, so a
-    winning strategy later in that set still becomes a witness.
-    """
-    game, player = query.game, query.player
-    start = 0
-    if _tree_shaped(game):
-        k_tree = tree_min_changes(game, sigma, cause)
-        if k_tree != distances.INF:
-            start = int(k_tree)
-
-    def avoidable(allowed):
-        return _avoid_set(game, player, cause, allowed)[game._init]
-
-    sets = list(_free_sets(game, sigma, avoidable, budget, start))
-    if not sets:
-        return GameCauseVerdict(False, distances.INF, True, False)
-    loser = winner = None
-    for free in sets:
-        for tau in _variants(sigma, _alternatives(game, sigma, free), budget):
-            seen, wins = _plays(game, player, tau)
-            if any(c in seen for c in cause):
-                continue
-            if wins:
-                winner = winner or tau
-            else:
-                loser = loser or tau
-        if loser is not None:
-            break
-    return _verdict(query, len(sets[0]), loser, winner)
-
-
-def _check_dstar(query, sigma, allowed, budget):
-    """Exact search for the Hausdorff-inspired vertex-counting distance: no
-    polynomial algorithm is claimed for it, so candidates are enumerated and
-    measured exactly.
+def _check_exact(query, sigma, cause, allowed, budget):
+    """Exact search for the two distances with no polynomial algorithm
+    here, hamm-s and d*: candidates are enumerated and measured exactly.
 
     The candidates are the sigma-matched strategies with region-preserving
     picks inside the avoid region and sigma's off it; every cause-avoiding
     strategy is one of them up to off-path picks, which can only increase
-    the distance.  `_least_dstar` measures them and gives the least losing
-    and the least winning at the least distance as witnesses.
+    either distance.  Every search state extends to a candidate, so the
+    first comes after one descent and bounds the rest.  On a tree-shaped
+    game where plays from the initial vertex cannot cycle, the hamm-s limit
+    starts at the tree DP's count, the least.  `_least_changes` (hamm-s)
+    and `_least_dstar` measure the candidates and give the least losing and
+    the least winning at the least distance as witnesses.
     """
-    game = query.game
+    game, player = query.game, query.player
     options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
-    condensed, limit = distances.play_condensation(game, sigma), [distances.INF]
+    limit = [distances.INF]
+    if query.metric == METRIC_HAMM_S:
+        if _tree_shaped(game):
+            try:
+                limit[0] = tree_min_changes(game, sigma, cause)
+            except NotAcyclic:
+                pass
+        candidates = _matched_strategies(game, sigma, options, budget, None, limit)
+        return _verdict(query, *_least_changes(game, player, sigma, candidates, limit))
+    condensed = distances.play_condensation(game, sigma)
     candidates = _matched_strategies(game, sigma, options, budget, condensed, limit)
-    return _verdict(query, *_least_dstar(game, query.player, sigma, candidates, limit))
+    return _verdict(query, *_least_dstar(game, player, sigma, candidates, limit))
+
+
+def _least_changes(game, player, sigma, candidates, limit):
+    """(least hamm-s distance from sigma's picks among the candidates, the
+    first losing and the first winning picks at it in `_variants` order).
+
+    The candidates are the (picks, hamm-s distance) pairs of a hamm-s
+    `_matched_strategies` sharing the one-item list `limit`; each new least
+    is written to it, and the enumeration, dropping strictly above it,
+    still yields every tie.  The order is that of change sets walked by
+    size and in `combinations` order, each re-pointed by `_variants`: the
+    key is the sorted changed vertices, then their picks, which order as
+    their positions in `_alternatives` do, since successor tuples are
+    sorted.  As in that walk, which ends with the change set of the first
+    loser, a first winner in a later change set is no witness.
+    """
+    least, loser, winner = None, None, None
+    for tau, d in candidates:
+        wins = _plays(game, player, tau)[1]
+        if least is None or d < least:
+            least, loser, winner = d, None, None
+            limit[0] = d
+        changed = list(compress(range(len(tau)), map(ne, tau, sigma)))
+        key = (changed, [tau[v] for v in changed])
+        if wins:
+            if winner is None or key < winner[0]:
+                winner = key, tau
+        elif loser is None or key < loser[0]:
+            loser = key, tau
+    if loser is not None and winner is not None and winner[0][0] > loser[0][0]:
+        winner = None
+    return least, loser and loser[1], winner and winner[1]
 
 
 def brute_force_check_cause(query, budget=None, distance_fn=None):
@@ -905,48 +917,45 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
     """(least distance from sigma's picks to a winning strategy, the picks of
     one there).
 
-    The hamm-s search only asks whether the player wins, so its picks are
-    None.  The d* search hands each distinct sigma-matched strategy of
-    `_matched_strategies` to `_least_dstar`, which keeps the least winner at
-    the least distance and lowers the enumeration's limit to it.  The search
+    Both searches run on `_matched_strategies` over every edge.  The search
     flags as lost the vertices from which the player loses against every
     strategy: those outside Reach's attractor of the effect set for Reach,
     those inside it for Safe.  A caller may hand these `lost` flags over, as
     the `_lost` flags of Reach's deviation costs; they need only be right
     where the initial vertex reaches.  Otherwise they come from an attractor
     over the whole game.  The enumeration then drops losers early, without a
-    budget unit, and leaves the winners and their order as they are.  With
-    a threshold, the first strategy within it is returned, or
-    (threshold + 1, None) when there is none; the d* search starts its
-    limit at the threshold, and does not start at all when the `floor`
-    exceeds it.  Without one, a `floor` no winner lies below ends the d*
-    search at the first winner on it; at the default 0 that winner is sigma
-    itself, the only strategy at d* 0 from it.
+    budget unit, and leaves the winners and their order as they are.  The
+    d* search hands each candidate to `_least_dstar`, which keeps the least
+    winner at the least distance and lowers the enumeration's limit to it.
+    The hamm-s search needs one winner per distance, so each winner lowers
+    the limit to one below its own.  With a threshold, the first strategy
+    within it is returned, or (threshold + 1, None) when there is none; the
+    search starts its limit at the threshold, and does not start at all
+    when the `floor` exceeds it.  Without one, a `floor` no winner lies
+    below ends the search at the first winner on it; at the default 0 that
+    winner is sigma itself, the only strategy at distance 0 from it.
     """
-    if metric == METRIC_HAMM_S:
-        stop = None if threshold is None else threshold + 1
-
-        def wins(allowed):  # Safe wins exactly where it avoids the effect set
-            safe_wins = _avoid_set(game, SAFE, game._targets, allowed)[game._init]
-            return safe_wins == (player == SAFE)
-
-        for free in _free_sets(game, sigma, wins, budget, stop=stop):
-            return len(free), None
-    elif metric == METRIC_DSTAR:
-        stop, limit = (floor, distances.INF) if threshold is None else (threshold, threshold)
-        if lost is None:
-            forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
-            lost = [(r is None) == (player == REACH) for r in forced]
-        if floor <= limit:
-            condensed, limit = distances.play_condensation(game, sigma), [limit]
-            candidates = _matched_strategies(
-                game, sigma, game._succ, budget, condensed, limit, lost
-            )
-            least, _loser, tau = _least_dstar(game, player, sigma, candidates, limit, stop)
-            if tau is not None:
-                return least, tau
-    else:
+    if metric not in (METRIC_HAMM_S, METRIC_DSTAR):
         raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
+    stop, limit = (floor, distances.INF) if threshold is None else (threshold, threshold)
+    if lost is None:
+        forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
+        lost = [(r is None) == (player == REACH) for r in forced]
+    if floor <= limit:
+        condensed = None if metric == METRIC_HAMM_S else distances.play_condensation(game, sigma)
+        limit = [limit]
+        candidates = _matched_strategies(game, sigma, game._succ, budget, condensed, limit, lost)
+        if condensed is not None:
+            least, _loser, tau = _least_dstar(game, player, sigma, candidates, limit, stop)
+        else:
+            least = tau = None
+            for picks, d in candidates:
+                if _plays(game, player, picks)[1]:
+                    least, tau, limit[0] = d, picks, d - 1
+                    if d <= stop:
+                        break
+        if tau is not None:
+            return least, tau
     if threshold is not None:
         return threshold + 1, None
     raise NoWinningStrategy(f"player {player} has no winning strategy")
@@ -956,7 +965,8 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
     """A minimal explanation attains the least possible winning distance.
 
     For the Hamming strategy distance every E-distinct strategy sits at
-    distance exactly |E|, so minimality is a cardinality comparison; for the
+    distance exactly |E|, so E is minimal unless a winner lies within
+    |E| - 1, a decision search with that threshold; for the
     vertex-counting distance the E-distinct winning strategies are measured
     until one attains the least winning distance, below which none can lie.
     Every E-variant differs from sigma exactly on E, so all share sigma's
@@ -969,9 +979,9 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
     player, picks = sigma.player, validate_strategy(game, sigma)
     if not _is_explanation(game, player, picks, vertex_set)[0]:
         return False
-    if metric == METRIC_HAMM_S:
-        return len(vertex_set) == _min_winning_distance(
-            game, player, picks, METRIC_HAMM_S, None, budget
+    if metric == METRIC_HAMM_S:  # a winner at |E| exists; is one closer?
+        return not vertex_set or not _min_winning_distance(
+            game, player, picks, METRIC_HAMM_S, len(vertex_set) - 1, budget
         )
     if metric == METRIC_DSTAR:
         overall = _min_winning_distance(game, player, picks, METRIC_DSTAR, None, budget)
@@ -988,12 +998,13 @@ def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
 
 
 # ---------------------------------------------------------------------------
-# acyclic d* repair
+# d* repair
 
 
 def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     """Winning Reach strategy minimizing the vertex-counting distance to a
-    losing sigma whose restriction graph is acyclic, with that distance.
+    losing sigma, with that distance.  The name is kept from when sigma's
+    graph had to be acyclic; it may now have cycles.
 
     The min-max costs of `_deviation_costs` (deviating edges cost 1, Safe
     maximizing) propose a strategy tau_fast and a lower bound val[initial]
@@ -1005,10 +1016,8 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     """
     picks = validate_strategy(game, sigma)
     if sigma.player != REACH:
-        raise PreconditionViolated("the acyclic repair is defined for Reach")
+        raise PreconditionViolated("the d* repair is defined for Reach")
     budget = as_budget(budget)
-    if not is_effectively_acyclic(strategy_adjacency(game, picks)):
-        raise NotAcyclic("the game restricted to sigma is not acyclic")
     old, succ, adjacency, reach, targets = _reach_arena(game, picks)
     ranks = attractor(succ, reach, targets)
     if ranks[0] is None:
@@ -1026,8 +1035,9 @@ def min_dstar_winning_strategy_acyclic(game, sigma, budget=None):
     tau_fast = _sigma_matched(game, choice, picks)
 
     fast = None
-    if _plays(game, REACH, tau_fast)[1]:
-        fast = distances.dstar_picks(game, tau_fast, picks)
+    d_tau, cyclic, _rank = distances.play_scan(game, tau_fast, picks)
+    if not cyclic:  # the scan of tau_fast's side of d* also tells that it wins
+        fast = max(d_tau, distances.play_scan(game, picks, tau_fast)[0])
         if fast == val[0]:
             return strategy_of(game, REACH, tau_fast), fast
     lost = _lost(len(picks), old, val)
@@ -1094,15 +1104,17 @@ def _deviation_costs(succ, reach, targets, adjacency):
     short paths interdiction problems", 2008): a vertex costs at most k iff
     it joins the all-universal attractor, over sigma's graph `adjacency`, of
     the effect plus every Reach vertex with an edge into level k - 1.  One
-    attractor runs per level until no Reach vertex is added.  Attractors are
+    attractor runs per level, on predecessor lists built once, until no
+    Reach vertex is added.  Attractors are
     least fixpoints, so the costs are the greatest fixpoint of the min-max
     equations: the values a Bellman-style sweep reaches from INF.
     """
     INF = distances.INF
     reach = list(compress(range(len(succ)), reach))
     cost, level, target = [INF] * len(succ), 0, targets
+    preds, universal = predecessors(adjacency), bytes(len(succ))
     while True:
-        for v, r in enumerate(attractor(adjacency, bytes(len(succ)), target)):
+        for v, r in enumerate(attractor(adjacency, universal, target, preds)):
             if r is not None and cost[v] == INF:
                 cost[v] = level
         grown = targets + [v for v in reach if any(cost[u] != INF for u in succ[v])]

@@ -452,14 +452,10 @@ def strategy_of(game, player, picks):
 # strategy-induced graphs
 
 
-def strategy_adjacency(game, picks):
-    """Successor tuples of the game under the picks, for every vertex."""
-    return [ends if u is None else (u,) for ends, u in zip(game._succ, picks)]
-
-
 def play_arena(game, picks):
-    """The play graph, the part of `strategy_adjacency` reachable from the
-    initial vertex, numbered afresh in discovery order, for the attractor
+    """The play graph, the part of the game under the picks (sigma's pick
+    alone at each vertex that has one) reachable from the initial vertex,
+    numbered afresh in discovery order, for the attractor
     to run on at the cost of the plays rather than of the game.  Returns
     (`seen`, `succ`): `seen` maps each vertex some play visits to its new
     number, the initial vertex 0, and `succ` lists the successors of each
@@ -728,22 +724,10 @@ def is_acyclic(succ):
 def trap_vertices(succ):
     """Vertices whose only outgoing edge is a self-loop.
 
-    A play entering such a vertex stays there forever, so for acyclicity
-    purposes these vertices behave like terminal sinks.
+    A play entering such a vertex stays there forever, so the `hamm-s` tree
+    DP treats these vertices as ends of plays.
     """
     return {v for v, ends in enumerate(succ) if ends == (v,)}
-
-
-def is_effectively_acyclic(succ):
-    """Acyclic once self-loops at trap vertices are disregarded: every vertex
-    joins the all-universal attractor of the sinks and the traps.
-
-    This is the acyclicity notion used for games: play-totality forces a
-    self-loop wherever a drawing would show a non-target sink, and those
-    loops are the only cycles an "acyclic" game may contain.
-    """
-    ends = trap_vertices(succ).union(compress(range(len(succ)), map(not_, succ)))
-    return None not in attractor(succ, bytes(len(succ)), ends)
 
 
 # ---------------------------------------------------------------------------

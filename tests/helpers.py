@@ -13,10 +13,13 @@ One reference per question, none of them calling the search or loop it checks:
 - breadth-first walks: `naive_defeat_choices`, `naive_bfs_path` and `naive_pin_layers`.
 - pref-h cause check: `naive_check_pref_h`, with one fresh attractor per pin radius.
 - d* cause check: `naive_check_dstar`, over every strategy of `enumerate_strategies`.
+- hamm-s cause check: `naive_check_hamm_s`, over every strategy of `enumerate_strategies`.
+- hamm-s winning distance: `naive_min_winning_hamm_s`, over every strategy of `enumerate_strategies`.
 - d* winning search: `naive_min_winning`, over every strategy of `enumerate_strategies`.
 - d* minimality: `naive_is_minimal_dstar`, over every strategy of `enumerate_strategies`.
 - d* repair: `naive_min_dstar_repair`, with the costs of a Bellman-style sweep.
 - tree change count: `naive_tree_min_changes`, by memoized recursion.
+- tree shape: `naive_is_tree_shaped`, by counting the reached predecessors.
 - maximal paths: `naive_maximal_paths`, by recursion.
 - layered Hamming check: `naive_hamm_layered`, by a shortest-path search over the states.
 - product search: `naive_dijkstra`, one heap of (distance, node, (prev, edge)) entries.
@@ -43,7 +46,6 @@ from causekit.errors import (
     Budget,
     CausekitError,
     InvalidModel,
-    NotAcyclic,
     NoWinningStrategy,
     PreconditionViolated,
     as_budget,
@@ -205,12 +207,6 @@ def int_graph(model, adjacency):
     of numbers."""
     index = model.index
     return [tuple(index[u] for u in adjacency[v]) for v in model.ids]
-
-
-def id_graph(model, succ):
-    """{id: successor ids} of successor tuples of numbers."""
-    ids = model.ids
-    return {ids[v]: tuple(ids[u] for u in ends) for v, ends in enumerate(succ)}
 
 
 def avoiding(model, avoid):
@@ -563,14 +559,12 @@ def naive_repair_costs(game, sigma):
 
 
 def naive_min_dstar_repair(game, sigma, budget=None):
-    """`min_dstar_winning_strategy_acyclic` with the colored-DFS acyclicity
-    test, the swept costs and `naive_min_winning`."""
+    """`min_dstar_winning_strategy_acyclic` with the swept costs and
+    `naive_min_winning`."""
     validate_strategy(game, sigma)
     if sigma.player != REACH:
-        raise PreconditionViolated("the acyclic repair is defined for Reach")
+        raise PreconditionViolated("the d* repair is defined for Reach")
     budget = as_budget(budget)
-    if not naive_is_effectively_acyclic(id_adjacency(game, sigma)):
-        raise NotAcyclic("the game restricted to sigma is not acyclic")
     ranks = naive_attractor(game.adjacency(), game.reach_owned, game.effect)
     if game.initial not in ranks:
         raise NoWinningStrategy("Reach does not win this game")
@@ -644,6 +638,53 @@ def naive_check_dstar(query, budget=None):
         first.setdefault(naive_strategy_is_winning(game, tau), tau)
     witnesses = tuple(StrategyWitness(first[w], least, w) for w in (False, True) if w in first)
     return GameCauseVerdict(False not in first, least, True, True, witnesses[: query.witnesses])
+
+
+def naive_check_hamm_s(query, budget=None):
+    """`check_cause_game` for hamm-s over every strategy of
+    `enumerate_strategies`: conditions 1 and 2 as in `naive_check_dstar`,
+    then every strategy that avoids the cause, at the number of vertices
+    where its choice differs from sigma's.  At the least, the witnesses come
+    in the order of a walk over change sets: by the sorted changed vertices,
+    then by the position of each new choice among that vertex's successors
+    other than sigma's.  They are the first loser, and the first winner
+    unless it changes a later set of vertices than the loser.  One budget
+    unit per strategy."""
+    validate_game_query(query)
+    game, player, sigma, cause = query.game, query.player, query.sigma, query.cause
+    c1 = naive_losing_play_reaches_cause(game, sigma, cause)
+    opponent = game.owned_by(SAFE if player == REACH else REACH)
+    c2 = game.initial not in naive_attractor(game.adjacency(), opponent, cause)
+    if not (c1 and c2):
+        return GameCauseVerdict(False, distances.INF, c1, c2)
+    scored = []
+    for tau in enumerate_strategies(game, player, budget):
+        if not naive_strategy_avoids(game, tau, cause):
+            continue
+        changed = sorted(v for v, u in tau.choice.items() if u != sigma.choice[v])
+        others = {v: [u for u in game.successors(v) if u != sigma.choice[v]] for v in changed}
+        key = (changed, [others[v].index(tau.choice[v]) for v in changed])
+        scored.append((len(changed), key, naive_strategy_is_winning(game, tau), tau))
+    least = min(d for d, _key, _wins, _tau in scored)
+    first = {}
+    for _d, key, wins, tau in sorted((s for s in scored if s[0] == least), key=lambda s: s[1]):
+        first.setdefault(wins, (key, tau))
+    if len(first) == 2 and first[True][0][0] > first[False][0][0]:
+        del first[True]
+    witnesses = tuple(StrategyWitness(first[w][1], least, w) for w in (False, True) if w in first)
+    return GameCauseVerdict(False not in first, least, True, True, witnesses[: query.witnesses])
+
+
+def naive_min_winning_hamm_s(game, sigma):
+    """The least number of vertices at which a winning strategy of
+    `enumerate_strategies` chooses differently from sigma; None when the
+    player has no winning strategy."""
+    return min(
+        (sum(u != sigma.choice[v] for v, u in tau.choice.items())
+         for tau in enumerate_strategies(game, sigma.player)
+         if naive_strategy_is_winning(game, tau)),
+        default=None,
+    )
 
 
 def naive_is_minimal_dstar(game, sigma, vertex_set):
@@ -815,6 +856,21 @@ def id_avoid_region(game, player, cause):
     region, allowed = avoid_region(game, player, numbers(game, cause))
     ids = game.ids
     return id_set(game, region), {ids[v]: tuple(ids[u] for u in a) for v, a in allowed.items()}
+
+
+def naive_is_tree_shaped(game):
+    """Every vertex the initial vertex reaches, but that one, has at most
+    one predecessor among the reached vertices, a trap's own self-loop not
+    counted."""
+    adjacency = id_adjacency(game)
+    reached = naive_reachable(adjacency, game.initial)
+    traps = naive_traps(adjacency)
+    ins = {v: 0 for v in reached}
+    for v in reached:
+        for u in adjacency[v]:
+            if not (u == v and v in traps):
+                ins[u] += 1
+    return all(n <= 1 for v, n in ins.items() if v != game.initial)
 
 
 def id_tree_min_changes(game, sigma, cause):

@@ -16,6 +16,7 @@ from causekit.game_causality import (
     _deviation_costs,
     _dstar_floor,
     _solve_for,
+    _tree_shaped,
     check_cause_game,
     min_dstar_winning_strategy_acyclic,
     solve,
@@ -32,9 +33,7 @@ from causekit.model import (
     attractor,
     game_from_owners,
     is_acyclic,
-    is_effectively_acyclic,
     opponent,
-    strategy_adjacency,
     strategy_of,
     validate_strategy,
 )
@@ -52,7 +51,7 @@ from helpers import (
     naive_reachable,
     naive_check_pref_h,
     naive_is_acyclic,
-    naive_is_effectively_acyclic,
+    naive_is_tree_shaped,
     naive_min_dstar_repair,
     naive_repair_costs,
     naive_tree_min_changes,
@@ -262,7 +261,6 @@ def test_acyclicity_matches_the_colored_search(seed, cyclic, island):
         graphs.append((adj, int_graph(game, adj)))
     for adj, numbered in graphs:
         assert is_acyclic(numbered) == naive_is_acyclic(adj)
-        assert is_effectively_acyclic(numbered) == naive_is_effectively_acyclic(adj)
 
 
 @FUZZ
@@ -273,9 +271,8 @@ def test_repair_costs_match_the_sweep(seed, cyclic, island):
         game = with_unreachable_copy(game, rng)
     sigma = random_strategy(rng, game, REACH)
     swept = naive_repair_costs(game, sigma)
-    picks = validate_strategy(game, sigma)
     costs = _deviation_costs(
-        game._succ, game._owns[REACH], game._targets, strategy_adjacency(game, picks)
+        game._succ, game._owns[REACH], game._targets, int_graph(game, id_adjacency(game, sigma))
     )
     assert dict(zip(game.ids, costs)) == swept
 
@@ -322,8 +319,8 @@ def test_repair_matches_the_swept_repair(seed, cyclic, island):
 def test_repair_ignores_an_unreachable_copy(seed, cyclic):
     """The repair runs on the part of the game the initial vertex reaches: a
     copy no play visits, with sigma's picks copied, changes neither the
-    answer nor the budget used.  Only the whole-game acyclicity check sees
-    the copy, and it rejects just the copies whose sigma graph has a cycle."""
+    answer nor the budget used, whether or not sigma's graph has a cycle
+    there."""
     rng = random.Random(seed)
     game = (cyclic_game if cyclic else acyclic_game)(rng, 9)
     sigma = random_strategy(rng, game, REACH)
@@ -333,9 +330,6 @@ def test_repair_ignores_an_unreachable_copy(seed, cyclic):
     limit = rng.choice((None, rng.randint(0, 300)))
     got = budgeted(min_dstar_winning_strategy_acyclic, island, island_sigma, limit=limit)
     want, used = budgeted(min_dstar_winning_strategy_acyclic, game, sigma, limit=limit)
-    if got[0] == "NotAcyclic" and want != "NotAcyclic":
-        assert not naive_is_effectively_acyclic(id_adjacency(island, island_sigma))
-        return
     if isinstance(want, tuple):
         tau, value = want
         want = MDStrategy(REACH, {**tau.choice, **copied}), value
@@ -372,6 +366,7 @@ def test_tree_min_changes_matches_the_recursion(seed, shape, island):
         game, rng = random_game(seed, shape == "cyclic")
     if island:
         game = with_unreachable_copy(game, rng)
+    assert _tree_shaped(game) == naive_is_tree_shaped(game) >= (shape == "tree")
     pool = sorted(set(game.vertices) - game.effect)
     for player in (REACH, SAFE):
         sigma = random_strategy(rng, game, player)

@@ -17,6 +17,7 @@ from causekit.game_causality import (
     METRIC_DSTAR,
     METRIC_HAMM_S,
     METRIC_PREF_H,
+    StrategyWitness,
     brute_force_check_cause,
     check_cause_game,
     enumerate_strategies,
@@ -31,17 +32,16 @@ from causekit.game_causality import (
     strategy_is_winning,
 )
 from causekit.generators import GeneratorSpec, generate, random_strategy
-from causekit.model import MDStrategy, game_from_owners, strategy_adjacency, validate_strategy
+from causekit.model import MDStrategy, game_from_owners
 
 from helpers import (
     dstar_oracle,
     hausdorff_oracle,
     id_adjacency,
     id_avoid_region,
-    id_graph,
     id_tree_min_changes,
-    int_graph,
     naive_avoiding,
+    naive_is_effectively_acyclic,
     naive_reachable,
     strategy_space_size,
 )
@@ -154,10 +154,26 @@ def test_condition_failures():
     assert verdict.min_distance == INF
 
 
-def test_hamm_s_needs_acyclicity():
-    game, sigma = loop_game()  # v1 has a non-trap self-loop
-    with pytest.raises(NotAcyclic):
-        check_cause_game(query(game, sigma, {"v1"}, METRIC_HAMM_S))
+def test_hamm_s_answers_on_a_cyclic_game():
+    # Safe can bounce between r and c forever, and s has a self-loop beside
+    # its edge into the effect: Reach avoids c by one change at r, and wins
+    # only if s steps into g.
+    game = game_from_owners(
+        {"r": "reach", "c": "safe", "s": "reach", "g": "effect"},
+        "r",
+        {("r", "c"), ("r", "s"), ("c", "r"), ("c", "g"), ("s", "s"), ("s", "g")},
+    )
+    for at_s, is_cause in (("s", False), ("g", True)):
+        sigma = MDStrategy("reach", {"r": "c", "s": at_s})
+        q = query(game, sigma, {"c"}, METRIC_HAMM_S)
+        verdict = check_cause_game(q)
+        tau = MDStrategy("reach", {"r": "s", "s": at_s})
+        assert verdict.witnesses == (StrategyWitness(tau, 1, is_cause),)
+        assert (verdict.is_cause, verdict.min_distance) == (is_cause, 1)
+        assert verdict == brute_force_check_cause(q)
+    sigma = MDStrategy("reach", {"r": "c", "s": "s"})
+    assert min_winning_distance(game, sigma, METRIC_HAMM_S) == 2
+    assert not min_winning_distance(game, sigma, METRIC_HAMM_S, threshold=1)
 
 
 def test_tree_min_changes_matches_search():
@@ -420,10 +436,12 @@ def test_min_dstar_repair_breaks_ties_by_vertex_id():
 
 
 def test_min_dstar_acyclic_matches_enumeration():
+    # Odd seeds draw cyclic games, where sigma's graph often has a cycle.
     rng = random.Random(51)
-    done = 0
+    done = cyclic = 0
     for seed in range(200):
-        game = generate(GeneratorSpec("acyclic-game", seed=seed, states=7))
+        family = "cyclic-game" if seed % 2 else "acyclic-game"
+        game = generate(GeneratorSpec(family, seed=seed, states=7))
         if strategy_space_size(game, "reach") > 500:
             continue
         analysis = solve(game)
@@ -442,14 +460,14 @@ def test_min_dstar_acyclic_matches_enumeration():
         assert strategy_is_winning(game, tau)
         assert dstar(game, tau, sigma) == value
         done += 1
-    assert done >= 50
+        cyclic += not naive_is_effectively_acyclic(id_adjacency(game, sigma))
+    assert done >= 50 and cyclic >= 10, (done, cyclic)
 
 
 def live_cause_queries(rng, seeds, states, metric, need, cap=800):
     """Queries whose cause conditions hold, found by probing singleton
-    causes; mirrors how interesting instances arise in practice."""
-    from causekit.model import is_effectively_acyclic
-
+    causes; mirrors how interesting instances arise in practice.  Odd seeds
+    draw cyclic games, for every metric."""
     out = []
     for seed in seeds:
         if len(out) >= need:
@@ -459,10 +477,6 @@ def live_cause_queries(rng, seeds, states, metric, need, cap=800):
         if strategy_space_size(game, "reach") > cap:
             continue
         if strategy_space_size(game, "safe") > cap:
-            continue
-        if metric == METRIC_HAMM_S and not is_effectively_acyclic(
-            int_graph(game, game.adjacency())
-        ):
             continue
         for player in ("reach", "safe"):
             sigma = random_strategy(rng, game, player)
@@ -607,9 +621,6 @@ def test_opponent_owns_everything():
     # it is off every play; v1 is on a play and unavoidable
     verdict = check_cause_game(query(game, sigma, {"v1"}, METRIC_PREF_H))
     assert not verdict.is_cause and verdict.condition1 and not verdict.condition2
-    # restriction with an empty strategy keeps the arena unchanged
-    restricted = strategy_adjacency(game, validate_strategy(game, sigma))
-    assert id_graph(game, restricted) == game.adjacency()
 
 
 def test_sigma_already_avoiding_fails_condition1():

@@ -7,20 +7,21 @@ import json
 import random
 from functools import partial
 from math import prod
+from operator import ne
 from unittest import mock
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from causekit import cli, distances
 from causekit import game_causality
 from causekit.distances import INF, dstar, dstrat, play_condensation, play_scan
-from causekit.errors import Budget, CausekitError, NotAcyclic
+from causekit.errors import Budget, CausekitError
 from causekit.fixtures import tree_game
 from causekit.game_causality import (
     METRIC_DSTAR,
     METRIC_HAMM_S,
     GameCauseQuery,
+    StrategyWitness,
     _deviation_costs,
     _dstar_floor,
     _matched_strategies,
@@ -32,6 +33,7 @@ from causekit.game_causality import (
     _sigma_matched,
     _variants,
     avoid_region,
+    brute_force_check_cause,
     enumerate_strategies,
     losing_play_reaches_cause,
     min_dstar_winning_strategy_acyclic,
@@ -48,7 +50,6 @@ from causekit.model import (
     model_to_json,
     play_arena,
     play_layers,
-    strategy_adjacency,
     strategy_of,
     strategy_to_json,
     validate_strategy,
@@ -63,11 +64,14 @@ from helpers import (
     int_graph,
     naive_reachable,
     naive_check_dstar,
+    naive_check_hamm_s,
     naive_distinct_matched,
     naive_is_acyclic,
     naive_is_minimal_dstar,
     naive_losing_play_reaches_cause,
+    naive_min_dstar_repair,
     naive_min_winning,
+    naive_min_winning_hamm_s,
     naive_pin_layers,
     naive_sigma_matched,
     naive_strategy_avoids,
@@ -267,7 +271,7 @@ def test_dstar_floor_is_a_lower_bound_on_cyclic_games_too(seed, cyclic, island):
             assert floor == 0
         else:
             assert floor <= least and (floor == INF) == (least == INF)
-            adjacency = strategy_adjacency(game, picks)
+            adjacency = int_graph(game, id_adjacency(game, sigma))
             costs = _deviation_costs(game._succ, game._owns[REACH], game._targets, adjacency)
             assert floor == costs[game._init]
 
@@ -412,6 +416,102 @@ def test_dstar_cause_check_matches_the_tie_list_reference(seed, cyclic, island):
             assert got == want and used <= want_used
 
 
+def test_hamm_s_cause_check_matches_the_change_set_reference():
+    # Causes are drawn from sigma's play graph, on acyclic and cyclic games.
+    # The reference walks every strategy and orders the avoiding ones at the
+    # least distance by change set, then by the new choices' positions: the
+    # first loser and the first winner, unless the winner changes a later
+    # set, are the witnesses.  The search yields each candidate once, at no
+    # more budget units than the reference's strategies.
+    seen = {"searched": 0, "cyclic": 0, "both": 0}
+
+    @FUZZ
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def cause_checks_match_the_reference(seed, cyclic, island):
+        for game, player, sigma, rng in small_games(seed, cyclic, island):
+            plays = play_arena(game, validate_strategy(game, sigma))[0]
+            pool = [game.ids[v] for v in sorted(plays) if v != game._init]
+            pool = [v for v in pool if game.owner(v) != "effect"] or [
+                v for v in game.ids if game.owner(v) != "effect"
+            ]
+            for _ in range(2):
+                cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
+                query = GameCauseQuery(game, player, sigma, cause, METRIC_HAMM_S, rng.randint(1, 3))
+                got, used = budgeted(check_cause_game, query)
+                want, want_used = budgeted(naive_check_hamm_s, query)
+                assert got == want and used <= want_used
+                if not (got.condition1 and got.condition2):
+                    continue
+                seen["searched"] += 1
+                seen["cyclic"] += not naive_is_acyclic(id_adjacency(game))
+                seen["both"] += len(got.witnesses) == 2
+
+    cause_checks_match_the_reference()
+    assert min(seen.values()) >= 5, seen
+    # Sigma loses in the trap t past the cause c.  Changing a alone avoids c
+    # and loses in t too; changing p
+    # alone avoids it and wins.  The change set {a} comes first, so the walk
+    # ends with it and the winner at the same distance is no witness.
+    game = game_from_owners(
+        {"p": REACH, "a": REACH, "q": SAFE, "c": SAFE, "t": SAFE, "g": "effect"},
+        "p",
+        {("p", "a"), ("p", "q"), ("a", "c"), ("a", "t"), ("q", "g"), ("c", "t"), ("t", "t")},
+    )
+    sigma = MDStrategy(REACH, {"p": "a", "a": "c"})
+    query = GameCauseQuery(game, REACH, sigma, frozenset({"c"}), METRIC_HAMM_S, 3)
+    got = check_cause_game(query)
+    assert got == naive_check_hamm_s(query)
+    loser = MDStrategy(REACH, {"p": "a", "a": "t"})
+    assert (got.is_cause, got.min_distance, got.witnesses) == (
+        False, 1, (StrategyWitness(loser, 1, False),)
+    )
+    every = brute_force_check_cause(query).witnesses
+    assert [(w.strategy.choice, w.winning) for w in every] == [
+        (loser.choice, False), ({"p": "q", "a": "c"}, True)
+    ]
+
+
+def test_hamm_s_bound_drops_only_states_above_the_limit():
+    # A hamm-s search state is dropped only when its count of differing
+    # picks is strictly above the limit, and with no room left for one more
+    # it follows sigma's picks alone: under a fixed limit the enumeration
+    # keeps, in order, exactly the candidates of an INF-limit run within it,
+    # each yielded with its hamm-s distance.  The winning search gives the
+    # least winning hamm-s distance of the reference, within any threshold.
+    at_limit = []
+
+    @FUZZ
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.booleans())
+    def kept_candidates_are_those_within_the_limit(seed, cyclic, island, flagged):
+        for game, player, sigma, rng in small_games(seed, cyclic, island):
+            picks = validate_strategy(game, sigma)
+            lost = [rng.random() < 0.2 for _ in picks] if flagged else None
+            every = list(_matched_strategies(game, picks, game._succ, Budget(), None, [INF], lost))
+            for tau, side in every:
+                assert side == sum(map(ne, tau, picks))
+            limit = rng.randint(0, 3)
+            budget = Budget()
+            kept = list(_matched_strategies(game, picks, game._succ, budget, None, [limit], lost))
+            assert kept == [(t, d) for t, d in every if d <= limit]
+            assert budget.used == len(kept)
+            at_limit.append(any(d == limit > 0 for _t, d in kept))
+
+            want = naive_min_winning_hamm_s(game, sigma)
+            found, used = budgeted(min_winning_distance, game, sigma, METRIC_HAMM_S, None)
+            assert found == ("NoWinningStrategy" if want is None else want)
+            assert used <= prod(len(game.successors(v)) for v in game.owned_by(player))
+            threshold = rng.randint(0, 3)
+            within = budgeted(min_winning_distance, game, sigma, METRIC_HAMM_S, threshold)[0]
+            assert within == (want is not None and want <= threshold)
+            if want is not None:
+                d, tau = _min_winning(game, player, picks, METRIC_HAMM_S, None, Budget())
+                assert d == want == sum(map(ne, tau, picks))
+                assert strategy_is_winning(game, strategy_of(game, player, tau))
+
+    kept_candidates_are_those_within_the_limit()
+    assert any(at_limit)
+
+
 def test_dstar_bounds_drop_only_states_above_the_limit():
     # The d* lower bounds of a search state hold for every strategy below
     # it, and a state is dropped only when one is strictly above the limit:
@@ -480,19 +580,21 @@ def test_dstar_search_on_a_long_play_needs_no_recursion():
     assert budget.used < 10 * n
 
 
-def test_repair_rejects_a_sigma_cycle_no_play_reaches():
-    # v1 <-> v2 is a cycle of sigma's graph that no play from v0 enters.
+def test_repair_answers_with_a_sigma_cycle_no_play_reaches():
+    # v1 <-> v2 is a cycle of sigma's graph that no play from v0 enters, and
+    # t -> u -> t one that sigma's play runs into.  Neither stops the repair.
     game = game_from_owners(
-        {"v0": REACH, "v1": REACH, "v2": SAFE, "t": SAFE, "g": "effect"},
+        {"v0": REACH, "v1": REACH, "v2": SAFE, "t": REACH, "u": SAFE, "g": "effect"},
         "v0",
-        {("v0", "g"), ("v0", "t"), ("t", "t"), ("v1", "v2"), ("v2", "v1"),
-         ("v1", "g"), ("v2", "g")},
+        {("v0", "g"), ("v0", "t"), ("t", "u"), ("t", "g"), ("u", "t"), ("v1", "v2"),
+         ("v2", "v1"), ("v1", "g"), ("v2", "g")},
     )
-    sigma = MDStrategy(REACH, {"v0": "t", "v1": "v2"})
+    sigma = MDStrategy(REACH, {"v0": "t", "t": "u", "v1": "v2"})
     plays = play_arena(game, validate_strategy(game, sigma))[0]
-    assert {game.ids[v] for v in plays} == {"v0", "t"}
-    with pytest.raises(NotAcyclic):
-        min_dstar_winning_strategy_acyclic(game, sigma)
+    assert {game.ids[v] for v in plays} == {"v0", "t", "u"}
+    tau, value = min_dstar_winning_strategy_acyclic(game, sigma)
+    assert (tau.choice, value) == ({"v0": "g", "t": "u", "v1": "v2"}, 1)
+    assert (tau, value) == naive_min_dstar_repair(game, sigma)
 
 
 def test_dstar_searches_build_sigmas_play_graph_once(monkeypatch):
@@ -606,8 +708,9 @@ def test_condition1_on_a_long_cycle_runs_one_attractor(monkeypatch):
 
 
 def test_hamm_s_check_walks_each_variant_once(monkeypatch):
-    # One walk of a variant's plays answers both "does it avoid the cause"
-    # and "does it win": `play_scan` for Reach, `play_arena` for Safe.
+    # One walk of a candidate's plays tells whether it wins: `play_scan` for
+    # Reach, `play_arena` for Safe.  Whether it avoids the cause needs none,
+    # since the candidates keep to the avoid region.
     walked, variants = [], []
 
     def scanning(game, picks, other):
@@ -618,18 +721,18 @@ def test_hamm_s_check_walks_each_variant_once(monkeypatch):
         walked.append(picks)
         return play_arena(game, picks)
 
-    def varying(sigma, options, budget):
-        for tau in _variants(sigma, options, budget):
+    def matching(*args):
+        for tau, side in _matched_strategies(*args):
             variants.append(tau)
-            yield tau
+            yield tau, side
 
     monkeypatch.setattr(distances, "play_scan", scanning)
     monkeypatch.setattr(game_causality, "play_arena", numbering)
-    monkeypatch.setattr(game_causality, "_variants", varying)
+    monkeypatch.setattr(game_causality, "_matched_strategies", matching)
     checked = {REACH: 0, SAFE: 0}
     rng = random.Random(5)
     for _ in range(300):
-        game = acyclic_game(rng, 8)
+        game = (acyclic_game if rng.random() < 0.5 else cyclic_game)(rng, 8)
         for player in (REACH, SAFE):
             if not game.owned_by(player):
                 continue
