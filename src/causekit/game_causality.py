@@ -24,8 +24,8 @@ winning searches flag the vertices from which the player loses against
 every strategy, by one run of Reach's attractor of the effect set, and drop
 without a budget unit every search state whose plays reach one: all the
 strategies below it lose.  A candidate is matched, tested and measured by
-the play walks of `model`, which cost what its plays cost: one walk
-(`_plays`) tells whether it wins, and condition 1 is one attractor over
+play walks, which cost what its plays cost: one `distances.play_scan`
+tells whether it wins (`_won`), and condition 1 is one attractor over
 sigma's play arena.
 
 `_matched_strategies` yields each candidate with sigma's side of its
@@ -35,25 +35,26 @@ unit, once one of its lower bounds is strictly above it.  The drop is
 strict, since the cause checks need every tie.  Every bound holds for every
 strategy below the state, since its fixed picks stay reached; each branch
 point saves the bounds with the length of the log of differing picks, and
-backtracking restores them.  For d*, one loop, `_least_dstar`, adds tau's
-side and the win from one scan, for the cause check and the winning search.
-Tau's side is the most picks differing from sigma's on a path the walk
-discovered, carried along each step; sigma's side is the heaviest path
-through sigma's condensation over the differing picks, redone only when one
-is fixed, and exact at a strategy.  For hamm-s, sigma's side is the whole
-distance: the count of fixed picks that differ from sigma's, which only
-grows, so a state with no room for one more follows sigma's picks in one
-walk.  `_least_changes` keeps the witnesses of a walk over change sets, the
-first loser and the first winner in `_variants` order.  The hamm-s winning
-search needs one winner per distance, so each winner lowers the limit to
-one below its own, and the hamm-s minimality check is the decision search
-within |E| - 1.  The E-variants of the d* minimality check differ from
-sigma exactly on E and share one sigma side, from one scan.  The decision
-searches start the limit at their threshold.  The value-only d* searches
-stop at the first winner at a known lower bound: the least winning
-distance for `is_minimal_explanation`, Reach's deviation costs
-(`_dstar_floor`) for `min_winning_distance`.  The d* repair skips the exact
-search when its deviation costs certify the proposed strategy.
+backtracking restores them.  For d*, tau's side is the most picks
+differing from sigma's on a path the walk discovered, carried along each
+step; sigma's side is the heaviest path through sigma's condensation over
+the differing picks, redone only when one is fixed, and exact at a
+strategy.  For hamm-s, sigma's side is the whole distance: the count of
+fixed picks that differ from sigma's, which only grows, so a state with no
+room for one more follows sigma's picks in one walk.  One loop, `_least`,
+measures the cause-check candidates of both distances and the d* winning
+search's: one scan adds tau's side of d*, which for hamm-s never exceeds
+the count, and the win.  Its witnesses are the least loser and the least
+winner at the least distance, those of `brute_force_check_cause`.  The
+hamm-s winning search needs one winner per distance, so each winner lowers
+the limit to one below its own, and the hamm-s minimality check is the
+decision search within |E| - 1.  The E-variants of the d* minimality
+check differ from sigma exactly on E and share one sigma side, from one
+scan.  The decision searches start the limit at their threshold.  The
+value-only d* searches stop at the first winner at a known lower bound:
+the least winning distance for `is_minimal_explanation`, Reach's deviation
+costs (`_dstar_floor`) for `min_winning_distance`.  The d* repair skips the
+exact search when its deviation costs certify the proposed strategy.
 
 Everything here runs on the game's vertex numbers (see `model`): vertex
 sets are lists, sets or flags of numbers, and a strategy runs as its picks.
@@ -242,27 +243,19 @@ def _solve_for(game, player, allowed):
 
 
 def strategy_is_winning(game, strategy):
-    return _plays(game, strategy.player, validate_strategy(game, strategy))[1]
+    picks = validate_strategy(game, strategy)
+    _d, cyclic, seen = distances.play_scan(game, picks, picks)
+    return _won(game, strategy.player, cyclic, seen)
 
 
 def _won(game, player, cyclic, seen):
-    """Whether the player's picks win, read off one walk of their plays:
-    Reach iff no play cycles, since only effect vertices end plays, Safe
-    iff no play visits the effect (`seen` holds the vertices visited)."""
+    """Whether the player's picks win, read off one `distances.play_scan` of
+    their plays: Reach iff no play cycles, since only effect vertices end
+    plays, Safe iff no play visits the effect (`seen` holds the vertices
+    visited)."""
     if player == REACH:
         return not cyclic
     return not any(map(game._owns[EFFECT].__getitem__, seen))
-
-
-def _plays(game, player, picks):
-    """(the vertices the picks' plays visit, as dict keys, whether the picks
-    win), from one walk: `distances.play_scan` for Reach, `play_arena` for
-    Safe."""
-    if player == REACH:
-        _d, cyclic, seen = distances.play_scan(game, picks, picks)
-    else:
-        cyclic, seen = None, play_arena(game, picks)[0]
-    return seen, _won(game, player, cyclic, seen)
 
 
 def strategy_avoids(game, strategy, cause):
@@ -362,7 +355,7 @@ def _matched_strategies(game, sigma, options, budget, condensed, limit, lost=Non
     sigma's stay reached and differing in all of them.  A state is dropped,
     without a budget unit, as soon as either bound is strictly greater than
     the limit; the drop is strict so that a consumer which needs every tie
-    at the least d* (`_least_dstar`) can lower the limit to the least it
+    at the least distance (`_least`) can lower the limit to the least it
     has found.  Tau's side is the most differing picks on the path by which
     the walk discovered a reached vertex, carried along each step at O(1):
     a simple play path counts no more than `distances.play_scan`'s heaviest
@@ -504,22 +497,28 @@ def _verdict(query, k, loser, winner):
     return GameCauseVerdict(loser is None, k, True, True, witnesses[: query.witnesses])
 
 
-def _least_dstar(game, player, sigma, candidates, limit, stop=None):
-    """(least d* from sigma's picks among the candidates, the least losing
-    and the least winning picks at it, or None).  With a `stop`, only
-    winners count, and the search ends at the first one at or below it.
+def _least(game, player, sigma, candidates, limit, stop=None):
+    """(least distance from sigma's picks among the candidates, the least
+    losing and the least winning picks at it, or None).  With a `stop`,
+    only winners count, and the search ends at the first one at or below it.
 
-    The candidates are the (picks, sigma's side of d*) pairs of a
-    `_matched_strategies` that shares the one-item list `limit`: each new
-    least is written to it, so the enumeration drops the states whose d*
-    lower bounds exceed it, and yields no candidate whose sigma side does.
-    A caller that needs no strategy above a threshold starts the limit
-    there; otherwise at INF, and nothing is dropped before the first least.
-    One `distances.play_scan` per candidate gives tau's side and, by
-    `_won`, the win; a candidate above the limit is skipped, strictly,
-    since the cause check needs every tie.  Picks lists compare as their
-    sorted (vertex, choice) id pairs do, so the result does not depend on
-    the enumeration order.
+    The candidates are the (picks, sigma's side) pairs of a
+    `_matched_strategies`, for d* or for hamm-s, that shares the one-item
+    list `limit`: each new least is written to it, so the enumeration drops
+    the states whose lower bounds exceed it, and yields no candidate whose
+    sigma side does.  A caller that needs no strategy above a threshold
+    starts the limit there; otherwise at INF, or at a lower bound such as
+    the tree DP's, and nothing is dropped before the first least.  One
+    `distances.play_scan` per candidate gives tau's side of d* and, by
+    `_won`, the win.  For hamm-s that side counts differing picks along one
+    chain of the play graph, and a sigma-matched candidate's differing
+    picks are all reached, so it never exceeds the hamm-s count and the
+    maximum is the count itself.  A candidate above the limit is skipped,
+    strictly, since the cause check needs every tie.  Picks lists compare
+    as their sorted (vertex, choice) id pairs do, so the result does not
+    depend on the enumeration order: at the least hamm-s distance every
+    cause-avoiding strategy is sigma-matched, since a change off its plays
+    adds 1, so the witnesses are those of `brute_force_check_cause`.
     """
     least = loser = winner = None
     for tau, side in candidates:
@@ -554,14 +553,19 @@ def validate_game_query(query):
         raise PreconditionViolated(f"unknown player {query.player!r}")
     if query.sigma.player != query.player:
         raise PreconditionViolated("the strategy belongs to the other player")
-    game = query.game
-    sigma = validate_strategy(game, query.sigma)
-    for c in sorted(query.cause):
+    sigma = validate_strategy(query.game, query.sigma)
+    return sigma, _cause_vertices(query.game, query.cause)
+
+
+def _cause_vertices(game, cause):
+    """The vertex numbers of the cause ids, each checked to be a vertex
+    outside the effect set."""
+    for c in sorted(cause):
         if c not in game.index:
             raise PreconditionViolated(f"{c!r} is not a vertex")
         if game._owns[EFFECT][game.index[c]]:
             raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
-    return sigma, frozenset(map(game.index.__getitem__, query.cause))
+    return frozenset(map(game.index.__getitem__, cause))
 
 
 def check_cause_game(query, budget=None):
@@ -735,58 +739,26 @@ def _check_exact(query, sigma, cause, allowed, budget):
     picks inside the avoid region and sigma's off it; every cause-avoiding
     strategy is one of them up to off-path picks, which can only increase
     either distance.  Every search state extends to a candidate, so the
-    first comes after one descent and bounds the rest.  On a tree-shaped
-    game where plays from the initial vertex cannot cycle, the hamm-s limit
-    starts at the tree DP's count, the least.  `_least_changes` (hamm-s)
-    and `_least_dstar` measure the candidates and give the least losing and
-    the least winning at the least distance as witnesses.
+    first comes after one descent and bounds the rest.  The two distances
+    differ only in how the search starts: d* condenses sigma's play graph
+    once, and on a tree-shaped game where plays from the initial vertex
+    cannot cycle, the hamm-s limit starts at the tree DP's count, the
+    least.  One loop, `_least`, measures the candidates of both and gives
+    the least losing and the least winning at the least distance as
+    witnesses.
     """
-    game, player = query.game, query.player
+    game = query.game
     options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
-    limit = [distances.INF]
-    if query.metric == METRIC_HAMM_S:
-        if _tree_shaped(game):
-            try:
-                limit[0] = tree_min_changes(game, sigma, cause)
-            except NotAcyclic:
-                pass
-        candidates = _matched_strategies(game, sigma, options, budget, None, limit)
-        return _verdict(query, *_least_changes(game, player, sigma, candidates, limit))
-    condensed = distances.play_condensation(game, sigma)
+    limit, condensed = [distances.INF], None
+    if query.metric == METRIC_DSTAR:
+        condensed = distances.play_condensation(game, sigma)
+    elif _tree_shaped(game):
+        try:
+            limit[0] = tree_min_changes(game, sigma, cause)
+        except NotAcyclic:
+            pass
     candidates = _matched_strategies(game, sigma, options, budget, condensed, limit)
-    return _verdict(query, *_least_dstar(game, player, sigma, candidates, limit))
-
-
-def _least_changes(game, player, sigma, candidates, limit):
-    """(least hamm-s distance from sigma's picks among the candidates, the
-    first losing and the first winning picks at it in `_variants` order).
-
-    The candidates are the (picks, hamm-s distance) pairs of a hamm-s
-    `_matched_strategies` sharing the one-item list `limit`; each new least
-    is written to it, and the enumeration, dropping strictly above it,
-    still yields every tie.  The order is that of change sets walked by
-    size and in `combinations` order, each re-pointed by `_variants`: the
-    key is the sorted changed vertices, then their picks, which order as
-    their positions in `_alternatives` do, since successor tuples are
-    sorted.  As in that walk, which ends with the change set of the first
-    loser, a first winner in a later change set is no witness.
-    """
-    least, loser, winner = None, None, None
-    for tau, d in candidates:
-        wins = _plays(game, player, tau)[1]
-        if least is None or d < least:
-            least, loser, winner = d, None, None
-            limit[0] = d
-        changed = list(compress(range(len(tau)), map(ne, tau, sigma)))
-        key = (changed, [tau[v] for v in changed])
-        if wins:
-            if winner is None or key < winner[0]:
-                winner = key, tau
-        elif loser is None or key < loser[0]:
-            loser = key, tau
-    if loser is not None and winner is not None and winner[0][0] > loser[0][0]:
-        winner = None
-    return least, loser and loser[1], winner and winner[1]
+    return _verdict(query, *_least(game, query.player, sigma, candidates, limit))
 
 
 def brute_force_check_cause(query, budget=None, distance_fn=None):
@@ -843,14 +815,8 @@ def extract_explanation(game, sigma, cause=frozenset()):
     witness wins in the full game.  On actual causes the two coincide.
     """
     picks = validate_strategy(game, sigma)
-    cause = frozenset(cause)
-    for c in sorted(cause):
-        if c not in game.index:
-            raise PreconditionViolated(f"{c!r} is not a vertex")
-        if game._owns[EFFECT][game.index[c]]:
-            raise PreconditionViolated(f"cause vertex {c!r} lies in the effect set")
     player = sigma.player
-    region, allowed = avoid_region(game, player, list(map(game.index.__getitem__, cause)))
+    region, allowed = avoid_region(game, player, _cause_vertices(game, cause))
     if not region[game._init]:
         raise NoWinningStrategy(
             "the player cannot even avoid the cause set from the initial vertex"
@@ -925,10 +891,11 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
     where the initial vertex reaches.  Otherwise they come from an attractor
     over the whole game.  The enumeration then drops losers early, without a
     budget unit, and leaves the winners and their order as they are.  The
-    d* search hands each candidate to `_least_dstar`, which keeps the least
+    d* search hands each candidate to `_least`, which keeps the least
     winner at the least distance and lowers the enumeration's limit to it.
-    The hamm-s search needs one winner per distance, so each winner lowers
-    the limit to one below its own.  With a threshold, the first strategy
+    The hamm-s search needs one winner per distance, so each winner, read
+    off one `distances.play_scan` by `_won`, lowers the limit to one below
+    its own.  With a threshold, the first strategy
     within it is returned, or (threshold + 1, None) when there is none; the
     search starts its limit at the threshold, and does not start at all
     when the `floor` exceeds it.  Without one, a `floor` no winner lies
@@ -946,11 +913,11 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
         limit = [limit]
         candidates = _matched_strategies(game, sigma, game._succ, budget, condensed, limit, lost)
         if condensed is not None:
-            least, _loser, tau = _least_dstar(game, player, sigma, candidates, limit, stop)
+            least, _loser, tau = _least(game, player, sigma, candidates, limit, stop)
         else:
             least = tau = None
             for picks, d in candidates:
-                if _plays(game, player, picks)[1]:
+                if _won(game, player, *distances.play_scan(game, picks, picks)[1:]):
                     least, tau, limit[0] = d, picks, d - 1
                     if d <= stop:
                         break

@@ -12,8 +12,8 @@ One reference per question, none of them calling the search or loop it checks:
 - strategy predicates: `naive_strategy_is_winning` and its kin, on the whole adjacency.
 - breadth-first walks: `naive_defeat_choices`, `naive_bfs_path` and `naive_pin_layers`.
 - pref-h cause check: `naive_check_pref_h`, with one fresh attractor per pin radius.
-- d* cause check: `naive_check_dstar`, over every strategy of `enumerate_strategies`.
-- hamm-s cause check: `naive_check_hamm_s`, over every strategy of `enumerate_strategies`.
+- hamm-s and d* cause checks: `naive_check_exact`, over every strategy of `enumerate_strategies`.
+- hamm-s distance: `hamm_s_oracle`, counting the differing choices.
 - hamm-s winning distance: `naive_min_winning_hamm_s`, over every strategy of `enumerate_strategies`.
 - d* winning search: `naive_min_winning`, over every strategy of `enumerate_strategies`.
 - d* minimality: `naive_is_minimal_dstar`, over every strategy of `enumerate_strategies`.
@@ -612,13 +612,16 @@ def naive_min_winning(game, sigma, metric, threshold, budget):
     raise NoWinningStrategy(f"player {player} has no winning strategy")
 
 
-def naive_check_dstar(query, budget=None):
-    """`check_cause_game` for d* over every strategy of `enumerate_strategies`:
-    condition 1 on the whole adjacency and condition 2 by `naive_attractor`,
-    then the distinct sigma-matched strategies that avoid the cause, each
-    measured by `dstar_oracle`.  At the least distance the least losing and
-    the least winning strategy, by their sorted id pairs, are the witnesses.
-    One budget unit per strategy, matched or not."""
+def naive_check_exact(query, distance, budget=None):
+    """`check_cause_game` for hamm-s or d* over every strategy of
+    `enumerate_strategies`: condition 1 on the whole adjacency and condition
+    2 by `naive_attractor`, then the distinct sigma-matched strategies that
+    avoid the cause, each measured by `distance(game, tau, sigma)`
+    (`hamm_s_oracle` or `dstar_oracle`).  At the least distance the least
+    losing and the least winning strategy, by their sorted id pairs, are the
+    witnesses.  Matching drops no strategy at the least distance of either
+    oracle: a pick off the plays never lowers d* and adds 1 to hamm-s.  One
+    budget unit per strategy, matched or not."""
     validate_game_query(query)
     game, player, sigma, cause = query.game, query.player, query.sigma, query.cause
     c1 = naive_losing_play_reaches_cause(game, sigma, cause)
@@ -631,7 +634,7 @@ def naive_check_dstar(query, budget=None):
     for key, choice in naive_distinct_matched(game, sigma, strategies):
         tau = MDStrategy(player, choice)
         if naive_strategy_avoids(game, tau, cause):
-            scored.append((dstar_oracle(game, tau, sigma), key, tau))
+            scored.append((distance(game, tau, sigma), key, tau))
     least = min(d for d, _key, _tau in scored)
     first = {}
     for _d, _key, tau in sorted(s for s in scored if s[0] == least):
@@ -640,47 +643,17 @@ def naive_check_dstar(query, budget=None):
     return GameCauseVerdict(False not in first, least, True, True, witnesses[: query.witnesses])
 
 
-def naive_check_hamm_s(query, budget=None):
-    """`check_cause_game` for hamm-s over every strategy of
-    `enumerate_strategies`: conditions 1 and 2 as in `naive_check_dstar`,
-    then every strategy that avoids the cause, at the number of vertices
-    where its choice differs from sigma's.  At the least, the witnesses come
-    in the order of a walk over change sets: by the sorted changed vertices,
-    then by the position of each new choice among that vertex's successors
-    other than sigma's.  They are the first loser, and the first winner
-    unless it changes a later set of vertices than the loser.  One budget
-    unit per strategy."""
-    validate_game_query(query)
-    game, player, sigma, cause = query.game, query.player, query.sigma, query.cause
-    c1 = naive_losing_play_reaches_cause(game, sigma, cause)
-    opponent = game.owned_by(SAFE if player == REACH else REACH)
-    c2 = game.initial not in naive_attractor(game.adjacency(), opponent, cause)
-    if not (c1 and c2):
-        return GameCauseVerdict(False, distances.INF, c1, c2)
-    scored = []
-    for tau in enumerate_strategies(game, player, budget):
-        if not naive_strategy_avoids(game, tau, cause):
-            continue
-        changed = sorted(v for v, u in tau.choice.items() if u != sigma.choice[v])
-        others = {v: [u for u in game.successors(v) if u != sigma.choice[v]] for v in changed}
-        key = (changed, [others[v].index(tau.choice[v]) for v in changed])
-        scored.append((len(changed), key, naive_strategy_is_winning(game, tau), tau))
-    least = min(d for d, _key, _wins, _tau in scored)
-    first = {}
-    for _d, key, wins, tau in sorted((s for s in scored if s[0] == least), key=lambda s: s[1]):
-        first.setdefault(wins, (key, tau))
-    if len(first) == 2 and first[True][0][0] > first[False][0][0]:
-        del first[True]
-    witnesses = tuple(StrategyWitness(first[w][1], least, w) for w in (False, True) if w in first)
-    return GameCauseVerdict(False not in first, least, True, True, witnesses[: query.witnesses])
+def hamm_s_oracle(game, tau, sigma):
+    """The number of vertices at which tau's choice differs from sigma's."""
+    return sum(u != sigma.choice[v] for v, u in tau.choice.items())
 
 
 def naive_min_winning_hamm_s(game, sigma):
-    """The least number of vertices at which a winning strategy of
-    `enumerate_strategies` chooses differently from sigma; None when the
-    player has no winning strategy."""
+    """The least `hamm_s_oracle` distance from sigma of a winning strategy
+    of `enumerate_strategies`; None when the player has no winning
+    strategy."""
     return min(
-        (sum(u != sigma.choice[v] for v, u in tau.choice.items())
+        (hamm_s_oracle(game, tau, sigma)
          for tau in enumerate_strategies(game, sigma.player)
          if naive_strategy_is_winning(game, tau)),
         default=None,

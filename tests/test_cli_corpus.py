@@ -12,7 +12,7 @@ of the bytes.
 Regenerate the file only for an intended change of those results:
 `PYTHONPATH=src python tests/test_cli_corpus.py`.  Before writing, it prints
 per query kind how many records changed their digest or exit code, and on
-how many the budget rose or fell.
+how many the budget rose or fell, and lists the keys of the changed records.
 """
 
 import hashlib
@@ -64,16 +64,19 @@ def test_cli_bytes_and_budgets_are_pinned(tmp_path):
 
 
 def moves(swept, kinds, pinned):
-    """{query kind: [records whose digest or exit changed, whose budget
-    rose, whose budget fell]} between a sweep and the corpus."""
-    counts = {}
+    """({query kind: [records whose digest or exit changed, whose budget
+    rose, whose budget fell]}, {query kind: [the keys of the records that
+    changed in any of these ways]}) between a sweep and the corpus."""
+    counts, keys = {}, {}
     for key, (code, used, digest) in swept.items():
         old_code, old_used, old_digest = pinned[key]
         row = counts.setdefault(kinds[key], [0, 0, 0])
         row[0] += (code, digest) != (old_code, old_digest)
         row[1] += (used or 0) > (old_used or 0)
         row[2] += (used or 0) < (old_used or 0)
-    return counts
+        if [code, used, digest] != [old_code, old_used, old_digest]:
+            keys.setdefault(kinds[key], []).append(key)
+    return counts, keys
 
 
 if __name__ == "__main__":
@@ -81,8 +84,11 @@ if __name__ == "__main__":
         swept, kinds = sweep(root)
     pinned = json.loads(CORPUS.read_text()) if CORPUS.exists() else {}
     if list(pinned) == list(swept):
-        for kind, (changed, rose, fell) in sorted(moves(swept, kinds, pinned).items()):
+        counts, keys = moves(swept, kinds, pinned)
+        for kind, (changed, rose, fell) in sorted(counts.items()):
             print(f"{kind}: bytes or exit changed {changed}, budget rose {rose}, fell {fell}")
+            if kind in keys:
+                print("  " + " ".join(keys[kind]))
     else:
         print(f"{len(swept)} records against {len(pinned)} pinned")
     lines = [f"{json.dumps(key)}:{json.dumps(rec, separators=(',', ':'))}"

@@ -24,6 +24,7 @@ from causekit.game_causality import (
     StrategyWitness,
     _deviation_costs,
     _dstar_floor,
+    _least,
     _matched_strategies,
     _min_winning,
     check_cause_game,
@@ -60,11 +61,11 @@ from helpers import (
     diamond_game,
     dstar_oracle,
     dstrat_oracle,
+    hamm_s_oracle,
     id_adjacency,
     int_graph,
     naive_reachable,
-    naive_check_dstar,
-    naive_check_hamm_s,
+    naive_check_exact,
     naive_distinct_matched,
     naive_is_acyclic,
     naive_is_minimal_dstar,
@@ -412,17 +413,17 @@ def test_dstar_cause_check_matches_the_tie_list_reference(seed, cyclic, island):
             cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
             query = GameCauseQuery(game, player, sigma, cause, METRIC_DSTAR, rng.randint(1, 3))
             got, used = budgeted(check_cause_game, query)
-            want, want_used = budgeted(naive_check_dstar, query)
+            want, want_used = budgeted(naive_check_exact, query, dstar_oracle)
             assert got == want and used <= want_used
 
 
-def test_hamm_s_cause_check_matches_the_change_set_reference():
+def test_hamm_s_cause_check_matches_the_tie_list_reference():
     # Causes are drawn from sigma's play graph, on acyclic and cyclic games.
-    # The reference walks every strategy and orders the avoiding ones at the
-    # least distance by change set, then by the new choices' positions: the
-    # first loser and the first winner, unless the winner changes a later
-    # set, are the witnesses.  The search yields each candidate once, at no
-    # more budget units than the reference's strategies.
+    # The reference measures every strategy by its differing choices and
+    # sorts the ties at the least distance, as the d* reference does: the
+    # least loser and the least winner are the witnesses.  The search yields
+    # each candidate once, at no more budget units than the reference's
+    # strategies.
     seen = {"searched": 0, "cyclic": 0, "both": 0}
 
     @FUZZ
@@ -434,11 +435,11 @@ def test_hamm_s_cause_check_matches_the_change_set_reference():
             pool = [v for v in pool if game.owner(v) != "effect"] or [
                 v for v in game.ids if game.owner(v) != "effect"
             ]
-            for _ in range(2):
+            for _ in range(3):
                 cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
                 query = GameCauseQuery(game, player, sigma, cause, METRIC_HAMM_S, rng.randint(1, 3))
                 got, used = budgeted(check_cause_game, query)
-                want, want_used = budgeted(naive_check_hamm_s, query)
+                want, want_used = budgeted(naive_check_exact, query, hamm_s_oracle)
                 assert got == want and used <= want_used
                 if not (got.condition1 and got.condition2):
                     continue
@@ -449,9 +450,8 @@ def test_hamm_s_cause_check_matches_the_change_set_reference():
     cause_checks_match_the_reference()
     assert min(seen.values()) >= 5, seen
     # Sigma loses in the trap t past the cause c.  Changing a alone avoids c
-    # and loses in t too; changing p
-    # alone avoids it and wins.  The change set {a} comes first, so the walk
-    # ends with it and the winner at the same distance is no witness.
+    # and loses in t too; changing p alone avoids it and wins.  Both are at
+    # distance 1, so the loser and the winner are the witnesses.
     game = game_from_owners(
         {"p": REACH, "a": REACH, "q": SAFE, "c": SAFE, "t": SAFE, "g": "effect"},
         "p",
@@ -460,15 +460,74 @@ def test_hamm_s_cause_check_matches_the_change_set_reference():
     sigma = MDStrategy(REACH, {"p": "a", "a": "c"})
     query = GameCauseQuery(game, REACH, sigma, frozenset({"c"}), METRIC_HAMM_S, 3)
     got = check_cause_game(query)
-    assert got == naive_check_hamm_s(query)
+    assert got == naive_check_exact(query, hamm_s_oracle)
     loser = MDStrategy(REACH, {"p": "a", "a": "t"})
+    winner = MDStrategy(REACH, {"p": "q", "a": "c"})
     assert (got.is_cause, got.min_distance, got.witnesses) == (
-        False, 1, (StrategyWitness(loser, 1, False),)
+        False, 1, (StrategyWitness(loser, 1, False), StrategyWitness(winner, 1, True))
     )
     every = brute_force_check_cause(query).witnesses
     assert [(w.strategy.choice, w.winning) for w in every] == [
-        (loser.choice, False), ({"p": "q", "a": "c"}, True)
+        (loser.choice, False), (winner.choice, True)
     ]
+
+
+def test_hamm_s_witnesses_are_the_first_loser_and_winner_of_the_oracle():
+    # The definitional oracle sorts the cause-avoiding strategies at the
+    # least hamm-s distance, losers first, each group by its sorted choice
+    # items; with room for all of them its first loser and its first winner
+    # are the witnesses of the search, on acyclic and cyclic games alike.
+    seen = {"searched": 0, "cyclic": 0, "both": 0}
+
+    @FUZZ
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def witnesses_match_the_oracle(seed, cyclic):
+        for game, player, sigma, rng in small_games(seed, cyclic, False):
+            plays = play_arena(game, validate_strategy(game, sigma))[0]
+            pool = [game.ids[v] for v in sorted(plays) if v != game._init]
+            pool = [v for v in pool if game.owner(v) != "effect"]
+            for _ in range(3 if pool else 0):
+                cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
+                query = GameCauseQuery(game, player, sigma, cause, METRIC_HAMM_S, 2)
+                got = check_cause_game(query)
+                if not (got.condition1 and got.condition2):
+                    continue
+                every = GameCauseQuery(game, player, sigma, cause, METRIC_HAMM_S, 10**9)
+                want = brute_force_check_cause(every)
+                first = {}
+                for w in want.witnesses:
+                    first.setdefault(w.winning, w)
+                assert (got.is_cause, got.min_distance) == (want.is_cause, want.min_distance)
+                assert got.witnesses == tuple(first[w] for w in (False, True) if w in first)
+                seen["searched"] += 1
+                seen["cyclic"] += not naive_is_acyclic(id_adjacency(game))
+                seen["both"] += len(got.witnesses) == 2
+
+    witnesses_match_the_oracle()
+    assert min(seen.values()) >= 5, seen
+
+
+def test_least_skips_a_candidate_above_the_least_distance():
+    # Reach's p steps to the winning q or to a, from which c and b lead to
+    # the trap b.  Both winners step to q; the one that keeps sigma's pick
+    # at a is at d* 1, the other at 2 but with the smaller picks.  Handed
+    # the nearer first, `_least` keeps it, lowers the limit to 1 and skips
+    # the farther one, so the winner is the least at the least distance.
+    game = game_from_owners(
+        {"p": REACH, "a": REACH, "q": SAFE, "c": SAFE, "b": SAFE, "g": "effect"},
+        "p",
+        {("p", "a"), ("p", "q"), ("a", "c"), ("a", "b"), ("q", "g"), ("c", "b"), ("b", "b")},
+    )
+    sigma = validate_strategy(game, MDStrategy(REACH, {"p": "a", "a": "c"}))
+    near, far = (
+        validate_strategy(game, MDStrategy(REACH, {"p": "q", "a": a})) for a in ("c", "b")
+    )
+    assert far < near
+    sides = [play_scan(game, sigma, tau)[0] for tau in (near, far)]
+    assert [distances.dstar_picks(game, tau, sigma) for tau in (near, far)] == sides == [1, 2]
+    limit = [INF]
+    assert _least(game, REACH, sigma, zip((near, far), sides), limit) == (1, None, near)
+    assert limit == [1]
 
 
 def test_hamm_s_bound_drops_only_states_above_the_limit():
@@ -544,7 +603,7 @@ def test_dstar_bounds_drop_only_states_above_the_limit():
             cause = frozenset(rng.sample(pool, rng.randint(1, min(2, len(pool)))))
             query = GameCauseQuery(game, player, sigma, cause, METRIC_DSTAR, rng.randint(1, 3))
             got, used = budgeted(check_cause_game, query)
-            want, want_used = budgeted(naive_check_dstar, query)
+            want, want_used = budgeted(naive_check_exact, query, dstar_oracle)
             assert got == want and used <= want_used
             if got.condition1 and got.condition2:
                 allowed = avoid_region(game, player, [game.index[c] for c in cause])[1]

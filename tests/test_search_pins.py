@@ -9,8 +9,9 @@ only, so a change to the search order or to the budget charging shows here.
 Regenerate the file only for an intended change of those results:
 `PYTHONPATH=src python tests/test_search_pins.py`.  Before writing, it prints
 per call kind how many records changed their result, on how many the budget
-rose or fell and the summed budget use in the pins and in the sweep, and
-lists the records that ran out of budget before and give an answer now.
+rose or fell and the summed budget use in the pins and in the sweep with the
+indices of the changed records, and lists the records that ran out of
+budget before and give an answer now.
 """
 
 import json
@@ -106,9 +107,11 @@ def test_search_results_and_budget_use_are_pinned():
 def moves(swept, pinned):
     """({call kind: [records whose result changed, whose budget rose, whose
     budget fell, budget used in the pins, budget used in the sweep]},
-    [(index, call kind, result) of each record that ran out of budget in the
-    pins and answers in the sweep]) between a sweep and the pins."""
-    counts, answered = {}, []
+    {call kind: [the indices of the records that changed in any of these
+    ways]}, [(index, call kind, result) of each record that ran out of
+    budget in the pins and answers in the sweep]) between a sweep and the
+    pins."""
+    counts, keys, answered = {}, {}, []
     for i, ((kind, (result, used)), (old_result, old_used)) in enumerate(zip(swept, pinned)):
         row = counts.setdefault(kind, [0, 0, 0, 0, 0])
         row[0] += result != old_result
@@ -116,21 +119,25 @@ def moves(swept, pinned):
         row[2] += used < old_used
         row[3] += old_used
         row[4] += used
+        if [result, used] != [old_result, old_used]:
+            keys.setdefault(kind, []).append(i)
         if old_result == "BudgetExceeded" != result:
             answered.append((i, kind, result))
-    return counts, answered
+    return counts, keys, answered
 
 
 if __name__ == "__main__":
     swept = json.loads(json.dumps(sweep()))
     pinned = json.loads(PINS.read_text()) if PINS.exists() else []
     if len(pinned) == len(swept):
-        counts, answered = moves(swept, pinned)
+        counts, keys, answered = moves(swept, pinned)
         for kind, (changed, rose, fell, before, after) in counts.items():
             print(
                 f"{kind}: results changed {changed}, budget rose {rose}, fell {fell},"
                 f" used {before} -> {after}"
             )
+            if kind in keys:
+                print("  records " + " ".join(map(str, keys[kind])))
         for i, kind, result in answered:
             print(f"record {i} ({kind}) exceeded the budget and now answers {json.dumps(result)}")
     else:
