@@ -82,10 +82,7 @@ def d_pref_ap(u, v):
 
 def d_pref(p, q):
     """Prefix distance on paths, comparing state sequences instead of traces."""
-    p, q = _sequence(p), _sequence(q)
-    if p == q:
-        return Fraction(0)
-    return dyadic(_common_prefix_length(p, q))
+    return d_pref_ap(_sequence(p), _sequence(q))
 
 
 def d_hamm(u, v):

@@ -55,7 +55,8 @@ class Budget:
     Exact searches charge one unit per candidate they enumerate (a strategy,
     a change set, a pin layer or, in the path oracle, a visited state) and
     raise BudgetExceeded instead of returning approximate answers.  A SEM
-    document's expansions charge one unit per effect row and cause state.
+    document's expansions charge one unit per effect row and cause state,
+    and a generator one per state and per edge it may draw.
     """
 
     DEFAULT_LIMIT = 10_000_000

@@ -4,9 +4,11 @@ and strategy-repair explanations.
 The polynomial pieces (attractor solving, safety regions, the Hausdorff-prefix
 cause check, the tree DP of the Hamming check and the d* repair's deviation
 costs) all run on the one attractor kernel `model.attractor`, on the game's
-own predecessor lists where it can; the Hausdorff-prefix check resumes one
-`model.Attractor` across all its pin radii, and the deviation costs build
-the predecessor lists of sigma's graph once for all their levels.  They are
+own predecessor lists where it can.  `avoid_region` builds the opponent's
+attractor of a cause once per question; condition 2, the avoid region's
+edges and the Hausdorff-prefix check's pin radii all read that one
+`model.Attractor`, and the deviation costs build the predecessor lists of
+sigma's graph once for all their levels.  They are
 complemented by exact, budget-guarded searches for the problems the
 distance functions make NP- or coNP-hard.  No game needs to be acyclic.
 Both exact distances, hamm-s and d*, share one enumeration kernel:
@@ -65,7 +67,7 @@ numbers; `strategy_of` turns the picks of a result back into an
 `enumerate_strategies` and in error messages.  The definitional oracle
 `brute_force_check_cause` stays on `MDStrategy` values and the public
 predicates and distances.  `avoid_region`, `tree_min_changes` and the
-private kernels take and give numbers.
+private kernels take and give numbers; `avoid_region` gives an `Attractor`.
 """
 
 from dataclasses import dataclass
@@ -195,34 +197,28 @@ def _attractor_choices(game, allowed, rank, player):
 
 
 def avoid_region(game, player, cause):
-    """Flags by vertex of the vertices from which the player can guarantee
-    never visiting the vertices `cause`, with the region-preserving edge
-    sets at the player's vertices in the region."""
-    region = _avoid_set(game, player, cause, {})
-    return region, _kept_edges(game, player, region)
+    """The opponent's resumable `Attractor` of the vertices `cause`: the
+    player can guarantee never visiting them exactly from the vertices it
+    leaves out (rank None)."""
+    return Attractor(game._succ, game._owns[opponent(player)], cause, game._pred)
 
 
-def _kept_edges(game, player, region):
-    """The edges into `region` of each of the player's vertices in it: all
-    their edges, trimmed at the vertices with a successor outside."""
-    succ, keep = game._succ, region.__getitem__
+def _kept_edges(game, player, caught, joined=None):
+    """The edges into the region of each of the player's vertices in it: all
+    their edges, trimmed at the vertices with a successor outside.  The
+    region is the game less the first `joined` members of the attractor
+    `caught` in join order, all of them by default."""
+    succ = game._succ
+    region, out = [True] * len(succ), list(islice(caught.order, joined))
+    for u in out:
+        region[u] = False
     mine = list(compress(range(len(succ)), map(and_, game._owns[player], region)))
     kept = dict(zip(mine, map(succ.__getitem__, mine)))
-    for u in compress(range(len(succ)), map(not_, region)):
+    for u in out:
         for v in game._pred[u]:
             if v in kept:
-                kept[v] = tuple(filter(keep, succ[v]))
+                kept[v] = tuple(filter(region.__getitem__, succ[v]))
     return kept
-
-
-def _avoid_set(game, player, cause, allowed):
-    """Flags by vertex of the vertices outside the opponent's attractor of
-    `cause` when the vertices in `allowed` may only use the given edge
-    tuples."""
-    caught = attractor(
-        game._succ, game._owns[opponent(player)], cause, game._pred, allowed
-    )
-    return [r is None for r in caught]
 
 
 def _solve_for(game, player, allowed):
@@ -579,17 +575,18 @@ def check_cause_game(query, budget=None):
     budget = as_budget(budget)
     game = query.game
     c1 = _condition1(game, query.player, sigma, cause)
-    if query.metric == METRIC_PREF_H:
-        return _check_pref_h(query, sigma, cause, c1, budget)
-    region, allowed = avoid_region(game, query.player, cause)
-    c2 = region[game._init]
+    caught = avoid_region(game, query.player, cause)
+    c2 = caught.rank[game._init] is None
     if not (c1 and c2):
         return GameCauseVerdict(False, distances.INF, c1, c2)
-    return _check_exact(query, sigma, cause, allowed, budget)
+    if query.metric == METRIC_PREF_H:
+        return _check_pref_h(query, sigma, caught, budget)
+    return _check_exact(query, sigma, cause, _kept_edges(game, query.player, caught), budget)
 
 
-def _check_pref_h(query, sigma, cause, c1, budget):
-    """Hausdorff-prefix cause check, conditions 2 and 3 (condition 1 is `c1`).
+def _check_pref_h(query, sigma, caught, budget):
+    """Hausdorff-prefix cause check, condition 3, on `caught`, the
+    `avoid_region` of the cause, which leaves the initial vertex out.
 
     The distance-minimal cause-avoiding strategies are exactly those that
     copy sigma on every owned vertex within the deepest pin radius n_star
@@ -597,18 +594,12 @@ def _check_pref_h(query, sigma, cause, c1, budget):
     cannot defeat the player even when also steering the player's remaining
     freedom inside the region-preserving edges.
 
-    One `Attractor` of the cause, for the opponent, answers every radius:
-    unpinned it gives condition 2, and radius n pins the owned vertices of
-    depth n - 1 in sigma's play graph to sigma's pick, one layer per budget
-    unit, until the initial vertex is caught.  The region at n_star is what
-    had not joined before that last layer.
+    `caught` answers every radius: radius n pins the owned vertices of depth
+    n - 1 in sigma's play graph to sigma's pick and resumes it, one layer
+    per budget unit, until the initial vertex is caught.  The region at
+    n_star is what had not joined before that last layer.
     """
     game, player, init = query.game, query.player, query.game._init
-    caught = Attractor(game._succ, game._owns[opponent(player)], cause, game._pred)
-    c2 = caught.rank[init] is None
-    if not (c1 and c2):
-        return GameCauseVerdict(False, distances.INF, c1, c2)
-
     pinned = {}
     for n_star, layer in enumerate(play_layers(game, sigma)):
         budget.charge()
@@ -620,12 +611,9 @@ def _check_pref_h(query, sigma, cause, c1, budget):
         pinned.update(pins)
     else:
         raise AssertionError("pinning every reachable vertex must block avoidance")
-    pin_region = [True] * len(game._succ)
-    for v in islice(caught.order, joined):
-        pin_region[v] = False
 
-    allowed = _kept_edges(game, player, pin_region)
-    allowed.update((v, (u,)) for v, u in pinned.items() if pin_region[v])
+    allowed = _kept_edges(game, player, caught, joined)
+    allowed.update((v, (u,)) for v, u in pinned.items() if v in allowed)
     overrides = _defeat_choices(game, player, allowed)
     wins = overrides is None
     tau = _assemble_strategy(sigma, allowed, overrides or {})
@@ -816,12 +804,12 @@ def extract_explanation(game, sigma, cause=frozenset()):
     """
     picks = validate_strategy(game, sigma)
     player = sigma.player
-    region, allowed = avoid_region(game, player, _cause_vertices(game, cause))
-    if not region[game._init]:
+    caught = avoid_region(game, player, _cause_vertices(game, cause))
+    if caught.rank[game._init] is not None:
         raise NoWinningStrategy(
             "the player cannot even avoid the cause set from the initial vertex"
         )
-    wins, choices = _solve_for(game, player, allowed)
+    wins, choices = _solve_for(game, player, _kept_edges(game, player, caught))
     if not wins:
         raise NoWinningStrategy("the player loses the cause-free subgame")
     tau = _sigma_matched(game, choices, picks)

@@ -1,11 +1,13 @@
 """Seeded random instance generators for the test and acceptance suites.
 
 Identical spec plus seed yields an identical instance, byte for byte once
-serialized; all randomness flows through one random.Random(seed).
+serialized; all randomness flows through one random.Random(seed).  Each
+family charges a unit per state and edge it may draw before building them.
 """
 
 import random
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InvalidSpec, as_budget
 from .model import (
@@ -48,13 +50,13 @@ class GeneratorSpec:
 def generate(spec, budget=None):
     rng = random.Random(spec.seed)
     if spec.family == "layered-ts":
-        return layered_ts(rng, spec.layers, spec.width, spec.alphabet)
+        return layered_ts(rng, spec.layers, spec.width, spec.alphabet, budget)
     if spec.family == "acyclic-ts":
-        return acyclic_ts(rng, spec.states, spec.alphabet)
+        return acyclic_ts(rng, spec.states, spec.alphabet, budget)
     if spec.family == "acyclic-game":
-        return acyclic_game(rng, spec.states)
+        return acyclic_game(rng, spec.states, budget)
     if spec.family == "cyclic-game":
-        return cyclic_game(rng, spec.states)
+        return cyclic_game(rng, spec.states, budget)
     return boolean_sem(rng, spec.variables, budget)
 
 
@@ -62,12 +64,18 @@ def _symbols(k):
     return tuple(chr(ord("a") + i) for i in range(k))
 
 
-def layered_ts(rng, max_layers, max_width, alphabet_size):
+def layered_ts(rng, max_layers, max_width, alphabet_size, budget=None):
     """Layered system: one initial state, random widths, transitions only to
-    the next layer, every state reachable and every non-final state live."""
+    the next layer, every state reachable and every non-final state live.
+    One state and one transition per layer are charged once the depth is
+    drawn, the other states and the bound w * w' on the transitions between
+    layers of widths w and w' once the widths are."""
+    budget = as_budget(budget)
     alphabet = _symbols(alphabet_size)
     depth = rng.randint(1, max_layers - 1) if max_layers > 1 else 1
+    budget.charge(2 * depth + 1)
     widths = [1] + [rng.randint(1, max_width) for _ in range(depth)]
+    budget.charge(sum(widths) + sum(map(mul, widths, widths[1:])) - 2 * depth - 1)
     layers = [
         [f"s{i}_{j}" for j in range(w)] for i, w in enumerate(widths)
     ]
@@ -91,10 +99,12 @@ def layered_ts(rng, max_layers, max_width, alphabet_size):
     )
 
 
-def acyclic_ts(rng, max_states, alphabet_size):
-    """Random DAG over a topological order; sinks are the terminal states."""
+def acyclic_ts(rng, max_states, alphabet_size, budget=None):
+    """Random DAG over a topological order; sinks are the terminal states.
+    Charges n states and 4(n - 1) edges: three in, one shortcut out each."""
     alphabet = _symbols(alphabet_size)
     n = rng.randint(2, max_states)
+    as_budget(budget).charge(n + 4 * (n - 1))
     states = [f"s{i}" for i in range(n)]
     transitions = set()
     for j in range(1, n):
@@ -119,10 +129,12 @@ def _owners(rng, names):
     return {v: rng.choice((REACH, SAFE)) for v in names}
 
 
-def acyclic_game(rng, max_states):
+def acyclic_game(rng, max_states, budget=None):
     """DAG-shaped game: effect on a subset of the sinks, self-loop traps on
-    the rest, random ownership elsewhere."""
+    the rest, random ownership elsewhere.  Charges n vertices and 4n edges:
+    up to two in, one shortcut out and one self-loop per vertex."""
     n = rng.randint(3, max_states)
+    as_budget(budget).charge(n + 4 * n)
     names = [f"v{i}" for i in range(n)]
     edges = set()
     for j in range(1, n):
@@ -142,10 +154,12 @@ def acyclic_game(rng, max_states):
     return game_from_owners({**owners, **dict.fromkeys(effect, EFFECT)}, "v0", edges)
 
 
-def cyclic_game(rng, max_states):
+def cyclic_game(rng, max_states, budget=None):
     """Random digraph game: terminal effect vertices, and one to three
-    out-edges to other vertices everywhere else."""
+    out-edges to other vertices everywhere else.  Charges n vertices and 3n
+    edges."""
     n = rng.randint(3, max_states)
+    as_budget(budget).charge(n + 3 * n)
     names = [f"v{i}" for i in range(n)]
     effect = set(rng.sample(names[1:], rng.randint(1, max(1, n // 3))))
     live = [v for v in names if v not in effect]

@@ -83,10 +83,7 @@ class StructuralEquationModel:
 
 def evaluate_default(sem):
     """Evaluate all equations without interventions."""
-    values = []
-    for i in range(sem.n):
-        values.append(sem.equation(i, values))
-    return tuple(values)
+    return intervened_valuation(sem, ())
 
 
 def intervened_valuation(sem, intervened):

@@ -54,7 +54,7 @@ from causekit.game_causality import (
     METRIC_DSTAR,
     GameCauseVerdict,
     StrategyWitness,
-    _avoid_set,
+    _kept_edges,
     avoid_region,
     enumerate_strategies,
     strategy_is_winning,
@@ -737,7 +737,7 @@ def naive_tree_min_changes(game, sigma, cause):
 
 def naive_check_pref_h(query, budget=None):
     """`check_cause_game` for pref-h with the per-radius pin loop: conditions 1
-    and 2 on the whole adjacency, then one `_avoid_set` per radius."""
+    and 2 on the whole adjacency, then one `avoid_set` per radius."""
     validate_game_query(query)
     budget = as_budget(budget)
     c1 = naive_losing_play_reaches_cause(query.game, query.sigma, query.cause)
@@ -819,16 +819,23 @@ def _naive_pref_h(query, region, budget):
 
 
 def avoid_set(game, player, cause, allowed):
-    """`game_causality._avoid_set` from ids to ids."""
-    region = _avoid_set(game, player, numbers(game, cause), int_allowed(game, allowed))
-    return id_set(game, region)
+    """The ids outside the opponent's attractor of the cause ids when the
+    vertices of the id edge-tuple map `allowed` keep only those edges."""
+    existential = game._owns[SAFE if player == REACH else REACH]
+    caught = Attractor(
+        game._succ, existential, numbers(game, cause), game._pred, int_allowed(game, allowed)
+    )
+    return id_set(game, [r is None for r in caught.rank])
 
 
 def id_avoid_region(game, player, cause):
-    """`game_causality.avoid_region` from ids to ids."""
-    region, allowed = avoid_region(game, player, numbers(game, cause))
+    """The avoid region of `game_causality.avoid_region` and its kept edges,
+    from ids to ids."""
+    caught = avoid_region(game, player, numbers(game, cause))
+    allowed = _kept_edges(game, player, caught)
     ids = game.ids
-    return id_set(game, region), {ids[v]: tuple(ids[u] for u in a) for v, a in allowed.items()}
+    region = id_set(game, [r is None for r in caught.rank])
+    return region, {ids[v]: tuple(ids[u] for u in a) for v, a in allowed.items()}
 
 
 def naive_is_tree_shaped(game):

@@ -82,6 +82,37 @@ def test_sem_family_charges_one_unit_per_table_entry(capsys):
     assert digest.hexdigest()[:16] == "416660455c42d99a"
 
 
+def test_model_families_charge_their_states_and_an_edge_bound():
+    # Each family charges, before it builds, at least as many units as the
+    # states (vertices) and transitions (edges) it ends up with; exactly
+    # that charge is enough, one unit less is not.
+    for family in ("layered-ts", "acyclic-ts", "acyclic-game", "cyclic-game"):
+        for seed in range(25):
+            spec = GeneratorSpec(family, seed=seed, states=12, layers=5, width=4)
+            budget = Budget()
+            model = generate(spec, budget)
+            edges = model.transitions if family.endswith("-ts") else model.edges
+            assert len(model.ids) + len(edges) <= budget.used
+            assert generate(spec, Budget(budget.used)) == model
+            with pytest.raises(BudgetExceeded):
+                generate(spec, Budget(budget.used - 1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "layered-ts", "--layers", "40", "--width", "5"],
+        ["--family", "acyclic-ts", "--states", "200"],
+        ["--family", "acyclic-game", "--states", "200"],
+        ["--family", "cyclic-game", "--states", "200"],
+    ],
+)
+def test_model_families_exit_3_past_the_budget(argv, capsys):
+    # Sizes that build in a blink, under a budget their charge exceeds.
+    assert main(["gen", *argv, "--budget", "10"]) == 3
+    assert capsys.readouterr() == ("", "causekit: search budget of 10 units exhausted\n")
+
+
 def test_roundtrip_equality_all_model_families():
     from causekit.model import model_from_json, model_to_json
 

@@ -157,7 +157,7 @@ def damage(data, rng, kind):
         records.clear()
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     family=st.sampled_from(MODEL_FAMILIES),
     seed=st.integers(0, 10_000),
@@ -170,7 +170,7 @@ def test_loader_matches_the_reference_on_reordered_documents(family, seed, order
     assert model_from_json(model_to_json(model)) == model
 
 
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(
     family=st.sampled_from(MODEL_FAMILIES),
     seed=st.integers(0, 10_000),
@@ -185,7 +185,7 @@ def test_loader_matches_the_reference_on_damaged_documents(family, seed, draws, 
     assert_same_outcome(model_from_json, naive_model_from_json, data)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10_000), draws=st.integers(0, 2**32))
 def test_constructors_match_the_reference(seed, draws):
     """Field sets no JSON document produces: missing and unhashable labels,
@@ -283,7 +283,7 @@ def perturb(data, rng, kind):
     return True
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     family=st.sampled_from(MODEL_FAMILIES),
     seed=st.integers(0, 10_000),

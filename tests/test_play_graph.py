@@ -24,6 +24,7 @@ from causekit.game_causality import (
     StrategyWitness,
     _deviation_costs,
     _dstar_floor,
+    _kept_edges,
     _least,
     _matched_strategies,
     _min_winning,
@@ -217,8 +218,9 @@ def test_matched_strategies_are_the_distinct_matched_products(seed, cyclic, isla
         pool = [v for v in plays if v != game._init and not game._owns["effect"][v]]
         if pool:
             cause = rng.sample(pool, rng.randint(1, min(2, len(pool))))
-            region, allowed = avoid_region(game, player, cause)
-            if region[game._init]:
+            caught = avoid_region(game, player, cause)
+            if caught.rank[game._init] is None:
+                allowed = _kept_edges(game, player, caught)
                 options = [allowed.get(v, (u,)) for v, u in enumerate(picks)]
                 variants = _variants(picks, allowed, Budget())
                 products.append((options, (strategy_of(game, player, t) for t in variants)))
@@ -399,6 +401,16 @@ def test_dstar_minimality_measures_the_unmatched_variants():
     assert any(missed)
 
 
+def fixed_draws(count):
+    """`count` (seed, cyclic, island) draws of `small_games` from one seeded
+    `random.Random`.  Hypothesis seeds its own draws with constants from
+    the loaded local modules, so a test whose asserts count what it met
+    draws here, the same examples whatever else the run imports."""
+    draws = random.Random(1)
+    for _ in range(count):
+        yield draws.getrandbits(32), draws.random() < 0.5, draws.random() < 0.5
+
+
 @FUZZ
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_dstar_cause_check_matches_the_tie_list_reference(seed, cyclic, island):
@@ -425,10 +437,7 @@ def test_hamm_s_cause_check_matches_the_tie_list_reference():
     # each candidate once, at no more budget units than the reference's
     # strategies.
     seen = {"searched": 0, "cyclic": 0, "both": 0}
-
-    @FUZZ
-    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
-    def cause_checks_match_the_reference(seed, cyclic, island):
+    for seed, cyclic, island in fixed_draws(300):
         for game, player, sigma, rng in small_games(seed, cyclic, island):
             plays = play_arena(game, validate_strategy(game, sigma))[0]
             pool = [game.ids[v] for v in sorted(plays) if v != game._init]
@@ -446,8 +455,6 @@ def test_hamm_s_cause_check_matches_the_tie_list_reference():
                 seen["searched"] += 1
                 seen["cyclic"] += not naive_is_acyclic(id_adjacency(game))
                 seen["both"] += len(got.witnesses) == 2
-
-    cause_checks_match_the_reference()
     assert min(seen.values()) >= 5, seen
     # Sigma loses in the trap t past the cause c.  Changing a alone avoids c
     # and loses in t too; changing p alone avoids it and wins.  Both are at
@@ -478,10 +485,7 @@ def test_hamm_s_witnesses_are_the_first_loser_and_winner_of_the_oracle():
     # items; with room for all of them its first loser and its first winner
     # are the witnesses of the search, on acyclic and cyclic games alike.
     seen = {"searched": 0, "cyclic": 0, "both": 0}
-
-    @FUZZ
-    @given(st.integers(0, 2**32 - 1), st.booleans())
-    def witnesses_match_the_oracle(seed, cyclic):
+    for seed, cyclic, _island in fixed_draws(300):
         for game, player, sigma, rng in small_games(seed, cyclic, False):
             plays = play_arena(game, validate_strategy(game, sigma))[0]
             pool = [game.ids[v] for v in sorted(plays) if v != game._init]
@@ -502,8 +506,6 @@ def test_hamm_s_witnesses_are_the_first_loser_and_winner_of_the_oracle():
                 seen["searched"] += 1
                 seen["cyclic"] += not naive_is_acyclic(id_adjacency(game))
                 seen["both"] += len(got.witnesses) == 2
-
-    witnesses_match_the_oracle()
     assert min(seen.values()) >= 5, seen
 
 
@@ -606,7 +608,8 @@ def test_dstar_bounds_drop_only_states_above_the_limit():
             want, want_used = budgeted(naive_check_exact, query, dstar_oracle)
             assert got == want and used <= want_used
             if got.condition1 and got.condition2:
-                allowed = avoid_region(game, player, [game.index[c] for c in cause])[1]
+                caught = avoid_region(game, player, [game.index[c] for c in cause])
+                allowed = _kept_edges(game, player, caught)
                 options = [allowed.get(v, (u,)) for v, u in enumerate(picks)]
                 unpruned = len(every_matched(game, picks, options, Budget()))
                 assert used <= unpruned
