@@ -56,7 +56,8 @@ class Budget:
     a change set, a pin layer or, in the path oracle, a visited state) and
     raise BudgetExceeded instead of returning approximate answers.  A SEM
     document's expansions charge one unit per effect row and cause state,
-    and a generator one per state and per edge it may draw.
+    and a generator one per state and per edge it may draw and one per
+    label of its alphabet.
     """
 
     DEFAULT_LIMIT = 10_000_000

@@ -26,8 +26,10 @@ winning searches flag the vertices from which the player loses against
 every strategy, by one run of Reach's attractor of the effect set, and drop
 without a budget unit every search state whose plays reach one: all the
 strategies below it lose.  A candidate is matched, tested and measured by
-play walks, which cost what its plays cost: one `distances.play_scan`
-tells whether it wins (`_won`), and condition 1 is one attractor over
+play walks, which cost what its plays cost: a d* candidate's one
+`distances.play_scan` gives its side and whether it wins (`_won`), a
+hamm-s candidate is walked only for its win (`_wins`), up to its first
+closed cycle or effect vertex, and condition 1 is one attractor over
 sigma's play arena.
 
 `_matched_strategies` yields each candidate with sigma's side of its
@@ -45,18 +47,21 @@ strategy.  For hamm-s, sigma's side is the whole distance: the count of
 fixed picks that differ from sigma's, which only grows, so a state with no
 room for one more follows sigma's picks in one walk.  One loop, `_least`,
 measures the cause-check candidates of both distances and the d* winning
-search's: one scan adds tau's side of d*, which for hamm-s never exceeds
-the count, and the win.  Its witnesses are the least loser and the least
-winner at the least distance, those of `brute_force_check_cause`.  The
-hamm-s winning search needs one winner per distance, so each winner lowers
-the limit to one below its own, and the hamm-s minimality check is the
-decision search within |E| - 1.  The E-variants of the d* minimality
-check differ from sigma exactly on E and share one sigma side, from one
-scan.  The decision searches start the limit at their threshold.  The
-value-only d* searches stop at the first winner at a known lower bound:
-the least winning distance for `is_minimal_explanation`, Reach's deviation
-costs (`_dstar_floor`) for `min_winning_distance`.  The d* repair skips the
-exact search when its deviation costs certify the proposed strategy.
+search's: for d* one scan adds tau's side and the win; for hamm-s, whose
+tau side never exceeds the count, one walk finds the win.  Its witnesses
+are the least loser and the least winner at the least distance, those of
+`brute_force_check_cause`.  The hamm-s winning search needs one winner per
+distance, so each winner lowers the limit to one below its own.  The
+decision searches start the limit at their threshold.  Both minimality
+checks are the decision search within E's own distance less one: |E| for
+hamm-s, and for d* the least over the winning E-variants, which differ
+from sigma exactly on E and share one sigma side, from one scan; they are
+walked for their win, and only winners are scanned for their side.  For
+Reach the decision search does not start when its deviation costs
+(`_dstar_floor`) already exceed the threshold.  The value-only d* search of
+`min_winning_distance` stops at the first winner on that floor.  The d*
+repair skips the exact search when its deviation costs certify the
+proposed strategy.
 
 Everything here runs on the game's vertex numbers (see `model`): vertex
 sets are lists, sets or flags of numbers, and a strategy runs as its picks.
@@ -252,6 +257,45 @@ def _won(game, player, cyclic, seen):
     if player == REACH:
         return not cyclic
     return not any(map(game._owns[EFFECT].__getitem__, seen))
+
+
+def _wins(game, player, picks):
+    """Whether the player's picks win, by one walk of their plays that
+    stops at the first effect vertex for Safe and, for Reach, at the first
+    edge back into the walk's own path: only effect vertices end plays, so
+    Reach wins iff no play cycles.  The exact searches' win test;
+    `strategy_is_winning` stays on `distances.play_scan`."""
+    succ, init = game._succ, game._init
+    if player == SAFE:
+        effect, seen, todo = game._owns[EFFECT], {init}, [init]
+        while todo:
+            v = todo.pop()
+            if effect[v]:
+                return False
+            u = picks[v]
+            for w in succ[v] if u is None else (u,):
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return True
+    u = picks[init]
+    path = {init: True}  # True while on the walk's path, False once left
+    frames = [(init, iter(succ[init] if u is None else (u,)))]
+    while frames:
+        v, moves = frames[-1]
+        for w in moves:
+            on = path.get(w)
+            if on is None:
+                path[w] = True
+                u = picks[w]
+                frames.append((w, iter(succ[w] if u is None else (u,))))
+                break
+            if on:
+                return False
+        else:
+            path[v] = False
+            frames.pop()
+    return True
 
 
 def strategy_avoids(game, strategy, cause):
@@ -499,30 +543,35 @@ def _least(game, player, sigma, candidates, limit, stop=None):
     only winners count, and the search ends at the first one at or below it.
 
     The candidates are the (picks, sigma's side) pairs of a
-    `_matched_strategies`, for d* or for hamm-s, that shares the one-item
-    list `limit`: each new least is written to it, so the enumeration drops
-    the states whose lower bounds exceed it, and yields no candidate whose
-    sigma side does.  A caller that needs no strategy above a threshold
-    starts the limit there; otherwise at INF, or at a lower bound such as
-    the tree DP's, and nothing is dropped before the first least.  One
-    `distances.play_scan` per candidate gives tau's side of d* and, by
-    `_won`, the win.  For hamm-s that side counts differing picks along one
-    chain of the play graph, and a sigma-matched candidate's differing
-    picks are all reached, so it never exceeds the hamm-s count and the
-    maximum is the count itself.  A candidate above the limit is skipped,
-    strictly, since the cause check needs every tie.  Picks lists compare
-    as their sorted (vertex, choice) id pairs do, so the result does not
-    depend on the enumeration order: at the least hamm-s distance every
-    cause-avoiding strategy is sigma-matched, since a change off its plays
-    adds 1, so the witnesses are those of `brute_force_check_cause`.
+    `_matched_strategies`, for d* with sigma's picks or for hamm-s with
+    None, that shares the one-item list `limit`: each new least is written
+    to it, so the enumeration drops the states whose lower bounds exceed
+    it, and yields no candidate whose sigma side does.  A caller that needs
+    no strategy above a threshold starts the limit there; otherwise at INF,
+    or at a lower bound such as the tree DP's, and nothing is dropped before
+    the first least.  A d* candidate takes one `distances.play_scan`, which
+    gives tau's side of d* and, by `_won`, the win.  A hamm-s candidate's
+    distance is its side, the count: tau's side of d* counts differing
+    picks along one chain of the play graph, and a sigma-matched
+    candidate's differing picks are all reached, so it never exceeds the
+    count.  So a hamm-s candidate is walked only for its win (`_wins`).  A
+    candidate above the limit is skipped, strictly, since the cause check
+    needs every tie.  Picks lists compare as their sorted (vertex, choice)
+    id pairs do, so the result does not depend on the enumeration order: at
+    the least hamm-s distance every cause-avoiding strategy is
+    sigma-matched, since a change off its plays adds 1, so the witnesses
+    are those of `brute_force_check_cause`.
     """
     least = loser = winner = None
-    for tau, side in candidates:
-        d_tau, cyclic, rank = distances.play_scan(game, tau, sigma)
-        wins = _won(game, player, cyclic, rank)
+    for tau, d in candidates:
+        if sigma is None:
+            wins = _wins(game, player, tau)
+        else:
+            d_tau, cyclic, rank = distances.play_scan(game, tau, sigma)
+            wins = _won(game, player, cyclic, rank)
+            d = max(d, d_tau)
         if stop is not None and not wins:
             continue
-        d = max(side, d_tau)
         if d > limit[0]:
             continue
         if least is None or d < least:
@@ -737,16 +786,16 @@ def _check_exact(query, sigma, cause, allowed, budget):
     """
     game = query.game
     options = [allowed.get(v, (u,)) for v, u in enumerate(sigma)]
-    limit, condensed = [distances.INF], None
+    limit, condensed, scanned = [distances.INF], None, None
     if query.metric == METRIC_DSTAR:
-        condensed = distances.play_condensation(game, sigma)
+        condensed, scanned = distances.play_condensation(game, sigma), sigma
     elif _tree_shaped(game):
         try:
             limit[0] = tree_min_changes(game, sigma, cause)
         except NotAcyclic:
             pass
     candidates = _matched_strategies(game, sigma, options, budget, condensed, limit)
-    return _verdict(query, *_least(game, query.player, sigma, candidates, limit))
+    return _verdict(query, *_least(game, query.player, scanned, candidates, limit))
 
 
 def brute_force_check_cause(query, budget=None, distance_fn=None):
@@ -881,11 +930,12 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
     budget unit, and leaves the winners and their order as they are.  The
     d* search hands each candidate to `_least`, which keeps the least
     winner at the least distance and lowers the enumeration's limit to it.
-    The hamm-s search needs one winner per distance, so each winner, read
-    off one `distances.play_scan` by `_won`, lowers the limit to one below
-    its own.  With a threshold, the first strategy
-    within it is returned, or (threshold + 1, None) when there is none; the
-    search starts its limit at the threshold, and does not start at all
+    The hamm-s search needs one winner per distance, and a candidate's
+    distance is its count, so each is walked only for its win (`_wins`),
+    and each winner lowers the limit to one below its own.  With a
+    threshold, the first strategy within it is returned, or (threshold + 1,
+    None) when there is none; the search starts its limit at the
+    threshold, and neither it nor the `lost` flags' attractor starts at all
     when the `floor` exceeds it.  Without one, a `floor` no winner lies
     below ends the search at the first winner on it; at the default 0 that
     winner is sigma itself, the only strategy at distance 0 from it.
@@ -893,10 +943,10 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
     if metric not in (METRIC_HAMM_S, METRIC_DSTAR):
         raise PreconditionViolated(f"unsupported metric {metric!r} for this search")
     stop, limit = (floor, distances.INF) if threshold is None else (threshold, threshold)
-    if lost is None:
-        forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
-        lost = [(r is None) == (player == REACH) for r in forced]
     if floor <= limit:
+        if lost is None:
+            forced = attractor(game._succ, game._owns[REACH], game._targets, game._pred)
+            lost = [(r is None) == (player == REACH) for r in forced]
         condensed = None if metric == METRIC_HAMM_S else distances.play_condensation(game, sigma)
         limit = [limit]
         candidates = _matched_strategies(game, sigma, game._succ, budget, condensed, limit, lost)
@@ -905,7 +955,7 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
         else:
             least = tau = None
             for picks, d in candidates:
-                if _won(game, player, *distances.play_scan(game, picks, picks)[1:]):
+                if _wins(game, player, picks):
                     least, tau, limit[0] = d, picks, d - 1
                     if d <= stop:
                         break
@@ -919,37 +969,43 @@ def _min_winning(game, player, sigma, metric, threshold, budget, floor=0, lost=N
 def is_minimal_explanation(game, sigma, vertex_set, metric, budget=None):
     """A minimal explanation attains the least possible winning distance.
 
-    For the Hamming strategy distance every E-distinct strategy sits at
-    distance exactly |E|, so E is minimal unless a winner lies within
-    |E| - 1, a decision search with that threshold; for the
-    vertex-counting distance the E-distinct winning strategies are measured
-    until one attains the least winning distance, below which none can lie.
-    Every E-variant differs from sigma exactly on E, so all share sigma's
-    side of d*, found by one scan of sigma's plays.  When it exceeds the
-    least winning distance no variant is built, and the answer is False.
-    Sigma is validated once, here.
+    E is minimal iff no winning strategy lies strictly closer to sigma than
+    E's own distance, the least among its winning E-variants, the
+    strategies that change sigma's pick at every vertex of E and nowhere
+    else: the decision search within that distance less one.  For the
+    Hamming strategy distance every E-variant sits at distance exactly |E|.
+    For the vertex-counting distance every E-variant differs from sigma
+    exactly on E, so all share sigma's side of d*, found by one scan of
+    sigma's plays, and tau's side counts E's picks at most.  Each variant
+    is walked for its win (`_wins`), and a winner is scanned for its side
+    unless the shared one is already |E|; the loop ends at the first
+    winner at the shared side, below which none can lie.  One wins, since
+    E is an explanation.  Sigma is validated once, here.
     """
     budget = as_budget(budget)
     vertex_set = frozenset(vertex_set)
     player, picks = sigma.player, validate_strategy(game, sigma)
     if not _is_explanation(game, player, picks, vertex_set)[0]:
         return False
-    if metric == METRIC_HAMM_S:  # a winner at |E| exists; is one closer?
-        return not vertex_set or not _min_winning_distance(
-            game, player, picks, METRIC_HAMM_S, len(vertex_set) - 1, budget
-        )
-    if metric == METRIC_DSTAR:
-        overall = _min_winning_distance(game, player, picks, METRIC_DSTAR, None, budget)
+    if metric == METRIC_HAMM_S:
+        own = len(vertex_set)
+    elif metric == METRIC_DSTAR:
         options = _alternatives(game, picks, map(game.index.__getitem__, vertex_set))
         changed = [None if v in options else u for v, u in enumerate(picks)]
-        if distances.play_scan(game, picks, changed)[0] > overall:
-            return False
+        shared, own = distances.play_scan(game, picks, changed)[0], distances.INF
         for tau in _variants(picks, options, budget):
-            d, cyclic, rank = distances.play_scan(game, tau, picks)
-            if d <= overall and _won(game, player, cyclic, rank):
-                return True
-        return False
-    raise PreconditionViolated(f"unsupported metric {metric!r} for minimality")
+            if not _wins(game, player, tau):
+                continue
+            d = shared
+            if shared < len(options):  # tau's side counts only E's picks
+                d = max(d, distances.play_scan(game, tau, picks)[0])
+            if d < own:
+                own = d
+                if own == shared:
+                    break
+    else:
+        raise PreconditionViolated(f"unsupported metric {metric!r} for minimality")
+    return own == 0 or not _min_winning_distance(game, player, picks, metric, own - 1, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Identical spec plus seed yields an identical instance, byte for byte once
 serialized; all randomness flows through one random.Random(seed).  Each
-family charges a unit per state and edge it may draw before building them.
+family charges a unit per state and edge it may draw before building them,
+and the transition-system families one per label of their alphabet.
 """
 
 import random
@@ -24,6 +25,8 @@ FAMILIES = ("layered-ts", "acyclic-ts", "acyclic-game", "cyclic-game", "boolean-
 # The least `states` each family that reads it can build: a game needs an
 # initial vertex, an effect vertex and one more, a DAG system two states.
 MIN_STATES = {"acyclic-ts": 2, "acyclic-game": 3, "cyclic-game": 3}
+# The most labels `_symbols` can name: one character each from "a" upward.
+MAX_ALPHABET = 0x110000 - ord("a")
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,8 @@ class GeneratorSpec:
         for name in ("states", "layers", "width", "alphabet", "variables"):
             if getattr(self, name) < 1:
                 raise InvalidSpec(f"{name} must be positive")
+        if self.alphabet > MAX_ALPHABET:
+            raise InvalidSpec(f"alphabet must be at most {MAX_ALPHABET}")
         least = MIN_STATES.get(self.family, 1)
         if self.states < least:
             raise InvalidSpec(f"{self.family} needs at least {least} states")
@@ -67,10 +72,12 @@ def _symbols(k):
 def layered_ts(rng, max_layers, max_width, alphabet_size, budget=None):
     """Layered system: one initial state, random widths, transitions only to
     the next layer, every state reachable and every non-final state live.
-    One state and one transition per layer are charged once the depth is
-    drawn, the other states and the bound w * w' on the transitions between
-    layers of widths w and w' once the widths are."""
+    The alphabet's labels are charged before they are named, one state and
+    one transition per layer once the depth is drawn, the other states and
+    the bound w * w' on the transitions between layers of widths w and w'
+    once the widths are."""
     budget = as_budget(budget)
+    budget.charge(alphabet_size)
     alphabet = _symbols(alphabet_size)
     depth = rng.randint(1, max_layers - 1) if max_layers > 1 else 1
     budget.charge(2 * depth + 1)
@@ -101,10 +108,13 @@ def layered_ts(rng, max_layers, max_width, alphabet_size, budget=None):
 
 def acyclic_ts(rng, max_states, alphabet_size, budget=None):
     """Random DAG over a topological order; sinks are the terminal states.
-    Charges n states and 4(n - 1) edges: three in, one shortcut out each."""
+    Charges the alphabet's labels before naming them, then n states and
+    4(n - 1) edges: three in, one shortcut out each."""
+    budget = as_budget(budget)
+    budget.charge(alphabet_size)
     alphabet = _symbols(alphabet_size)
     n = rng.randint(2, max_states)
-    as_budget(budget).charge(n + 4 * (n - 1))
+    budget.charge(n + 4 * (n - 1))
     states = [f"s{i}" for i in range(n)]
     transitions = set()
     for j in range(1, n):

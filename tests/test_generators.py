@@ -4,7 +4,7 @@ import pytest
 
 from causekit.cli import generate_json, main
 from causekit.errors import Budget, BudgetExceeded, InvalidSpec
-from causekit.generators import FAMILIES, GeneratorSpec, generate
+from causekit.generators import FAMILIES, MAX_ALPHABET, GeneratorSpec, generate
 from causekit.model import dumps_canonical
 from causekit.sem_bridge import StructuralEquationModel
 from causekit.ts_causality import validate_layered
@@ -27,6 +27,33 @@ def test_specs_reject_sizes_the_families_cannot_build(capsys):
         assert f"{family} needs at least {least} states" in capsys.readouterr().err
         for seed in range(30):
             generate(GeneratorSpec(family, seed=seed, states=least))
+
+
+def test_specs_reject_an_alphabet_past_the_last_label(capsys):
+    # Labels are one character each from "a" upward, so the last character
+    # bounds the alphabet.  The check builds nothing.
+    GeneratorSpec("acyclic-ts", seed=1, alphabet=MAX_ALPHABET)
+    with pytest.raises(InvalidSpec, match=f"alphabet must be at most {MAX_ALPHABET}"):
+        GeneratorSpec("acyclic-ts", seed=1, alphabet=MAX_ALPHABET + 1)
+    assert main(["gen", "--family", "acyclic-ts", "--alphabet", "1200000"]) == 2
+    assert capsys.readouterr() == ("", f"causekit: alphabet must be at most {MAX_ALPHABET}\n")
+
+
+def test_system_families_charge_their_alphabet_before_naming_it(capsys):
+    # The alphabet changes the labels drawn, not the states and transitions
+    # charged, so a larger one costs exactly its extra labels; an alphabet
+    # past the budget fails before a label is named.
+    for family in ("layered-ts", "acyclic-ts"):
+        for seed in range(10):
+            used = []
+            for alphabet in (2, 30):
+                budget = Budget()
+                generate(GeneratorSpec(family, seed=seed, alphabet=alphabet), budget)
+                used.append(budget.used)
+            assert used[1] - used[0] == 28
+        argv = ["gen", "--family", family, "--alphabet", str(MAX_ALPHABET), "--budget", "10"]
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", "causekit: search budget of 10 units exhausted\n")
 
 
 def test_determinism_byte_identical():

@@ -30,10 +30,14 @@ from causekit.game_causality import (
     _min_winning,
     check_cause_game,
     extract_explanation,
+    is_explanation,
     is_minimal_explanation,
     min_winning_distance,
     _sigma_matched,
+    _alternatives,
     _variants,
+    _wins,
+    _won,
     avoid_region,
     brute_force_check_cause,
     enumerate_strategies,
@@ -411,6 +415,66 @@ def fixed_draws(count):
         yield draws.getrandbits(32), draws.random() < 0.5, draws.random() < 0.5
 
 
+def test_win_walk_agrees_with_the_scanned_win():
+    # `_wins` stops its walk at the first closed cycle or effect vertex;
+    # `_won` reads the whole `play_scan`.  Every strategy of the drawn
+    # games, cyclic or not, for both players.
+    seen = {(player, won): 0 for player in (REACH, SAFE) for won in (False, True)}
+    cycles = 0
+    for seed, cyclic, island in fixed_draws(150):
+        for game, player, _sigma, _rng in small_games(seed, cyclic, island, limit=200):
+            cycles += cyclic
+            for tau in enumerate_strategies(game, player):
+                picks = validate_strategy(game, tau)
+                won = _won(game, player, *play_scan(game, picks, picks)[1:])
+                assert _wins(game, player, picks) == won
+                seen[player, won] += 1
+    assert min(seen.values()) >= 100 and cycles >= 50, (seen, cycles)
+
+
+def test_reach_dstar_minimality_below_the_floor_builds_no_candidate(monkeypatch):
+    # When Reach's deviation cost of the initial vertex exceeds E's own d*
+    # less one, no winner lies below E's own distance and the decision
+    # search never starts: the budget pays for the E-variants tried alone.
+    # E's own d* here is the least over its winning variants, by `dstar`.
+    matched, tried = [], []
+
+    def matching(*args):
+        matched.append(args)
+        yield from _matched_strategies(*args)
+
+    def varying(sigma, options, budget):
+        for tau in _variants(sigma, options, budget):
+            tried.append(tau)
+            yield tau
+
+    monkeypatch.setattr(game_causality, "_matched_strategies", matching)
+    monkeypatch.setattr(game_causality, "_variants", varying)
+    queries = [(*tree_game(), frozenset({"v1"}))]
+    for seed, cyclic, island in fixed_draws(300):
+        for game, player, sigma, rng in small_games(seed, cyclic, island):
+            owned = sorted(v for v in game.owned_by(player) if len(game.successors(v)) > 1)
+            if player == REACH and owned:
+                queries.append((game, sigma, frozenset(rng.sample(owned, min(2, len(owned))))))
+    skipped = 0
+    for game, sigma, vertex_set in queries:
+        if not is_explanation(game, sigma, vertex_set)[0]:
+            continue
+        picks = validate_strategy(game, sigma)
+        options = _alternatives(game, picks, map(game.index.get, vertex_set))
+        variants = [strategy_of(game, REACH, t) for t in _variants(picks, options, Budget())]
+        own = min(dstar(game, t, sigma) for t in variants if strategy_is_winning(game, t))
+        if _dstar_floor(game, REACH, picks)[0] <= own - 1:
+            continue
+        matched.clear()
+        tried.clear()
+        budget = Budget()
+        assert is_minimal_explanation(game, sigma, vertex_set, METRIC_DSTAR, budget)
+        assert not matched and budget.used == len(tried) >= 1
+        skipped += 1
+    assert skipped >= 50, skipped
+
+
 @FUZZ
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_dstar_cause_check_matches_the_tie_list_reference(seed, cyclic, island):
@@ -660,10 +724,14 @@ def test_repair_answers_with_a_sigma_cycle_no_play_reaches():
 
 
 def test_dstar_searches_build_sigmas_play_graph_once(monkeypatch):
-    """Each d* search condenses sigma's play graph once, for every `dstar`
-    it measures against sigma, and scans each candidate's."""
+    """Each d* search condenses sigma's play graph at most once, for every
+    `dstar` it measures against sigma, and scans each candidate's."""
     game, sigma = tree_game()
-    picks = validate_strategy(game, sigma)
+    # Safe at s steps into the effect g or into the trap t.
+    safe_game = game_from_owners(
+        {"s": SAFE, "t": SAFE, "g": "effect"}, "s", {("s", "g"), ("s", "t"), ("t", "t")}
+    )
+    safe_sigma = MDStrategy(SAFE, {"s": "g", "t": "t"})
     condensed, scanned = [], []
 
     def condensing(game, strategy):
@@ -678,16 +746,24 @@ def test_dstar_searches_build_sigmas_play_graph_once(monkeypatch):
     monkeypatch.setattr(distances, "play_scan", scanning)
     query = GameCauseQuery(game, REACH, sigma, frozenset({"v3"}), METRIC_DSTAR)
     searches = [
-        (lambda: check_cause_game(query).witnesses, 1),
-        (lambda: min_winning_distance(game, sigma, METRIC_DSTAR) == 1, 1),
-        # the least winning distance; the E-variants share one scanned side
-        (lambda: is_minimal_explanation(game, sigma, {"v1"}, METRIC_DSTAR), 1),
+        (lambda: check_cause_game(query).witnesses, game, sigma, 1),
+        (lambda: min_winning_distance(game, sigma, METRIC_DSTAR) == 1, game, sigma, 1),
+        # E's own d* is 1, and Reach's deviation cost of 1 leaves no winner
+        # below it to search for; the E-variants share one scanned side.
+        (lambda: is_minimal_explanation(game, sigma, {"v1"}, METRIC_DSTAR), game, sigma, 0),
+        # Safe has no such floor, so the decision search within 0 runs.
+        (
+            lambda: is_minimal_explanation(safe_game, safe_sigma, {"s"}, METRIC_DSTAR),
+            safe_game,
+            safe_sigma,
+            1,
+        ),
     ]
-    for search, runs in searches:
+    for search, on, strategy, runs in searches:
         condensed.clear()
         scanned.clear()
         assert search()
-        assert condensed == [picks] * runs
+        assert condensed == [validate_strategy(on, strategy)] * runs
         assert len(scanned) > runs
 
 
@@ -770,10 +846,12 @@ def test_condition1_on_a_long_cycle_runs_one_attractor(monkeypatch):
 
 
 def test_hamm_s_check_walks_each_variant_once(monkeypatch):
-    # One walk of a candidate's plays tells whether it wins: `play_scan` for
-    # Reach, `play_arena` for Safe.  Whether it avoids the cause needs none,
-    # since the candidates keep to the avoid region.
+    # One walk of a candidate's plays tells whether it wins, `_wins`; its
+    # count is its distance, so no `play_scan` measures it.  Whether it
+    # avoids the cause needs no walk, since the candidates keep to the avoid
+    # region.  Every walk of the plays is counted.
     walked, variants = [], []
+    wins = game_causality._wins
 
     def scanning(game, picks, other):
         walked.append(picks)
@@ -783,6 +861,10 @@ def test_hamm_s_check_walks_each_variant_once(monkeypatch):
         walked.append(picks)
         return play_arena(game, picks)
 
+    def winning(game, player, picks):
+        walked.append(picks)
+        return wins(game, player, picks)
+
     def matching(*args):
         for tau, side in _matched_strategies(*args):
             variants.append(tau)
@@ -791,6 +873,7 @@ def test_hamm_s_check_walks_each_variant_once(monkeypatch):
     monkeypatch.setattr(distances, "play_scan", scanning)
     monkeypatch.setattr(game_causality, "play_arena", numbering)
     monkeypatch.setattr(game_causality, "_matched_strategies", matching)
+    monkeypatch.setattr(game_causality, "_wins", winning)
     checked = {REACH: 0, SAFE: 0}
     rng = random.Random(5)
     for _ in range(300):
