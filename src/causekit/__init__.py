@@ -10,7 +10,6 @@ from .errors import (
     InvalidSpec,
     LengthMismatch,
     NoWinningStrategy,
-    NotAcyclic,
     NotAPath,
     NotLayered,
     PreconditionViolated,
@@ -34,7 +33,6 @@ __all__ = [
     "MaximalFinitePath",
     "MDStrategy",
     "NoWinningStrategy",
-    "NotAcyclic",
     "NotAPath",
     "NotLayered",
     "PreconditionViolated",

@@ -325,11 +325,3 @@ def format_distance(d):
             return str(d.numerator)
         return f"{d.numerator}/{d.denominator}"
     return str(int(d)) if float(d).is_integer() else repr(d)
-
-
-def parse_distance(text):
-    if text == "inf":
-        return INF
-    if "/" in text:
-        return Fraction(text)
-    return int(text)

@@ -25,10 +25,6 @@ class NotLayered(CausekitError):
     """The system does not assign a unique depth to every reachable state."""
 
 
-class NotAcyclic(CausekitError):
-    """An operation that needs an acyclic arena was given a cyclic one."""
-
-
 class PreconditionViolated(CausekitError):
     """A query violates one of its stated preconditions."""
 

@@ -2,11 +2,11 @@
 and strategy-repair explanations.
 
 The polynomial pieces (attractor solving, safety regions, the Hausdorff-prefix
-cause check, the tree DP of the Hamming check and the d* repair's deviation
-costs) all run on the one attractor kernel `model.attractor`, on the game's
-own predecessor lists where it can.  `avoid_region` builds the opponent's
-attractor of a cause once per question; condition 2, the avoid region's
-edges and the Hausdorff-prefix check's pin radii all read that one
+cause check and the d* repair's deviation costs) all run on the one
+attractor kernel `model.attractor`, on the game's own predecessor lists
+where it can.  `avoid_region` builds the opponent's attractor of a cause
+once per question; condition 2, the avoid region's edges and the
+Hausdorff-prefix check's pin radii all read that one
 `model.Attractor`, and the deviation costs build the predecessor lists of
 sigma's graph once for all their levels.  They are
 complemented by exact, budget-guarded searches for the problems the
@@ -71,8 +71,8 @@ numbers; `strategy_of` turns the picks of a result back into an
 `MDStrategy`.  Ids appear only in those conversions, in
 `enumerate_strategies` and in error messages.  The definitional oracle
 `brute_force_check_cause` stays on `MDStrategy` values and the public
-predicates and distances.  `avoid_region`, `tree_min_changes` and the
-private kernels take and give numbers; `avoid_region` gives an `Attractor`.
+predicates and distances.  `avoid_region` and the private kernels take
+and give numbers; `avoid_region` gives an `Attractor`.
 """
 
 from dataclasses import dataclass
@@ -83,7 +83,6 @@ from operator import and_, ne, not_
 from .errors import (
     EmptyChoice,
     NoWinningStrategy,
-    NotAcyclic,
     PreconditionViolated,
     as_budget,
 )
@@ -102,7 +101,6 @@ from .model import (
     shortest_route,
     strategy_of,
     validate_strategy,
-    trap_vertices,
 )
 from . import distances
 from .distances import dyadic
@@ -545,22 +543,21 @@ def _least(game, player, sigma, candidates, limit, stop=None):
     The candidates are the (picks, sigma's side) pairs of a
     `_matched_strategies`, for d* with sigma's picks or for hamm-s with
     None, that shares the one-item list `limit`: each new least is written
-    to it, so the enumeration drops the states whose lower bounds exceed
-    it, and yields no candidate whose sigma side does.  A caller that needs
-    no strategy above a threshold starts the limit there; otherwise at INF,
-    or at a lower bound such as the tree DP's, and nothing is dropped before
-    the first least.  A d* candidate takes one `distances.play_scan`, which
-    gives tau's side of d* and, by `_won`, the win.  A hamm-s candidate's
-    distance is its side, the count: tau's side of d* counts differing
-    picks along one chain of the play graph, and a sigma-matched
-    candidate's differing picks are all reached, so it never exceeds the
-    count.  So a hamm-s candidate is walked only for its win (`_wins`).  A
-    candidate above the limit is skipped, strictly, since the cause check
-    needs every tie.  Picks lists compare as their sorted (vertex, choice)
-    id pairs do, so the result does not depend on the enumeration order: at
-    the least hamm-s distance every cause-avoiding strategy is
-    sigma-matched, since a change off its plays adds 1, so the witnesses
-    are those of `brute_force_check_cause`.
+    to it, so the enumeration drops the states whose lower bounds exceed it,
+    and yields no candidate whose sigma side does.  A caller that needs no
+    strategy above a threshold starts the limit there; otherwise at INF, and
+    nothing is dropped before the first least.  A d* candidate takes one
+    `distances.play_scan`, which gives tau's side of d* and, by `_won`, the
+    win.  A hamm-s candidate's distance is its side, the count: tau's side
+    of d* counts differing picks along one chain of the play graph, and a
+    sigma-matched candidate's differing picks are all reached, so it never
+    exceeds the count.  So a hamm-s candidate is walked only for its win
+    (`_wins`).  A candidate above the limit is skipped, strictly, since the
+    cause check needs every tie.  Picks lists compare as their sorted
+    (vertex, choice) id pairs do, so the result does not depend on the
+    enumeration order: at the least hamm-s distance every cause-avoiding
+    strategy is sigma-matched, since a change off its plays adds 1, so the
+    witnesses are those of `brute_force_check_cause`.
     """
     least = loser = winner = None
     for tau, d in candidates:
@@ -630,7 +627,7 @@ def check_cause_game(query, budget=None):
         return GameCauseVerdict(False, distances.INF, c1, c2)
     if query.metric == METRIC_PREF_H:
         return _check_pref_h(query, sigma, caught, budget)
-    return _check_exact(query, sigma, cause, _kept_edges(game, query.player, caught), budget)
+    return _check_exact(query, sigma, _kept_edges(game, query.player, caught), budget)
 
 
 def _check_pref_h(query, sigma, caught, budget):
@@ -718,57 +715,7 @@ def _assemble_strategy(sigma, allowed, overrides):
     return tau
 
 
-def _tree_shaped(game):
-    """Tree arenas (modulo trap self-loops): one way in per reachable vertex
-    but the initial one.  The walk stops at the first vertex with two."""
-    succ, init = game._succ, game._init
-    seen, todo = {init}, [init]
-    while todo:
-        v = todo.pop()
-        for u in succ[v]:
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
-            elif u != init and not (u == v and succ[v] == (v,)):
-                return False
-    return True
-
-
-def tree_min_changes(game, sigma, cause):
-    """Minimum number of pick changes that avoid the vertices `cause`, on
-    tree arenas.
-
-    Subtree vertex sets are disjoint on a tree, so costs add across opponent
-    branches; on general DAGs this sum may double-count shared descendants,
-    which is why the exact search is used there.  Costs are filled
-    bottom-up in the join order of the all-universal attractor of the cause,
-    effect and trap vertices, so every successor is costed first; NotAcyclic
-    if the initial vertex never joins, that is, if a play from it can cycle
-    before reaching one of them.
-    """
-    succ = game._succ
-    ends = trap_vertices(succ).union(game._targets, cause)
-    cost = [None] * len(succ)
-    for v in Attractor(succ, bytes(len(succ)), ends, game._pred).order:
-        if v in cause:
-            cost[v] = distances.INF
-        elif v in ends:
-            cost[v] = 0
-        elif sigma[v] is not None:
-            keep = cost[sigma[v]]
-            change = min(
-                (1 + cost[u] for u in succ[v] if u != sigma[v]),
-                default=distances.INF,
-            )
-            cost[v] = min(keep, change)
-        else:
-            cost[v] = sum(cost[u] for u in succ[v])
-    if cost[game._init] is None:
-        raise NotAcyclic("a play from the initial vertex can cycle")
-    return cost[game._init]
-
-
-def _check_exact(query, sigma, cause, allowed, budget):
+def _check_exact(query, sigma, allowed, budget):
     """Exact search for the two distances with no polynomial algorithm
     here, hamm-s and d*: candidates are enumerated and measured exactly.
 
@@ -778,9 +725,7 @@ def _check_exact(query, sigma, cause, allowed, budget):
     either distance.  Every search state extends to a candidate, so the
     first comes after one descent and bounds the rest.  The two distances
     differ only in how the search starts: d* condenses sigma's play graph
-    once, and on a tree-shaped game where plays from the initial vertex
-    cannot cycle, the hamm-s limit starts at the tree DP's count, the
-    least.  One loop, `_least`, measures the candidates of both and gives
+    once.  One loop, `_least`, measures the candidates of both and gives
     the least losing and the least winning at the least distance as
     witnesses.
     """
@@ -789,11 +734,6 @@ def _check_exact(query, sigma, cause, allowed, budget):
     limit, condensed, scanned = [distances.INF], None, None
     if query.metric == METRIC_DSTAR:
         condensed, scanned = distances.play_condensation(game, sigma), sigma
-    elif _tree_shaped(game):
-        try:
-            limit[0] = tree_min_changes(game, sigma, cause)
-        except NotAcyclic:
-            pass
     candidates = _matched_strategies(game, sigma, options, budget, condensed, limit)
     return _verdict(query, *_least(game, query.player, scanned, candidates, limit))
 

@@ -721,15 +721,6 @@ def is_acyclic(succ):
     return None not in attractor(succ, bytes(len(succ)), sinks)
 
 
-def trap_vertices(succ):
-    """Vertices whose only outgoing edge is a self-loop.
-
-    A play entering such a vertex stays there forever, so the `hamm-s` tree
-    DP treats these vertices as ends of plays.
-    """
-    return {v for v, ends in enumerate(succ) if ends == (v,)}
-
-
 # ---------------------------------------------------------------------------
 # file formats
 

@@ -18,8 +18,6 @@ One reference per question, none of them calling the search or loop it checks:
 - d* winning search: `naive_min_winning`, over every strategy of `enumerate_strategies`.
 - d* minimality: `naive_is_minimal_dstar`, over every strategy of `enumerate_strategies`.
 - d* repair: `naive_min_dstar_repair`, with the costs of a Bellman-style sweep.
-- tree change count: `naive_tree_min_changes`, by memoized recursion.
-- tree shape: `naive_is_tree_shaped`, by counting the reached predecessors.
 - maximal paths: `naive_maximal_paths`, by recursion.
 - layered Hamming check: `naive_hamm_layered`, by a shortest-path search over the states.
 - product search: `naive_dijkstra`, one heap of (distance, node, (prev, edge)) entries.
@@ -58,7 +56,6 @@ from causekit.game_causality import (
     avoid_region,
     enumerate_strategies,
     strategy_is_winning,
-    tree_min_changes,
     validate_game_query,
 )
 from causekit.model import (
@@ -495,7 +492,7 @@ def with_unreachable_copy(game, rng):
 
 
 # ---------------------------------------------------------------------------
-# acyclicity, the d* repair and the tree change count without the attractor
+# acyclicity and the d* repair without the attractor
 
 
 def naive_is_acyclic(adjacency):
@@ -703,34 +700,6 @@ def naive_maximal_paths(ts, max_len=None, budget=None):
     return out
 
 
-def naive_tree_min_changes(game, sigma, cause):
-    """`tree_min_changes` by memoized recursion from the initial vertex; a
-    cycle on the way ends in RecursionError."""
-    owned = game.owned_by(sigma.player)
-    adj = game.adjacency()
-    traps = naive_traps(adj)
-    memo = {}
-
-    def cost(v):
-        if v not in memo:
-            if v in cause:
-                memo[v] = distances.INF
-            elif v in game.effect or v in traps:
-                memo[v] = 0
-            elif v in owned:
-                keep = cost(sigma.choice[v])
-                change = min(
-                    (1 + cost(u) for u in adj[v] if u != sigma.choice[v]),
-                    default=distances.INF,
-                )
-                memo[v] = min(keep, change)
-            else:
-                memo[v] = sum(cost(u) for u in adj[v])
-        return memo[v]
-
-    return cost(game.initial)
-
-
 # ---------------------------------------------------------------------------
 # pref-h with one attractor per pin radius
 
@@ -836,26 +805,6 @@ def id_avoid_region(game, player, cause):
     ids = game.ids
     region = id_set(game, [r is None for r in caught.rank])
     return region, {ids[v]: tuple(ids[u] for u in a) for v, a in allowed.items()}
-
-
-def naive_is_tree_shaped(game):
-    """Every vertex the initial vertex reaches, but that one, has at most
-    one predecessor among the reached vertices, a trap's own self-loop not
-    counted."""
-    adjacency = id_adjacency(game)
-    reached = naive_reachable(adjacency, game.initial)
-    traps = naive_traps(adjacency)
-    ins = {v: 0 for v in reached}
-    for v in reached:
-        for u in adjacency[v]:
-            if not (u == v and v in traps):
-                ins[u] += 1
-    return all(n <= 1 for v, n in ins.items() if v != game.initial)
-
-
-def id_tree_min_changes(game, sigma, cause):
-    """`game_causality.tree_min_changes` from ids."""
-    return tree_min_changes(game, validate_strategy(game, sigma), set(numbers(game, cause)))
 
 
 def naive_assemble_strategy(sigma, owned, allowed, overrides):

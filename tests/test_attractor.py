@@ -1,26 +1,25 @@
 """The linear-time attractor kernel against the round-based reference, its
 resumption after pins, and the game and system queries built on it:
-acyclicity, the d* repair's costs and the tree change count included.  The
-references run on ids; the kernels get and give vertex numbers, converted
-by the helpers."""
+acyclicity, the d* repair's costs and the exact cause checks on tree games
+included.  The references run on ids; the kernels get and give vertex
+numbers, converted by the helpers."""
 
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
 from causekit.distances import dyadic
-from causekit.errors import NotAcyclic
 from causekit.game_causality import (
+    METRIC_DSTAR,
+    METRIC_HAMM_S,
     METRIC_PREF_H,
     GameCauseQuery,
     _deviation_costs,
     _dstar_floor,
     _solve_for,
-    _tree_shaped,
     check_cause_game,
     min_dstar_winning_strategy_acyclic,
     solve,
-    tree_min_changes,
 )
 from causekit.generators import acyclic_game, cyclic_game, random_strategy
 from causekit.model import (
@@ -42,19 +41,20 @@ from helpers import (
     avoid_set,
     avoiding,
     budgeted,
+    dstar_oracle,
     flags,
+    hamm_s_oracle,
     id_adjacency,
     id_ranks,
     int_allowed,
     int_graph,
     naive_attractor,
     naive_reachable,
+    naive_check_exact,
     naive_check_pref_h,
     naive_is_acyclic,
-    naive_is_tree_shaped,
     naive_min_dstar_repair,
     naive_repair_costs,
-    naive_tree_min_changes,
     pref_h_chain,
     with_unreachable_copy,
 )
@@ -357,16 +357,14 @@ def random_tree_game(rng, n):
 
 
 @FUZZ
-@given(SEEDS, st.sampled_from(("tree", "acyclic", "cyclic")), st.booleans())
-def test_tree_min_changes_matches_the_recursion(seed, shape, island):
-    if shape == "tree":
-        rng = random.Random(seed)
-        game = random_tree_game(rng, rng.randint(1, 12))
-    else:
-        game, rng = random_game(seed, shape == "cyclic")
+@given(SEEDS, st.booleans())
+def test_exact_cause_checks_match_the_references_on_tree_games(seed, island):
+    # The reference enumerates the copy's strategies too, so islands copy
+    # smaller trees.
+    rng = random.Random(seed)
+    game = random_tree_game(rng, rng.randint(1, 6 if island else 10))
     if island:
         game = with_unreachable_copy(game, rng)
-    assert _tree_shaped(game) == naive_is_tree_shaped(game) >= (shape == "tree")
     pool = sorted(set(game.vertices) - game.effect)
     for player in (REACH, SAFE):
         sigma = random_strategy(rng, game, player)
@@ -375,14 +373,8 @@ def test_tree_min_changes_matches_the_recursion(seed, shape, island):
             u for _v, u in sorted(sigma.choice.items())
             if u not in game.effect and rng.random() < 0.6
         }
-        try:
-            expected = naive_tree_min_changes(game, sigma, cause)
-        except RecursionError:
-            expected = "NotAcyclic"
-        try:
-            got = tree_min_changes(
-                game, validate_strategy(game, sigma), {game.index[c] for c in cause}
-            )
-        except NotAcyclic:
-            got = "NotAcyclic"
-        assert got == expected
+        for metric, oracle in ((METRIC_HAMM_S, hamm_s_oracle), (METRIC_DSTAR, dstar_oracle)):
+            query = GameCauseQuery(game, player, sigma, cause, metric)
+            got, used = budgeted(check_cause_game, query)
+            want, want_used = budgeted(naive_check_exact, query, oracle)
+            assert got == want and used <= want_used

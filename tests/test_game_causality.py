@@ -8,7 +8,6 @@ from causekit.errors import (
     Budget,
     EmptyChoice,
     NoWinningStrategy,
-    NotAcyclic,
     PreconditionViolated,
 )
 from causekit.fixtures import tree_game, loop_game
@@ -39,7 +38,6 @@ from helpers import (
     hausdorff_oracle,
     id_adjacency,
     id_avoid_region,
-    id_tree_min_changes,
     naive_avoiding,
     naive_is_effectively_acyclic,
     naive_reachable,
@@ -133,6 +131,14 @@ def test_tree_game_cause_regressions():
         oracle = brute_force_check_cause(query(game, sigma, cause, metric))
         assert oracle.is_cause == expected
         assert verdict.min_distance == oracle.min_distance
+    # hamm-s: one change avoids v3, with or without v2; none avoids s11 and v3
+    for cause, least, avoidable in (
+        ({"v3"}, 1, True),
+        ({"v2", "v3"}, 1, True),
+        ({"s11", "v3"}, INF, False),
+    ):
+        verdict = check_cause_game(query(game, sigma, cause, METRIC_HAMM_S))
+        assert (verdict.min_distance, verdict.condition2) == (least, avoidable), cause
 
 
 def test_tree_game_unique_avoider_distances():
@@ -174,19 +180,6 @@ def test_hamm_s_answers_on_a_cyclic_game():
     sigma = MDStrategy("reach", {"r": "c", "s": "s"})
     assert min_winning_distance(game, sigma, METRIC_HAMM_S) == 2
     assert not min_winning_distance(game, sigma, METRIC_HAMM_S, threshold=1)
-
-
-def test_tree_min_changes_matches_search():
-    game, sigma = tree_game()
-    assert id_tree_min_changes(game, sigma, frozenset({"v3"})) == 1
-    assert id_tree_min_changes(game, sigma, frozenset({"v2", "v3"})) == 1
-    assert id_tree_min_changes(game, sigma, frozenset({"s11", "v3"})) == INF
-
-
-def test_tree_min_changes_rejects_a_cyclic_game():
-    game, sigma = loop_game()  # v1 has a non-trap self-loop
-    with pytest.raises(NotAcyclic):
-        id_tree_min_changes(game, sigma, frozenset())
 
 
 # ---------------------------------------------------------------------------
