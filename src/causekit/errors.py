@@ -49,11 +49,12 @@ class Budget:
     """Budget for exact searches.
 
     Exact searches charge one unit per candidate they enumerate (a strategy,
-    a change set, a pin layer or, in the path oracle, a visited state) and
-    raise BudgetExceeded instead of returning approximate answers.  A SEM
+    a pin layer or, in the path oracle, a visited state) and raise
+    BudgetExceeded instead of returning approximate answers.  A SEM
     document's expansions charge one unit per effect row and cause state,
     and a generator one per state and per edge it may draw and one per
-    label of its alphabet.
+    label of its alphabet.  `ts-cause` (but not its oracle), `solve`,
+    `distance`, `explain --cause` and `explain --check` charge nothing.
     """
 
     DEFAULT_LIMIT = 10_000_000

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, combinations, product, starmap
 from operator import add
 
-from .errors import BudgetExceeded, PreconditionViolated, as_budget
+from .errors import PreconditionViolated, as_budget
 from .model import TransitionSystem, required_field
 from .ts_causality import (
     METRIC_HAMM,
@@ -31,8 +31,6 @@ from .ts_causality import (
 
 LABEL_PLAIN = ""
 LABEL_INTERVENTION = "intervention"
-
-MAX_UNROLL_VARIABLES = 16
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,6 @@ def state_id(bits):
 
 def unroll_to_ts(sem):
     """Unroll a SEM into its intervention-labeled valuation tree."""
-    _check_unroll_size(sem)
     states = []
     labeling = {}
     transitions = set()
@@ -168,14 +165,6 @@ def unroll_to_ts(sem):
         labeling=labeling,
         alphabet=(LABEL_PLAIN, LABEL_INTERVENTION),
     )
-
-
-def _check_unroll_size(sem):
-    """The tree has 2**(n+1)-1 states; refuse SEMs past the cap."""
-    if sem.n > MAX_UNROLL_VARIABLES:
-        raise BudgetExceeded(
-            f"unrolling {sem.n} variables needs {2 ** (sem.n + 1) - 1} states"
-        )
 
 
 def butfor_to_cause_set(sem, variables, budget=None):
@@ -217,8 +206,6 @@ def bridge_check(sem, effect, variables, witnesses=3):
     `dijkstra` breaks ties and picks witnesses as on the unrolled tree;
     state ids are built for the witness paths only.  The tree is layered and
     its default path maximal by construction, so neither is validated.
-    `MAX_UNROLL_VARIABLES` still applies: the bridge's document lists cause
-    states and effect valuations extensionally.
 
     The induced cause set may include effect leaves (a default step for the
     last variable ends in a leaf), so the usual cause/effect disjointness is
@@ -230,7 +217,6 @@ def bridge_check(sem, effect, variables, witnesses=3):
         raise PreconditionViolated("effect valuations must be total")
     if not variables:
         raise PreconditionViolated("an empty variable set induces no cause states")
-    _check_unroll_size(sem)
     chosen = {sem.index_of(x) for x in variables}
     if evaluate_default(sem) not in effect:
         raise PreconditionViolated(

@@ -173,33 +173,20 @@ def check_cause_pref_ap(query, allow_overlap=False):
         parents.append(layer)
     i_max = len(parents) - 1
 
-    exact_terminals = (
-        sorted(t for t in parents[n_last] if not succ[t])
-        if i_max == n_last
-        else []
-    )
-    if exact_terminals:
-        min_d = Fraction(0)
-        if phi == PHI_REACH:
-            bad = [t for t in exact_terminals if t in effect]
-        else:
-            bad = [t for t in exact_terminals if t not in effect]
-        is_cause = not bad
-        witness_paths = []
-        for t in exact_terminals[: query.witnesses]:
-            witness_paths.append(_reconstruct_prefix(parents, n_last, t))
-        wits = _finish_witnesses(query, witness_paths, min_d, effect)
-        return _named(ts, CauseVerdict(is_cause, min_d, wits))
-
-    min_d = dyadic(i_max + 1)
-    frontier = sorted(parents[i_max])
-    # States with a C-avoiding continuation that satisfies the property.
-    if phi == PHI_REACH:
-        blocked = dict.fromkeys(cause, ())  # no edge leaves a cause state
-        rank = attractor(succ, b"\x01" * len(succ), effect - cause, ts._pred, blocked)
-        offending = [r is not None for r in rank]
+    # Matched terminals are paths at distance 0; each is its own continuation.
+    exact = sorted(t for t in parents[i_max] if not succ[t]) if i_max == n_last else []
+    # offending[t]: t has a C-avoiding continuation that satisfies the property.
+    if exact:
+        min_d, frontier = Fraction(0), exact
+        offending = {t: path_satisfies_phi((t,), effect, phi) for t in exact}
     else:
-        offending = maximal_avoiding_set(succ, cause | effect, ts._pred)
+        min_d, frontier = dyadic(i_max + 1), sorted(parents[i_max])
+        if phi == PHI_REACH:
+            blocked = dict.fromkeys(cause, ())  # no edge leaves a cause state
+            rank = attractor(succ, b"\x01" * len(succ), effect - cause, ts._pred, blocked)
+            offending = [r is not None for r in rank]
+        else:
+            offending = maximal_avoiding_set(succ, cause | effect, ts._pred)
     is_cause = not any(offending[t] for t in frontier)
 
     witness_paths = []

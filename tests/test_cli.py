@@ -482,7 +482,9 @@ def test_operands_checked_against_the_model_exit_2(tmp_path, capsys, argv, files
     assert capsys.readouterr() == ("", f"causekit: {message}\n")
 
 
-def test_sem_bridge_over_the_unroll_cap_exit_3(tmp_path, capsys):
+def test_sem_bridge_past_sixteen_variables(tmp_path, capsys):
+    """A 17-variable bridge answers under the default budget, and both
+    `sem` actions exit 3 under a small one."""
     from causekit import cli
 
     n = 17
@@ -494,8 +496,14 @@ def test_sem_bridge_over_the_unroll_cap_exit_3(tmp_path, capsys):
     }))
     argv = ["sem", "bridge", "--model", str(sem), "--effect", json.dumps([[False] * n]),
             "--vars", "X1"]
-    assert cli.main(argv) == 3
-    assert capsys.readouterr() == ("", "causekit: unrolling 17 variables needs 262143 states\n")
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["verdict"], doc["minDistance"]) == (True, "1")
+    for action, units in [("bridge", 1), ("butfor", 0)]:
+        argv[1] = action
+        assert cli.main([*argv, "--budget", str(units)]) == 3
+        message = f"causekit: search budget of {units} units exhausted\n"
+        assert capsys.readouterr() == ("", message)
 
 
 @pytest.mark.parametrize("action, causes", [("butfor", 0), ("bridge", 2)])

@@ -9,7 +9,6 @@ from causekit.model import maximal_paths
 from causekit.sem_bridge import (
     LABEL_INTERVENTION,
     LABEL_PLAIN,
-    MAX_UNROLL_VARIABLES,
     StructuralEquationModel,
     bridge_check,
     but_for_causes,
@@ -183,15 +182,15 @@ def test_bridge_matches_unrolled_tree_random():
             assert_bridge_matches_unrolled(sem, effects, variable_sets)
 
 
-def test_bridge_unroll_cap():
-    rng = random.Random(3)
-    at_cap = random_sem(rng, MAX_UNROLL_VARIABLES)
-    default = evaluate_default(at_cap)
-    assert bridge_check(at_cap, {default}, {"X1"}).is_cause
-    over = random_sem(rng, MAX_UNROLL_VARIABLES + 1)
-    with pytest.raises(BudgetExceeded) as exc:
-        bridge_check(over, {evaluate_default(over)}, {"X1"})
-    assert str(exc.value) == "unrolling 17 variables needs 262143 states"
+def test_bridge_answers_past_sixteen_variables():
+    n = 17
+    sem = StructuralEquationModel(
+        variables=tuple(f"X{i + 1}" for i in range(n)),
+        tables=tuple((False,) * 2 ** i for i in range(n)),
+    )
+    verdict = bridge_check(sem, {(False,) * n}, {"X1"})
+    assert verdict.is_cause
+    assert verdict.min_distance == 1
 
 
 def test_minimality_by_subset_enumeration_random():
